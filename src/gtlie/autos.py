@@ -87,7 +87,7 @@ class Automorphism:
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
-    return max_abs(a - np.diag(np.diag(a))) == 0.0
+    return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
 
 
 def eta(s: int) -> int:
@@ -297,7 +297,8 @@ def simulation_inner(hw: HighestWeight, n: int, s: int) -> SimulationMatrix:
     if any(r.denominator != 1 for r in phases):
         shift = phases[0]
         phases = [(r - shift) % 2 for r in phases]
-        assert all(r.denominator == 1 for r in phases), "r_n must be constant over patterns"
+        if any(r.denominator != 1 for r in phases):
+            raise VerificationError("r_n is not constant over the patterns; phases stay fractional")
     return SimulationMatrix(order=2, kind="diagonal", phases=tuple(phases))
 
 
@@ -513,33 +514,127 @@ def check_compatibility(
     return Report(ok=not violations, max_residual=worst, violations=violations)
 
 
+# Largest predicted footprint of the solver's reduced system and its thin
+# SVD; a larger input is refused with InputError before anything is built.
+SOLVER_BUDGET_BYTES = 1 << 30
+# Seed of the fixed random combination of the null basis: any generic
+# combination is invertible whenever some intertwiner is.
+SOLVER_SEED = 20090
+# Newton steps allowed for R^order = Id; from a generic start they converge
+# quadratically in well under this many.
+SOLVER_NEWTON_STEPS = 100
+
+
+def _normalize_power(r0: np.ndarray, order: int) -> np.ndarray:
+    """An order-th root of Id of the form r0 c, with c a function of
+    P = r0^order, by Newton's iteration S <- ((order-1) S + S^(1-order)) / order
+    (for order 2, the matrix sign function of r0).
+
+    Every iterate is r0 times a function of P, and P commutes with the
+    representation (g^order = Id), so the limit intertwines like r0 does.
+    The start is r0 / alpha^(1/order) with alpha = trace(P) / d: for a
+    scalar P (an irreducible carrier) that is already the answer.
+    """
+    d = r0.shape[0]
+    alpha = complex(np.trace(np.linalg.matrix_power(r0, order))) / d
+    s = r0 * cmath.exp(-cmath.log(alpha) / order) if alpha else r0
+    for _ in range(SOLVER_NEWTON_STEPS):
+        step = ((order - 1) * s + np.linalg.matrix_power(np.linalg.inv(s), order - 1)) / order
+        done = max_abs(step - s) <= 1e-13 * max_abs(step)
+        s = step
+        if done:
+            break
+    return s
+
+
 def find_simulation_matrix(
     rep: GeneratorRep, aut: Automorphism, tol: float = DEFAULT_TOL
 ) -> SimulationMatrix | None:
     """Solve the intertwiner equations r(g(x)) R = R r(x) for R directly.
 
-    Returns a dense simulation matrix normalized to R^order = Id, or None
-    when only R = 0 solves the system (no simulation matrix exists).
+    The equations are imposed only on the 2(n-1) Chevalley generators
+    E_{k,k+1} and E_{k+1,k}: the x for which they hold form a Lie
+    subalgebra, and these generate sl(n).  When every r(H_k) and
+    r(g(H_k)) is diagonal (a weight basis, as for GT and doubled
+    representations under the standard automorphisms), the Cartan
+    equations force R[i, j] = 0 unless r(g(H_k))_ii = r(H_k)_jj for all k,
+    so only those entries are unknowns: sum over weights mu of
+    mult(mu) mult(g* mu) instead of d^2.  Otherwise every entry is one.
+    Each generator contributes only the equation rows that can be nonzero,
+    and the null space comes from a thin SVD of the stacked system.
+
+    A fixed-seed random complex combination of the null basis is generic:
+    it is invertible whenever some solution is, which a single basis vector
+    need not be (the doubled carriers have 2-dimensional null spaces).  It
+    is then multiplied by a function of R^order so that R^order = Id.
+
+    Returns a dense simulation matrix, or None when every solution is
+    singular (no simulation matrix exists).  Raises InputError when the
+    predicted bytes of the reduced system and its SVD exceed
+    SOLVER_BUDGET_BYTES, and VerificationError when the found R cannot be
+    normalized to R^order = Id.
     """
     n, d = rep.n, rep.dim
     mats = rep_sl_matrices(rep)
-    eye = np.eye(d)
-    blocks = []
-    for lab_matrix, m in zip(sl_basis_matrices(n), mats):
-        image = matrix_to_coords(n, aut.apply(lab_matrix))
-        a = rep_matrix_of(rep, image, mats)
-        blocks.append(np.kron(a, eye) - np.kron(eye, m.T))
-    system = np.vstack(blocks)
-    _, svals, vh = np.linalg.svd(system)
-    null = [vh[i].conj() for i in range(vh.shape[0]) if i >= len(svals) or svals[i] <= tol * max(1.0, svals[0])]
-    for vec in null:
-        r0 = vec.reshape(d, d)
-        if np.linalg.matrix_rank(r0, tol=1e-9) < d:
-            continue
-        power = np.linalg.matrix_power(r0, aut.order)
-        alpha = np.trace(power) / d
-        if abs(alpha) < tol or max_abs(power - alpha * np.eye(d)) > 1e-6:
-            continue
-        scale = cmath.exp(-cmath.log(alpha) / aut.order)
-        return SimulationMatrix(order=aut.order, kind="dense", dense=scale * r0)
-    return None
+    basis = dict(zip(sl_basis_labels(n), sl_basis_matrices(n)))
+
+    def image(label: tuple) -> np.ndarray:
+        return rep_matrix_of(rep, matrix_to_coords(n, aut.apply(basis[label])), mats)
+
+    cartan = [("H", k) for k in range(1, n)]
+    h_src = [rep.sl_label_matrix(lab) for lab in cartan]
+    h_dst = [image(lab) for lab in cartan]
+    if all(_is_diagonal(h) for h in h_src + h_dst):
+        src = np.array([np.diag(h) for h in h_src]).reshape(n - 1, 1, d)
+        dst = np.array([np.diag(h) for h in h_dst]).reshape(n - 1, d, 1)
+        allowed = np.all(np.abs(dst - src) <= tol, axis=0)
+    else:
+        allowed = np.ones((d, d), dtype=bool)
+    rows_i, cols_j = np.nonzero(allowed)
+    unknowns = rows_i.size
+    if not unknowns:
+        return None
+
+    equations = []
+    for k in range(1, n):
+        for label in (("E", k, k + 1), ("E", k + 1, k)):
+            a, m = image(label), rep.sl_label_matrix(label)
+            # Row (p, q) of A R - R M involves R[i, q] via A[p, i] and
+            # R[p, j] via M[j, q]; rows reached by no allowed entry vanish.
+            support = ((a != 0) @ allowed) | (allowed @ (m != 0))
+            equations.append((a, m, support, int(support.sum())))
+    # Zero rows pad a short system so that Vh of the thin SVD is square.
+    height = max(sum(eq[3] for eq in equations), unknowns)
+    rank_bound = min(height, unknowns)
+    nbytes = 16 * (2 * height * unknowns + height * rank_bound + rank_bound * unknowns)
+    if nbytes > SOLVER_BUDGET_BYTES:
+        raise InputError(
+            f"simulation-matrix solver needs {nbytes / 2**30:.2f} GiB for {unknowns} unknowns "
+            f"(d={d}), over the {SOLVER_BUDGET_BYTES / 2**30:.2f} GiB budget"
+        )
+
+    system = np.zeros((height, unknowns), dtype=complex)
+    offset = 0
+    for a, m, support, count in equations:
+        row = np.full((d, d), -1)
+        row[support] = np.arange(offset, offset + count)
+        offset += count
+        p, u = np.nonzero(a[:, rows_i])
+        system[row[p, cols_j[u]], u] = a[p, rows_i[u]]
+        u, q = np.nonzero(m[cols_j, :])
+        system[row[rows_i[u], q], u] -= m[cols_j[u], q]
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    null = vh[svals <= tol * max(1.0, svals[0])].conj()
+    if not null.shape[0]:
+        return None
+    rng = np.random.default_rng(SOLVER_SEED)
+    weights = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
+    r0 = np.zeros((d, d), dtype=complex)
+    r0[rows_i, cols_j] = weights @ null
+    if np.linalg.matrix_rank(r0, tol=1e-9) < d:
+        return None
+    r = _normalize_power(r0, aut.order)
+    residual = max_abs(np.linalg.matrix_power(r, aut.order) - np.eye(d))
+    if residual > 1e-6:
+        raise VerificationError(f"solver R^{aut.order} is {residual:.3g} away from Id after normalization")
+    return SimulationMatrix(order=aut.order, kind="dense", dense=r)

@@ -6,7 +6,7 @@ Subcommands:
     compat check
     contract solve-eps | contract solve-psi | contract apply
 
-Global flags: --tol, --format {text,json}, --seed, --out.
+Global flags: --tol, --format {text,json}, --out.
 Exit codes: 0 all verifications passed, 1 verification failure,
 2 usage or input error.  Output (stdout report and --out artifact) is
 byte-deterministic for fixed inputs.
@@ -42,7 +42,6 @@ from .gtrep import (
 class RunConfig:
     tolerance: float = 1e-9
     fmt: str = "text"
-    seed: int = 0
     out: str | None = None
 
     def __post_init__(self):
@@ -394,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--tol", type=float, help="verification tolerance (default 1e-9)")
     common.add_argument("--format", choices=["text", "json"], help="report format")
-    common.add_argument("--seed", type=int, help="seed for randomized sweeps")
     common.add_argument("--out", help="write the produced artifact JSON to this path")
 
     parser = argparse.ArgumentParser(
@@ -467,7 +465,6 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             tolerance=getattr(args, "tol", 1e-9),
             fmt=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", 0),
             out=getattr(args, "out", None),
         )
         return args.func(cfg, args)

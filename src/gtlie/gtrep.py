@@ -161,7 +161,8 @@ def weyl_dim(hw: HighestWeight) -> int:
     for i in range(hw.n):
         for j in range(i + 1, hw.n):
             total *= Fraction(hw.m[i] - hw.m[j] + j - i, j - i)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError(f"Weyl product for {hw} is not an integer: {total}")
     return int(total)
 
 
@@ -206,22 +207,30 @@ class Radicand:
         return Radicand(int(sign_part), Fraction(rad.rstrip(")")))
 
 
-def _shift_coefficient(p: GTPattern, k: int, j: int, shift: int) -> Fraction:
-    """Exact radicand (before the leading minus sign) of the a/b coefficient.
+def _shift_numerator(p: GTPattern, k: int, j: int, shift: int) -> int:
+    """Numerator of the exact radicand (before the leading minus sign) of
+    the coefficient that moves entry j of row k-1 by shift: shift = -1 gives
+    the lowering coefficient a_{k-1}^j, shift = +1 the raising coefficient
+    b_{k-1}^j, both evaluated on the source pattern p.
 
-    shift = -1 gives the lowering coefficient a_{k-1}^j, shift = +1 the
-    raising coefficient b_{k-1}^j, both evaluated on the source pattern p.
+    With d = 0 for lowering and d = -1 for raising, the two formulas share
+    one shape: numerator over rows k and k-2, denominator over row k-1.
     """
     mj = p.entry(j, k - 1)
-    # With d = 0 for lowering and d = -1 for raising, the two formulas share
-    # one shape: numerator over rows k and k-2, denominator over row k-1.
     d = 0 if shift < 0 else -1
-    num = Fraction(1)
+    num = 1
     for i in range(1, k + 1):
         num *= p.entry(i, k) - mj - i + j + 1 + d
     for i in range(1, k - 1):
         num *= p.entry(i, k - 2) - mj - i + j + d
-    den = Fraction(1)
+    return num
+
+
+def _shift_denominator(p: GTPattern, k: int, j: int, shift: int) -> int:
+    """Denominator of the radicand whose numerator _shift_numerator gives."""
+    mj = p.entry(j, k - 1)
+    d = 0 if shift < 0 else -1
+    den = 1
     for i in range(1, k):
         if i == j:
             continue
@@ -230,7 +239,7 @@ def _shift_coefficient(p: GTPattern, k: int, j: int, shift: int) -> Fraction:
         raise ZeroDivisionError(
             f"zero denominator at j={j}, k={k} on {p}: pattern-validity bug"
         )
-    return -num / den
+    return den
 
 
 def _act_shift(p: GTPattern, k: int, shift: int) -> list[tuple[GTPattern, Radicand]]:
@@ -238,19 +247,13 @@ def _act_shift(p: GTPattern, k: int, shift: int) -> list[tuple[GTPattern, Radica
         raise InputError(f"generator index {k} out of range 2..{p.n}")
     terms = []
     for j in range(1, k):
+        num = _shift_numerator(p, k, j, shift)
         target = p.replaced(j, k - 1, p.entry(j, k - 1) + shift)
         if not target.is_valid():
-            if __debug__:
-                num = Fraction(1)
-                d = 0 if shift < 0 else -1
-                mj = p.entry(j, k - 1)
-                for i in range(1, k + 1):
-                    num *= p.entry(i, k) - mj - i + j + 1 + d
-                for i in range(1, k - 1):
-                    num *= p.entry(i, k - 2) - mj - i + j + d
-                assert num == 0, f"skipped move j={j}, k={k} on {p} has nonzero numerator"
+            if num != 0:
+                raise ArithmeticError(f"skipped move j={j}, k={k} on {p} has nonzero numerator {num}")
             continue
-        rad = _shift_coefficient(p, k, j, shift)
+        rad = Fraction(-num, _shift_denominator(p, k, j, shift))
         if rad < 0:
             raise ArithmeticError(f"negative radicand {rad} at j={j}, k={k} on {p}")
         terms.append((target, Radicand(0 if rad == 0 else 1, rad)))

@@ -1,13 +1,17 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtlie
 from gtlie.algebra import sl_basis_matrices
 from gtlie.autos import (
+    SOLVER_BUDGET_BYTES,
     J_matrix,
     SimulationMatrix,
     action_on_sl,
@@ -28,7 +32,7 @@ from gtlie.autos import (
 )
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
-from gtlie.gtrep import GTPattern, HighestWeight, build_representation, enumerate_patterns
+from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns
 
 
 def pat(*rows):
@@ -396,3 +400,71 @@ def test_random_involution_eigensplits_are_z2(seed=20260809):
         assert case == gtlie.TwoPartCase.Z2_GRADING
         cases += 1
     assert cases == 20
+
+
+# every weight with n <= 4 and entries <= 3
+SMALL_WEIGHTS = [
+    HighestWeight(n, m + (0,))
+    for n in (2, 3, 4)
+    for m in itertools.product(range(3, -1, -1), repeat=n - 1)
+    if list(m) == sorted(m, reverse=True)
+]
+
+
+def _solved(rep, aut):
+    """The solver's R, checked by verify_simulation at 1e-9, or None."""
+    found = find_simulation_matrix(rep, aut)
+    if found is not None:
+        report = verify_simulation(rep, aut, found, 1e-9)
+        assert report.ok, report.violations[:2]
+    return found
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(SMALL_WEIGHTS))
+def test_solver_finds_r_exactly_when_an_analytic_one_exists(hw):
+    n = hw.n
+    rep = build_representation(hw)
+    assert (_solved(rep, auto_outer(n)) is not None) == is_self_contragredient(hw)
+    assert _solved(doubled_rep(hw)[0], auto_outer(n)) is not None
+    assert _solved(rep, auto_inner(n, 1)) is not None
+
+
+@pytest.mark.parametrize("m", [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 2, 0), (1, 0, 0, 0), (1, 1, 1, 0)])
+def test_solver_finds_the_doubled_carriers(m):
+    hw = HighestWeight(len(m), m)
+    assert not is_self_contragredient(hw)
+    assert _solved(doubled_rep(hw)[0], auto_outer(hw.n)) is not None
+
+
+@pytest.mark.parametrize("m, d", [((4, 2, 0), 27), ((2, 1, 1, 1, 1, 0), 35)])
+def test_solver_completes_past_d15(m, d):
+    hw = HighestWeight(len(m), m)
+    rep = build_representation(hw)
+    assert rep.dim == d
+    assert _solved(rep, auto_outer(hw.n)) is not None
+
+
+def test_solver_refuses_an_oversized_system_before_building_it():
+    # conjugating by a random orthogonal matrix leaves no weight basis, so
+    # all d^2 = 4096 entries of R are unknowns
+    rep = build_representation(HighestWeight(3, (6, 3, 0)))
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((rep.dim, rep.dim)))
+    conjugated = GeneratorRep(3, {key: q @ m @ q.T for key, m in rep.gen.items()})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="budget"):
+            find_simulation_matrix(conjugated, auto_outer(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SOLVER_BUDGET_BYTES / 100
+
+
+def test_solver_normalizes_an_order_3_automorphism_on_a_reducible_carrier():
+    omega = cmath.exp(2j * math.pi / 3)
+    aut = gtlie.Automorphism(kind="inner", matrix=np.diag([1, omega, omega * omega]), order=3)
+    hw = HighestWeight(3, (2, 1, 0))
+    for carrier in (build_representation(hw), doubled_rep(hw)[0]):
+        found = _solved(carrier, aut)
+        assert found is not None and found.order == 3

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gtlie.cli import main
 
 
@@ -139,3 +141,6 @@ def test_global_flags_accepted_before_and_after_subcommand(capsys):
     code, _ = run(capsys, "rep", "build", "-n", "2", "-w", "1,0", "--tol", "1e-9")
     assert code == 0
     assert main(["--tol", "-1", "rep", "build", "-n", "2", "-w", "1,0"]) == 2
+    with pytest.raises(SystemExit) as exc:  # --seed is not a flag
+        main(["--seed", "1", "rep", "build", "-n", "2", "-w", "1,0"])
+    assert exc.value.code == 2

@@ -146,6 +146,13 @@ def test_negative_radicand_guard():
         Radicand(1, Fraction(-1))
 
 
+def test_skipped_move_with_nonzero_numerator_raises():
+    # lowering 3 -> 2 under the top row (1, 0) leaves the betweenness range,
+    # but on this invalid source the coefficient's numerator is 3, not 0
+    with pytest.raises(ArithmeticError, match="nonzero numerator"):
+        act_lowering(pat((1, 0), (3,)), 2)
+
+
 def test_build_defining_rep_elementary_matrices():
     rep = build_representation(HighestWeight(3, (1, 0, 0)))
     for k in range(1, 4):
