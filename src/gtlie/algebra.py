@@ -32,11 +32,19 @@ from .linalg import (
 
 @dataclass
 class Report:
-    """Outcome of a verification predicate."""
+    """Outcome of a verification predicate.
+
+    ``checked`` counts the relations or images tested, ``worst_at`` names
+    where ``max_residual`` occurred and ``tol`` is the tolerance it was
+    held to; verifiers that do not fill them leave the defaults.
+    """
 
     ok: bool
     max_residual: float = 0.0
     violations: list = field(default_factory=list)
+    checked: int = 0
+    worst_at: object = None
+    tol: float | None = None
 
     def __bool__(self):
         return self.ok

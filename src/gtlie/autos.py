@@ -47,10 +47,12 @@ from .gtrep import (
     GTPattern,
     HighestWeight,
     build_representation,
+    check_generator_budget,
     enumerate_patterns,
     row_sum,
+    weyl_dim,
 )
-from .linalg import DEFAULT_TOL, independent_columns, max_abs, span_residual
+from .linalg import DEFAULT_TOL, independent_columns, max_abs, orthonormal_span
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +363,10 @@ def doubled_rep(hw: HighestWeight):
     simulation matrix for the outer automorphism.
 
     Works for any weight; this is the compatible companion for weights
-    that are not self-contragredient.
+    that are not self-contragredient.  Raises InputError up front when the
+    doubled generators would exceed GENERATOR_BUDGET_BYTES.
     """
+    check_generator_budget(hw.n, 2 * weyl_dim(hw))
     r0 = build_representation(hw)
     d = r0.dim
     gen = {}
@@ -490,28 +494,43 @@ def check_compatibility(
     vgamma: Grading,
     tol: float = DEFAULT_TOL,
 ) -> Report:
-    """Definition check: r(X_i) V_j inside V_{i+j} for all labels i, j."""
+    """Definition check: r(X_i) V_j inside V_{i+j} for all labels i, j.
+
+    One projector per target part: each part of vgamma gets one orthonormal
+    basis Q (thin SVD, ``orthonormal_span``) per call, and for each basis
+    column X of a gamma part the whole image block W = r(X) V_j is checked
+    at once by max |W - Q (Q^H W)|, the distance of its columns from V_{i+j}.
+    A violation (i, j, res) is recorded per X column and part j whose
+    residual exceeds tol.
+
+    The report carries checked = the number of image vectors r(X) v tested,
+    worst_at = (i, j) of the largest residual (None when all are zero) and
+    tol.
+    """
     if gamma.group.orders != vgamma.group.orders:
         raise InputError(
             f"gradings live over different groups: {gamma.group} vs {vgamma.group}"
         )
     mats = rep_sl_matrices(rep)
-    worst = 0.0
+    bases = {lab: orthonormal_span(list(part.T), tol) for lab, part in vgamma.parts.items()}
+    absent = np.zeros((rep.dim, 0), dtype=complex)
+    worst, worst_at, checked = 0.0, None, 0
     violations = []
     for i, xpart in gamma.parts.items():
         for col in range(xpart.shape[1]):
             m = rep_matrix_of(rep, xpart[:, col], mats)
             for j, vpart in vgamma.parts.items():
-                target = vgamma.part(vgamma.group.add(i, j))
+                q = bases.get(vgamma.group.add(i, j), absent)
                 image = m @ vpart
-                res = max(
-                    (span_residual(image[:, b], target) for b in range(image.shape[1])),
-                    default=0.0,
-                )
-                worst = max(worst, res)
+                res = max_abs(image - q @ (q.conj().T @ image))
+                checked += image.shape[1]
+                if res > worst:
+                    worst, worst_at = res, (i, j)
                 if res > tol:
                     violations.append((i, j, res))
-    return Report(ok=not violations, max_residual=worst, violations=violations)
+    return Report(
+        ok=not violations, max_residual=worst, violations=violations, checked=checked, worst_at=worst_at, tol=tol
+    )
 
 
 # Largest predicted footprint of the solver's reduced system and its thin

@@ -42,6 +42,8 @@ __all__ = [
     "act_lowering",
     "act_raising",
     "build_representation",
+    "GENERATOR_BUDGET_BYTES",
+    "check_generator_budget",
     "GeneratorRep",
     "Representation",
     "verify_commutation",
@@ -304,63 +306,203 @@ class Representation(GeneratorRep):
         self.index = {p: i for i, p in enumerate(self.patterns)}
 
 
+# Largest predicted footprint of the n^2 dense float64 d x d generators;
+# a larger irrep is refused with InputError before any pattern is built.
+GENERATOR_BUDGET_BYTES = 2 << 30
+
+
+def check_generator_budget(n: int, d: int) -> None:
+    """Raise InputError when n^2 dense d x d float64 generators exceed
+    GENERATOR_BUDGET_BYTES."""
+    nbytes = 8 * n * n * d * d
+    if nbytes > GENERATOR_BUDGET_BYTES:
+        raise InputError(
+            f"{n * n} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
+            f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Entries:
+    """Nonzero entries (NaN included) of one or more dense d x d matrices,
+    ordered by row: matrix gids[t] holds vals[t] at (rows[t], cols[t]), and
+    the entries in row k are those at positions starts[k]:starts[k + 1]."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    gids: np.ndarray
+    starts: np.ndarray
+
+    @staticmethod
+    def of(mats: list) -> "_Entries":
+        """Read with np.nonzero from the matrices themselves."""
+        found = [np.nonzero(m) for m in mats]
+        rows = np.concatenate([r for r, _ in found])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        return _Entries(
+            rows,
+            np.concatenate([c for _, c in found])[order],
+            np.concatenate([m[r, c] for m, (r, c) in zip(mats, found)])[order],
+            np.repeat(np.arange(len(mats)), [r.size for r, _ in found])[order],
+            np.searchsorted(rows, np.arange(mats[0].shape[0] + 1)),
+        )
+
+
+def _product_terms(e: _Entries, r0: int, r1: int) -> tuple:
+    """Every term X_g[i, k] X_h[k, j] of every product of two of e's
+    matrices, for the output rows r0 <= i < r1, unsummed, as arrays
+    (g, h, i d + j, value).
+
+    Each entry at (i, k) is joined with the run of entries in row k, so
+    the work is the number of terms, not d^3.
+    """
+    d = e.starts.size - 1
+    s = slice(e.starts[r0], e.starts[r1])
+    first = e.starts[e.cols[s]]
+    count = e.starts[e.cols[s] + 1] - first
+    p = np.repeat(np.arange(count.size), count)
+    q = np.arange(p.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    return e.gids[s][p], e.gids[q], e.rows[s][p] * d + e.cols[q], e.vals[s][p] * e.vals[q]
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys and the sum of the values at each: one stable sort,
+    one np.add.reduceat."""
+    if not keys.size:
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(values, starts)
+
+
+def _commutator(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write a @ b - b @ a into the zero matrix out, formed from the
+    nonzero entries of a and b only."""
+    g, h, at, term = _product_terms(_Entries.of([a, b]), 0, a.shape[0])
+    cross = g != h
+    keys, sums = _summed(at[cross], np.where(g[cross] == 0, term[cross], -term[cross]))
+    np.put(out, keys, sums)
+
+
 def build_representation(hw: HighestWeight) -> Representation:
-    """Assemble all n^2 generator matrices of the irrep with highest weight hw."""
+    """Assemble all n^2 generator matrices of the irrep with highest weight hw.
+
+    Raises InputError, before enumerating patterns, when the dense
+    generators would exceed GENERATOR_BUDGET_BYTES.
+
+    The generators are views into one n^2 x d x d block whose every page
+    is written (np.full, not np.zeros).  So the resident memory of a
+    representation is its full size, whether the system backs the sparse
+    writes with small or huge pages, and a large block is mapped and
+    unmapped as a whole instead of leaving holes between later arrays.
+    """
+    check_generator_budget(hw.n, weyl_dim(hw))
     pats = enumerate_patterns(hw)
     d = len(pats)
     index = {p: i for i, p in enumerate(pats)}
     n = hw.n
     trace_shift = hw.weight_sum / n
-    gen: dict = {}
+    block = np.full((n * n, d, d), 0.0)
+    gen = dict(zip([(a, b) for a in range(1, n + 1) for b in range(1, n + 1)], block))
     for k in range(1, n + 1):
-        diag = np.array([act_diagonal(p, k) - trace_shift for p in pats], dtype=float)
-        gen[(k, k)] = np.diag(diag)
+        np.fill_diagonal(gen[(k, k)], [act_diagonal(p, k) - trace_shift for p in pats])
     for k in range(2, n + 1):
-        low = np.zeros((d, d))
-        high = np.zeros((d, d))
+        low, high = gen[(k, k - 1)], gen[(k - 1, k)]
         for c, p in enumerate(pats):
             for q, rad in act_lowering(p, k):
                 low[index[q], c] = rad.to_float()
             for q, rad in act_raising(p, k):
                 high[index[q], c] = rad.to_float()
-        gen[(k, k - 1)] = low
-        gen[(k - 1, k)] = high
     for dist in range(2, n):
         for k in range(1, n + 1 - dist):
             l = k + dist
             # E_{k,l} = [E_{k,l-1}, E_{l-1,l}],  E_{l,k} = [E_{l,l-1}, E_{l-1,k}]
-            gen[(k, l)] = gen[(k, l - 1)] @ gen[(l - 1, l)] - gen[(l - 1, l)] @ gen[(k, l - 1)]
-            gen[(l, k)] = gen[(l, l - 1)] @ gen[(l - 1, k)] - gen[(l - 1, k)] @ gen[(l, l - 1)]
+            _commutator(gen[(k, l - 1)], gen[(l - 1, l)], gen[(k, l)])
+            _commutator(gen[(l, l - 1)], gen[(l - 1, k)], gen[(l, k)])
     return Representation(hw, pats, gen)
 
 
+# Most terms verify_commutation forms at once; past it, the output rows
+# are checked in blocks.
+TERMS_PER_BLOCK = 1 << 15
+# Rows per slice in verify_transpose and verify_sl_trace, which never form
+# a whole d x d temporary.
+ROWS_PER_BLOCK = 64
+
+
 def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
-    """Max residual of [gen(a,b), gen(c,d)] = delta_bc gen(a,d) - delta_da gen(c,b)."""
+    """Max residual of [gen(a,b), gen(c,e)] = delta_bc gen(a,e) - delta_ea gen(c,b)
+    over all n^4 label pairs.
+
+    Sparse product kernel: the nonzero entries of every generator are read
+    once with np.nonzero from the matrices themselves (so a tampered entry
+    anywhere is seen).  Joining their column indices with their row
+    indices gives every term X_g[i, k] X_h[k, j] of every product of two
+    generators; it enters relation (g, h) with + and relation (h, g) with
+    -.  The expected side is appended with the opposite sign, equal
+    (relation, row, col) keys are summed after one sort, and the largest
+    sum is the residual.  The work is proportional to the number of
+    product terms, not to n^4 d^3, and output rows are processed in
+    blocks of at most about TERMS_PER_BLOCK terms, so temporaries stay
+    bounded.
+
+    The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the
+    largest residual (None when all are zero) and tol.
+    """
     n, d = rep.n, rep.dim
     labels = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    worst = 0.0
-    for a, b in labels:
-        mab = rep.gen[(a, b)]
-        for c, e in labels:
-            mce = rep.gen[(c, e)]
-            expected = np.zeros((d, d))
-            if b == c:
-                expected = expected + rep.gen[(a, e)]
-            if e == a:
-                expected = expected - rep.gen[(c, b)]
-            worst = max(worst, max_abs(mab @ mce - mce @ mab - expected))
-    return Report(ok=worst <= tol, max_residual=worst)
+    for lab in labels:
+        if rep.gen[lab].shape != (d, d):
+            raise InputError(f"generator {lab} has shape {rep.gen[lab].shape}, expected {(d, d)}")
+    nn, size = n * n, d * d
+    every = _Entries.of([rep.gen[lab] for lab in labels])
+    m = np.arange(n)
+    products = int(np.diff(every.starts)[every.cols].sum())
+    blocks = 1 + (2 * products + 2 * n * every.rows.size) // TERMS_PER_BLOCK
+    edges = np.linspace(0, d, 1 + blocks).astype(int)
+    worst, worst_at = 0.0, None
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        g, h, at, term = _product_terms(every, r0, r1)
+        s = slice(every.starts[r0], every.starts[r1])
+        # An entry of gen(x, y) is expected in relation ((x, m), (m, y)) with
+        # + and in ((m, y), (x, m)) with -, for every m.
+        x, y = np.divmod(every.gids[s], n)
+        x, y = x[:, None], y[:, None]
+        at_e = np.repeat(every.rows[s] * d + every.cols[s], n)
+        val_e = np.repeat(every.vals[s], n)
+        keys = np.concatenate((
+            (g * nn + h) * size + at,
+            (h * nn + g) * size + at,
+            ((x * n + m) * nn + m * n + y).ravel() * size + at_e,
+            ((m * n + y) * nn + x * n + m).ravel() * size + at_e,
+        ))
+        keys, sums = _summed(keys, np.concatenate((term, -term, -val_e, val_e)))
+        res = max_abs(sums)
+        if res > worst:
+            rel = int(keys[np.argmax(np.abs(sums))]) // size
+            worst, worst_at = res, (labels[rel // nn], labels[rel % nn])
+    return Report(ok=worst <= tol, max_residual=worst, checked=n**4, worst_at=worst_at, tol=tol)
 
 
 def verify_transpose(rep: GeneratorRep) -> float:
-    """Max residual of gen(a,b)^T = gen(b,a)."""
+    """Max residual of gen(a,b)^T = gen(b,a), ROWS_PER_BLOCK rows at a time."""
     worst = 0.0
     for (a, b), m in rep.gen.items():
-        worst = max(worst, max_abs(m.T - rep.gen[(b, a)]))
+        t = rep.gen[(b, a)]
+        for r0 in range(0, rep.dim, ROWS_PER_BLOCK):
+            r1 = r0 + ROWS_PER_BLOCK
+            worst = max(worst, max_abs(m[:, r0:r1].T - t[r0:r1]))
     return worst
 
 
 def verify_sl_trace(rep: GeneratorRep) -> float:
-    """Sup norm of sum_k gen(k,k); zero for a representation of sl(n)."""
-    total = sum(rep.gen[(k, k)] for k in range(1, rep.n + 1))
-    return max_abs(total)
+    """Sup norm of sum_k gen(k,k), ROWS_PER_BLOCK rows at a time; zero for
+    a representation of sl(n)."""
+    worst = 0.0
+    for r0 in range(0, rep.dim, ROWS_PER_BLOCK):
+        r1 = r0 + ROWS_PER_BLOCK
+        worst = max(worst, max_abs(sum(rep.gen[(k, k)][r0:r1] for k in range(1, rep.n + 1))))
+    return worst

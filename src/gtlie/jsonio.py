@@ -127,20 +127,31 @@ def _pattern_from_flat(n: int, flat) -> GTPattern:
 
 
 def rep_from_json(payload: dict) -> Representation:
+    """Parse a representation, refusing with InputError unless the generator
+    keys are exactly the n^2 labels "k,l" and every generator is a finite
+    d x d matrix, with d the declared dimension and the basis length."""
     try:
         n = int(payload["n"])
         hw = HighestWeight(n, tuple(int(x) for x in payload["highest_weight"]))
         patterns = [_pattern_from_flat(n, flat) for flat in payload["basis"]]
+        d = int(payload["dim"])
         gen = {}
         for key, rows in payload["generators"].items():
             k, l = (int(x) for x in key.split(","))
             gen[(k, l)] = np.array(rows, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed representation JSON: {exc}") from exc
-    rep = Representation(hw, patterns, gen)
-    if rep.dim != int(payload["dim"]) or rep.dim != len(patterns):
+    labels = {(k, l) for k in range(1, n + 1) for l in range(1, n + 1)}
+    if set(gen) != labels or len(payload["generators"]) != len(labels):
+        raise InputError(f"generator keys must be exactly the {n * n} labels k,l with 1 <= k, l <= {n}")
+    if d != len(patterns):
         raise InputError("representation JSON dimension mismatch")
-    return rep
+    for (k, l), m in gen.items():
+        if m.shape != (d, d):
+            raise InputError(f"generator {k},{l} has shape {m.shape}, expected {(d, d)}")
+        if not np.isfinite(m).all():
+            raise InputError(f"generator {k},{l} has a non-finite entry")
+    return Representation(hw, patterns, gen)
 
 
 # -- simulation matrices ----------------------------------------------------

@@ -1,8 +1,11 @@
-"""Small dense linear-algebra helpers with explicit tolerances.
+"""Dense linear-algebra helpers with explicit tolerances.
 
-Everything is desk scale (dimensions below ~100), so plain SVD/lstsq
-calls are used throughout.  Subspaces are passed around as matrices
-whose *columns* are the spanning vectors.
+Subspaces are passed around as matrices whose *columns* are the spanning
+vectors.  ``span_residual`` answers "is this vector in that span?" with
+one lstsq per vector, which is cheap only while the span is small;
+``orthonormal_span`` gives a basis Q once, after which the distance of a
+whole block W of vectors is ``max |W - Q (Q^H W)|`` (as in
+``autos.check_compatibility`` on carrier spaces in the hundreds).
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ def as_complex_matrix(vectors) -> np.ndarray:
 
 
 def max_abs(a) -> float:
+    """Sup norm; a NaN entry counts as infinite, so residual folds such as
+    max(worst, max_abs(r)) fail closed instead of dropping it."""
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    if a.size == 0:
+        return 0.0
+    top = float(np.max(np.abs(a)))
+    return float("inf") if np.isnan(top) else top
 
 
 def rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:

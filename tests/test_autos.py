@@ -25,6 +25,7 @@ from gtlie.autos import (
     grading_from_automorphism,
     is_self_contragredient,
     pattern_conjugate,
+    rep_matrix_of,
     rep_of_Xns,
     rep_sl_matrices,
     simulation_inner,
@@ -33,6 +34,7 @@ from gtlie.autos import (
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns
+from gtlie.linalg import span_residual
 
 
 def pat(*rows):
@@ -310,6 +312,35 @@ def test_check_compatibility_group_mismatch():
         check_compatibility(rep, gamma1, bad_group)
 
 
+def per_vector_compatibility(rep, gamma, vgamma, tol):
+    """Reference: one lstsq per image vector; returns (ok, max residual,
+    violation labels (i, j) in order)."""
+    mats = rep_sl_matrices(rep)
+    worst, labels = 0.0, []
+    for i, xpart in gamma.parts.items():
+        for col in range(xpart.shape[1]):
+            m = rep_matrix_of(rep, xpart[:, col], mats)
+            for j, vpart in vgamma.parts.items():
+                target = vgamma.part(vgamma.group.add(i, j))
+                image = m @ vpart
+                res = max(span_residual(image[:, b], target) for b in range(image.shape[1]))
+                worst = max(worst, res)
+                if res > tol:
+                    labels.append((i, j))
+    return not labels, worst, labels
+
+
+def assert_matches_per_vector(rep, gamma, vgamma, tol=1e-9):
+    report = check_compatibility(rep, gamma, vgamma, tol)
+    ok, worst, labels = per_vector_compatibility(rep, gamma, vgamma, tol)
+    assert report.ok == ok
+    assert [(i, j) for i, j, _ in report.violations] == labels
+    assert report.max_residual == pytest.approx(worst, abs=1e-12)
+    assert report.checked == sum(x.shape[1] for x in gamma.parts.values()) * rep.dim
+    assert report.tol == tol
+    return report
+
+
 @pytest.mark.parametrize("weight", [(1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)])
 def test_simulation_implies_compatibility(weight):
     # executable form of the eigenspace argument: a verified simulation
@@ -322,7 +353,20 @@ def test_simulation_implies_compatibility(weight):
     sim = simulation_inner(hw, 3, 1)
     assert verify_simulation(rep, g, sim, 1e-9).ok
     vgamma = decompose_rep_space(sim)
-    assert check_compatibility(rep, gamma, vgamma, 1e-9).ok
+    assert assert_matches_per_vector(rep, gamma, vgamma).ok
+
+
+def test_compatibility_on_r4310_inner_is_exact_and_outer_passes():
+    hw = HighestWeight(4, (4, 3, 1, 0))
+    rep = build_representation(hw)
+    sl4 = gtlie.sl_algebra(4)
+    inner = check_compatibility(rep, grading_from_automorphism(sl4, auto_inner(4, 1)),
+                                decompose_rep_space(simulation_inner(hw, 4, 1)))
+    assert inner.ok and inner.max_residual == 0.0 and inner.worst_at is None
+    assert inner.checked == 15 * 175
+    outer = check_compatibility(rep, grading_from_automorphism(sl4, auto_outer(4)),
+                                decompose_rep_space(J_matrix(hw)))
+    assert outer.ok and outer.max_residual < 1e-13 and outer.worst_at is not None
 
 
 def _signed_permutation_involutions(d):
@@ -370,7 +414,8 @@ def test_gamma2_incompatible_with_defining_rep():
             candidates.append(vg)
     assert candidates
     for vg in candidates:
-        assert not check_compatibility(rep, gamma2, vg, 1e-9).ok
+        report = assert_matches_per_vector(rep, gamma2, vg)
+        assert not report.ok and report.worst_at in [(i, j) for i, j, _ in report.violations]
 
     # the self-contragredient weight admits the intertwiner, matching J
     rep8 = build_representation(HighestWeight(3, (2, 1, 0)))

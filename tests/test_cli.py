@@ -40,6 +40,42 @@ def test_rep_check_roundtrip(tmp_path, capsys):
     assert code == 0 and "OK" in text
 
 
+def _spoil(payload, how):
+    gens = payload["generators"]
+    if how == "nan":
+        gens["1,3"][0][1] = float("nan")
+    elif how == "inf":
+        gens["2,2"][3][3] = float("inf")
+    elif how == "not square":
+        gens["2,1"] = [row[:-1] for row in gens["2,1"]]
+    elif how == "wrong size":
+        gens["1,2"] = [row + [0.0] for row in gens["1,2"]] + [[0.0] * 9]
+    elif how == "missing key":
+        del gens["3,1"]
+    elif how == "extra key":
+        gens["4,1"] = gens["3,1"]
+    elif how == "repeated label":
+        gens["01,1"] = gens["1,1"]
+
+
+@pytest.mark.parametrize(
+    "how", ["nan", "inf", "not square", "wrong size", "missing key", "extra key", "repeated label"]
+)
+def test_rep_check_refuses_a_malformed_generator_set(tmp_path, capsys, how):
+    out = tmp_path / "rep.json"
+    assert main(["rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    _spoil(payload, how)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))  # NaN / Infinity literals, as Python writes them
+    assert main(["rep", "check", str(bad)]) == 2
+
+
+def test_rep_build_refuses_an_oversized_irrep(capsys):
+    assert main(["rep", "build", "-n", "3", "-w", "40,20,0"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_grading_from_auto_dims(tmp_path, capsys):
     g1 = tmp_path / "g1.json"
     code, text = run(capsys, "grading", "from-auto", "--inner", "3,1", "--out", str(g1))

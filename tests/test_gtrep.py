@@ -1,11 +1,17 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gtlie.autos import doubled_rep
 from gtlie.errors import InputError
 from gtlie.gtrep import (
+    GENERATOR_BUDGET_BYTES,
+    GeneratorRep,
     GTPattern,
     HighestWeight,
     Radicand,
@@ -205,3 +211,106 @@ def test_transpose_symmetry_exact_for_neighbor_generators():
     rep = build_representation(HighestWeight(3, (2, 1, 0)))
     assert np.array_equal(rep.gen[(2, 1)].T, rep.gen[(1, 2)])
     assert np.array_equal(rep.gen[(3, 2)].T, rep.gen[(2, 3)])
+
+
+# -- commutation kernel against the dense oracle ------------------------------
+
+
+def dense_commutation_residual(rep, relation=None):
+    """Reference: max |[A, B] - expected| over the n^4 gl relations (or one
+    relation ((a, b), (c, e))), each by two dense d x d matmuls."""
+    n, d = rep.n, rep.dim
+    labels = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    pairs = [relation] if relation else itertools.product(labels, labels)
+    worst = 0.0
+    for (a, b), (c, e) in pairs:
+        mab, mce = rep.gen[(a, b)], rep.gen[(c, e)]
+        expected = np.zeros((d, d))
+        if b == c:
+            expected = expected + rep.gen[(a, e)]
+        if e == a:
+            expected = expected - rep.gen[(c, b)]
+        worst = max(worst, float(np.abs(mab @ mce - mce @ mab - expected).max()))
+    return worst
+
+
+# every weight with n <= 4 and entries <= 3
+SMALL_WEIGHTS = [
+    HighestWeight(n, m + (0,))
+    for n in (2, 3, 4)
+    for m in itertools.product(range(3, -1, -1), repeat=n - 1)
+    if list(m) == sorted(m, reverse=True)
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(SMALL_WEIGHTS))
+def test_commutation_kernel_matches_dense_oracle(hw):
+    for rep in (build_representation(hw), doubled_rep(hw)[0]):
+        report = verify_commutation(rep, 1e-9)
+        oracle = dense_commutation_residual(rep)
+        assert report.ok == (oracle <= 1e-9)
+        assert abs(report.max_residual - oracle) <= 1e-12
+        assert report.checked == rep.n**4 and report.tol == 1e-9
+
+
+def tampered(rep, label, pos, delta):
+    gen = {key: m.copy() for key, m in rep.gen.items()}
+    gen[label][pos] += delta
+    return GeneratorRep(rep.n, gen)
+
+
+@pytest.mark.parametrize(
+    "label, pos, structural",
+    [((1, 2), (0, 63), True), ((1, 3), (7, 40), True), ((2, 1), (1, 0), False), ((2, 2), (9, 9), False)],
+)
+def test_commutation_catches_a_single_tampered_entry(label, pos, structural):
+    rep = build_representation(HighestWeight(3, (6, 3, 0)))
+    assert (rep.gen[label][pos] == 0) == structural
+    bad = tampered(rep, label, pos, 1e-6)
+    report = verify_commutation(bad)
+    assert not report.ok
+    assert report.max_residual == pytest.approx(dense_commutation_residual(bad), abs=1e-12)
+    # worst_at names the relation that attains the residual
+    assert dense_commutation_residual(bad, report.worst_at) == pytest.approx(report.max_residual, abs=1e-12)
+
+
+def test_commutation_holds_in_a_dense_orthogonal_basis():
+    rep = build_representation(HighestWeight(3, (6, 3, 0)))
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((rep.dim, rep.dim)))
+    conjugated = GeneratorRep(3, {key: q.T @ m @ q for key, m in rep.gen.items()})
+    assert min(np.count_nonzero(m) for m in conjugated.gen.values()) > rep.dim**2 // 2
+    report = verify_commutation(conjugated)
+    assert report.ok
+    assert report.max_residual == pytest.approx(dense_commutation_residual(conjugated), abs=1e-12)
+
+
+@pytest.mark.parametrize("label, pos", [((1, 2), (200, 210)), ((2, 1), (210, 200)), ((1, 1), (150, 215))])
+def test_transpose_and_trace_checks_see_every_row_slice(label, pos):
+    rep = build_representation(HighestWeight(3, (10, 5, 0)))  # d = 216: four slices of 64 rows
+    bad = tampered(rep, label, pos, 1e-3)
+    assert verify_transpose(bad) == pytest.approx(1e-3, abs=1e-12)
+    assert verify_sl_trace(bad) == pytest.approx(1e-3 if label == (1, 1) else 0.0, abs=1e-12)
+    assert verify_transpose(tampered(rep, label, pos, np.nan)) == float("inf")
+
+
+def test_commutation_fails_closed_on_nan():
+    rep = build_representation(HighestWeight(3, (2, 1, 0)))
+    report = verify_commutation(tampered(rep, (1, 3), (0, 1), np.nan))
+    assert not report.ok and report.max_residual == float("inf")
+
+
+def test_build_refuses_an_oversized_irrep_up_front():
+    big = HighestWeight(3, (40, 20, 0))  # d = 9261: 9 dense generators need 5.75 GiB
+    doubled_only = HighestWeight(3, (26, 13, 0))  # d = 2744 builds; doubled needs 2.02 GiB
+    assert 72 * weyl_dim(big) ** 2 > GENERATOR_BUDGET_BYTES
+    assert 72 * weyl_dim(doubled_only) ** 2 <= GENERATOR_BUDGET_BYTES < 72 * (2 * weyl_dim(doubled_only)) ** 2
+    tracemalloc.start()
+    try:
+        for refused in (lambda: build_representation(big), lambda: doubled_rep(big), lambda: doubled_rep(doubled_only)):
+            with pytest.raises(InputError, match="budget"):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
