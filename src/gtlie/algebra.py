@@ -22,11 +22,15 @@ from .errors import InputError, VerificationError
 from .groups import AbelianGroup
 from .linalg import (
     DEFAULT_TOL,
-    in_span,
+    Entries,
     max_abs,
     orthonormal_span,
+    product_terms,
     rank,
-    span_residual,
+    row_blocks,
+    row_join,
+    span_distance,
+    summed,
 )
 
 
@@ -72,6 +76,14 @@ class LieAlgebra:
         return len(self.basis_names)
 
 
+def brackets(p: np.ndarray, q: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
+    """All brackets [p_a, q_b] of the columns of p (k x A) and q (k x B) at
+    once, einsum("ia,jb,ijl->lab") as two tensordots: column a B + b of the
+    k x (A B) result is [p_a, q_b]."""
+    left = np.tensordot(p, algebra.structure, axes=(0, 0))  # (a, j, l)
+    return np.tensordot(left, q, axes=(1, 0)).transpose(1, 0, 2).reshape(algebra.dim, -1)
+
+
 def bracket(x, y, algebra: LieAlgebra) -> np.ndarray:
     """Lie bracket of two coordinate vectors, expanded in the algebra basis."""
     x = np.asarray(x, dtype=complex)
@@ -79,22 +91,52 @@ def bracket(x, y, algebra: LieAlgebra) -> np.ndarray:
     k = algebra.dim
     if x.shape != (k,) or y.shape != (k,):
         raise InputError(f"coordinate vectors must have length {k}")
-    return np.einsum("i,j,ijl->l", x, y, algebra.structure)
+    return brackets(x[:, None], y[:, None], algebra)[:, 0]
+
+
+# Largest predicted footprint of one output row of check_jacobi, at
+# JACOBI_TERM_BYTES per product term; a denser algebra gets InputError.
+JACOBI_BUDGET_BYTES = 1 << 30
+JACOBI_TERM_BYTES = 96
 
 
 def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
-    """Verify [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 over all basis triples."""
+    """Verify [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 over all basis triples.
+
+    With ad_i[p, j] = c[i, j, p], entry (p, l) of [ad_i, ad_j] -
+    sum_m ad_i[m, j] ad_m is minus the residual of (e_i, e_j, e_l) at e_p;
+    both sides come from the sparse kernel of ``linalg``, one block of
+    output rows p at a time (a dense algebra has about 3 k^4 terms per row,
+    refused over JACOBI_BUDGET_BYTES).  The report carries checked = k^3
+    triples, worst_at = (i, j, l) (None when all are zero) and tol.
+    """
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    c = algebra.structure
-    # residual[i,j,l,p] of the Jacobi identity on (e_i, e_j, e_l)
-    res = (
-        np.einsum("jlm,imp->ijlp", c, c)
-        + np.einsum("lim,jmp->ijlp", c, c)
-        + np.einsum("ijm,lmp->ijlp", c, c)
-    )
-    worst = max_abs(res)
-    return Report(ok=worst <= tol, max_residual=worst)
+    k = algebra.dim
+    if not k:
+        return Report(ok=True, tol=tol)
+    ad = Entries.of(list(algebra.structure.transpose(0, 2, 1)))
+    runs = np.diff(ad.starts)
+    terms = 2 * runs[ad.cols] + runs[ad.gids]
+    row_bytes = JACOBI_TERM_BYTES * int(np.bincount(ad.rows, terms, minlength=k).max())
+    if row_bytes > JACOBI_BUDGET_BYTES:
+        raise InputError(
+            f"Jacobi check needs {row_bytes / 2**30:.2f} GiB for one row, "
+            f"over its {JACOBI_BUDGET_BYTES >> 30} GiB budget"
+        )
+    worst, worst_at = 0.0, None
+    for r0, r1 in row_blocks(k, int(terms.sum())):
+        g, h, at, term = product_terms(ad, r0, r1)
+        s = slice(ad.starts[r0], ad.starts[r1])
+        t, u = row_join(ad, ad.gids[s])
+        expected = (ad.gids[u] * k + ad.cols[u]) * k * k + (ad.rows[s] * k + ad.cols[s])[t]
+        keys = np.concatenate(((g * k + h) * k * k + at, (h * k + g) * k * k + at, expected))
+        keys, sums = summed(keys, np.concatenate((term, -term, -ad.vals[s][t] * ad.vals[u])))
+        res = max_abs(sums)
+        if res > worst:
+            key = int(keys[np.argmax(np.abs(sums))])
+            worst, worst_at = res, (key // k**3, key // k**2 % k, key % k)
+    return Report(ok=worst <= tol, max_residual=worst, checked=k**3, worst_at=worst_at, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +247,12 @@ def burnside_span_dim(matrices, tol: float = DEFAULT_TOL) -> int:
     gens = [m for m in mats if max_abs(m) > tol]
     if not gens:
         return 0
-    basis = orthonormal_span(gens, tol)
+    basis = orthonormal_span(np.column_stack([g.ravel() for g in gens]), tol)
     dim = basis.shape[1]
     cap = d * d
     while dim < cap:
-        words = [basis[:, j].reshape(d, d) @ g for j in range(basis.shape[1]) for g in gens]
-        basis = orthonormal_span([basis[:, j] for j in range(basis.shape[1])] + words, tol)
+        words = [(basis[:, j].reshape(d, d) @ g).ravel() for j in range(basis.shape[1]) for g in gens]
+        basis = orthonormal_span(np.column_stack([basis] + words), tol)
         if basis.shape[1] == dim:
             break
         dim = basis.shape[1]
@@ -244,13 +286,6 @@ class Grading:
     def total_dim(self) -> int:
         return sum(p.shape[1] for p in self.parts.values())
 
-    def part(self, label: tuple[int, ...]) -> np.ndarray:
-        """Basis of the part at label (zero-width matrix for absent labels)."""
-        if label in self.parts:
-            return self.parts[label]
-        some = next(iter(self.parts.values()))
-        return np.zeros((some.shape[0], 0), dtype=complex)
-
     def sorted_labels(self) -> list[tuple[int, ...]]:
         return sorted(self.parts.keys())
 
@@ -265,30 +300,36 @@ def trivial_grading(algebra: LieAlgebra) -> Grading:
 
 
 def verify_grading(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> Report:
-    """Check direct-sum and bracket-closure conditions of a grading."""
+    """Check direct-sum and bracket-closure conditions of a grading.
+
+    Each block [L_j, L_l] is formed at once and measured against an
+    orthonormal basis of L_{j+l}, taken once per part.  The report carries
+    checked = the number of bracket images, worst_at = (j, l) (None when
+    all residuals are zero) and tol.
+    """
     k = algebra.dim
     for lab, basis in grading.parts.items():
         if basis.shape[0] != k:
             raise InputError(f"part {lab} lives in dimension {basis.shape[0]}, expected {k}")
     stacked = np.column_stack([p for p in grading.parts.values() if p.shape[1]] or [np.zeros((k, 0))])
     violations: list = []
-    worst = 0.0
     if grading.total_dim != k or rank(stacked, tol) != k:
         violations.append(("direct_sum", grading.total_dim, rank(stacked, tol)))
-    labels = list(grading.parts.keys())
-    for j in labels:
-        for l in labels:
-            target = grading.part(grading.group.add(j, l))
-            pj, pl = grading.parts[j], grading.parts[l]
-            res = 0.0
-            for a in range(pj.shape[1]):
-                for b in range(pl.shape[1]):
-                    w = bracket(pj[:, a], pl[:, b], algebra)
-                    res = max(res, span_residual(w, target))
-            worst = max(worst, res)
+    bases = {lab: orthonormal_span(part, tol) for lab, part in grading.parts.items()}
+    absent = np.zeros((k, 0), dtype=complex)
+    worst, worst_at, checked = 0.0, None, 0
+    for j, pj in grading.parts.items():
+        for l, pl in grading.parts.items():
+            images = brackets(pj, pl, algebra)
+            res = span_distance(images, bases.get(grading.group.add(j, l), absent))
+            checked += images.shape[1]
+            if res > worst:
+                worst, worst_at = res, (j, l)
             if res > tol:
                 violations.append((j, l, res))
-    return Report(ok=not violations, max_residual=worst, violations=violations)
+    return Report(
+        ok=not violations, max_residual=worst, violations=violations, checked=checked, worst_at=worst_at, tol=tol
+    )
 
 
 class TwoPartCase(enum.Enum):
@@ -298,16 +339,6 @@ class TwoPartCase(enum.Enum):
     BOTH_CLOSED = "BothClosed"
     NEITHER_CLOSED = "NeitherClosed"
     NOT_A_GRADING = "NotAGrading"
-
-
-def _bracket_set(algebra: LieAlgebra, pa: np.ndarray, pb: np.ndarray, tol: float):
-    vecs = []
-    for a in range(pa.shape[1]):
-        for b in range(pb.shape[1]):
-            w = bracket(pa[:, a], pb[:, b], algebra)
-            if max_abs(w) > tol:
-                vecs.append(w)
-    return vecs
 
 
 def classify_two_part(
@@ -322,7 +353,8 @@ def classify_two_part(
     are tested; the strongest consistent reading wins, preferring the
     Z_2 pattern ([L_0,L_0], [L_1,L_1] into L_0, mixed into L_1).  For a
     simple algebra any graded split must come out as Z2_GRADING; the
-    residual buckets only occur for non-perfect inputs.
+    residual buckets only occur for non-perfect inputs.  Bracket images
+    with sup norm at most tol are dropped before the span tests.
     """
     pa = np.asarray(part_a, dtype=complex)
     pb = np.asarray(part_b, dtype=complex)
@@ -336,17 +368,14 @@ def classify_two_part(
     if pa.shape[1] + pb.shape[1] != k or rank(np.column_stack([pa, pb]), tol) != k:
         raise InputError("subspaces are not complementary")
 
-    spans = {"a": pa, "b": pb}
-    products = {
-        ("a", "a"): _bracket_set(algebra, pa, pa, tol),
-        ("a", "b"): _bracket_set(algebra, pa, pb, tol),
-        ("b", "b"): _bracket_set(algebra, pb, pb, tol),
-    }
-    targets = {
-        key: {t for t in "ab" if all(in_span(w, spans[t], tol) for w in vecs)}
-        for key, vecs in products.items()
-    }
-    t_aa, t_ab, t_bb = targets[("a", "a")], targets[("a", "b")], targets[("b", "b")]
+    parts = {"a": pa, "b": pb}
+    spans = {t: orthonormal_span(part, tol) for t, part in parts.items()}
+    targets = {}
+    for x, y in ("aa", "ab", "bb"):
+        images = brackets(parts[x], parts[y], algebra)
+        images = images[:, ~np.all(np.abs(images) <= tol, axis=0)]
+        targets[x + y] = {t for t in "ab" if span_distance(images, spans[t]) <= tol}
+    t_aa, t_ab, t_bb = targets["aa"], targets["ab"], targets["bb"]
 
     z2 = ("a" in t_aa and "b" in t_ab and "a" in t_bb) or (
         "b" in t_aa and "a" in t_ab and "b" in t_bb
@@ -366,13 +395,7 @@ def grading_adapted_basis(grading: Grading):
 
     Returns (labels, basis) where labels[i] tags column i of basis.
     """
-    cols = []
-    labels = []
-    for lab in grading.sorted_labels():
-        p = grading.parts[lab]
-        for j in range(p.shape[1]):
-            cols.append(p[:, j])
-            labels.append(lab)
-    if not cols:
+    labels = [lab for lab in grading.sorted_labels() for _ in range(grading.parts[lab].shape[1])]
+    if not labels:
         raise VerificationError("grading has no vectors")
-    return labels, np.column_stack(cols)
+    return labels, np.column_stack([grading.parts[lab] for lab in grading.sorted_labels()])

@@ -52,7 +52,7 @@ from .gtrep import (
     row_sum,
     weyl_dim,
 )
-from .linalg import DEFAULT_TOL, independent_columns, max_abs, orthonormal_span
+from .linalg import DEFAULT_TOL, independent_columns, max_abs, orthonormal_span, span_distance
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,24 @@ def action_on_sl(aut: Automorphism, tol: float = DEFAULT_TOL) -> np.ndarray:
     return act
 
 
+def _eigenspaces(m: np.ndarray, order: int, tol: float) -> list[np.ndarray]:
+    """Bases of the eigenspaces of m (m^order = Id) for exp(2 pi i l / order),
+    l = 0, ..., order - 1: independent columns of the projectors
+    (1/order) sum_t exp(-2 pi i l t / order) m^t.  Order 2 uses (Id +- m)/2,
+    exact on integer m (cmath.exp(-1j * pi) is not exactly -1)."""
+    powers = [np.eye(m.shape[0], dtype=m.dtype)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] @ m)
+    out = []
+    for l in range(order):
+        if order == 2:
+            proj = (powers[0] + powers[1]) / 2 if l == 0 else (powers[0] - powers[1]) / 2
+        else:
+            proj = sum(cmath.exp(-2j * math.pi * l * t / order) * powers[t] for t in range(order)) / order
+        out.append(proj[:, independent_columns(proj, tol)].astype(complex))
+    return out
+
+
 def grading_from_automorphism(
     algebra: LieAlgebra, aut: Automorphism, tol: float = DEFAULT_TOL
 ) -> Grading:
@@ -152,22 +170,8 @@ def grading_from_automorphism(
         raise VerificationError(
             f"action matrix does not satisfy M^{order} = Id (residual {max_abs(power - np.eye(k)):.3g})"
         )
-    powers = [np.eye(k, dtype=act.dtype)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] @ act)
-    parts = {}
-    total = 0
-    for l in range(order):
-        if order == 2:
-            proj = (powers[0] + powers[1]) / 2 if l == 0 else (powers[0] - powers[1]) / 2
-        else:
-            proj = sum(
-                cmath.exp(-2j * math.pi * l * t / order) * powers[t] for t in range(order)
-            ) / order
-        basis = independent_columns(proj, tol)
-        if basis.shape[1]:
-            parts[(l,)] = basis.astype(complex)
-        total += basis.shape[1]
+    parts = {(l,): basis for l, basis in enumerate(_eigenspaces(act, order, tol)) if basis.shape[1]}
+    total = sum(basis.shape[1] for basis in parts.values())
     if total != k:
         raise VerificationError("automorphism action is defective: eigenspaces do not fill the algebra")
     return Grading(group=AbelianGroup((order,)), parts=parts)
@@ -473,14 +477,8 @@ def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grad
                     vec[q] = sim.signs[c]
                     parts[eigen_label(complex(mu))].append(vec)
     else:
-        m = sim.matrix
-        powers = [np.eye(d, dtype=complex)]
-        for _ in range(k - 1):
-            powers.append(powers[-1] @ m)
-        for l in range(k):
-            proj = sum(cmath.exp(-2j * math.pi * l * t / k) * powers[t] for t in range(k)) / k
-            basis = independent_columns(proj, tol)
-            parts[(l,)] = [basis[:, j] for j in range(basis.shape[1])]
+        for l, basis in enumerate(_eigenspaces(sim.matrix, k, tol)):
+            parts[(l,)] = list(basis.T)
     out = {lab: np.column_stack(vecs) for lab, vecs in parts.items() if vecs}
     grading = Grading(group=group, parts=out)
     if grading.total_dim != d:
@@ -512,7 +510,7 @@ def check_compatibility(
             f"gradings live over different groups: {gamma.group} vs {vgamma.group}"
         )
     mats = rep_sl_matrices(rep)
-    bases = {lab: orthonormal_span(list(part.T), tol) for lab, part in vgamma.parts.items()}
+    bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
     absent = np.zeros((rep.dim, 0), dtype=complex)
     worst, worst_at, checked = 0.0, None, 0
     violations = []
@@ -522,7 +520,7 @@ def check_compatibility(
             for j, vpart in vgamma.parts.items():
                 q = bases.get(vgamma.group.add(i, j), absent)
                 image = m @ vpart
-                res = max_abs(image - q @ (q.conj().T @ image))
+                res = span_distance(image, q)
                 checked += image.shape[1]
                 if res > worst:
                     worst, worst_at = res, (i, j)

@@ -127,55 +127,46 @@ def _algebra_from_flags(args) -> alg.LieAlgebra:
 # -- rep --------------------------------------------------------------------
 
 
+def _rep_checks(cfg: RunConfig, rep, hw: HighestWeight) -> dict:
+    """The checks rep build and rep check share, as report fields; "ok"
+    holds their joint verdict."""
+    comm = verify_commutation(rep, cfg.tolerance)
+    fields = {
+        "dim": rep.dim,
+        "weyl_dim": weyl_dim(hw),
+        "commutator_residual": comm.max_residual,
+        "transpose_residual": verify_transpose(rep),
+        "sl_trace_residual": verify_sl_trace(rep),
+    }
+    worst = max(fields["transpose_residual"], fields["sl_trace_residual"])
+    fields["ok"] = comm.ok and rep.dim == fields["weyl_dim"] and worst <= cfg.tolerance
+    return fields
+
+
 def cmd_rep_build(cfg: RunConfig, args) -> int:
     hw = _parse_weight(args.n, args.weight)
     rep = build_representation(hw)
-    wd = weyl_dim(hw)
-    comm = verify_commutation(rep, cfg.tolerance)
-    transpose = verify_transpose(rep)
-    trace = verify_sl_trace(rep)
-    ok = comm.ok and rep.dim == wd and transpose <= cfg.tolerance and trace <= cfg.tolerance
-    report = {
-        "command": "rep build",
-        "n": args.n,
-        "highest_weight": list(hw.m),
-        "dim": rep.dim,
-        "weyl_dim": wd,
-        "commutator_residual": comm.max_residual,
-        "transpose_residual": transpose,
-        "sl_trace_residual": trace,
-        "ok": ok,
-    }
+    checks = _rep_checks(cfg, rep, hw)
+    report = {"command": "rep build", "n": args.n, "highest_weight": list(hw.m), **checks}
     _emit(
         cfg,
         report,
         [
-            f"representation r{hw} of sl({args.n}): dim {rep.dim} (Weyl formula {wd})",
-            f"commutator residual {comm.max_residual:.3e}, transpose residual {transpose:.3e}",
-            "OK" if ok else "FAIL",
+            f"representation r{hw} of sl({args.n}): dim {rep.dim} (Weyl formula {checks['weyl_dim']})",
+            f"commutator residual {checks['commutator_residual']:.3e}, "
+            f"transpose residual {checks['transpose_residual']:.3e}",
+            "OK" if checks["ok"] else "FAIL",
         ],
     )
     _write_artifact(cfg, jsonio.rep_to_json(rep))
-    return 0 if ok else 1
+    return 0 if checks["ok"] else 1
 
 
 def cmd_rep_check(cfg: RunConfig, args) -> int:
     rep = jsonio.rep_from_json(_load_json(args.rep))
-    expected = enumerate_patterns(rep.hw)
-    basis_ok = list(rep.patterns) == expected
-    comm = verify_commutation(rep, cfg.tolerance)
-    transpose = verify_transpose(rep)
-    wd = weyl_dim(rep.hw)
-    ok = basis_ok and comm.ok and transpose <= cfg.tolerance and rep.dim == wd
-    report = {
-        "command": "rep check",
-        "dim": rep.dim,
-        "weyl_dim": wd,
-        "basis_order_ok": basis_ok,
-        "commutator_residual": comm.max_residual,
-        "transpose_residual": transpose,
-        "ok": ok,
-    }
+    basis_ok = list(rep.patterns) == enumerate_patterns(rep.hw)
+    report = {"command": "rep check", "basis_order_ok": basis_ok, **_rep_checks(cfg, rep, rep.hw)}
+    report["ok"] = ok = basis_ok and report["ok"]
     _emit(cfg, report, [f"rep check {args.rep}: dim {rep.dim}", "OK" if ok else "FAIL"])
     return 0 if ok else 1
 

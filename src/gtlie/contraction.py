@@ -29,7 +29,7 @@ from .algebra import (
     Grading,
     LieAlgebra,
     Report,
-    bracket,
+    brackets,
     check_jacobi,
     grading_adapted_basis,
     verify_grading,
@@ -220,7 +220,9 @@ def contract_algebra(
     """Rescale brackets by eps over the grading and rebuild structure constants.
 
     The result lives in the adapted basis (part bases concatenated in label
-    order); Jacobi is re-checked and must pass.
+    order): all brackets of pairs a < b are scaled by eps and expanded by
+    one solve; the pairs b > a are their exact negatives.  Jacobi is
+    re-checked and must pass.
     """
     if gamma.group.orders != eps.group.orders:
         raise InputError("grading and epsilon table live over different groups")
@@ -232,20 +234,14 @@ def contract_algebra(
         raise VerificationError(f"epsilon table fails the contraction system: {eps_report.violations[:3]}")
     labels, basis = grading_adapted_basis(gamma)
     k = algebra.dim
+    a, b = np.triu_indices(k, 1)
+    scale = np.array([complex(eps.value(labels[x], labels[y])) for x, y in zip(a, b)])
+    coeffs = np.linalg.solve(basis, brackets(basis, basis, algebra)[:, a * k + b] * scale)
     structure = np.zeros((k, k, k), dtype=complex)
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = bracket(basis[:, a], basis[:, b], algebra)
-            w = complex(eps.value(labels[a], labels[b])) * w
-            coeffs = np.linalg.solve(basis, w)
-            structure[a, b] = coeffs
-            structure[b, a] = -coeffs
-    names = []
-    counters: dict = {}
-    for lab in labels:
-        idx = counters.get(lab, 0)
-        counters[lab] = idx + 1
-        names.append("g" + ",".join(str(r) for r in lab) + f"_{idx}")
+    structure[a, b] = coeffs.T
+    structure[b, a] = -coeffs.T
+    # labels come grouped, so a - labels.index(lab) counts within the part
+    names = ["g" + ",".join(str(r) for r in lab) + f"_{a - labels.index(lab)}" for a, lab in enumerate(labels)]
     result = LieAlgebra(basis_names=tuple(names), structure=structure)
     jac = check_jacobi(result, tol)
     if not jac.ok:
@@ -298,11 +294,8 @@ def contract_rep(
     for a in range(abasis.shape[1]):
         lab = alabels[a]
         m = rep_matrix_of(rep, abasis[:, a], mats)
-        adapted = np.linalg.solve(vbasis, m @ vbasis)
-        scaled = adapted.copy()
-        for col, vlab in enumerate(vlabels):
-            scaled[:, col] = scaled[:, col] * complex(psi.value(lab, vlab))
-        out.append(scaled)
+        scale = [complex(psi.value(lab, vlab)) for vlab in vlabels]
+        out.append(np.linalg.solve(vbasis, m @ vbasis) * scale)
     return ContractedRep(
         rep=rep,
         gamma=gamma,
@@ -330,13 +323,8 @@ def verify_rep_homomorphism(
         ma = crep.matrices[a]
         for b in range(k):
             mb = crep.matrices[b]
-            rhs = sum(
-                structure[a, b, l] * crep.matrices[l]
-                for l in range(k)
-                if structure[a, b, l] != 0
-            )
-            if isinstance(rhs, int):
-                rhs = np.zeros_like(ma)
+            terms = (structure[a, b, l] * crep.matrices[l] for l in range(k) if structure[a, b, l] != 0)
+            rhs = sum(terms, np.zeros_like(ma))
             res = max_abs(ma @ mb - mb @ ma - rhs)
             worst = max(worst, res)
             if res > tol:

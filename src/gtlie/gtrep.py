@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import Report
 from .errors import InputError
-from .linalg import DEFAULT_TOL, max_abs
+from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, row_blocks, summed
 
 __all__ = [
     "HighestWeight",
@@ -322,68 +322,12 @@ def check_generator_budget(n: int, d: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class _Entries:
-    """Nonzero entries (NaN included) of one or more dense d x d matrices,
-    ordered by row: matrix gids[t] holds vals[t] at (rows[t], cols[t]), and
-    the entries in row k are those at positions starts[k]:starts[k + 1]."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    gids: np.ndarray
-    starts: np.ndarray
-
-    @staticmethod
-    def of(mats: list) -> "_Entries":
-        """Read with np.nonzero from the matrices themselves."""
-        found = [np.nonzero(m) for m in mats]
-        rows = np.concatenate([r for r, _ in found])
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        return _Entries(
-            rows,
-            np.concatenate([c for _, c in found])[order],
-            np.concatenate([m[r, c] for m, (r, c) in zip(mats, found)])[order],
-            np.repeat(np.arange(len(mats)), [r.size for r, _ in found])[order],
-            np.searchsorted(rows, np.arange(mats[0].shape[0] + 1)),
-        )
-
-
-def _product_terms(e: _Entries, r0: int, r1: int) -> tuple:
-    """Every term X_g[i, k] X_h[k, j] of every product of two of e's
-    matrices, for the output rows r0 <= i < r1, unsummed, as arrays
-    (g, h, i d + j, value).
-
-    Each entry at (i, k) is joined with the run of entries in row k, so
-    the work is the number of terms, not d^3.
-    """
-    d = e.starts.size - 1
-    s = slice(e.starts[r0], e.starts[r1])
-    first = e.starts[e.cols[s]]
-    count = e.starts[e.cols[s] + 1] - first
-    p = np.repeat(np.arange(count.size), count)
-    q = np.arange(p.size) + np.repeat(first - (np.cumsum(count) - count), count)
-    return e.gids[s][p], e.gids[q], e.rows[s][p] * d + e.cols[q], e.vals[s][p] * e.vals[q]
-
-
-def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys and the sum of the values at each: one stable sort,
-    one np.add.reduceat."""
-    if not keys.size:
-        return keys, values
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(values, starts)
-
-
 def _commutator(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Write a @ b - b @ a into the zero matrix out, formed from the
     nonzero entries of a and b only."""
-    g, h, at, term = _product_terms(_Entries.of([a, b]), 0, a.shape[0])
+    g, h, at, term = product_terms(Entries.of([a, b]), 0, a.shape[0])
     cross = g != h
-    keys, sums = _summed(at[cross], np.where(g[cross] == 0, term[cross], -term[cross]))
+    keys, sums = summed(at[cross], np.where(g[cross] == 0, term[cross], -term[cross]))
     np.put(out, keys, sums)
 
 
@@ -425,9 +369,6 @@ def build_representation(hw: HighestWeight) -> Representation:
     return Representation(hw, pats, gen)
 
 
-# Most terms verify_commutation forms at once; past it, the output rows
-# are checked in blocks.
-TERMS_PER_BLOCK = 1 << 15
 # Rows per slice in verify_transpose and verify_sl_trace, which never form
 # a whole d x d temporary.
 ROWS_PER_BLOCK = 64
@@ -446,7 +387,7 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     (relation, row, col) keys are summed after one sort, and the largest
     sum is the residual.  The work is proportional to the number of
     product terms, not to n^4 d^3, and output rows are processed in
-    blocks of at most about TERMS_PER_BLOCK terms, so temporaries stay
+    blocks of about linalg.TERMS_PER_BLOCK terms, so temporaries stay
     bounded.
 
     The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the
@@ -458,14 +399,12 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
         if rep.gen[lab].shape != (d, d):
             raise InputError(f"generator {lab} has shape {rep.gen[lab].shape}, expected {(d, d)}")
     nn, size = n * n, d * d
-    every = _Entries.of([rep.gen[lab] for lab in labels])
+    every = Entries.of([rep.gen[lab] for lab in labels])
     m = np.arange(n)
     products = int(np.diff(every.starts)[every.cols].sum())
-    blocks = 1 + (2 * products + 2 * n * every.rows.size) // TERMS_PER_BLOCK
-    edges = np.linspace(0, d, 1 + blocks).astype(int)
     worst, worst_at = 0.0, None
-    for r0, r1 in zip(edges[:-1], edges[1:]):
-        g, h, at, term = _product_terms(every, r0, r1)
+    for r0, r1 in row_blocks(d, 2 * products + 2 * n * every.rows.size):
+        g, h, at, term = product_terms(every, r0, r1)
         s = slice(every.starts[r0], every.starts[r1])
         # An entry of gen(x, y) is expected in relation ((x, m), (m, y)) with
         # + and in ((m, y), (x, m)) with -, for every m.
@@ -479,7 +418,7 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
             ((x * n + m) * nn + m * n + y).ravel() * size + at_e,
             ((m * n + y) * nn + x * n + m).ravel() * size + at_e,
         ))
-        keys, sums = _summed(keys, np.concatenate((term, -term, -val_e, val_e)))
+        keys, sums = summed(keys, np.concatenate((term, -term, -val_e, val_e)))
         res = max_abs(sums)
         if res > worst:
             rel = int(keys[np.argmax(np.abs(sums))]) // size

@@ -1,28 +1,26 @@
-"""Dense linear-algebra helpers with explicit tolerances.
+"""Linear-algebra kernels with explicit tolerances.
 
-Subspaces are passed around as matrices whose *columns* are the spanning
-vectors.  ``span_residual`` answers "is this vector in that span?" with
-one lstsq per vector, which is cheap only while the span is small;
-``orthonormal_span`` gives a basis Q once, after which the distance of a
-whole block W of vectors is ``max |W - Q (Q^H W)|`` (as in
-``autos.check_compatibility`` on carrier spaces in the hundreds).
+Subspaces are matrices whose *columns* span them.  "Is this block W of
+vectors inside that span?" is one test: an orthonormal basis Q of the
+span, taken once (``orthonormal_span``), then ``span_distance`` =
+max |W - Q (Q^H W)|.  ``independent_columns`` grows such a basis.
+
+Mostly-zero matrices stored densely are multiplied by one sparse-product
+kernel: ``Entries`` reads their nonzero entries, ``row_join`` pairs
+entries with rows, ``product_terms`` forms every term of every pairwise
+product, ``summed`` adds equal keys, and ``row_blocks`` splits the output
+rows so that a check forms about TERMS_PER_BLOCK terms at a time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-
-def as_complex_matrix(vectors) -> np.ndarray:
-    """Stack a sequence of coordinate vectors into a (dim, count) column matrix."""
-    arr = np.asarray(vectors, dtype=complex)
-    if arr.size == 0:
-        return arr.reshape(0, 0)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr.T.copy()
+# Most terms a blocked sparse check forms at once (temporaries near 2 MiB).
+TERMS_PER_BLOCK = 1 << 15
 
 
 def max_abs(a) -> float:
@@ -42,44 +40,99 @@ def rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def span_residual(vec: np.ndarray, basis: np.ndarray) -> float:
-    """Sup-norm distance from vec to the column span of basis."""
-    vec = np.asarray(vec, dtype=complex)
-    if basis.size == 0:
-        return max_abs(vec)
-    coef, *_ = np.linalg.lstsq(basis, vec, rcond=None)
-    return max_abs(vec - basis @ coef)
+def orthonormal_span(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the column span of mat, by thin SVD;
+    zero-width when mat has no columns above tol * max(1, largest)."""
+    mat = np.asarray(mat, dtype=complex)
+    if not mat.shape[1]:
+        return np.zeros((mat.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, s > tol * max(1.0, s[0])]
 
 
-def in_span(vec: np.ndarray, basis: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return span_residual(vec, basis) <= tol
+def span_distance(block: np.ndarray, q: np.ndarray) -> float:
+    """Largest sup-norm distance of a column of block from the span of the
+    orthonormal columns of q: max |W - Q (Q^H W)|."""
+    return max_abs(block - q @ (q.conj().T @ block))
 
 
 def independent_columns(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Greedy subset of columns forming a basis of the column space.
-
-    Returns the selected columns themselves (no orthonormalization), so
-    exact rational inputs stay exact.
-    """
-    if mat.size == 0:
-        return mat.reshape(mat.shape[0] if mat.ndim == 2 else 0, 0)
-    cols: list[np.ndarray] = []
-    for j in range(mat.shape[1]):
-        c = mat[:, j]
-        if max_abs(c) <= tol:
-            continue
-        if not cols or span_residual(c, np.column_stack(cols)) > tol:
-            cols.append(c)
-    if not cols:
-        return mat[:, :0]
-    return np.column_stack(cols)
+    """Indices of the greedy column basis: column j is kept when its sup
+    norm and its distance from the span of the columns kept before it
+    exceed tol, measured on a running orthonormal basis of the kept columns
+    (Gram-Schmidt, applied twice).  Callers take the columns themselves, so
+    exact rational inputs stay exact."""
+    q = np.zeros((mat.shape[0], 0), dtype=complex)
+    keep = []
+    for j, c in enumerate(np.asarray(mat).T):
+        r = c - q @ (q.conj().T @ c)
+        if max_abs(c) > tol and max_abs(r) > tol:
+            keep.append(j)
+            r -= q @ (q.conj().T @ r)
+            q = np.column_stack([q, r / np.linalg.norm(r)])
+    return np.array(keep, dtype=int)
 
 
-def orthonormal_span(vectors: list[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) for the span of flattened vectors."""
-    if not vectors:
-        return np.zeros((0, 0), dtype=complex)
-    stacked = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in vectors])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if s.size else 1.0)
-    return u[:, keep]
+@dataclass(frozen=True, eq=False)
+class Entries:
+    """Nonzero entries (NaN included) of one or more dense d x d matrices,
+    ordered by row: matrix gids[t] holds vals[t] at (rows[t], cols[t]), and
+    the entries in row k are those at positions starts[k]:starts[k + 1]."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    gids: np.ndarray
+    starts: np.ndarray
+
+    @staticmethod
+    def of(mats: list) -> "Entries":
+        """Read with np.nonzero from the matrices themselves."""
+        found = [np.nonzero(m) for m in mats]
+        rows = np.concatenate([r for r, _ in found])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        return Entries(
+            rows,
+            np.concatenate([c for _, c in found])[order],
+            np.concatenate([m[r, c] for m, (r, c) in zip(mats, found)])[order],
+            np.repeat(np.arange(len(mats)), [r.size for r, _ in found])[order],
+            np.searchsorted(rows, np.arange(mats[0].shape[0] + 1)),
+        )
+
+
+def row_join(e: Entries, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (t, u) that join position t of inner with every entry u
+    of e in row inner[t]; the work is the number of pairs."""
+    first = e.starts[inner]
+    count = e.starts[inner + 1] - first
+    t = np.repeat(np.arange(count.size), count)
+    return t, np.arange(t.size) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def product_terms(e: Entries, r0: int, r1: int) -> tuple:
+    """Every term X_g[i, k] X_h[k, j] of every product of two of e's
+    matrices, for the output rows r0 <= i < r1, unsummed, as arrays
+    (g, h, i d + j, value): each entry at (i, k) joined with row k, so the
+    work is the number of terms, not d^3."""
+    d = e.starts.size - 1
+    s = slice(e.starts[r0], e.starts[r1])
+    t, u = row_join(e, e.cols[s])
+    return e.gids[s][t], e.gids[u], e.rows[s][t] * d + e.cols[u], e.vals[s][t] * e.vals[u]
+
+
+def row_blocks(d: int, terms: int):
+    """1 + terms // TERMS_PER_BLOCK slices (r0, r1) of d output rows."""
+    edges = np.linspace(0, d, 2 + terms // TERMS_PER_BLOCK).astype(int)
+    return zip(edges[:-1], edges[1:])
+
+
+def summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys and the sum of the values at each: one stable sort,
+    one np.add.reduceat."""
+    if not keys.size:
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(values, starts)

@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtlie
 from gtlie import TwoPartCase
 from gtlie.algebra import sl_basis_matrices, matrix_to_coords
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
+from gtlie.linalg import independent_columns
+from oracles import dense_jacobi_residual, greedy_columns, per_vector_classify, per_vector_grading
 
 
 def sl2_ehf():
@@ -53,6 +59,53 @@ def test_jacobi_detects_broken_constant():
 
 def test_jacobi_abelian_ok():
     assert gtlie.check_jacobi(abelian()).ok
+
+
+def random_algebra(k, seed):
+    """Random complex constants made exactly antisymmetric; not a Lie algebra."""
+    c = np.random.default_rng(seed).normal(size=(k, k, k, 2)) @ [1, 1j]
+    return gtlie.LieAlgebra(basis_names=tuple(f"x{i}" for i in range(k)), structure=c - c.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobi_matches_the_dense_oracle(seed):
+    sl3 = gtlie.sl_algebra(3)
+    broken = sl3.structure.copy()
+    broken[seed, 3, 5] += 1
+    broken[3, seed, 5] -= 1
+    for a in (gtlie.sl_algebra(seed + 2), sl2_ehf(), random_algebra(5, seed),
+              gtlie.LieAlgebra(basis_names=sl3.basis_names, structure=broken)):
+        rep = gtlie.check_jacobi(a)
+        worst = dense_jacobi_residual(a.structure)
+        assert rep.max_residual == pytest.approx(worst, rel=1e-12, abs=1e-12)
+        assert rep.ok == (worst <= 1e-9)
+        assert rep.checked == a.dim**3 and rep.tol == 1e-9
+        if worst:
+            i, j, l = rep.worst_at
+            c = a.structure
+            at = c[j, l] @ c[i] + c[l, i] @ c[j] + c[i, j] @ c[l]
+            assert np.abs(at).max() == pytest.approx(worst, rel=1e-12)
+        else:
+            assert rep.worst_at is None
+
+
+def test_jacobi_of_sl10_is_exact_in_bounded_memory():
+    # the dense k^4 tensor of sl(10) needs about 1.5 GB per term
+    a = gtlie.sl_algebra(10)
+    tracemalloc.start()
+    try:
+        rep = gtlie.check_jacobi(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.max_residual == 0.0 and rep.checked == 99**3
+    assert peak < 64 * 2**20
+
+
+def test_jacobi_refuses_a_dense_algebra_over_its_row_budget():
+    # about 3 k^4 product terms per output row: 12e6 at k=45, over 1 GiB
+    with pytest.raises(InputError, match="budget"):
+        gtlie.check_jacobi(random_algebra(45, 0))
 
 
 def test_bracket_sl2_hand_values():
@@ -164,7 +217,16 @@ def test_verify_grading_catches_bracket_spill():
     }
     report = gtlie.verify_grading(a, gtlie.Grading(group=group, parts=parts))
     assert not report.ok
-    assert any(v[0] == (0,) and v[1] == (1,) for v in report.violations)
+    assert [v[:2] for v in report.violations] == [((0,), (1,)), ((1,), (0,))]
+    assert report.max_residual == 1.0 and report.worst_at == ((0,), (1,))
+    assert report.checked == 9 and report.tol == 1e-9
+
+
+def test_verify_grading_report_on_an_exact_grading():
+    sl4 = gtlie.sl_algebra(4)
+    report = gtlie.verify_grading(sl4, gtlie.grading_from_automorphism(sl4, gtlie.auto_inner(4, 1)), 1e-10)
+    assert report.ok and report.max_residual == 0.0 and report.worst_at is None
+    assert report.checked == 15**2 and report.tol == 1e-10
 
 
 def test_verify_grading_accepts_empty_part():
@@ -175,6 +237,29 @@ def test_verify_grading_accepts_empty_part():
         (1,): np.zeros((8, 0), dtype=complex),
     }
     assert gtlie.verify_grading(sl3, gtlie.Grading(group=group, parts=parts)).ok
+
+
+def test_verify_grading_tests_against_an_absent_part():
+    # Z3 labels 0 and 1 only: [L_1, L_1] must land in the absent L_2
+    a = sl2_ehf()
+    parts = {(0,): np.eye(3, dtype=complex)[:, [1]], (1,): np.eye(3, dtype=complex)[:, [0, 2]]}
+    report = gtlie.verify_grading(a, gtlie.Grading(group=AbelianGroup((3,)), parts=parts))
+    assert [v[:2] for v in report.violations] == [((1,), (1,))]
+    assert report.worst_at == ((1,), (1,)) and report.max_residual == 1.0
+
+
+def test_classify_two_part_drops_tiny_images():
+    # every bracket is t (1,1,1,0) up to sign with t below tol; kept, its
+    # distance 4t/3 from P_a would exceed tol and read NeitherClosed
+    t = 0.9e-9
+    c = np.zeros((4, 4, 4), dtype=complex)
+    c[3, 0, :3] = t
+    c[0, 3, :3] = -t
+    a = gtlie.LieAlgebra(basis_names=("x0", "x1", "x2", "x3"), structure=c)
+    pa = np.array([[1, -1, -1, 0], [0, 0, 0, 1]], dtype=complex).T
+    pb = np.eye(4, dtype=complex)[:, :2]
+    assert gtlie.classify_two_part(a, pa, pb) == TwoPartCase.Z2_GRADING
+    assert per_vector_classify(a, pa, pb, 1e-9) == TwoPartCase.Z2_GRADING
 
 
 def test_classify_two_part_examples():
@@ -210,3 +295,60 @@ def test_classify_two_part_rejects_non_complementary():
     e = np.array([1, 0, 0], dtype=complex).reshape(-1, 1)
     with pytest.raises(InputError):
         gtlie.classify_two_part(a, e, e)
+
+
+def split_of(n, mask, mode, seed):
+    """Two-part split of sl(n): basis vectors by mask, or the eigenspaces of
+    the inner (n, 1) or outer automorphism; each part optionally mixed by a
+    random invertible matrix (same span, dense float coordinates)."""
+    a = gtlie.sl_algebra(n)
+    if mode == "coords":
+        eye = np.eye(a.dim, dtype=complex)
+        pa, pb = eye[:, mask], eye[:, ~mask]
+    else:
+        aut = gtlie.auto_inner(n, 1) if mode == "inner" else gtlie.auto_outer(n)
+        gamma = gtlie.grading_from_automorphism(a, aut)
+        pa, pb = gamma.parts[(0,)], gamma.parts[(1,)]
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        pa = pa @ (np.eye(pa.shape[1]) + 0.3 * rng.normal(size=(pa.shape[1],) * 2))
+        pb = pb @ (np.eye(pb.shape[1]) + 0.3 * rng.normal(size=(pb.shape[1],) * 2))
+    return a, pa, pb
+
+
+@st.composite
+def splits(draw):
+    n = draw(st.integers(2, 4))
+    k = n * n - 1
+    mask = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    if mask.all() or not mask.any():
+        mask[0] = not mask[0]
+    mode = draw(st.sampled_from(["coords", "inner", "outer"]))
+    seed = draw(st.none() | st.integers(0, 2**16))
+    return split_of(n, mask, mode, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(splits())
+def test_batched_grading_kernels_match_the_per_vector_oracles(split):
+    a, pa, pb = split
+    gamma = gtlie.Grading(group=AbelianGroup((2,)), parts={(0,): pa, (1,): pb})
+    report = gtlie.verify_grading(a, gamma)
+    ok, worst, labels = per_vector_grading(a, gamma, 1e-9)
+    assert report.ok == ok
+    assert [v[:2] for v in report.violations] == labels
+    assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=1e-12)
+    assert gtlie.classify_two_part(a, pa, pb) == per_vector_classify(a, pa, pb, 1e-9)
+    # a column set with dependent columns: pa, then mixtures of pa, then pb
+    mixed = np.column_stack([pa, pa @ np.ones((pa.shape[1], 2)), pb, pa + pb[:, :1]])
+    assert list(independent_columns(mixed)) == greedy_columns(mixed, 1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_eigenspace_projectors_pick_the_oracle_columns(n):
+    k = n * n - 1
+    auts = [gtlie.auto_inner(n, s) for s in range(n // 2 + 1)] + [gtlie.auto_outer(n)]
+    for aut in auts:
+        act = gtlie.autos.action_on_sl(aut)
+        for proj in ((np.eye(k) + act) / 2, (np.eye(k) - act) / 2):
+            assert list(independent_columns(proj)) == greedy_columns(proj, 1e-9)

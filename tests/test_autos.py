@@ -34,7 +34,7 @@ from gtlie.autos import (
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns
-from gtlie.linalg import span_residual
+from oracles import per_vector_compatibility
 
 
 def pat(*rows):
@@ -310,24 +310,6 @@ def test_check_compatibility_group_mismatch():
     )
     with pytest.raises(InputError):
         check_compatibility(rep, gamma1, bad_group)
-
-
-def per_vector_compatibility(rep, gamma, vgamma, tol):
-    """Reference: one lstsq per image vector; returns (ok, max residual,
-    violation labels (i, j) in order)."""
-    mats = rep_sl_matrices(rep)
-    worst, labels = 0.0, []
-    for i, xpart in gamma.parts.items():
-        for col in range(xpart.shape[1]):
-            m = rep_matrix_of(rep, xpart[:, col], mats)
-            for j, vpart in vgamma.parts.items():
-                target = vgamma.part(vgamma.group.add(i, j))
-                image = m @ vpart
-                res = max(span_residual(image[:, b], target) for b in range(image.shape[1]))
-                worst = max(worst, res)
-                if res > tol:
-                    labels.append((i, j))
-    return not labels, worst, labels
 
 
 def assert_matches_per_vector(rep, gamma, vgamma, tol=1e-9):

@@ -71,6 +71,25 @@ def test_rep_check_refuses_a_malformed_generator_set(tmp_path, capsys, how):
     assert main(["rep", "check", str(bad)]) == 2
 
 
+def test_rep_check_sees_a_scalar_shift_of_the_diagonal_generators(tmp_path, capsys):
+    # 5 Id added to every r(E_kk) passes every commutation relation and the
+    # transpose check; only the sl trace sum_k r(E_kk) = 0 catches it.
+    out = tmp_path / "rep.json"
+    assert run(capsys, "rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(out))[0] == 0
+    payload = json.loads(out.read_text())
+    for k in (1, 2, 3):
+        gen = payload["generators"][f"{k},{k}"]
+        for i in range(len(gen)):
+            gen[i][i] += 5.0
+    bad = tmp_path / "shifted.json"
+    bad.write_text(json.dumps(payload))
+    code, text = run(capsys, "rep", "check", str(bad), "--format", "json")
+    report = json.loads(text)
+    assert code == 1 and not report["ok"]
+    assert report["sl_trace_residual"] == 15.0
+    assert report["commutator_residual"] <= 1e-9 and report["transpose_residual"] == 0.0
+
+
 def test_rep_build_refuses_an_oversized_irrep(capsys):
     assert main(["rep", "build", "-n", "3", "-w", "40,20,0"]) == 2
     assert "budget" in capsys.readouterr().err
