@@ -53,6 +53,18 @@ class Report:
     def __bool__(self):
         return self.ok
 
+    @classmethod
+    def of(cls, residuals: dict, tol: float) -> "Report":
+        """Fold {where: residual} (in check order, NaN already made inf): a
+        violation (*where, residual) per residual over tol, worst_at = the
+        first where of the largest (None when all are zero)."""
+        worst_at, worst = max(residuals.items(), key=lambda item: item[1], default=(None, 0.0))
+        violations = [(*at, res) for at, res in residuals.items() if res > tol]
+        return cls(
+            ok=not violations, max_residual=worst, violations=violations,
+            checked=len(residuals), worst_at=worst_at if worst else None, tol=tol,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
@@ -175,34 +187,20 @@ def sl_basis_matrices(n: int) -> list[np.ndarray]:
 
 
 def matrix_to_coords(n: int, mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Expand a traceless n x n matrix in the canonical sl(n) basis.
-
-    Off-diagonal entries are read off directly; the diagonal is resolved
-    against the H_k by partial sums, so integer input stays exact.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (n, n):
-        raise InputError(f"expected a {n}x{n} matrix")
-    tr = np.trace(mat)
-    if abs(tr) > tol * max(1.0, max_abs(mat)):
-        raise InputError(f"matrix is not traceless (trace {tr})")
-    coords = []
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            if k != l:
-                coords.append(mat[k - 1, l - 1])
-    acc = 0.0 + 0.0j
-    for k in range(1, n):
-        acc = acc + mat[k - 1, k - 1]
-        coords.append(acc)
-    return np.array(coords, dtype=complex)
-
-
-def coords_to_matrix(n: int, coords) -> np.ndarray:
-    coords = np.asarray(coords, dtype=complex)
-    out = np.zeros((n, n), dtype=complex)
-    for c, m in zip(coords, sl_basis_matrices(n)):
-        out += c * m
+    """Expand traceless n x n matrices (the last two axes of mat) in the
+    canonical sl(n) basis: off-diagonal entries row-major, then the diagonal
+    against the H_k by partial sums (``+ 0`` turns a -0.0 sum into +0.0), so
+    integer input stays exact."""
+    mat = np.asarray(mat)
+    if mat.shape[-2:] != (n, n):
+        raise InputError(f"expected {n}x{n} matrices")
+    tr = max_abs(np.trace(mat, axis1=-2, axis2=-1))
+    if tr > tol * max(1.0, max_abs(mat)):
+        raise InputError(f"matrix is not traceless (trace {tr:.3g})")
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    out = np.empty(mat.shape[:-2] + (n * n - 1,), dtype=complex)
+    out[..., : n * n - n] = mat[..., rows, cols]
+    out[..., n * n - n :] = np.cumsum(mat[..., range(n - 1), range(n - 1)], axis=-1) + 0
     return out
 
 
@@ -211,13 +209,11 @@ def sl_algebra(n: int) -> LieAlgebra:
     if n < 2:
         raise InputError("sl(n) requires n >= 2")
     labels = sl_basis_labels(n)
-    mats = sl_basis_matrices(n)
-    k = len(labels)
-    structure = np.zeros((k, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            structure[i, j] = matrix_to_coords(n, comm)
+    # All k^2 commutators at once, in exact small integers (entries within +-2).
+    mats = np.array(sl_basis_matrices(n)).real.astype(np.int8)
+    comm = np.matmul(mats[:, None], mats)
+    comm -= comm.swapaxes(0, 1)
+    structure = matrix_to_coords(n, comm)
     names = tuple(
         f"E{lab[1]}{lab[2]}" if lab[0] == "E" else f"H{lab[1]}" for lab in labels
     )

@@ -127,9 +127,7 @@ def action_on_sl(aut: Automorphism, tol: float = DEFAULT_TOL) -> np.ndarray:
     diagonal/outer representatives yield exact integer matrices.
     """
     n = aut.n
-    mats = sl_basis_matrices(n)
-    cols = [matrix_to_coords(n, aut.apply(m), tol) for m in mats]
-    act = np.column_stack(cols)
+    act = matrix_to_coords(n, np.array([aut.apply(m) for m in sl_basis_matrices(n)]), tol).T
     rounded = np.round(act)
     if max_abs(act - rounded) <= 1e-12 * max(1.0, max_abs(act)):
         return rounded
@@ -416,28 +414,27 @@ def verify_simulation(
     sim: SimulationMatrix,
     tol: float = DEFAULT_TOL,
 ) -> Report:
-    """Check r(g(x)) = R r(x) R^{-1} on the sl basis and R^order = Id."""
+    """Check r(g(x)) = R r(x) R^{-1} on the sl basis and R^order = Id; the
+    report has checked = k + 1 and worst_at = a basis label or "power"."""
     if sim.dim != rep.dim:
         raise InputError(f"simulation matrix dim {sim.dim} != rep dim {rep.dim}")
     r = sim.matrix
     rinv = sim.inverse()
     mats = rep_sl_matrices(rep)
     n = rep.n
-    worst = 0.0
-    violations = []
+    residuals = []
     for lab, base in zip(sl_basis_labels(n), sl_basis_matrices(n)):
         image = matrix_to_coords(n, aut.apply(base))
         lhs = rep_matrix_of(rep, image, mats)
         rhs = r @ rep.sl_label_matrix(lab) @ rinv
-        res = max_abs(lhs - rhs)
-        worst = max(worst, res)
-        if res > tol:
-            violations.append((lab, res))
-    pw = sim.power_residual()
-    worst = max(worst, pw)
-    if pw > tol:
-        violations.append(("power", pw))
-    return Report(ok=not violations, max_residual=worst, violations=violations)
+        residuals.append((lab, max_abs(lhs - rhs)))
+    residuals.append(("power", sim.power_residual()))
+    worst_at, worst = max(residuals, key=lambda item: item[1])
+    violations = [(at, res) for at, res in residuals if res > tol]
+    return Report(
+        ok=not violations, max_residual=worst, violations=violations,
+        checked=len(residuals), worst_at=worst_at if worst else None, tol=tol,
+    )
 
 
 def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grading:

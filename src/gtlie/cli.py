@@ -92,7 +92,7 @@ def _parse_group(text: str) -> AbelianGroup:
         raise InputError(f"bad group orders {text!r}") from exc
 
 
-def _parse_table(group: AbelianGroup, text: str, cls):
+def _parse_eps(group: AbelianGroup, text: str) -> contraction.EpsilonTable:
     values = []
     for chunk in text.split(","):
         try:
@@ -102,10 +102,7 @@ def _parse_table(group: AbelianGroup, text: str, cls):
     size = group.size
     if len(values) != size * size:
         raise InputError(f"table needs {size * size} row-major entries, got {len(values)}")
-    rows = [values[i * size : (i + 1) * size] for i in range(size)]
-    if cls is contraction.EpsilonTable:
-        return contraction.epsilon_from_rows(group, rows)
-    return contraction.psi_from_rows(group, rows)
+    return contraction.epsilon_from_rows(group, [values[i * size : (i + 1) * size] for i in range(size)])
 
 
 def _table_text(table) -> str:
@@ -332,7 +329,7 @@ def cmd_contract_solve_eps(cfg: RunConfig, args) -> int:
 
 def cmd_contract_solve_psi(cfg: RunConfig, args) -> int:
     group = _parse_group(args.group)
-    eps = _parse_table(group, args.eps, contraction.EpsilonTable)
+    eps = _parse_eps(group, args.eps)
     tables = contraction.enumerate_binary_psi(eps)
     report = {
         "command": "contract solve-psi",
@@ -354,7 +351,7 @@ def cmd_contract_solve_psi(cfg: RunConfig, args) -> int:
 def cmd_contract_apply(cfg: RunConfig, args) -> int:
     algebra = _algebra_from_flags(args)
     gamma = jsonio.grading_from_json(_load_json(args.grading))
-    eps = _parse_table(gamma.group, args.eps, contraction.EpsilonTable)
+    eps = _parse_eps(gamma.group, args.eps)
     calg = contraction.contract_algebra(algebra, gamma, eps, cfg.tolerance)
     jac = alg.check_jacobi(calg.result, cfg.tolerance)
     report = {

@@ -14,12 +14,15 @@ when
     psi_{j,k} psi_{i,j+k} = psi_{i,k} psi_{j,i+k} = eps_{i,j} psi_{i+j,k}.
 
 Tables hold exact rationals; the binary (0/1) solution sets are found by
-exhaustive enumeration over the free cells.
+exhaustive enumeration over the free cells; a NaN cell is an infinite
+residual.  Contractions are applied by stacked numpy kernels over (k, d, d)
+stacks of operators, with eps and psi read once per call as label arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,11 +37,11 @@ from .algebra import (
     grading_adapted_basis,
     verify_grading,
 )
-from .autos import check_compatibility, rep_matrix_of, rep_sl_matrices
+from .autos import check_compatibility, rep_sl_matrices
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import GeneratorRep
-from .linalg import DEFAULT_TOL, max_abs
+from .linalg import DEFAULT_TOL
 
 MAX_FREE_CELLS = 10
 
@@ -77,6 +80,21 @@ class ScalarTable:
         els = self.group.elements()
         return tuple(self.values[(i, j)] for i in els for j in els)
 
+    def on_labels(self, rows, cols) -> np.ndarray:
+        """Complex len(rows) x len(cols) array of the values at every label
+        pair (rows[a], cols[b]), read from one |G| x |G| table."""
+        index = {el: t for t, el in enumerate(self.group.elements())}
+        table = np.array([complex(x) for x in self.as_tuple()]).reshape(len(index), -1)
+        return table[np.ix_([index[r] for r in rows], [index[c] for c in cols])]
+
+    @classmethod
+    def from_rows(cls, group: AbelianGroup, rows):
+        """Build a table from a row-major matrix over group elements in lex order."""
+        els = group.elements()
+        if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
+            raise InputError(f"expected a {len(els)}x{len(els)} matrix of values")
+        return cls(group, {(i, j): rows[a][b] for a, i in enumerate(els) for b, j in enumerate(els)})
+
 
 class EpsilonTable(ScalarTable):
     """Symmetric contraction table eps_{j,k}."""
@@ -86,71 +104,52 @@ class PsiTable(ScalarTable):
     """Representation rescaling table psi_{i,j} (i: algebra label, j: space label)."""
 
 
-def epsilon_from_rows(group: AbelianGroup, rows) -> EpsilonTable:
-    """Build a table from a row-major matrix over group elements in lex order."""
-    els = group.elements()
-    if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
-        raise InputError(f"expected a {len(els)}x{len(els)} matrix of values")
-    return EpsilonTable(group, {(i, j): rows[a][b] for a, i in enumerate(els) for b, j in enumerate(els)})
-
-
-def psi_from_rows(group: AbelianGroup, rows) -> PsiTable:
-    els = group.elements()
-    if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
-        raise InputError(f"expected a {len(els)}x{len(els)} matrix of values")
-    return PsiTable(group, {(i, j): rows[a][b] for a, i in enumerate(els) for b, j in enumerate(els)})
+epsilon_from_rows = EpsilonTable.from_rows
+psi_from_rows = PsiTable.from_rows
 
 
 def _residual(x) -> float:
-    return abs(complex(x))
+    """|x|, with NaN as inf (as in linalg.max_abs) so the checks fail closed."""
+    res = abs(complex(x))
+    return math.inf if math.isnan(res) else res
 
 
 def verify_epsilon(eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
-    """Symmetry plus the full |G|^3 system of quadratic equations."""
+    """Symmetry plus the full |G|^3 system of quadratic equations.
+
+    The report carries checked = |G|^2 cells + |G|^3 triples and worst_at =
+    ("symmetry", i, j) or ("triple", i, j, k), the form of its violations.
+    """
     if not eps.is_complete():
         raise InputError("epsilon table is incomplete")
-    g = eps.group
-    worst = 0.0
-    violations = []
-    for i in g.elements():
-        for j in g.elements():
-            res = _residual(eps.value(i, j) - eps.value(j, i))
-            worst = max(worst, res)
-            if res > tol:
-                violations.append(("symmetry", i, j, res))
-    for i in g.elements():
-        for j in g.elements():
-            for k in g.elements():
-                e1 = eps.value(i, j) * eps.value(g.add(i, j), k)
-                e2 = eps.value(j, k) * eps.value(g.add(j, k), i)
-                e3 = eps.value(k, i) * eps.value(g.add(k, i), j)
-                res = max(_residual(e1 - e2), _residual(e2 - e3))
-                worst = max(worst, res)
-                if res > tol:
-                    violations.append(("triple", i, j, k, res))
-    return Report(ok=not violations, max_residual=worst, violations=violations)
+    g, v = eps.group, eps.value
+    els = g.elements()
+    residuals = {("symmetry", i, j): _residual(v(i, j) - v(j, i)) for i in els for j in els}
+    for i, j, k in itertools.product(els, repeat=3):
+        e1 = v(i, j) * v(g.add(i, j), k)
+        e2 = v(j, k) * v(g.add(j, k), i)
+        e3 = v(k, i) * v(g.add(k, i), j)
+        residuals["triple", i, j, k] = max(_residual(e1 - e2), _residual(e2 - e3))
+    return Report.of(residuals, tol)
 
 
 def verify_psi(psi: PsiTable, eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
-    """The full system psi_{j,k} psi_{i,j+k} = psi_{i,k} psi_{j,i+k} = eps_{i,j} psi_{i+j,k}."""
+    """The full system psi_{j,k} psi_{i,j+k} = psi_{i,k} psi_{j,i+k} = eps_{i,j} psi_{i+j,k}.
+
+    The report carries checked = |G|^3 triples and worst_at = (i, j, k).
+    """
     if not psi.is_complete() or not eps.is_complete():
         raise InputError("psi/epsilon tables must be complete")
     if psi.group.orders != eps.group.orders:
         raise InputError("psi and epsilon live over different groups")
-    g = psi.group
-    worst = 0.0
-    violations = []
-    for i in g.elements():
-        for j in g.elements():
-            for k in g.elements():
-                p1 = psi.value(j, k) * psi.value(i, g.add(j, k))
-                p2 = psi.value(i, k) * psi.value(j, g.add(i, k))
-                p3 = eps.value(i, j) * psi.value(g.add(i, j), k)
-                res = max(_residual(p1 - p2), _residual(p2 - p3))
-                worst = max(worst, res)
-                if res > tol:
-                    violations.append((i, j, k, res))
-    return Report(ok=not violations, max_residual=worst, violations=violations)
+    g, v = psi.group, psi.value
+    residuals = {}
+    for i, j, k in itertools.product(g.elements(), repeat=3):
+        p1 = v(j, k) * v(i, g.add(j, k))
+        p2 = v(i, k) * v(j, g.add(i, k))
+        p3 = eps.value(i, j) * v(g.add(i, j), k)
+        residuals[i, j, k] = max(_residual(p1 - p2), _residual(p2 - p3))
+    return Report.of(residuals, tol)
 
 
 def enumerate_binary_epsilon(group: AbelianGroup) -> list[EpsilonTable]:
@@ -235,7 +234,7 @@ def contract_algebra(
     labels, basis = grading_adapted_basis(gamma)
     k = algebra.dim
     a, b = np.triu_indices(k, 1)
-    scale = np.array([complex(eps.value(labels[x], labels[y])) for x, y in zip(a, b)])
+    scale = eps.on_labels(labels, labels)[a, b]
     coeffs = np.linalg.solve(basis, brackets(basis, basis, algebra)[:, a * k + b] * scale)
     structure = np.zeros((k, k, k), dtype=complex)
     structure[a, b] = coeffs.T
@@ -278,7 +277,9 @@ def contract_rep(
     eps: EpsilonTable,
     tol: float = DEFAULT_TOL,
 ) -> ContractedRep:
-    """Build r^eps(X_i) v_j = psi_{i,j} r(X_i) v_j in the adapted V basis."""
+    """Build r^eps(X_i) v_j = psi_{i,j} r(X_i) v_j in the adapted V basis:
+    the (k, d, d) stack r(X_a) is one tensordot, the change of basis one
+    solve for all k d columns of r(X_a) V, and psi one (k, d) scale array."""
     compat = check_compatibility(rep, gamma, vgamma, tol)
     if not compat.ok:
         raise IncompatibleError(
@@ -289,13 +290,10 @@ def contract_rep(
         raise VerificationError(f"psi table fails its system: {psi_report.violations[:3]}")
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
-    mats = rep_sl_matrices(rep)
-    out = []
-    for a in range(abasis.shape[1]):
-        lab = alabels[a]
-        m = rep_matrix_of(rep, abasis[:, a], mats)
-        scale = [complex(psi.value(lab, vlab)) for vlab in vlabels]
-        out.append(np.linalg.solve(vbasis, m @ vbasis) * scale)
+    k, d = abasis.shape[1], vbasis.shape[0]
+    images = np.tensordot(abasis.T, np.array(rep_sl_matrices(rep)), axes=1) @ vbasis  # r(X_a) V
+    out = np.linalg.solve(vbasis, images.transpose(1, 0, 2).reshape(d, k * d)).reshape(d, k, d)
+    out *= psi.on_labels(alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
     return ContractedRep(
         rep=rep,
         gamma=gamma,
@@ -305,28 +303,39 @@ def contract_rep(
         labels=tuple(alabels),
         vlabels=tuple(vlabels),
         vbasis=vbasis,
-        matrices=tuple(out),
+        matrices=tuple(np.ascontiguousarray(out.transpose(1, 0, 2))),
     )
 
 
 def verify_rep_homomorphism(
     crep: ContractedRep, calg: ContractedAlgebra, tol: float = DEFAULT_TOL
 ) -> Report:
-    """Check [r^eps(x), r^eps(y)] = r^eps([x, y]_new) on the adapted bases."""
+    """Check [r^eps(x), r^eps(y)] = r^eps([x, y]_new) on the adapted bases.
+
+    One left index a at a time, M_a M_b - M_b M_a - sum_l c_abl M_l for all
+    b >= a is one (k - a, d, d) block, the sum one tensordot over the finite
+    M_l with c_abl != 0 (a NaN or inf makes its relations infinite); the
+    temporaries stay three (k, d, d) stacks.  c is exactly antisymmetric
+    and fl(P - Q) = -fl(Q - P), so (b, a) has exactly the residual of (a, b).
+    Violations (a, b, res) come in row-major order; checked = k^2 pairs.
+    """
     if crep.labels != calg.labels:
         raise InputError("contracted rep and algebra use different adapted bases")
     k = len(crep.labels)
-    structure = calg.result.structure
-    worst = 0.0
-    violations = []
+    shapes = sorted({np.shape(m) for m in crep.matrices})
+    if len(crep.matrices) != k or len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise InputError(f"expected {k} square matrices of one size, got {len(crep.matrices)} of shapes {shapes}")
+    mats = np.array(crep.matrices, dtype=complex)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    res = np.zeros((k, k))
     for a in range(k):
-        ma = crep.matrices[a]
-        for b in range(k):
-            mb = crep.matrices[b]
-            terms = (structure[a, b, l] * crep.matrices[l] for l in range(k) if structure[a, b, l] != 0)
-            rhs = sum(terms, np.zeros_like(ma))
-            res = max_abs(ma @ mb - mb @ ma - rhs)
-            worst = max(worst, res)
-            if res > tol:
-                violations.append((a, b, res))
-    return Report(ok=not violations, max_residual=worst, violations=violations)
+        block = mats[a] @ mats[a:]
+        block -= mats[a:] @ mats[a]
+        coeffs = calg.result.structure[a, a:]
+        used = coeffs.any(axis=0) & finite
+        block -= np.tensordot(coeffs[:, used], mats[used], axes=1)
+        res[a, a:] = np.abs(block).reshape(k - a, -1).max(axis=1)
+        res[a, a:][coeffs[:, ~finite].any(axis=1)] = math.inf
+    res[np.isnan(res)] = math.inf
+    res += np.triu(res, 1).T
+    return Report.of({(a, b): float(res[a, b]) for a in range(k) for b in range(k)}, tol)

@@ -1,10 +1,12 @@
 """Per-vector reference implementations that the batched library kernels
 are compared against: one bracket and one lstsq per image vector, one
-lstsq per candidate column, and the dense k^4 Jacobi tensor."""
+lstsq per candidate column, the dense k^4 Jacobi tensor, one commutator
+per pair of sl(n) basis matrices, and one solve per contracted operator
+and one generator sum per homomorphism relation."""
 
 import numpy as np
 
-from gtlie.algebra import TwoPartCase, bracket
+from gtlie.algebra import TwoPartCase, bracket, grading_adapted_basis, sl_basis_matrices
 from gtlie.autos import rep_matrix_of, rep_sl_matrices
 from gtlie.linalg import max_abs, rank
 
@@ -97,4 +99,57 @@ def per_vector_compatibility(rep, gamma, vgamma, tol):
                 worst = max(worst, res)
                 if res > tol:
                     labels.append((i, j))
+    return not labels, worst, labels
+
+
+def per_pair_sl_structure(n):
+    """sl(n) structure constants from one dense commutator per basis pair,
+    each expanded entry by entry."""
+    mats = sl_basis_matrices(n)
+    k = len(mats)
+    structure = np.zeros((k, k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            structure[i, j] = entrywise_coords(n, mats[i] @ mats[j] - mats[j] @ mats[i])
+    return structure
+
+
+def entrywise_coords(n, mat) -> np.ndarray:
+    """matrix_to_coords of one matrix, one entry at a time."""
+    coords = [mat[r, c] for r in range(n) for c in range(n) if r != c]
+    acc = 0.0 + 0.0j
+    for r in range(n - 1):
+        acc = acc + mat[r, r]
+        coords.append(acc)
+    return np.array(coords, dtype=complex)
+
+
+def per_vector_contract_rep(rep, vgamma, gamma, psi) -> list:
+    """contract_rep's matrices, one rep_matrix_of and one solve per adapted
+    algebra basis vector, scaled column by column by psi."""
+    alabels, abasis = grading_adapted_basis(gamma)
+    vlabels, vbasis = grading_adapted_basis(vgamma)
+    mats = rep_sl_matrices(rep)
+    out = []
+    for a in range(abasis.shape[1]):
+        m = rep_matrix_of(rep, abasis[:, a], mats)
+        scale = [complex(psi.value(alabels[a], vlab)) for vlab in vlabels]
+        out.append(np.linalg.solve(vbasis, m @ vbasis) * scale)
+    return out
+
+
+def per_pair_homomorphism(crep, calg, tol):
+    """verify_rep_homomorphism one pair (a, b) at a time, the right side a
+    generator sum over the l with c_abl != 0; returns (ok, max residual,
+    violation labels (a, b) in row-major order)."""
+    structure, mats = calg.result.structure, crep.matrices
+    k = len(mats)
+    worst, labels = 0.0, []
+    for a in range(k):
+        for b in range(k):
+            terms = (structure[a, b, l] * mats[l] for l in range(k) if structure[a, b, l] != 0)
+            res = max_abs(mats[a] @ mats[b] - mats[b] @ mats[a] - sum(terms, np.zeros_like(mats[a])))
+            worst = max(worst, res)
+            if res > tol:
+                labels.append((a, b))
     return not labels, worst, labels

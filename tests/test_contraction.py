@@ -1,8 +1,14 @@
+import dataclasses
+import functools
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtlie
 from gtlie.contraction import (
@@ -22,6 +28,7 @@ from gtlie.contraction import (
 from gtlie.errors import IncompatibleError, InputError, VerificationError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import HighestWeight, build_representation
+from oracles import per_pair_homomorphism, per_vector_contract_rep
 
 Z2 = AbelianGroup((2,))
 
@@ -212,18 +219,11 @@ def rep_setup(sl3_setup):
 def test_contract_rep_identity(rep_setup):
     # psi = eps = all-ones reproduces the base representation matrices
     sl3, gamma1, rep, vgamma = rep_setup
-    from gtlie.autos import rep_matrix_of, rep_sl_matrices
-
     table = eps([[1, 1], [1, 1]])
-    crep = contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 1]]), table)
-    mats = rep_sl_matrices(rep)
-    alabels, abasis = crep.labels, np.column_stack(
-        [gamma1.parts[lab] for lab in sorted(gamma1.parts)]
-    )
-    vb = crep.vbasis
-    for a in range(8):
-        direct = np.linalg.solve(vb, rep_matrix_of(rep, abasis[:, a], mats) @ vb)
-        assert np.abs(direct - crep.matrices[a]).max() <= 1e-12
+    ones = psi([[1, 1], [1, 1]])
+    crep = contract_rep(rep, vgamma, gamma1, ones, table)
+    for direct, m in zip(per_vector_contract_rep(rep, vgamma, gamma1, ones), crep.matrices, strict=True):
+        assert np.abs(direct - m).max() <= 1e-12
     calg = contract_algebra(sl3, gamma1, table)
     assert verify_rep_homomorphism(crep, calg).max_residual <= 1e-12
 
@@ -297,3 +297,156 @@ def test_homomorphism_check_catches_invalid_psi(rep_setup):
         matrices=tuple(scaled),
     )
     assert not verify_rep_homomorphism(tampered, calg).ok
+
+
+def test_a_nan_cell_fails_the_table_checks():
+    # the fold max(worst, nan) kept worst and nan > tol is false, so a NaN
+    # cell passed both checks with max_residual 0.0
+    rows = [[1, 1], [1, math.nan]]
+    for report in (
+        verify_epsilon(eps(rows)),
+        verify_psi(psi(rows), eps([[1, 1], [1, 1]])),
+        verify_psi(psi([[1, 1], [1, 1]]), eps(rows)),
+    ):
+        assert not report.ok and report.max_residual == math.inf and report.worst_at is not None
+
+
+def test_table_reports_say_what_was_checked():
+    report = verify_epsilon(eps([[0, 1], [1, 0]]))
+    assert report.checked == 4 + 8 and report.tol == 1e-9
+    worst = max(report.violations, key=lambda v: v[-1])
+    assert report.worst_at == worst[:-1] and report.max_residual == worst[-1]
+    assert verify_epsilon(eps([[1, 1], [1, 0]]), tol=0.0).worst_at is None
+    report = verify_psi(psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 0]]))
+    assert report.checked == 8 and report.worst_at in {v[:3] for v in report.violations}
+
+
+# The 17 irreps of the paper_sweep benchmark workload.
+SWEEP_WEIGHTS = (
+    [(m1, 0) for m1 in range(1, 5)]
+    + [(m1, m2, 0) for m1 in range(1, 4) for m2 in range(m1 + 1)]
+    + [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (2, 1, 1, 0)]
+)
+
+
+@functools.cache
+def sweep_carrier(m, kind):
+    """(sl(n), grading, carrier, carrier grading) for the inner (n,1) or the
+    outer grading, with the doubled rep where the outer one needs it."""
+    n = len(m)
+    hw = HighestWeight(n, m)
+    alg = gtlie.sl_algebra(n)
+    gamma = gtlie.grading_from_automorphism(alg, gtlie.auto_inner(n, 1) if kind == "inner" else gtlie.auto_outer(n))
+    rep = build_representation(hw)
+    if kind == "inner":
+        sim = gtlie.simulation_inner(hw, n, 1)
+    elif gtlie.is_self_contragredient(hw):
+        sim = gtlie.J_matrix(hw)
+    else:
+        rep, sim = gtlie.doubled_rep(hw)
+    return alg, gamma, rep, gtlie.decompose_rep_space(sim)
+
+
+@functools.cache
+def table_pairs():
+    """Every binary eps table over Z2 with each of its binary psi tables."""
+    return [(e, p) for e in enumerate_binary_epsilon(Z2) for p in enumerate_binary_psi(e)]
+
+
+@pytest.mark.parametrize("kind", ["inner", "outer"])
+@pytest.mark.parametrize("m", SWEEP_WEIGHTS, ids=str)
+def test_stacked_contraction_kernels_match_the_per_vector_oracles(m, kind):
+    alg, gamma, rep, vgamma = sweep_carrier(m, kind)
+    for e, p in table_pairs():
+        calg = contract_algebra(alg, gamma, e)
+        crep = contract_rep(rep, vgamma, gamma, p, e)
+        oracle = per_vector_contract_rep(rep, vgamma, gamma, p)
+        assert all(np.array_equal(x, y) for x, y in zip(crep.matrices, oracle, strict=True))
+        report = verify_rep_homomorphism(crep, calg)
+        ok, worst, labels = per_pair_homomorphism(crep, calg, 1e-9)
+        assert report.ok == ok and [v[:2] for v in report.violations] == labels
+        assert abs(report.max_residual - worst) <= 1e-12
+        assert report.checked == alg.dim**2 and report.tol == 1e-9
+
+
+def tampered(crep, t, mat):
+    mats = list(crep.matrices)
+    mats[t] = mat
+    return dataclasses.replace(crep, matrices=tuple(mats))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SWEEP_WEIGHTS), st.sampled_from(["inner", "outer"]), st.data())
+def test_a_tampered_entry_is_reported_at_its_pairs(m, kind, data):
+    alg, gamma, rep, vgamma = sweep_carrier(m, kind)
+    e, p = data.draw(st.sampled_from(table_pairs()))
+    crep = contract_rep(rep, vgamma, gamma, p, e)
+    calg = contract_algebra(alg, gamma, e)
+    k, d = alg.dim, rep.dim
+    t, i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    bump = np.zeros((d, d))
+    bump[i, j] = 1.0
+    report = verify_rep_homomorphism(tampered(crep, t, crep.matrices[t] + bump), calg)
+    # M_t + E moves the residual of (a, b) by
+    # [a == t] [E, M_b] + [b == t] [M_a, E] - c_abt E
+    c, mats = calg.result.structure, crep.matrices
+    expected = [
+        (a, b)
+        for a in range(k)
+        for b in range(k)
+        if np.abs((a == t) * (bump @ mats[b] - mats[b] @ bump) + (b == t) * (mats[a] @ bump - bump @ mats[a])
+                  - c[a, b, t] * bump).max() > 1e-9
+    ]
+    assert [v[:2] for v in report.violations] == expected
+    ok, worst, labels = per_pair_homomorphism(tampered(crep, t, crep.matrices[t] + bump), calg, 1e-9)
+    assert labels == expected and report.ok == ok == (not expected)
+    assert abs(report.max_residual - worst) <= 1e-12
+    if expected:
+        assert report.worst_at in expected and report.max_residual == max(v[2] for v in report.violations)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("t", [0, 2, 7])
+def test_a_nan_in_one_contracted_matrix_fails_closed(rep_setup, t, value):
+    sl3, gamma1, rep, vgamma = rep_setup
+    table = eps([[1, 1], [1, 0]])
+    crep = contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 0]]), table)
+    calg = contract_algebra(sl3, gamma1, table)
+    bad = crep.matrices[t].copy()
+    bad[0, 0] = value
+    report = verify_rep_homomorphism(tampered(crep, t, bad), calg)
+    ok, worst, labels = per_pair_homomorphism(tampered(crep, t, bad), calg, 1e-9)
+    assert not report.ok and report.max_residual == worst == math.inf
+    assert [v[:2] for v in report.violations] == labels and (t, t) in labels
+
+
+def test_homomorphism_check_refuses_matrices_of_the_wrong_shape(rep_setup):
+    sl3, gamma1, rep, vgamma = rep_setup
+    table = eps([[1, 1], [1, 1]])
+    crep = contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 1]]), table)
+    calg = contract_algebra(sl3, gamma1, table)
+    head = crep.matrices[:-1]
+    for mats in (head, head + (np.eye(4),), head + (np.ones((3, 2)),), head + (np.ones((1, 3, 3)),)):
+        with pytest.raises(InputError):
+            verify_rep_homomorphism(dataclasses.replace(crep, matrices=mats), calg)
+
+
+def test_homomorphism_check_of_a_d175_rep_stays_in_bounded_memory():
+    hw = HighestWeight(4, (4, 3, 1, 0))
+    alg = gtlie.sl_algebra(4)
+    gamma = gtlie.grading_from_automorphism(alg, gtlie.auto_inner(4, 1))
+    vgamma = gtlie.decompose_rep_space(gtlie.simulation_inner(hw, 4, 1))
+    table = eps([[1, 1], [1, 0]])
+    crep = contract_rep(build_representation(hw), vgamma, gamma, psi([[1, 1], [1, 0]]), table)
+    calg = contract_algebra(alg, gamma, table)
+    assert crep.vbasis.shape == (175, 175) and len(crep.matrices) == 15
+    tracemalloc.start()
+    try:
+        report = verify_rep_homomorphism(crep, calg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole k^2 d^2 block of relations would be 110 MiB
+    assert report.ok and report.checked == 225
+    assert peak < 32 * 2**20

@@ -243,7 +243,7 @@ SMALL_WEIGHTS = [
 ]
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.sampled_from(SMALL_WEIGHTS))
 def test_commutation_kernel_matches_dense_oracle(hw):
     for rep in (build_representation(hw), doubled_rep(hw)[0]):
