@@ -54,11 +54,8 @@ from .gtrep import (
     GTPattern,
     GeneratorRep,
     HighestWeight,
-    Radicand,
     Representation,
     act_diagonal,
-    act_lowering,
-    act_raising,
     build_representation,
     enumerate_patterns,
     row_sum,

@@ -79,9 +79,13 @@ class LieAlgebra:
             raise InputError(
                 f"structure tensor shape {self.structure.shape} does not match dim {k}"
             )
-        anti = self.structure + self.structure.transpose(1, 0, 2)
-        if max_abs(anti) != 0.0:
-            raise InputError("structure constants are not exactly antisymmetric")
+        # Blocks of first-index slices with temporaries near 1 MiB, not k^3:
+        # one block for small algebras, about k^2 / 65536 blocks for large ones.
+        step = max(1, (1 << 16) // (k * k))
+        for i in range(0, k, step):
+            block = self.structure[i : i + step] + self.structure[:, i : i + step].transpose(1, 0, 2)
+            if max_abs(block) != 0.0:
+                raise InputError("structure constants are not exactly antisymmetric")
 
     @property
     def dim(self) -> int:

@@ -396,16 +396,19 @@ def rep_sl_matrices(rep: GeneratorRep) -> list[np.ndarray]:
     return [rep.sl_label_matrix(lab) for lab in sl_basis_labels(rep.n)]
 
 
-def rep_matrix_of(rep: GeneratorRep, coords, mats: list[np.ndarray] | None = None) -> np.ndarray:
-    """Representation matrix of an algebra element given by coordinates."""
-    if mats is None:
-        mats = rep_sl_matrices(rep)
-    coords = np.asarray(coords, dtype=complex)
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for c, m in zip(coords, mats):
-        if c != 0:
-            out = out + c * m
-    return out
+def rep_sl_stack(rep: GeneratorRep) -> np.ndarray:
+    """rep_sl_matrices as one complex (k, d, d) array."""
+    return np.array(rep_sl_matrices(rep), dtype=complex)
+
+
+def rep_matrix_of(rep: GeneratorRep, coords, stack: np.ndarray | None = None) -> np.ndarray:
+    """Representation matrix of an algebra element given by coordinates: one
+    product of the coordinates with the stacked sl matrices (rep_sl_stack,
+    formed here unless passed), as np.tensordot(coords, stack, axes=1)
+    forms it, without tensordot's per-call overhead on small stacks."""
+    if stack is None:
+        stack = rep_sl_stack(rep)
+    return (np.asarray(coords, dtype=complex) @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
 def verify_simulation(
@@ -420,13 +423,12 @@ def verify_simulation(
         raise InputError(f"simulation matrix dim {sim.dim} != rep dim {rep.dim}")
     r = sim.matrix
     rinv = sim.inverse()
-    mats = rep_sl_matrices(rep)
+    stack = rep_sl_stack(rep)
     n = rep.n
     residuals = []
-    for lab, base in zip(sl_basis_labels(n), sl_basis_matrices(n)):
-        image = matrix_to_coords(n, aut.apply(base))
-        lhs = rep_matrix_of(rep, image, mats)
-        rhs = r @ rep.sl_label_matrix(lab) @ rinv
+    for lab, base, m in zip(sl_basis_labels(n), sl_basis_matrices(n), stack):
+        lhs = rep_matrix_of(rep, matrix_to_coords(n, aut.apply(base)), stack)
+        rhs = r @ m @ rinv
         residuals.append((lab, max_abs(lhs - rhs)))
     residuals.append(("power", sim.power_residual()))
     worst_at, worst = max(residuals, key=lambda item: item[1])
@@ -493,7 +495,8 @@ def check_compatibility(
 
     One projector per target part: each part of vgamma gets one orthonormal
     basis Q (thin SVD, ``orthonormal_span``) per call, and for each basis
-    column X of a gamma part the whole image block W = r(X) V_j is checked
+    column X of a gamma part, r(X) is one product with the stacked sl
+    matrices (rep_matrix_of) and the whole image block W = r(X) V_j is checked
     at once by max |W - Q (Q^H W)|, the distance of its columns from V_{i+j}.
     A violation (i, j, res) is recorded per X column and part j whose
     residual exceeds tol.
@@ -506,14 +509,17 @@ def check_compatibility(
         raise InputError(
             f"gradings live over different groups: {gamma.group} vs {vgamma.group}"
         )
-    mats = rep_sl_matrices(rep)
+    lengths = {part.shape[0] for part in gamma.parts.values()}
+    if lengths != {rep.n * rep.n - 1}:
+        raise InputError(f"grading vectors of length {sorted(lengths)} are not coordinates on sl({rep.n})")
+    stack = rep_sl_stack(rep)
     bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
     absent = np.zeros((rep.dim, 0), dtype=complex)
     worst, worst_at, checked = 0.0, None, 0
     violations = []
     for i, xpart in gamma.parts.items():
         for col in range(xpart.shape[1]):
-            m = rep_matrix_of(rep, xpart[:, col], mats)
+            m = rep_matrix_of(rep, xpart[:, col], stack)
             for j, vpart in vgamma.parts.items():
                 q = bases.get(vgamma.group.add(i, j), absent)
                 image = m @ vpart
@@ -589,11 +595,11 @@ def find_simulation_matrix(
     normalized to R^order = Id.
     """
     n, d = rep.n, rep.dim
-    mats = rep_sl_matrices(rep)
+    stack = rep_sl_stack(rep)
     basis = dict(zip(sl_basis_labels(n), sl_basis_matrices(n)))
 
     def image(label: tuple) -> np.ndarray:
-        return rep_matrix_of(rep, matrix_to_coords(n, aut.apply(basis[label])), mats)
+        return rep_matrix_of(rep, matrix_to_coords(n, aut.apply(basis[label])), stack)
 
     cartan = [("H", k) for k in range(1, n)]
     h_src = [rep.sl_label_matrix(lab) for lab in cartan]

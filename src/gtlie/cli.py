@@ -30,6 +30,7 @@ from .groups import AbelianGroup, label_str
 from .gtrep import (
     HighestWeight,
     build_representation,
+    check_generator_budget,
     enumerate_patterns,
     verify_commutation,
     verify_sl_trace,
@@ -142,6 +143,12 @@ def _rep_checks(cfg: RunConfig, rep, hw: HighestWeight) -> dict:
 
 def cmd_rep_build(cfg: RunConfig, args) -> int:
     hw = _parse_weight(args.n, args.weight)
+    try:
+        check_generator_budget(hw.n, weyl_dim(hw))
+    except InputError as exc:
+        raise InputError(
+            f"rep build emits dense generators, so r{hw} is refused before it is built or verified: {exc}"
+        ) from exc
     rep = build_representation(hw)
     checks = _rep_checks(cfg, rep, hw)
     report = {"command": "rep build", "n": args.n, "highest_weight": list(hw.m), **checks}

@@ -17,11 +17,21 @@ remaining E_kl follow by nested commutators.  The stored diagonal
 generators are shifted by -(r_n / n) Id so that sum_k r(E_kk) = 0 and the
 generator matrices realize elements of sl(n); the shift is scalar, so all
 gl-type commutation relations are untouched.
+
+The generators are almost entirely zero (about 11 nonzeros per basis
+vector for n = 3), so a representation stores them once, as one
+``linalg.Entries`` table over the n^2 labels.  ``build_representation``
+fills it from one integer array of all patterns, forming each coefficient
+over all patterns at once in exact integers, and the verifiers read it
+directly.  ``rep.gen`` is a read-only dense view for the consumers that
+need d x d matrices: a generator is densified on first access, under
+GENERATOR_BUDGET_BYTES, and cached as a non-writeable array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,16 +44,14 @@ from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, row_blocks, su
 __all__ = [
     "HighestWeight",
     "GTPattern",
-    "Radicand",
     "enumerate_patterns",
     "weyl_dim",
     "row_sum",
     "act_diagonal",
-    "act_lowering",
-    "act_raising",
     "build_representation",
     "GENERATOR_BUDGET_BYTES",
     "check_generator_budget",
+    "DenseGenerators",
     "GeneratorRep",
     "Representation",
     "verify_commutation",
@@ -94,11 +102,6 @@ class GTPattern:
     def entry(self, i: int, j: int) -> int:
         """m_{i,j}: entry i (1-based) of the row of length j."""
         return self.rows[self.n - j][i - 1]
-
-    def replaced(self, i: int, j: int, value: int) -> "GTPattern":
-        rows = [list(r) for r in self.rows]
-        rows[self.n - j][i - 1] = value
-        return GTPattern(tuple(tuple(r) for r in rows))
 
     def is_valid(self) -> bool:
         for j in range(1, self.n):
@@ -154,6 +157,12 @@ def enumerate_patterns(hw: HighestWeight) -> list[GTPattern]:
     return out
 
 
+def _offset(n: int, length: int) -> int:
+    """Column of entry 1 of the row of the given length in a flattened
+    (row-major, top-down) pattern."""
+    return (n * (n + 1) - length * (length + 1)) // 2
+
+
 def weyl_dim(hw: HighestWeight) -> int:
     """Dimension by the product formula prod_{i<j} (m_i - m_j + j - i)/(j - i).
 
@@ -184,106 +193,234 @@ def act_diagonal(p: GTPattern, k: int) -> int:
     return row_sum(p, k) - row_sum(p, k - 1)
 
 
-@dataclass(frozen=True)
-class Radicand:
-    """A coefficient of the form sign * sqrt(value) with exact rational value."""
+def _radicands(m: np.ndarray, n: int, k: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators num and denominators den, as (d, k-1) arrays over every
+    pattern (row of m) and every j (column j-1), of the exact radicands
+    -num/den of the coefficients that move entry j of row k-1 by shift:
+    shift = -1 gives the lowering coefficients a_{k-1}^j, shift = +1 the
+    raising coefficients b_{k-1}^j, both evaluated on the source pattern.
 
-    sign: int
-    value: Fraction
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ArithmeticError(f"negative radicand {self.value}")
-        if self.value == 0 and self.sign != 0:
-            raise ArithmeticError("zero radicand must carry sign 0")
-
-    def to_float(self) -> float:
-        return self.sign * math.sqrt(self.value)
-
-    def __str__(self):
-        return f"{self.sign}*sqrt({self.value.numerator}/{self.value.denominator})"
-
-    @staticmethod
-    def parse(s: str) -> "Radicand":
-        sign_part, _, rad = s.partition("*sqrt(")
-        return Radicand(int(sign_part), Fraction(rad.rstrip(")")))
-
-
-def _shift_numerator(p: GTPattern, k: int, j: int, shift: int) -> int:
-    """Numerator of the exact radicand (before the leading minus sign) of
-    the coefficient that moves entry j of row k-1 by shift: shift = -1 gives
-    the lowering coefficient a_{k-1}^j, shift = +1 the raising coefficient
-    b_{k-1}^j, both evaluated on the source pattern p.
-
-    With d = 0 for lowering and d = -1 for raising, the two formulas share
-    one shape: numerator over rows k and k-2, denominator over row k-1.
+    With c = 0 for lowering and c = -1 for raising, the two formulas share
+    one shape: numerator over rows k and k-2, denominator over row k-1
+    without its factor i = j.
     """
-    mj = p.entry(j, k - 1)
-    d = 0 if shift < 0 else -1
-    num = 1
-    for i in range(1, k + 1):
-        num *= p.entry(i, k) - mj - i + j + 1 + d
-    for i in range(1, k - 1):
-        num *= p.entry(i, k - 2) - mj - i + j + d
-    return num
+    c = 0 if shift < 0 else -1
+    mj = m[:, _offset(n, k - 1) : _offset(n, k - 1) + k - 1][:, :, None]
+
+    def factors(length: int, extra: int) -> np.ndarray:
+        """(d, k-1, length): m_{i,length} - m_{j,k-1} + j - i + extra."""
+        i, j = np.arange(1, length + 1), np.arange(1, k)[:, None]
+        row = m[:, _offset(n, length) : _offset(n, length) + length]
+        return row[:, None, :] - mj + (j - i + extra).astype(m.dtype)
+
+    num = np.prod(factors(k, 1 + c), axis=2) * np.prod(factors(k - 2, c), axis=2)
+    pairs = factors(k - 1, 1 + c) * factors(k - 1, c)
+    pairs[:, np.arange(k - 1), np.arange(k - 1)] = 1
+    return num, np.prod(pairs, axis=2)
 
 
-def _shift_denominator(p: GTPattern, k: int, j: int, shift: int) -> int:
-    """Denominator of the radicand whose numerator _shift_numerator gives."""
-    mj = p.entry(j, k - 1)
-    d = 0 if shift < 0 else -1
-    den = 1
-    for i in range(1, k):
-        if i == j:
-            continue
-        den *= (p.entry(i, k - 1) - mj - i + j + 1 + d) * (p.entry(i, k - 1) - mj - i + j + d)
-    if den == 0:
-        raise ZeroDivisionError(
-            f"zero denominator at j={j}, k={k} on {p}: pattern-validity bug"
+def _commutator(d: int, a: tuple, b: tuple) -> tuple:
+    """The row-major (rows, cols, vals) of a @ b - b @ a, formed from the
+    row-major triples of a and b with the sparse product kernel, about
+    linalg.TERMS_PER_BLOCK terms at a time.  Exact zeros are dropped, as
+    np.nonzero would drop them from a dense result."""
+    e = Entries.stack(d, [a, b])
+    out = []
+    for r0, r1 in row_blocks(d, int(np.diff(e.starts)[e.cols].sum())):
+        g, h, at, term = product_terms(e, r0, r1)
+        cross = g != h
+        keys, sums = summed(at[cross], np.where(g[cross] == 0, term[cross], -term[cross]))
+        live = sums != 0
+        out.append((keys[live] // d, keys[live] % d, sums[live]))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _labels(n: int) -> list[tuple[int, int]]:
+    """The generator labels (k, l) in row-major order: label g of an
+    Entries table of generators."""
+    return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+
+
+# Largest predicted footprint, in bytes, of a representation's storage: at
+# build the pattern array plus the predicted generator entries; at the
+# first dense access the n^2 dense float64 d x d generators.
+GENERATOR_BUDGET_BYTES = 2 << 30
+# Bytes of one stored generator entry: row, col and matrix index (int64) and
+# value (float64).
+ENTRY_BYTES = 32
+
+
+def check_generator_budget(n: int, d: int) -> None:
+    """Raise InputError when n^2 dense d x d float64 generators exceed
+    GENERATOR_BUDGET_BYTES."""
+    nbytes = 8 * n * n * d * d
+    if nbytes > GENERATOR_BUDGET_BYTES:
+        raise InputError(
+            f"{n * n} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
+            f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
-    return den
 
 
-def _act_shift(p: GTPattern, k: int, shift: int) -> list[tuple[GTPattern, Radicand]]:
-    if not 2 <= k <= p.n:
-        raise InputError(f"generator index {k} out of range 2..{p.n}")
-    terms = []
-    for j in range(1, k):
-        num = _shift_numerator(p, k, j, shift)
-        target = p.replaced(j, k - 1, p.entry(j, k - 1) + shift)
-        if not target.is_valid():
-            if num != 0:
-                raise ArithmeticError(f"skipped move j={j}, k={k} on {p} has nonzero numerator {num}")
-            continue
-        rad = Fraction(-num, _shift_denominator(p, k, j, shift))
-        if rad < 0:
-            raise ArithmeticError(f"negative radicand {rad} at j={j}, k={k} on {p}")
-        terms.append((target, Radicand(0 if rad == 0 else 1, rad)))
-    return terms
+def predicted_entries(hw: HighestWeight, d: int) -> int:
+    """Upper bound on the stored nonzeros of the n^2 generators of the
+    d-dimensional irrep hw: E_kk has at most one per column, and E_kl
+    (k != l) moves one entry in each row of lengths min(k,l), ...,
+    max(k,l) - 1.  Entry i of the row of length r lies between the weight
+    entries m_{i+n-r} and m_i, so it can move only when they differ; E_kl
+    has at most the product of those counts, and at most d, per column."""
+    n, m = hw.n, hw.m
+    movable = [sum(m[i] > m[i + n - r] for i in range(r)) for r in range(n)]
+    return d * sum(min(d, math.prod(movable[min(k, l) : max(k, l)])) for k, l in _labels(n))
 
 
-def act_lowering(p: GTPattern, k: int) -> list[tuple[GTPattern, Radicand]]:
-    """Terms of E_{k,k-1} xi(p): targets lower one entry of row k-1 by 1."""
-    return _act_shift(p, k, -1)
+def build_representation(hw: HighestWeight) -> Representation:
+    """Assemble the entries of all n^2 generators of the irrep with highest
+    weight hw.
+
+    Raises InputError, before enumerating patterns, when the pattern array
+    and ENTRY_BYTES per predicted entry (predicted_entries) would exceed
+    GENERATOR_BUDGET_BYTES.
+
+    The flattened patterns are the rows of one (d, n(n+1)/2) int64 array,
+    whose descending-lex order makes a mixed-radix key of the entries below
+    the top row descending; each digit has room for one step past its
+    column's range, so the targets of a move are one searchsorted, and a
+    target exists exactly when the moved pattern is valid.  The
+    coefficients of the moves of one generator are formed on all patterns
+    and all j at once in exact integers: int64 while (m_1 + n)^(2n-2),
+    a bound on every radicand factor product, stays below 2^53, so that
+    float(-num) / float(den) is the correctly rounded rational, as
+    math.sqrt(Fraction) rounds it; Python ints past that bound.  A skipped
+    move must have numerator 0 and a kept one a non-negative radicand, or
+    ArithmeticError is raised.  The generators E_kl with |k - l| >= 2 are
+    the nested commutators E_kl = [E_k,l-1, E_l-1,l] and
+    E_lk = [E_l,l-1, E_l-1,k], formed on entries.
+    """
+    n = hw.n
+    d = weyl_dim(hw)
+    entries = predicted_entries(hw, d)
+    nbytes = 8 * d * _offset(n, 0) + ENTRY_BYTES * entries
+    if nbytes > GENERATOR_BUDGET_BYTES:
+        raise InputError(
+            f"r{hw} (d={d}) needs {nbytes / 2**30:.2f} GiB for its patterns and at most {entries} "
+            f"generator entries, over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
+        )
+    pats = enumerate_patterns(hw)
+    arr = np.array([p.flatten() for p in pats], dtype=np.int64)
+    gen = {}
+    every = np.arange(d)
+    row_sums = [0] + [arr[:, _offset(n, k) : _offset(n, k) + k].sum(axis=1) for k in range(1, n + 1)]
+    trace_shift = hw.weight_sum / n
+    for k in range(1, n + 1):
+        diag = (row_sums[k] - row_sums[k - 1]) - trace_shift
+        live = diag != 0
+        gen[(k, k)] = (every[live], every[live], diag[live])
+
+    lower = arr[:, n:]
+    base = lower.min(axis=0) - 1
+    radix = [int(r) for r in lower.max(axis=0) - base + 2]
+    key_kind = np.int64 if math.prod(radix) < 2**63 else object
+    place = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))], dtype=key_kind)
+    keys = ((lower - base).astype(key_kind) * place).sum(axis=1)
+    ascending = keys[::-1]
+    ints = arr.astype(np.int64 if (hw.m[0] + n) ** (2 * n - 2) < 2**53 else object)
+    for k in range(2, n + 1):
+        moved = place[_offset(n, k - 1) - n : _offset(n, k - 1) - n + k - 1]
+        for label, shift in (((k, k - 1), -1), ((k - 1, k), 1)):
+            num, den = _radicands(ints, n, k, shift)
+            target = keys[:, None] + shift * moved
+            pos = np.minimum(np.searchsorted(ascending, target), d - 1)
+            valid = ascending[pos] == target
+            skipped = np.argwhere(~valid & (num != 0))
+            if skipped.size:
+                (p, j), = skipped[:1]
+                raise ArithmeticError(
+                    f"skipped move j={j + 1}, k={k} on {pats[p]} has nonzero numerator {num[p, j]}"
+                )
+            src, col = np.nonzero(valid)
+            num, den = num[src, col], den[src, col]
+            if np.any(den == 0):
+                raise ZeroDivisionError(f"zero denominator at k={k}: pattern-validity bug")
+            rad = np.asarray((-num) / den, dtype=float)
+            if np.any(rad < 0):
+                raise ArithmeticError(f"negative radicand at k={k} on {pats[src[np.argmax(rad < 0)]]}")
+            live = rad != 0
+            rows, cols = d - 1 - pos[src, col][live], src[live]
+            order = np.argsort(rows * d + cols)
+            gen[label] = (rows[order], cols[order], np.sqrt(rad[live])[order])
+    for dist in range(2, n):
+        for k in range(1, n + 1 - dist):
+            l = k + dist
+            gen[(k, l)] = _commutator(d, gen[(k, l - 1)], gen[(l - 1, l)])
+            gen[(l, k)] = _commutator(d, gen[(l, l - 1)], gen[(l - 1, k)])
+    return Representation(hw, pats, Entries.stack(d, [gen[label] for label in _labels(n)]))
 
 
-def act_raising(p: GTPattern, k: int) -> list[tuple[GTPattern, Radicand]]:
-    """Terms of E_{k-1,k} xi(p): targets raise one entry of row k-1 by 1."""
-    return _act_shift(p, k, +1)
+class DenseGenerators(Mapping):
+    """Read-only mapping from each generator label (k, l) to its dense
+    d x d matrix.  A generator is densified from the entries on first
+    access, after check_generator_budget, and cached as a non-writeable
+    array, so an in-place write raises instead of being lost."""
+
+    def __init__(self, n: int, entries: Entries):
+        self._gids = {label: g for g, label in enumerate(_labels(n))}
+        self._n = n
+        self._entries = entries
+        self._cache: dict = {}
+
+    def __getitem__(self, label) -> np.ndarray:
+        m = self._cache.get(label)
+        if m is None:
+            g = self._gids[label]
+            d = self._entries.dim
+            check_generator_budget(self._n, d)
+            rows, cols, vals = self._entries.triple(g)
+            m = np.zeros((d, d), dtype=vals.dtype)
+            m[rows, cols] = vals
+            m.flags.writeable = False
+            self._cache[label] = m
+        return m
+
+    def __contains__(self, label) -> bool:
+        return label in self._gids
+
+    def __iter__(self):
+        return iter(self._gids)
+
+    def __len__(self) -> int:
+        return len(self._gids)
 
 
 class GeneratorRep:
-    """A representation given by matrices for every generator label (k, l).
+    """A representation given by a matrix for every generator label (k, l).
 
     Carries the full gl-style generator map of sl(n, C); matrices for
     arbitrary traceless combinations come from the off-diagonal labels
     and the differences gen(k,k) - gen(k+1,k+1).
+
+    The generators are stored once, as ``entries``: one linalg.Entries
+    table whose matrix g is the label at position g of the row-major order
+    (1,1), (1,2), ..., (n,n).  ``gen`` is their read-only dense view
+    (DenseGenerators).
     """
 
-    def __init__(self, n: int, gen: dict):
+    def __init__(self, n: int, gen):
+        """gen is a dict of dense d x d matrices for exactly the n^2 labels,
+        read once with np.nonzero, or an Entries table in label order."""
+        if not isinstance(gen, Entries):
+            labels = _labels(n)
+            if set(gen) != set(labels):
+                raise InputError(f"generators must be given for exactly the {n * n} labels (k, l), 1 <= k, l <= {n}")
+            mats = [np.asarray(gen[label]) for label in labels]
+            d = mats[0].shape[0]
+            for label, m in zip(labels, mats):
+                if m.shape != (d, d):
+                    raise InputError(f"generator {label} has shape {m.shape}, expected {(d, d)}")
+            gen = Entries.of(mats)
         self.n = n
-        self.gen = gen
-        self.dim = next(iter(gen.values())).shape[0]
+        self.entries = gen
+        self.dim = gen.dim
+        self.gen = DenseGenerators(n, gen)
 
     def matrix(self, k: int, l: int) -> np.ndarray:
         return self.gen[(k, l)]
@@ -299,107 +436,34 @@ class GeneratorRep:
 class Representation(GeneratorRep):
     """GT irreducible representation with its pattern basis."""
 
-    def __init__(self, hw: HighestWeight, patterns: list[GTPattern], gen: dict):
+    def __init__(self, hw: HighestWeight, patterns: list[GTPattern], gen):
         super().__init__(hw.n, gen)
         self.hw = hw
         self.patterns = tuple(patterns)
-        self.index = {p: i for i, p in enumerate(self.patterns)}
-
-
-# Largest predicted footprint of the n^2 dense float64 d x d generators;
-# a larger irrep is refused with InputError before any pattern is built.
-GENERATOR_BUDGET_BYTES = 2 << 30
-
-
-def check_generator_budget(n: int, d: int) -> None:
-    """Raise InputError when n^2 dense d x d float64 generators exceed
-    GENERATOR_BUDGET_BYTES."""
-    nbytes = 8 * n * n * d * d
-    if nbytes > GENERATOR_BUDGET_BYTES:
-        raise InputError(
-            f"{n * n} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
-            f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
-        )
-
-
-def _commutator(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Write a @ b - b @ a into the zero matrix out, formed from the
-    nonzero entries of a and b only."""
-    g, h, at, term = product_terms(Entries.of([a, b]), 0, a.shape[0])
-    cross = g != h
-    keys, sums = summed(at[cross], np.where(g[cross] == 0, term[cross], -term[cross]))
-    np.put(out, keys, sums)
-
-
-def build_representation(hw: HighestWeight) -> Representation:
-    """Assemble all n^2 generator matrices of the irrep with highest weight hw.
-
-    Raises InputError, before enumerating patterns, when the dense
-    generators would exceed GENERATOR_BUDGET_BYTES.
-
-    The generators are views into one n^2 x d x d block whose every page
-    is written (np.full, not np.zeros).  So the resident memory of a
-    representation is its full size, whether the system backs the sparse
-    writes with small or huge pages, and a large block is mapped and
-    unmapped as a whole instead of leaving holes between later arrays.
-    """
-    check_generator_budget(hw.n, weyl_dim(hw))
-    pats = enumerate_patterns(hw)
-    d = len(pats)
-    index = {p: i for i, p in enumerate(pats)}
-    n = hw.n
-    trace_shift = hw.weight_sum / n
-    block = np.full((n * n, d, d), 0.0)
-    gen = dict(zip([(a, b) for a in range(1, n + 1) for b in range(1, n + 1)], block))
-    for k in range(1, n + 1):
-        np.fill_diagonal(gen[(k, k)], [act_diagonal(p, k) - trace_shift for p in pats])
-    for k in range(2, n + 1):
-        low, high = gen[(k, k - 1)], gen[(k - 1, k)]
-        for c, p in enumerate(pats):
-            for q, rad in act_lowering(p, k):
-                low[index[q], c] = rad.to_float()
-            for q, rad in act_raising(p, k):
-                high[index[q], c] = rad.to_float()
-    for dist in range(2, n):
-        for k in range(1, n + 1 - dist):
-            l = k + dist
-            # E_{k,l} = [E_{k,l-1}, E_{l-1,l}],  E_{l,k} = [E_{l,l-1}, E_{l-1,k}]
-            _commutator(gen[(k, l - 1)], gen[(l - 1, l)], gen[(k, l)])
-            _commutator(gen[(l, l - 1)], gen[(l - 1, k)], gen[(l, k)])
-    return Representation(hw, pats, gen)
-
-
-# Rows per slice in verify_transpose and verify_sl_trace, which never form
-# a whole d x d temporary.
-ROWS_PER_BLOCK = 64
 
 
 def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     """Max residual of [gen(a,b), gen(c,e)] = delta_bc gen(a,e) - delta_ea gen(c,b)
     over all n^4 label pairs.
 
-    Sparse product kernel: the nonzero entries of every generator are read
-    once with np.nonzero from the matrices themselves (so a tampered entry
-    anywhere is seen).  Joining their column indices with their row
-    indices gives every term X_g[i, k] X_h[k, j] of every product of two
-    generators; it enters relation (g, h) with + and relation (h, g) with
-    -.  The expected side is appended with the opposite sign, equal
-    (relation, row, col) keys are summed after one sort, and the largest
-    sum is the residual.  The work is proportional to the number of
-    product terms, not to n^4 d^3, and output rows are processed in
-    blocks of about linalg.TERMS_PER_BLOCK terms, so temporaries stay
-    bounded.
+    Sparse product kernel on the stored entries (a rep made from dense
+    matrices read every nonzero of them, so a tampered entry anywhere is
+    seen).  Joining their column indices with their row indices gives every
+    term X_g[i, k] X_h[k, j] of every product of two generators; it enters
+    relation (g, h) with + and relation (h, g) with -.  The expected side
+    is appended with the opposite sign, equal (relation, row, col) keys are
+    summed after one sort, and the largest sum is the residual.  The work
+    is proportional to the number of product terms, not to n^4 d^3, and
+    output rows are processed in blocks of about linalg.TERMS_PER_BLOCK
+    terms, so temporaries stay bounded.
 
     The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the
     largest residual (None when all are zero) and tol.
     """
     n, d = rep.n, rep.dim
-    labels = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    for lab in labels:
-        if rep.gen[lab].shape != (d, d):
-            raise InputError(f"generator {lab} has shape {rep.gen[lab].shape}, expected {(d, d)}")
+    labels = _labels(n)
     nn, size = n * n, d * d
-    every = Entries.of([rep.gen[lab] for lab in labels])
+    every = rep.entries
     m = np.arange(n)
     products = int(np.diff(every.starts)[every.cols].sum())
     worst, worst_at = 0.0, None
@@ -427,21 +491,23 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
 
 
 def verify_transpose(rep: GeneratorRep) -> float:
-    """Max residual of gen(a,b)^T = gen(b,a), ROWS_PER_BLOCK rows at a time."""
-    worst = 0.0
-    for (a, b), m in rep.gen.items():
-        t = rep.gen[(b, a)]
-        for r0 in range(0, rep.dim, ROWS_PER_BLOCK):
-            r1 = r0 + ROWS_PER_BLOCK
-            worst = max(worst, max_abs(m[:, r0:r1].T - t[r0:r1]))
-    return worst
+    """Max residual of gen(a,b)^T = gen(b,a) over the label pairs a <= b,
+    one summed over the stored entries: those of gen(a,b) transposed with +
+    and those of gen(b,a) with -.  The residual for (b, a) is the negated
+    transpose of the one for (a, b), so it adds nothing."""
+    e, n, d = rep.entries, rep.n, rep.dim
+    a, b = np.divmod(e.gids, n)
+    upper, lower = a <= b, a >= b
+    keys = np.concatenate((
+        (e.gids[upper] * d + e.cols[upper]) * d + e.rows[upper],
+        ((b * n + a)[lower] * d + e.rows[lower]) * d + e.cols[lower],
+    ))
+    return max_abs(summed(keys, np.concatenate((e.vals[upper], -e.vals[lower])))[1])
 
 
 def verify_sl_trace(rep: GeneratorRep) -> float:
-    """Sup norm of sum_k gen(k,k), ROWS_PER_BLOCK rows at a time; zero for
-    a representation of sl(n)."""
-    worst = 0.0
-    for r0 in range(0, rep.dim, ROWS_PER_BLOCK):
-        r1 = r0 + ROWS_PER_BLOCK
-        worst = max(worst, max_abs(sum(rep.gen[(k, k)][r0:r1] for k in range(1, rep.n + 1))))
-    return worst
+    """Sup norm of sum_k gen(k,k), one summed over the stored entries of the
+    diagonal generators; zero for a representation of sl(n)."""
+    e, d = rep.entries, rep.dim
+    diagonal = e.gids % (rep.n + 1) == 0
+    return max_abs(summed(e.rows[diagonal] * d + e.cols[diagonal], e.vals[diagonal])[1])

@@ -5,11 +5,14 @@ vectors inside that span?" is one test: an orthonormal basis Q of the
 span, taken once (``orthonormal_span``), then ``span_distance`` =
 max |W - Q (Q^H W)|.  ``independent_columns`` grows such a basis.
 
-Mostly-zero matrices stored densely are multiplied by one sparse-product
-kernel: ``Entries`` reads their nonzero entries, ``row_join`` pairs
-entries with rows, ``product_terms`` forms every term of every pairwise
-product, ``summed`` adds equal keys, and ``row_blocks`` splits the output
-rows so that a check forms about TERMS_PER_BLOCK terms at a time.
+Mostly-zero matrices are multiplied by one sparse-product kernel.
+``Entries`` is the one table of their nonzero entries, ordered by row: it
+is either read from dense matrices (``Entries.of``) or stacked from
+per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is how
+gtrep stores representation generators.  ``row_join`` pairs entries with
+rows, ``product_terms`` forms every term of every pairwise product,
+``summed`` adds equal keys, and ``row_blocks`` splits the output rows so
+that a check forms about TERMS_PER_BLOCK terms at a time.
 """
 
 from __future__ import annotations
@@ -75,9 +78,10 @@ def independent_columns(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class Entries:
-    """Nonzero entries (NaN included) of one or more dense d x d matrices,
-    ordered by row: matrix gids[t] holds vals[t] at (rows[t], cols[t]), and
-    the entries in row k are those at positions starts[k]:starts[k + 1]."""
+    """Nonzero entries (NaN included) of one or more d x d matrices, ordered
+    by (row, matrix, col): matrix gids[t] holds vals[t] at (rows[t],
+    cols[t]), and the entries in row k are those at positions
+    starts[k]:starts[k + 1]."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -86,19 +90,34 @@ class Entries:
     starts: np.ndarray
 
     @staticmethod
-    def of(mats: list) -> "Entries":
-        """Read with np.nonzero from the matrices themselves."""
-        found = [np.nonzero(m) for m in mats]
-        rows = np.concatenate([r for r, _ in found])
+    def stack(d: int, triples: list) -> "Entries":
+        """The table of matrices g = 0, 1, ... given as triples (rows, cols,
+        vals) of their nonzero entries in row-major order."""
+        rows = np.concatenate([r for r, _, _ in triples])
         order = np.argsort(rows, kind="stable")
         rows = rows[order]
         return Entries(
             rows,
-            np.concatenate([c for _, c in found])[order],
-            np.concatenate([m[r, c] for m, (r, c) in zip(mats, found)])[order],
-            np.repeat(np.arange(len(mats)), [r.size for r, _ in found])[order],
-            np.searchsorted(rows, np.arange(mats[0].shape[0] + 1)),
+            np.concatenate([c for _, c, _ in triples])[order],
+            np.concatenate([v for _, _, v in triples])[order],
+            np.repeat(np.arange(len(triples)), [r.size for r, _, _ in triples])[order],
+            np.searchsorted(rows, np.arange(d + 1)),
         )
+
+    @staticmethod
+    def of(mats: list) -> "Entries":
+        """Read with np.nonzero from the dense matrices themselves."""
+        found = [np.nonzero(m) for m in mats]
+        return Entries.stack(mats[0].shape[0], [(r, c, m[r, c]) for m, (r, c) in zip(mats, found)])
+
+    @property
+    def dim(self) -> int:
+        return self.starts.size - 1
+
+    def triple(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of matrix g, in row-major order."""
+        at = np.flatnonzero(self.gids == g)
+        return self.rows[at], self.cols[at], self.vals[at]
 
 
 def row_join(e: Entries, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

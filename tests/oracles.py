@@ -1,14 +1,29 @@
 """Per-vector reference implementations that the batched library kernels
 are compared against: one bracket and one lstsq per image vector, one
 lstsq per candidate column, the dense k^4 Jacobi tensor, one commutator
-per pair of sl(n) basis matrices, and one solve per contracted operator
-and one generator sum per homomorphism relation."""
+per pair of sl(n) basis matrices, one Python sum per represented algebra
+element, one solve per contracted operator, one generator sum per
+homomorphism relation, and the Gel'fand-Tseitlin generators built one
+pattern and one move at a time with exact Fraction radicands."""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from gtlie.algebra import TwoPartCase, bracket, grading_adapted_basis, sl_basis_matrices
-from gtlie.autos import rep_matrix_of, rep_sl_matrices
-from gtlie.linalg import max_abs, rank
+from gtlie.algebra import (
+    TwoPartCase,
+    bracket,
+    grading_adapted_basis,
+    matrix_to_coords,
+    sl_basis_labels,
+    sl_basis_matrices,
+)
+from gtlie.autos import rep_sl_matrices
+from gtlie.errors import InputError
+from gtlie.gtrep import GTPattern, HighestWeight, act_diagonal, enumerate_patterns
+from gtlie.linalg import Entries, max_abs, orthonormal_span, product_terms, rank, span_distance, summed
 
 
 def span_residual(vec, basis) -> float:
@@ -91,7 +106,7 @@ def per_vector_compatibility(rep, gamma, vgamma, tol):
     worst, labels = 0.0, []
     for i, xpart in gamma.parts.items():
         for col in range(xpart.shape[1]):
-            m = rep_matrix_of(rep, xpart[:, col], mats)
+            m = per_column_rep_matrix(xpart[:, col], mats)
             for j, vpart in vgamma.parts.items():
                 target = vgamma.parts.get(vgamma.group.add(i, j), np.zeros((rep.dim, 0)))
                 image = m @ vpart
@@ -125,14 +140,14 @@ def entrywise_coords(n, mat) -> np.ndarray:
 
 
 def per_vector_contract_rep(rep, vgamma, gamma, psi) -> list:
-    """contract_rep's matrices, one rep_matrix_of and one solve per adapted
+    """contract_rep's matrices, one per_column_rep_matrix and one solve per adapted
     algebra basis vector, scaled column by column by psi."""
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
     mats = rep_sl_matrices(rep)
     out = []
     for a in range(abasis.shape[1]):
-        m = rep_matrix_of(rep, abasis[:, a], mats)
+        m = per_column_rep_matrix(abasis[:, a], mats)
         scale = [complex(psi.value(alabels[a], vlab)) for vlab in vlabels]
         out.append(np.linalg.solve(vbasis, m @ vbasis) * scale)
     return out
@@ -153,3 +168,177 @@ def per_pair_homomorphism(crep, calg, tol):
             if res > tol:
                 labels.append((a, b))
     return not labels, worst, labels
+
+
+def per_column_rep_matrix(coords, mats) -> np.ndarray:
+    """Representation matrix of an algebra element: the Python sum of
+    coords[i] mats[i] over the nonzero coordinates."""
+    coords = np.asarray(coords, dtype=complex)
+    out = np.zeros(np.shape(mats[0]), dtype=complex)
+    for c, m in zip(coords, mats):
+        if c != 0:
+            out = out + c * m
+    return out
+
+
+
+def per_column_compatibility(rep, gamma, vgamma, tol):
+    """check_compatibility with each r(X) a per_column_rep_matrix; returns
+    (ok, max residual, violations (i, j, res) in order, worst_at)."""
+    mats = rep_sl_matrices(rep)
+    bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
+    worst, worst_at, violations = 0.0, None, []
+    for i, xpart in gamma.parts.items():
+        for col in range(xpart.shape[1]):
+            m = per_column_rep_matrix(xpart[:, col], mats)
+            for j, vpart in vgamma.parts.items():
+                q = bases.get(vgamma.group.add(i, j), np.zeros((rep.dim, 0)))
+                res = span_distance(m @ vpart, q)
+                if res > worst:
+                    worst, worst_at = res, (i, j)
+                if res > tol:
+                    violations.append((i, j, res))
+    return not violations, worst, violations, worst_at
+
+
+def per_column_simulation(rep, aut, sim, tol):
+    """verify_simulation with each r(g(x)) a per_column_rep_matrix; returns
+    (ok, max residual, violations (label, res) in order, worst_at)."""
+    mats = rep_sl_matrices(rep)
+    n, r, rinv = rep.n, sim.matrix, sim.inverse()
+    residuals = []
+    for lab, base, m in zip(sl_basis_labels(n), sl_basis_matrices(n), mats):
+        lhs = per_column_rep_matrix(matrix_to_coords(n, aut.apply(base)), mats)
+        residuals.append((lab, max_abs(lhs - r @ m @ rinv)))
+    residuals.append(("power", sim.power_residual()))
+    worst_at, worst = max(residuals, key=lambda item: item[1])
+    violations = [(at, res) for at, res in residuals if res > tol]
+    return not violations, worst, violations, worst_at if worst else None
+
+# -- Gel'fand-Tseitlin generators, one pattern and one move at a time --------
+
+
+@dataclass(frozen=True)
+class Radicand:
+    """A coefficient of the form sign * sqrt(value) with exact rational value."""
+
+    sign: int
+    value: Fraction
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise ArithmeticError(f"negative radicand {self.value}")
+        if self.value == 0 and self.sign != 0:
+            raise ArithmeticError("zero radicand must carry sign 0")
+
+    def to_float(self) -> float:
+        return self.sign * math.sqrt(self.value)
+
+    def __str__(self):
+        return f"{self.sign}*sqrt({self.value.numerator}/{self.value.denominator})"
+
+    @staticmethod
+    def parse(s: str) -> "Radicand":
+        sign_part, _, rad = s.partition("*sqrt(")
+        return Radicand(int(sign_part), Fraction(rad.rstrip(")")))
+
+
+def replaced(p: GTPattern, i: int, j: int, value: int) -> GTPattern:
+    """p with entry i of the row of length j set to value."""
+    rows = [list(r) for r in p.rows]
+    rows[p.n - j][i - 1] = value
+    return GTPattern(tuple(tuple(r) for r in rows))
+
+
+def shift_numerator(p: GTPattern, k: int, j: int, shift: int) -> int:
+    """Numerator of the exact radicand (before the leading minus sign) of
+    the coefficient that moves entry j of row k-1 by shift: shift = -1 gives
+    the lowering coefficient a_{k-1}^j, shift = +1 the raising coefficient
+    b_{k-1}^j, both evaluated on the source pattern p."""
+    mj = p.entry(j, k - 1)
+    d = 0 if shift < 0 else -1
+    num = 1
+    for i in range(1, k + 1):
+        num *= p.entry(i, k) - mj - i + j + 1 + d
+    for i in range(1, k - 1):
+        num *= p.entry(i, k - 2) - mj - i + j + d
+    return num
+
+
+def shift_denominator(p: GTPattern, k: int, j: int, shift: int) -> int:
+    """Denominator of the radicand whose numerator shift_numerator gives."""
+    mj = p.entry(j, k - 1)
+    d = 0 if shift < 0 else -1
+    den = 1
+    for i in range(1, k):
+        if i == j:
+            continue
+        den *= (p.entry(i, k - 1) - mj - i + j + 1 + d) * (p.entry(i, k - 1) - mj - i + j + d)
+    if den == 0:
+        raise ZeroDivisionError(f"zero denominator at j={j}, k={k} on {p}: pattern-validity bug")
+    return den
+
+
+def act_shift(p: GTPattern, k: int, shift: int) -> list:
+    if not 2 <= k <= p.n:
+        raise InputError(f"generator index {k} out of range 2..{p.n}")
+    terms = []
+    for j in range(1, k):
+        num = shift_numerator(p, k, j, shift)
+        target = replaced(p, j, k - 1, p.entry(j, k - 1) + shift)
+        if not target.is_valid():
+            if num != 0:
+                raise ArithmeticError(f"skipped move j={j}, k={k} on {p} has nonzero numerator {num}")
+            continue
+        rad = Fraction(-num, shift_denominator(p, k, j, shift))
+        if rad < 0:
+            raise ArithmeticError(f"negative radicand {rad} at j={j}, k={k} on {p}")
+        terms.append((target, Radicand(0 if rad == 0 else 1, rad)))
+    return terms
+
+
+def act_lowering(p: GTPattern, k: int) -> list:
+    """Terms (target, Radicand) of E_{k,k-1} xi(p): targets lower one entry
+    of row k-1 by 1."""
+    return act_shift(p, k, -1)
+
+
+def act_raising(p: GTPattern, k: int) -> list:
+    """Terms (target, Radicand) of E_{k-1,k} xi(p): targets raise one entry
+    of row k-1 by 1."""
+    return act_shift(p, k, +1)
+
+
+def per_pattern_generators(hw: HighestWeight) -> dict:
+    """The n^2 dense generators of the irrep hw: the diagonal and neighbour
+    generators one pattern and one move at a time, the nested commutators
+    E_kl = [E_k,l-1, E_l-1,l], E_lk = [E_l,l-1, E_l-1,k] with the sparse
+    product kernel read from the dense matrices and written back densely."""
+    pats = enumerate_patterns(hw)
+    d = len(pats)
+    index = {p: i for i, p in enumerate(pats)}
+    n = hw.n
+    trace_shift = hw.weight_sum / n
+    gen = {(a, b): np.zeros((d, d)) for a in range(1, n + 1) for b in range(1, n + 1)}
+    for k in range(1, n + 1):
+        np.fill_diagonal(gen[(k, k)], [act_diagonal(p, k) - trace_shift for p in pats])
+    for k in range(2, n + 1):
+        low, high = gen[(k, k - 1)], gen[(k - 1, k)]
+        for c, p in enumerate(pats):
+            for q, rad in act_lowering(p, k):
+                low[index[q], c] = rad.to_float()
+            for q, rad in act_raising(p, k):
+                high[index[q], c] = rad.to_float()
+
+    def commutator(a, b, out):
+        g, h, at, term = product_terms(Entries.of([a, b]), 0, d)
+        cross = g != h
+        keys, sums = summed(at[cross], np.where(g[cross] == 0, term[cross], -term[cross]))
+        np.put(out, keys, sums)
+
+    for dist in range(2, n):
+        for k in range(1, n + 1 - dist):
+            l = k + dist
+            commutator(gen[(k, l - 1)], gen[(l - 1, l)], gen[(k, l)])
+            commutator(gen[(l, l - 1)], gen[(l - 1, k)], gen[(l, k)])
+    return gen

@@ -381,3 +381,19 @@ def test_eigenspace_projectors_pick_the_oracle_columns(n):
         act = gtlie.autos.action_on_sl(aut)
         for proj in ((np.eye(k) + act) / 2, (np.eye(k) - act) / 2):
             assert list(independent_columns(proj)) == greedy_columns(proj, 1e-9)
+
+
+def test_antisymmetry_is_checked_a_slice_at_a_time_and_still_exactly():
+    tracemalloc.start()
+    try:
+        sl12 = gtlie.sl_algebra(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sl12.structure.nbytes == 143**3 * 16  # 44.6 MiB
+    assert peak - sl12.structure.nbytes < 8 << 20  # the k^3 sum alone would be 44.6 MiB more
+    for cell, delta in (((0, 1, 2), 1.0), ((140, 3, 77), 2.0**-60), ((5, 5, 5), 1j)):
+        bad = sl12.structure.copy()
+        bad[cell] += delta
+        with pytest.raises(InputError, match="antisymmetric"):
+            gtlie.LieAlgebra(basis_names=sl12.basis_names, structure=bad)

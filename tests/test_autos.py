@@ -34,7 +34,7 @@ from gtlie.autos import (
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns
-from oracles import per_vector_compatibility
+from oracles import per_column_compatibility, per_column_simulation, per_vector_compatibility
 
 
 def pat(*rows):
@@ -322,6 +322,11 @@ def test_check_compatibility_group_mismatch():
     )
     with pytest.raises(InputError):
         check_compatibility(rep, gamma1, bad_group)
+    # a grading of sl(3) is not a grading of sl(4): refused, not truncated
+    rep4 = build_representation(HighestWeight(4, (1, 0, 0, 0)))
+    vgamma = decompose_rep_space(simulation_inner(HighestWeight(4, (1, 0, 0, 0)), 4, 1))
+    with pytest.raises(InputError, match="sl\\(4\\)"):
+        check_compatibility(rep4, gamma1, vgamma)
 
 
 def assert_matches_per_vector(rep, gamma, vgamma, tol=1e-9):
@@ -332,7 +337,65 @@ def assert_matches_per_vector(rep, gamma, vgamma, tol=1e-9):
     assert report.max_residual == pytest.approx(worst, abs=1e-12)
     assert report.checked == sum(x.shape[1] for x in gamma.parts.values()) * rep.dim
     assert report.tol == tol
+    assert_matches_per_column(report, per_column_compatibility(rep, gamma, vgamma, tol))
     return report
+
+
+def assert_matches_per_column(report, oracle):
+    """Same verdict, violations and worst_at as the per-column oracle, and
+    residuals within 1e-12."""
+    ok, worst, violations, worst_at = oracle
+    assert report.ok == ok and report.worst_at == worst_at
+    assert [v[:-1] for v in report.violations] == [v[:-1] for v in violations]
+    assert [v[-1] for v in report.violations] == pytest.approx([v[-1] for v in violations], abs=1e-12)
+    assert report.max_residual == pytest.approx(worst, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "weight, kind",
+    [
+        ((1, 0, 0), "inner"),
+        ((1, 1, 0), "inner"),
+        ((2, 1, 0), "inner"),
+        ((3, 1, 0), "inner"),
+        ((1, 0, 0, 0), "inner"),
+        ((1, 1, 0, 0), "inner s=2"),
+        ((2, 1, 0), "outer"),
+        ((1, 1, 0, 0), "outer"),
+        ((2, 1, 1, 0), "outer"),
+        ((1, 0), "outer"),
+        ((1, 0, 0), "doubled"),
+        ((2, 1, 0), "solver"),
+        ((1, 0, 0), "identity"),
+        ((1, 0, 0), "scaled"),
+        ((4, 3, 1, 0), "inner"),
+        ((4, 3, 1, 0), "outer"),
+    ],
+)
+def test_stacked_kernels_match_the_per_column_oracle(weight, kind):
+    n = len(weight)
+    hw = HighestWeight(n, weight)
+    rep = build_representation(hw)
+    s = {"inner": 1, "inner s=2": 2, "scaled": 0}.get(kind)
+    aut = auto_outer(n) if s is None else auto_inner(n, s)
+    if kind.startswith("inner"):
+        sim = simulation_inner(hw, n, s)
+    elif kind == "outer":
+        sim = J_matrix(hw)
+    elif kind == "doubled":
+        rep, sim = doubled_rep(hw)
+    elif kind == "solver":
+        sim = find_simulation_matrix(rep, aut)
+    else:  # no R for the outer automorphism, or the wrong scale for the identity
+        sim = SimulationMatrix(order=2, kind="dense", dense=(2.0 if s == 0 else 1.0) * np.eye(rep.dim, dtype=complex))
+    assert_matches_per_column(verify_simulation(rep, aut, sim, 1e-9), per_column_simulation(rep, aut, sim, 1e-9))
+    if kind == "scaled":
+        return
+    gamma = grading_from_automorphism(gtlie.sl_algebra(n), aut)
+    vgamma = decompose_rep_space(sim)
+    report = check_compatibility(rep, gamma, vgamma, 1e-9)
+    assert_matches_per_column(report, per_column_compatibility(rep, gamma, vgamma, 1e-9))
+    assert report.ok == (kind != "identity")
 
 
 @pytest.mark.parametrize("weight", [(1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)])

@@ -14,10 +14,7 @@ from gtlie.gtrep import (
     GeneratorRep,
     GTPattern,
     HighestWeight,
-    Radicand,
     act_diagonal,
-    act_lowering,
-    act_raising,
     build_representation,
     enumerate_patterns,
     row_sum,
@@ -26,6 +23,7 @@ from gtlie.gtrep import (
     verify_transpose,
     weyl_dim,
 )
+from oracles import Radicand, act_lowering, act_raising, per_pattern_generators
 
 
 def pat(*rows):
@@ -305,12 +303,100 @@ def test_build_refuses_an_oversized_irrep_up_front():
     doubled_only = HighestWeight(3, (26, 13, 0))  # d = 2744 builds; doubled needs 2.02 GiB
     assert 72 * weyl_dim(big) ** 2 > GENERATOR_BUDGET_BYTES
     assert 72 * weyl_dim(doubled_only) ** 2 <= GENERATOR_BUDGET_BYTES < 72 * (2 * weyl_dim(doubled_only)) ** 2
+    far = HighestWeight(3, (400, 200, 0))  # d = 8.1 million: patterns and entries need 3.5 GiB
     tracemalloc.start()
     try:
-        for refused in (lambda: build_representation(big), lambda: doubled_rep(big), lambda: doubled_rep(doubled_only)):
+        for refused in (lambda: build_representation(far), lambda: doubled_rep(big), lambda: doubled_rep(doubled_only)):
             with pytest.raises(InputError, match="budget"):
                 refused()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- entry storage against the per-pattern builder ----------------------------
+
+LADDER_WEIGHTS = [HighestWeight(len(m), m) for m in ((10, 5, 0), (14, 7, 0), (20, 10, 0), (6, 3, 1, 0), (4, 3, 1, 0))]
+
+
+def assert_bit_identical(hw):
+    rep = build_representation(hw)
+    oracle = per_pattern_generators(hw)
+    assert rep.patterns == tuple(enumerate_patterns(hw)) and list(rep.gen) == list(oracle)
+    for label, m in oracle.items():
+        assert rep.gen[label].dtype == m.dtype and rep.gen[label].tobytes() == m.tobytes(), label
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(SMALL_WEIGHTS))
+def test_densified_generators_are_bit_identical_to_the_per_pattern_builder(hw):
+    assert_bit_identical(hw)
+
+
+@pytest.mark.parametrize("hw", LADDER_WEIGHTS, ids=str)
+def test_ladder_generators_are_bit_identical_to_the_per_pattern_builder(hw):
+    assert_bit_identical(hw)
+
+
+@pytest.mark.parametrize("m", [(2, 1) + (0,) * 7, (1,) + (0,) * 9], ids=str)
+def test_python_int_radicands_and_keys_are_bit_identical(m):
+    # (m_1 + n)^(2n-2) >= 2^53 takes the radicands to Python ints, and for
+    # sl(10) the mixed-radix pattern keys pass 2^63 too
+    hw = HighestWeight(len(m), m)
+    assert (hw.m[0] + hw.n) ** (2 * hw.n - 2) >= 2**53
+    assert_bit_identical(hw)
+
+
+def test_the_entry_bound_admits_what_the_dense_budget_admitted():
+    hw = HighestWeight(8, (6,) + (0,) * 7)  # d = 1716: 1.4 GiB dense, under the 2 GiB budget
+    assert 8 * 64 * weyl_dim(hw) ** 2 <= GENERATOR_BUDGET_BYTES
+    rep = build_representation(hw)
+    assert verify_commutation(rep).ok and verify_transpose(rep) == 0.0 and verify_sl_trace(rep) <= 1e-12
+
+
+def test_dense_view_is_read_only_and_every_tamper_still_fails_closed():
+    rep = build_representation(HighestWeight(3, (2, 1, 0)))
+    before = rep.gen[(1, 2)].copy()
+    with pytest.raises(ValueError):
+        rep.gen[(1, 2)][0, 0] = 5.0
+    with pytest.raises(TypeError):
+        rep.gen[(1, 2)] = np.zeros((8, 8))
+    assert np.array_equal(rep.gen[(1, 2)], before) and verify_commutation(rep).ok
+    # a structural zero and a stored entry of off-diagonal and diagonal generators
+    for label in ((1, 2), (1, 3), (2, 1), (3, 3)):
+        m = rep.gen[label]
+        for pos in (tuple(np.argwhere(m == 0)[0]), tuple(np.argwhere(m != 0)[0])):
+            bad = tampered(rep, label, pos, 1e-6)
+            assert bad.gen[label][pos] == m[pos] + 1e-6
+            assert not verify_commutation(bad).ok
+            assert max(verify_transpose(bad), verify_sl_trace(bad)) == pytest.approx(1e-6, abs=1e-12)
+
+
+def test_generators_must_cover_every_label_with_one_shape():
+    rep = build_representation(HighestWeight(3, (1, 0, 0)))
+    gen = dict(rep.gen)
+    with pytest.raises(InputError, match="labels"):
+        GeneratorRep(3, {key: m for key, m in gen.items() if key != (3, 1)})
+    with pytest.raises(InputError, match="shape"):
+        GeneratorRep(3, {**gen, (3, 1): np.zeros((3, 4))})
+
+
+def test_a_sparse_irrep_past_the_dense_budget_builds_and_verifies():
+    hw = HighestWeight(3, (40, 20, 0))  # d = 9261: 5.75 GiB dense, a few MiB of entries
+    tracemalloc.start()
+    try:
+        rep = build_representation(hw)
+        assert rep.dim == 9261 == len(rep.patterns)
+        assert verify_commutation(rep).ok
+        assert verify_transpose(rep) <= 1e-12 and verify_sl_trace(rep) <= 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(InputError, match="budget"):
+            rep.gen[(1, 2)]
+        dense_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert dense_peak < 1 << 20
+
