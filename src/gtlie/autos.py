@@ -52,7 +52,7 @@ from .gtrep import (
     row_sum,
     weyl_dim,
 )
-from .linalg import DEFAULT_TOL, independent_columns, max_abs, orthonormal_span, span_distance
+from .linalg import DEFAULT_TOL, Entries, independent_columns, max_abs, orthonormal_span, span_distance
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +370,18 @@ def doubled_rep(hw: HighestWeight):
     """
     check_generator_budget(hw.n, 2 * weyl_dim(hw))
     r0 = build_representation(hw)
-    d = r0.dim
-    gen = {}
-    for (k, l), m in r0.gen.items():
-        big = np.zeros((2 * d, 2 * d))
-        big[:d, :d] = m
-        big[d:, d:] = -m.T
-        gen[(k, l)] = big
+    d, e = r0.dim, r0.entries
+    rows, cols = np.concatenate([e.rows, e.cols + d]), np.concatenate([e.cols, e.rows + d])
+    gids, vals = np.tile(e.gids, 2), np.concatenate([e.vals, -e.vals])
+    at = np.lexsort((cols, gids, rows))  # entry (i, k, v) of r and (k + d, i + d, -v), by (row, gid, col)
+    entries = Entries(rows[at], cols[at], vals[at], gids[at], np.searchsorted(rows[at], np.arange(2 * d + 1)))
     swap = SimulationMatrix(
         order=2,
         kind="signed_permutation",
         perm=tuple(list(range(d, 2 * d)) + list(range(d))),
         signs=tuple([complex(1.0)] * (2 * d)),
     )
-    return GeneratorRep(r0.n, gen), swap
+    return GeneratorRep(r0.n, entries), swap
 
 
 # ---------------------------------------------------------------------------

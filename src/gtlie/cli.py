@@ -98,7 +98,7 @@ def _parse_eps(group: AbelianGroup, text: str) -> contraction.EpsilonTable:
     for chunk in text.split(","):
         try:
             values.append(Fraction(chunk))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad table entry {chunk!r}") from exc
     size = group.size
     if len(values) != size * size:
@@ -360,7 +360,7 @@ def cmd_contract_apply(cfg: RunConfig, args) -> int:
     gamma = jsonio.grading_from_json(_load_json(args.grading))
     eps = _parse_eps(gamma.group, args.eps)
     calg = contraction.contract_algebra(algebra, gamma, eps, cfg.tolerance)
-    jac = alg.check_jacobi(calg.result, cfg.tolerance)
+    jac = calg.jacobi
     report = {
         "command": "contract apply",
         "dim": calg.result.dim,

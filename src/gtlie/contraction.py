@@ -13,10 +13,10 @@ when
 
     psi_{j,k} psi_{i,j+k} = psi_{i,k} psi_{j,i+k} = eps_{i,j} psi_{i+j,k}.
 
-Tables hold exact rationals; the binary (0/1) solution sets are found by
-exhaustive enumeration over the free cells; a NaN cell is an infinite
-residual.  Contractions are applied by stacked numpy kernels over (k, d, d)
-stacks of operators, with eps and psi read once per call as label arrays.
+One array kernel checks both systems, for one table or a batch (the binary
+(0/1) solution sets), exactly in integers for rational tables; a NaN cell is
+an infinite residual.  Stacked numpy kernels over (k, d, d) operator stacks
+apply a contraction, with eps and psi read once per call as label arrays.
 """
 
 from __future__ import annotations
@@ -71,14 +71,10 @@ class ScalarTable:
         except KeyError as exc:
             raise InputError(f"table has no entry at {(i, j)}") from exc
 
-    def is_complete(self) -> bool:
-        els = self.group.elements()
-        return all((i, j) in self.values for i in els for j in els)
-
     def as_tuple(self) -> tuple:
         """Canonical value tuple over lexicographically ordered index pairs."""
         els = self.group.elements()
-        return tuple(self.values[(i, j)] for i in els for j in els)
+        return tuple(self.value(i, j) for i in els for j in els)
 
     def on_labels(self, rows, cols) -> np.ndarray:
         """Complex len(rows) x len(cols) array of the values at every label
@@ -108,10 +104,37 @@ epsilon_from_rows = EpsilonTable.from_rows
 psi_from_rows = PsiTable.from_rows
 
 
-def _residual(x) -> float:
-    """|x|, with NaN as inf (as in linalg.max_abs) so the checks fail closed."""
-    res = abs(complex(x))
-    return math.inf if math.isnan(res) else res
+def _cells(*tables: ScalarTable) -> tuple[np.ndarray, int]:
+    """The tables' cells as one flat array and their scale c.  All rational: the integers c x, c the
+    lcm of the denominators, in int64 while every integer formed (at most 2 max(|c x|, c)^2) is at
+    most 2^53, so float64 holds it too, else Python ints.  Otherwise: the cells themselves, c = 1."""
+    cells = [v for table in tables for v in table.as_tuple()]
+    if not all(isinstance(v, Fraction) for v in cells):
+        return np.array(cells, dtype=object), 1
+    scale = math.lcm(*(v.denominator for v in cells))
+    ints = [v.numerator * (scale // v.denominator) for v in cells]
+    return np.array(ints, dtype=np.int64 if 2 * max(scale, *map(abs, ints)) ** 2 <= 2**53 else object), scale
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN cells are reported as inf residuals
+def _system(t: np.ndarray, group: AbelianGroup, scale: int, eps: np.ndarray | None = None) -> np.ndarray:
+    """Residuals in check order of the eps system (eps None: the |G|^2 cells |t_ij - t_ji|, then the
+    |G|^3 triples) or of the psi system over eps, for the tables t (..., |G|, |G|) of scale c, all
+    triples (i, j, k) at once by broadcasting.  Integers are divided by c^2 once, which rounds as
+    float(Fraction) does; NaN is inf, so the checks fail closed."""
+    n, add = group.size, np.array(group.addition_table())
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    if eps is None:  # e1, e2, e3 = t_ij t_{i+j,k}, t_jk t_{j+k,i}, t_ki t_{k+i,j}
+        x, y, z = (t[..., a, b] * t[..., add[a, b], c] for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    else:  # p1, p2, p3 = t_jk t_{i,j+k}, t_ik t_{j,i+k}, eps_ij t_{i+j,k}
+        x, y = (t[..., a, b] * t[..., c, add[a, b]] for a, b, c in ((j, k, i), (i, k, j)))
+        z = eps[i, j] * t[..., add[i, j], k]
+    pairs = np.stack([x - y, y - z])
+    if eps is None:
+        sym = (t - t.swapaxes(-1, -2)).reshape(*t.shape[:-2], n * n) * scale  # over c^2 as well
+        pairs = np.concatenate([np.stack([sym, sym]), pairs], axis=-1)
+    res = np.asarray(np.abs(pairs) / (scale * scale), dtype=float)
+    return np.where(np.isnan(res), math.inf, res).max(axis=0)
 
 
 def verify_epsilon(eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
@@ -120,17 +143,12 @@ def verify_epsilon(eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
     The report carries checked = |G|^2 cells + |G|^3 triples and worst_at =
     ("symmetry", i, j) or ("triple", i, j, k), the form of its violations.
     """
-    if not eps.is_complete():
-        raise InputError("epsilon table is incomplete")
-    g, v = eps.group, eps.value
-    els = g.elements()
-    residuals = {("symmetry", i, j): _residual(v(i, j) - v(j, i)) for i in els for j in els}
-    for i, j, k in itertools.product(els, repeat=3):
-        e1 = v(i, j) * v(g.add(i, j), k)
-        e2 = v(j, k) * v(g.add(j, k), i)
-        e3 = v(k, i) * v(g.add(k, i), j)
-        residuals["triple", i, j, k] = max(_residual(e1 - e2), _residual(e2 - e3))
-    return Report.of(residuals, tol)
+    g = eps.group
+    cells, scale = _cells(eps)
+    res = _system(cells.reshape(g.size, g.size), g, scale)
+    where = [("symmetry", *at) for at in itertools.product(g.elements(), repeat=2)]
+    where += [("triple", *at) for at in itertools.product(g.elements(), repeat=3)]
+    return Report.of(dict(zip(where, res.tolist())), tol)
 
 
 def verify_psi(psi: PsiTable, eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
@@ -138,59 +156,43 @@ def verify_psi(psi: PsiTable, eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Re
 
     The report carries checked = |G|^3 triples and worst_at = (i, j, k).
     """
-    if not psi.is_complete() or not eps.is_complete():
-        raise InputError("psi/epsilon tables must be complete")
     if psi.group.orders != eps.group.orders:
         raise InputError("psi and epsilon live over different groups")
-    g, v = psi.group, psi.value
-    residuals = {}
-    for i, j, k in itertools.product(g.elements(), repeat=3):
-        p1 = v(j, k) * v(i, g.add(j, k))
-        p2 = v(i, k) * v(j, g.add(i, k))
-        p3 = eps.value(i, j) * v(g.add(i, j), k)
-        residuals[i, j, k] = max(_residual(p1 - p2), _residual(p2 - p3))
-    return Report.of(residuals, tol)
+    g = psi.group
+    cells, scale = _cells(psi, eps)
+    p, e = cells.reshape(2, g.size, g.size)
+    res = _system(p, g, scale, eps=e)
+    return Report.of(dict(zip(itertools.product(g.elements(), repeat=3), res.tolist())), tol)
+
+
+def _binary_rows(cells: int) -> np.ndarray:
+    """Every 0/1 assignment of the free cells, one row each, in itertools.product order."""
+    if cells > MAX_FREE_CELLS:
+        raise InputError(f"{cells} free cells exceed the enumeration guard ({MAX_FREE_CELLS})")
+    return np.array(list(itertools.product((0, 1), repeat=cells)), dtype=np.int64)
 
 
 def enumerate_binary_epsilon(group: AbelianGroup) -> list[EpsilonTable]:
     """All symmetric 0/1 solutions of the epsilon system, in the
     lexicographic order of their free-cell assignments."""
-    els = group.elements()
-    cells = [(i, j) for a, i in enumerate(els) for j in els[a:]]
-    if len(cells) > MAX_FREE_CELLS:
-        raise InputError(
-            f"{len(cells)} free cells exceed the enumeration guard ({MAX_FREE_CELLS})"
-        )
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(cells)):
-        values = {}
-        for (i, j), b in zip(cells, bits):
-            values[(i, j)] = Fraction(b)
-            values[(j, i)] = Fraction(b)
-        table = EpsilonTable(group, values)
-        if verify_epsilon(table, tol=0.0).ok:
-            out.append(table)
-    return out
+    n = group.size
+    a, b = np.triu_indices(n)  # the free cells (i, j), i <= j, row-major
+    bits = _binary_rows(a.size)
+    tables = np.zeros((len(bits), n, n), dtype=np.int64)
+    tables[:, a, b] = tables[:, b, a] = bits
+    res = _system(tables, group, 1)
+    return [EpsilonTable.from_rows(group, rows) for rows in tables[(res == 0).all(axis=-1)].tolist()]
 
 
 def enumerate_binary_psi(eps: EpsilonTable) -> list[PsiTable]:
     """All 0/1 solutions of the psi system for the given epsilon table."""
-    rep = verify_epsilon(eps, tol=0.0)
-    if not rep.ok:
+    if not verify_epsilon(eps, tol=0.0).ok:
         raise VerificationError("epsilon table does not solve the contraction system")
-    g = eps.group
-    els = g.elements()
-    cells = [(i, j) for i in els for j in els]
-    if len(cells) > MAX_FREE_CELLS:
-        raise InputError(
-            f"{len(cells)} free cells exceed the enumeration guard ({MAX_FREE_CELLS})"
-        )
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(cells)):
-        table = PsiTable(g, {cell: Fraction(b) for cell, b in zip(cells, bits)})
-        if verify_psi(table, eps, tol=0.0).ok:
-            out.append(table)
-    return out
+    g, n = eps.group, eps.group.size
+    tables = _binary_rows(n * n).reshape(-1, n, n)
+    cells, scale = _cells(eps)
+    res = _system(tables.astype(cells.dtype) * scale, g, scale, eps=cells.reshape(n, n))
+    return [PsiTable.from_rows(g, rows) for rows in tables[(res == 0).all(axis=-1)].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,7 @@ class ContractedAlgebra:
     labels: tuple  # grading label of each adapted basis vector
     adapted: np.ndarray  # columns: adapted basis in base coordinates
     result: LieAlgebra
+    jacobi: Report  # check_jacobi of result, which passed
 
 
 def contract_algebra(
@@ -246,7 +249,7 @@ def contract_algebra(
     if not jac.ok:
         raise VerificationError(f"contracted algebra violates Jacobi (residual {jac.max_residual:.3g})")
     return ContractedAlgebra(
-        base=algebra, grading=gamma, eps=eps, labels=tuple(labels), adapted=basis, result=result
+        base=algebra, grading=gamma, eps=eps, labels=tuple(labels), adapted=basis, result=result, jacobi=jac
     )
 
 

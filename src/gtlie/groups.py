@@ -50,6 +50,11 @@ class AbelianGroup:
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
 
+    def addition_table(self) -> list[list[int]]:
+        """Entry [a][b] is the position of elements()[a] + elements()[b] in elements()."""
+        index = {el: t for t, el in enumerate(self.elements())}
+        return [[index[self.add(a, b)] for b in index] for a in index]
+
     def __str__(self):
         return " x ".join(f"Z{n}" for n in self.orders)
 

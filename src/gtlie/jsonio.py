@@ -60,6 +60,8 @@ def algebra_from_json(payload: dict) -> LieAlgebra:
         names = tuple(str(x) for x in payload["basis"])
         structure = np.zeros((k, k, k), dtype=complex)
         for i, j, l, re, im in payload["constants"]:
+            if not all(0 <= int(x) < k for x in (i, j, l)):
+                raise InputError(f"structure constant index {(i, j, l)} is outside 0..{k - 1}")
             structure[int(i), int(j), int(l)] = complex(re, im)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra JSON: {exc}") from exc
@@ -213,7 +215,7 @@ def _table_from_json(payload: dict, cls):
             values[(tuple(int(x) for x in i), tuple(int(x) for x in j))] = Fraction(
                 int(num), int(den)
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed table JSON: {exc}") from exc
     return cls(group, values)
 

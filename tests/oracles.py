@@ -3,9 +3,13 @@ are compared against: one bracket and one lstsq per image vector, one
 lstsq per candidate column, the dense k^4 Jacobi tensor, one commutator
 per pair of sl(n) basis matrices, one Python sum per represented algebra
 element, one solve per contracted operator, one generator sum per
-homomorphism relation, and the Gel'fand-Tseitlin generators built one
-pattern and one move at a time with exact Fraction radicands."""
+homomorphism relation, the contraction tables checked one cell and one
+triple at a time in Fraction arithmetic (and enumerated one candidate
+table at a time), the doubled representation built from dense blocks,
+and the Gel'fand-Tseitlin generators built one pattern and one move at a
+time with exact Fraction radicands."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from gtlie.algebra import (
+    Report,
     TwoPartCase,
     bracket,
     grading_adapted_basis,
@@ -21,6 +26,7 @@ from gtlie.algebra import (
     sl_basis_matrices,
 )
 from gtlie.autos import rep_sl_matrices
+from gtlie.contraction import EpsilonTable, PsiTable
 from gtlie.errors import InputError
 from gtlie.gtrep import GTPattern, HighestWeight, act_diagonal, enumerate_patterns
 from gtlie.linalg import Entries, max_abs, orthonormal_span, product_terms, rank, span_distance, summed
@@ -168,6 +174,79 @@ def per_pair_homomorphism(crep, calg, tol):
             if res > tol:
                 labels.append((a, b))
     return not labels, worst, labels
+
+
+def per_cell_residual(x) -> float:
+    """|x|, with NaN as inf."""
+    res = abs(complex(x))
+    return math.inf if math.isnan(res) else res
+
+
+def per_cell_epsilon(eps, tol) -> Report:
+    """verify_epsilon one cell and one triple at a time, in the arithmetic
+    of the cells themselves (Fraction, or complex where a cell is)."""
+    g, v = eps.group, eps.value
+    els = g.elements()
+    residuals = {("symmetry", i, j): per_cell_residual(v(i, j) - v(j, i)) for i in els for j in els}
+    for i, j, k in itertools.product(els, repeat=3):
+        e1 = v(i, j) * v(g.add(i, j), k)
+        e2 = v(j, k) * v(g.add(j, k), i)
+        e3 = v(k, i) * v(g.add(k, i), j)
+        residuals["triple", i, j, k] = max(per_cell_residual(e1 - e2), per_cell_residual(e2 - e3))
+    return Report.of(residuals, tol)
+
+
+def per_cell_psi(psi, eps, tol) -> Report:
+    """verify_psi one triple at a time."""
+    g, v = psi.group, psi.value
+    residuals = {}
+    for i, j, k in itertools.product(g.elements(), repeat=3):
+        p1 = v(j, k) * v(i, g.add(j, k))
+        p2 = v(i, k) * v(j, g.add(i, k))
+        p3 = eps.value(i, j) * v(g.add(i, j), k)
+        residuals[i, j, k] = max(per_cell_residual(p1 - p2), per_cell_residual(p2 - p3))
+    return Report.of(residuals, tol)
+
+
+def per_table_binary_epsilon(group) -> list:
+    """enumerate_binary_epsilon one candidate table and one per_cell_epsilon
+    at a time, over the free cells (i, j), i <= j, in product order."""
+    els = group.elements()
+    cells = [(i, j) for a, i in enumerate(els) for j in els[a:]]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(cells)):
+        values = {}
+        for (i, j), b in zip(cells, bits):
+            values[(i, j)] = Fraction(b)
+            values[(j, i)] = Fraction(b)
+        table = EpsilonTable(group, values)
+        if per_cell_epsilon(table, 0.0).ok:
+            out.append(table)
+    return out
+
+
+def per_table_binary_psi(eps) -> list:
+    """enumerate_binary_psi one candidate table and one per_cell_psi at a time."""
+    els = eps.group.elements()
+    cells = [(i, j) for i in els for j in els]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(cells)):
+        table = PsiTable(eps.group, {cell: Fraction(b) for cell, b in zip(cells, bits)})
+        if per_cell_psi(table, eps, 0.0).ok:
+            out.append(table)
+    return out
+
+
+def dense_doubled_generators(rep) -> dict:
+    """The generators of r + (-r^T) as dense (2d) x (2d) blocks."""
+    d = rep.dim
+    gen = {}
+    for key, m in rep.gen.items():
+        big = np.zeros((2 * d, 2 * d))
+        big[:d, :d] = m
+        big[d:, d:] = -m.T
+        gen[key] = big
+    return gen
 
 
 def per_column_rep_matrix(coords, mats) -> np.ndarray:

@@ -34,7 +34,8 @@ from gtlie.autos import (
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns
-from oracles import per_column_compatibility, per_column_simulation, per_vector_compatibility
+from gtlie.linalg import Entries
+from oracles import dense_doubled_generators, per_column_compatibility, per_column_simulation, per_vector_compatibility
 
 
 def pat(*rows):
@@ -274,6 +275,29 @@ def test_doubled_rep_trivial_weight():
     assert all(np.abs(m).max() == 0 for m in rep2.gen.values())
     assert np.array_equal(swap.matrix, np.array([[0, 1], [1, 0]], dtype=complex))
     assert swap.power_residual() == 0.0
+
+
+@pytest.mark.parametrize("m", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 0), (1, 1, 0, 0), (2, 1, 1, 0)], ids=str)
+def test_doubled_rep_entries_are_those_of_the_dense_blocks(m):
+    hw = HighestWeight(len(m), m)
+    dense = dense_doubled_generators(build_representation(hw))
+    got, want = doubled_rep(hw)[0], Entries.of([dense[label] for label in sorted(dense)])
+    for field in ("rows", "cols", "vals", "gids", "starts"):
+        a, b = getattr(got.entries, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert all(np.array_equal(got.gen[label], dense[label]) for label in dense)
+
+
+def test_doubled_rep_forms_no_dense_block():
+    # n^2 dense (2d)^2 blocks of r(14,7,0) would take 72 MiB
+    hw = HighestWeight(3, (14, 7, 0))
+    tracemalloc.start()
+    try:
+        rep, _ = doubled_rep(hw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == 1024 and peak < 8 * 2**20
 
 
 def test_decompose_rep_space_variants():

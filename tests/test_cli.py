@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from gtlie import algebra as algebra_module
+from gtlie import contraction, jsonio
+from gtlie.algebra import sl_algebra
 from gtlie.cli import main
 
 
@@ -160,6 +163,23 @@ def test_contract_guard_exit_2(capsys):
     assert main(["contract", "solve-eps", "--group", "2,2,2"]) == 2
 
 
+def test_a_zero_denominator_is_exit_2(capsys):
+    assert main(["contract", "solve-psi", "--group", "2", "--eps", "1/0,1,1,0"]) == 2
+    assert "bad table entry '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [8, -1])
+def test_grading_verify_refuses_an_algebra_index_outside_the_basis(tmp_path, capsys, index):
+    grading = tmp_path / "g1.json"
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(grading)]) == 0
+    payload = jsonio.algebra_to_json(sl_algebra(3))
+    # a constant at l = dim - 1: -1 used to wrap around to it and pass
+    next(c for c in payload["constants"] if c[2] == 7)[2] = index
+    algebra = tmp_path / "sl3.json"
+    algebra.write_text(json.dumps(payload))
+    assert main(["grading", "verify", str(grading), "--algebra", str(algebra)]) == 2
+
+
 def test_contract_apply_identity_and_heisenberg(tmp_path, capsys):
     g1 = tmp_path / "g1.json"
     assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(g1)]) == 0
@@ -174,6 +194,20 @@ def test_contract_apply_identity_and_heisenberg(tmp_path, capsys):
         capsys, "contract", "apply", "--sl", "3", "--grading", str(g1), "--eps", "0,0,0,1"
     )
     assert code == 0
+
+
+def test_contract_apply_checks_jacobi_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(check):
+        return lambda *args: calls.append(args) or check(*args)
+
+    monkeypatch.setattr(algebra_module, "check_jacobi", counted(algebra_module.check_jacobi))
+    monkeypatch.setattr(contraction, "check_jacobi", counted(contraction.check_jacobi))
+    g1 = tmp_path / "g1.json"
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(g1)]) == 0
+    code, text = run(capsys, "contract", "apply", "--sl", "3", "--grading", str(g1), "--eps", "0,0,0,1")
+    assert code == 0 and "Jacobi residual 0.000e+00" in text and len(calls) == 1
 
 
 def test_json_format_and_determinism(tmp_path, capsys):

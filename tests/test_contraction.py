@@ -28,7 +28,14 @@ from gtlie.contraction import (
 from gtlie.errors import IncompatibleError, InputError, VerificationError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import HighestWeight, build_representation
-from oracles import per_pair_homomorphism, per_vector_contract_rep
+from oracles import (
+    per_cell_epsilon,
+    per_cell_psi,
+    per_pair_homomorphism,
+    per_table_binary_epsilon,
+    per_table_binary_psi,
+    per_vector_contract_rep,
+)
 
 Z2 = AbelianGroup((2,))
 
@@ -94,6 +101,86 @@ def test_binary_epsilon_trivial_group():
     group = AbelianGroup((1,))
     tables = enumerate_binary_epsilon(group)
     assert [t.as_tuple() for t in tables] == [(Fraction(0),), (Fraction(1),)]
+
+
+# Binary eps solution counts, pinned from the per-table oracle.
+EPS_COUNTS = {(1,): 2, (2,): 5, (3,): 15, (4,): 47, (2, 2): 41}
+
+
+@pytest.mark.parametrize("orders", list(EPS_COUNTS), ids=str)
+def test_binary_epsilon_tables_match_the_oracle_in_order(orders):
+    tables = [t.as_tuple() for t in enumerate_binary_epsilon(AbelianGroup(orders))]
+    assert len(tables) == EPS_COUNTS[orders]
+    assert tables == [t.as_tuple() for t in per_table_binary_epsilon(AbelianGroup(orders))]
+    assert all(type(v) is Fraction for t in tables for v in t)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (3,)], ids=str)
+def test_binary_psi_tables_match_the_oracle_in_order(orders):
+    for e in enumerate_binary_epsilon(AbelianGroup(orders)):
+        tables = [t.as_tuple() for t in enumerate_binary_psi(e)]
+        assert tables == [t.as_tuple() for t in per_table_binary_psi(e)]
+        assert all(type(v) is Fraction for t in tables for v in t)
+
+
+TABLE_GROUPS = [AbelianGroup(orders) for orders in EPS_COUNTS]
+CELLS = {
+    "binary": st.sampled_from([0, 1]),
+    "rational": st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    # |numerator| 2^26 is the largest the int64 path takes with scale 1;
+    # past it, products over 2^53 are divided by the scale as Python ints
+    "int64 edge": st.builds(Fraction, st.integers(-(2**26), 2**26)),
+    "past the edge": st.builds(Fraction, st.integers(-(2**28), 2**28), st.integers(1, 3)),
+    "large": st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**40)),
+    "complex": st.one_of(
+        st.complex_numbers(max_magnitude=1e3),
+        st.sampled_from([math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(0.0, math.inf)]),
+    ),
+}
+CELLS["mixed"] = st.one_of(CELLS["rational"], CELLS["complex"])
+
+
+@st.composite
+def tables(draw, group, cls):
+    """A table of one kind of cells, symmetric or not."""
+    cell = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+    n = group.size
+    rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(a, b)][max(a, b)] for b in range(n)] for a in range(n)]
+    return cls.from_rows(group, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_kernel_reports_equal_the_per_cell_oracles(data):
+    group = data.draw(st.sampled_from(TABLE_GROUPS))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    e, p = data.draw(tables(group, EpsilonTable)), data.draw(tables(group, PsiTable))
+    assert vars(verify_epsilon(e, tol)) == vars(per_cell_epsilon(e, tol))
+    assert vars(verify_psi(p, e, tol)) == vars(per_cell_psi(p, e, tol))
+
+
+@pytest.mark.parametrize(
+    "orders, a",
+    [
+        ((3,), (1, Fraction(1, 10), Fraction(3, 10))),
+        ((3,), (Fraction(1, 10), Fraction(3, 10), Fraction(7, 10))),
+        ((4,), (1, Fraction(1, 10), Fraction(3, 10), Fraction(7, 10))),
+        ((2, 2), (1, Fraction(1, 10), Fraction(3, 10), Fraction(7, 10))),
+    ],
+    ids=str,
+)
+def test_coboundary_tables_have_an_exactly_zero_residual(orders, a):
+    # eps_ij = a_i a_j / a_{i+j} and psi_ij = a_i b_j / b_{i+j} solve both
+    # systems; evaluated in floats, these miss by a few ulps
+    group = AbelianGroup(orders)
+    add, n = group.addition_table(), group.size
+    a, b = [Fraction(x) for x in a], [Fraction(1 + t, 7 - t) for t in range(n)]
+    e = epsilon_from_rows(group, [[a[i] * a[j] / a[add[i][j]] for j in range(n)] for i in range(n)])
+    p = psi_from_rows(group, [[a[i] * b[j] / b[add[i][j]] for j in range(n)] for i in range(n)])
+    assert verify_epsilon(e, tol=0.0).max_residual == 0.0
+    assert verify_psi(p, e, tol=0.0).max_residual == 0.0
 
 
 def test_enumeration_guard():
@@ -192,6 +279,7 @@ def test_contract_all_binary_epsilons_jacobi_exact(sl3_setup):
     for table in enumerate_binary_epsilon(Z2):
         calg = contract_algebra(sl3, gamma1, table)
         assert gtlie.check_jacobi(calg.result).max_residual == 0.0
+        assert vars(calg.jacobi) == vars(gtlie.check_jacobi(calg.result))
 
 
 def test_contract_rejects_bad_inputs(sl3_setup):

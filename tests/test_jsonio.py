@@ -25,6 +25,15 @@ def test_algebra_json_rejects_garbage():
         jsonio.algebra_from_json({"dim": "two"})
 
 
+@pytest.mark.parametrize("index", [8, -1])
+def test_algebra_json_refuses_an_index_outside_the_basis(index):
+    # 8 used to raise IndexError; -1 wrapped around to l = dim - 1
+    payload = jsonio.algebra_to_json(gtlie.sl_algebra(3))
+    next(c for c in payload["constants"] if c[2] == 7)[2] = index
+    with pytest.raises(InputError, match="outside"):
+        jsonio.algebra_from_json(payload)
+
+
 def test_grading_roundtrip_and_hash_stability():
     sl3 = gtlie.sl_algebra(3)
     gamma = gtlie.grading_from_automorphism(sl3, gtlie.auto_outer(3))
@@ -69,6 +78,13 @@ def test_table_roundtrip():
     psi = gtlie.psi_from_rows(z2, [[1, 1], [0, 1]])
     back = jsonio.psi_from_json(jsonio.table_to_json(psi))
     assert back.as_tuple() == psi.as_tuple()
+
+
+def test_table_json_refuses_a_zero_denominator():
+    payload = jsonio.table_to_json(gtlie.epsilon_from_rows(AbelianGroup((2,)), [[1, 1], [1, 0]]))
+    payload["values"][3][3] = 0
+    with pytest.raises(InputError):
+        jsonio.epsilon_from_json(payload)
 
 
 def test_contracted_algebra_provenance():
