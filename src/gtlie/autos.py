@@ -21,12 +21,25 @@ Two constructions cover the order-2 cases:
     exists precisely when the weight is self-contragredient.  For other
     weights the doubled representation r + (-r^T) with the block-swap
     simulation matrix is the way out.
+
+Both constructions are read off the pattern array (gtrep.PatternTable)
+and give an R with one nonzero per column, R e_c = s_c e_{pi(c)}.  For
+such an R the checks are index arithmetic on the stored generator
+entries, with no dense d x d matrix: ``verify_simulation`` compares the
+entries (i, j, v) of r(x), moved to (pi(i), pi(j), s_i v / s_j), with those
+of r(g(x)), and R^order = Id follows pi; ``decompose_rep_space`` gives
+coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``check_compatibility``
+forms the images of those columns from the entries and measures each one
+against its coordinate vector or its pair exactly.  A dense R (the
+solver's) and a carrier grading with any other columns take the dense
+path: the (k, d, d) stack of r(sl basis) and a thin-SVD basis per part.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,13 +59,23 @@ from .gtrep import (
     GeneratorRep,
     GTPattern,
     HighestWeight,
+    PatternTable,
     build_representation,
     check_generator_budget,
     enumerate_patterns,
     row_sum,
     weyl_dim,
 )
-from .linalg import DEFAULT_TOL, Entries, independent_columns, max_abs, orthonormal_span, span_distance
+from .linalg import (
+    DEFAULT_TOL,
+    Entries,
+    independent_columns,
+    max_abs,
+    orthonormal_span,
+    ranges,
+    span_distance,
+    summed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +203,14 @@ def grading_from_automorphism(
 # ---------------------------------------------------------------------------
 
 
+# exp(i pi rho) at the phases rho (mod 2) where cmath.exp would not be exact.
+_EXACT_PHASES = {Fraction(0): 1.0 + 0.0j, Fraction(1): -1.0 + 0.0j, Fraction(1, 2): 1j, Fraction(3, 2): -1j}
+
+
 def _phase_to_complex(rho: Fraction) -> complex:
     rho = rho % 2
-    table = {
-        Fraction(0): 1.0 + 0.0j,
-        Fraction(1): -1.0 + 0.0j,
-        Fraction(1, 2): 1j,
-        Fraction(3, 2): -1j,
-    }
-    if rho in table:
-        return table[rho]
+    if rho in _EXACT_PHASES:
+        return _EXACT_PHASES[rho]
     return cmath.exp(1j * math.pi * float(rho))
 
 
@@ -199,7 +220,12 @@ class SimulationMatrix:
 
     kind "diagonal": phases are exact rationals rho with entries
     exp(i pi rho); kind "signed_permutation": R e_c = signs[c] e_{perm[c]};
-    kind "dense": explicit complex matrix.
+    kind "dense": explicit complex matrix.  The first two have one nonzero
+    per column (``monomial``), so the checks on them are index arithmetic.
+
+    Raises InputError unless order is an integer >= 1 and, by kind, the
+    phases are finite reals; perm is a permutation of range(d) with one
+    finite nonzero sign per entry; or the dense matrix is square and finite.
     """
 
     order: int
@@ -209,6 +235,33 @@ class SimulationMatrix:
     signs: tuple | None = None
     dense: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.order, numbers.Integral) or self.order < 1:
+            raise InputError(f"simulation-matrix order must be an integer >= 1, got {self.order!r}")
+        if self.kind == "diagonal":
+            if self.phases is None or not all(_finite_real(rho) for rho in self.phases):
+                raise InputError("diagonal phases must be finite real numbers")
+        elif self.kind == "signed_permutation":
+            if self.perm is None or self.signs is None or len(self.perm) != len(self.signs):
+                raise InputError("a signed permutation needs as many signs as perm entries")
+            perm = np.asarray(self.perm)
+            if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(perm.size)):
+                raise InputError(f"perm is not a permutation of range({perm.size})")
+            try:
+                signs = np.asarray(self.signs, dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"signs must be numbers: {exc}") from exc
+            if not (np.isfinite(signs) & (signs != 0)).all():
+                raise InputError("signs must be finite and nonzero")
+        elif self.kind == "dense":
+            m = np.asarray(self.dense)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise InputError(f"dense simulation matrix has shape {m.shape}, not square")
+            if not np.isfinite(m).all():
+                raise InputError("dense simulation matrix has a non-finite entry")
+        else:
+            raise InputError(f"unknown simulation-matrix kind {self.kind!r}")
+
     @property
     def dim(self) -> int:
         if self.kind == "diagonal":
@@ -217,26 +270,31 @@ class SimulationMatrix:
             return len(self.perm)
         return self.dense.shape[0]
 
+    def monomial(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, scale) with R e_c = scale[c] e_{perm[c]}: the identity and
+        exp(i pi rho_c) for the diagonal kind, perm and signs for the
+        signed-permutation kind."""
+        if self.kind == "diagonal":
+            value = {rho: _phase_to_complex(rho) for rho in set(self.phases)}
+            return np.arange(self.dim), np.array([value[rho] for rho in self.phases], dtype=complex)
+        if self.kind == "signed_permutation":
+            return np.array(self.perm, dtype=np.int64), np.array(self.signs, dtype=complex)
+        raise InputError("a dense simulation matrix has no monomial form")
+
     @property
     def matrix(self) -> np.ndarray:
-        if self.kind == "diagonal":
-            return np.diag([_phase_to_complex(r) for r in self.phases])
-        if self.kind == "signed_permutation":
-            d = self.dim
-            m = np.zeros((d, d), dtype=complex)
-            for c in range(d):
-                m[self.perm[c], c] = self.signs[c]
-            return m
-        return self.dense
+        if self.kind == "dense":
+            return self.dense
+        perm, scale = self.monomial()
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[perm, np.arange(self.dim)] = scale
+        return m
 
     def inverse(self) -> np.ndarray:
-        if self.kind == "diagonal":
-            return np.diag([_phase_to_complex(-r) for r in self.phases])
-        if self.kind == "signed_permutation":
-            d = self.dim
-            m = np.zeros((d, d), dtype=complex)
-            for c in range(d):
-                m[c, self.perm[c]] = 1.0 / self.signs[c]
+        if self.kind != "dense":
+            perm, scale = self.monomial()
+            m = np.zeros((self.dim, self.dim), dtype=complex)
+            m[np.arange(self.dim), perm] = 1.0 / scale
             return m
         try:
             return np.linalg.inv(self.dense)
@@ -244,9 +302,22 @@ class SimulationMatrix:
             raise VerificationError("singular simulation matrix") from exc
 
     def power_residual(self) -> float:
-        """Sup-norm distance of R^order from the identity."""
-        m = np.linalg.matrix_power(self.matrix, self.order)
-        return max_abs(m - np.eye(self.dim))
+        """Sup-norm distance of R^order from the identity.  For the monomial
+        kinds R^order e_c is the product of the scales met following perm
+        order times from c, times e at the end of the walk."""
+        if self.kind == "dense":
+            return max_abs(np.linalg.matrix_power(self.dense, self.order) - np.eye(self.dim))
+        perm, scale = self.monomial()
+        start = np.arange(self.dim)
+        at, product = start, np.ones(self.dim, dtype=complex)
+        for _ in range(self.order):
+            product = product * scale[at]
+            at = perm[at]
+        return max_abs(np.where(at == start, np.abs(product - 1), np.maximum(np.abs(product), 1.0)))
+
+
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Rational) or (isinstance(x, numbers.Real) and math.isfinite(x))
 
 
 def rep_of_Xns(hw: HighestWeight, n: int, s: int) -> np.ndarray:
@@ -285,25 +356,24 @@ def simulation_inner(hw: HighestWeight, n: int, s: int) -> SimulationMatrix:
     Raw phases are exp(i pi ((eta/n - 1) r_n - r_{n-s})); when the raw
     matrix squares to a nontrivial scalar (allowed by Schur's lemma) all
     phases are shifted by the first one, making the leading entry the
-    principal root +1 and forcing R^2 = Id exactly.
+    principal root +1 and forcing R^2 = Id exactly.  The phases are
+    num / n mod 2 with num = (eta - n) r_n - n r_{n-s}, formed on the row
+    sums of the whole pattern array at once.
     """
     if hw.n != n:
         raise InputError(f"weight {hw} is not a weight of sl({n})")
     if not 0 <= s <= n // 2:
         raise InputError(f"s must satisfy 0 <= s <= {n // 2}, got {s}")
-    pats = enumerate_patterns(hw)
+    table = PatternTable.of(hw)
     if s == 0:
-        return SimulationMatrix(order=1, kind="diagonal", phases=tuple([Fraction(0)] * len(pats)))
-    e = eta(s)
-    phases = [
-        ((Fraction(e, n) - 1) * row_sum(p, n) - row_sum(p, n - s)) % 2 for p in pats
-    ]
-    if any(r.denominator != 1 for r in phases):
-        shift = phases[0]
-        phases = [(r - shift) % 2 for r in phases]
-        if any(r.denominator != 1 for r in phases):
+        return SimulationMatrix(order=1, kind="diagonal", phases=(Fraction(0),) * len(table.patterns))
+    num = (eta(s) - n) * table.row(n).sum(axis=1) - n * table.row(n - s).sum(axis=1)
+    if np.any(num % n):
+        num = num - num[0]
+        if np.any(num % n):
             raise VerificationError("r_n is not constant over the patterns; phases stay fractional")
-    return SimulationMatrix(order=2, kind="diagonal", phases=tuple(phases))
+    unit = (Fraction(0), Fraction(1))
+    return SimulationMatrix(order=2, kind="diagonal", phases=tuple(unit[b] for b in ((num // n) % 2).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +409,31 @@ def J_matrix(hw: HighestWeight) -> SimulationMatrix:
     """Signed permutation J xi(m) = (-1)^{sum m_{i,j}} xi(m') simulating the
     outer automorphism on a self-contragredient representation.
 
+    The reflected patterns m' of all patterns are one integer array, and
+    their basis indices one lookup of their keys (PatternTable.find).
     J^2 is a scalar by Schur's lemma; when that scalar is -1 (possible for
     n = 2 and odd weights) the signs are multiplied by i once so that the
     returned matrix satisfies R^2 = Id.
     """
     if not is_self_contragredient(hw):
         raise InputError(f"weight {hw} is not self-contragredient; no J exists")
-    pats = enumerate_patterns(hw)
-    index = {p: i for i, p in enumerate(pats)}
-    perm = []
-    signs: list[complex] = []
-    for p in pats:
-        perm.append(index[pattern_conjugate(p)])
-        signs.append(complex((-1) ** (p.entry_sum % 2)))
-    square = {signs[c] * signs[perm[c]] for c in range(len(pats))}
-    if len(square) != 1:
+    n, table = hw.n, PatternTable.of(hw)
+    # m'_{i,j} = m_{1,n} - m_{j-i+1,j}: every row below the top reversed and reflected
+    lower = np.concatenate([hw.m[0] - table.row(j)[:, ::-1] for j in range(n - 1, 0, -1)], axis=1)
+    below = table.arr[:, n:]
+    inside = ((lower >= below.min(axis=0)) & (lower <= below.max(axis=0))).all(axis=1)
+    perm, found = table.find(table.key(np.where(inside[:, None], lower, below)))
+    if not (found & inside).all():
+        raise VerificationError(f"conjugate of {table.patterns[np.argmin(found & inside)]} violates betweenness")
+    parity = table.arr.sum(axis=1) % 2
+    square = parity ^ parity[perm]  # J^2 e_c = (-1)^square[c] e_c
+    if np.any(square != square[0]):
         raise VerificationError("J^2 is not scalar; pattern conjugation bug")
-    if square == {complex(-1.0)}:
+    unit = (complex(1), complex(-1))
+    signs = [unit[p] for p in parity.tolist()]
+    if square[0]:
         signs = [1j * s for s in signs]
-    return SimulationMatrix(order=2, kind="signed_permutation", perm=tuple(perm), signs=tuple(signs))
+    return SimulationMatrix(order=2, kind="signed_permutation", perm=tuple(perm.tolist()), signs=tuple(signs))
 
 
 def doubled_rep(hw: HighestWeight):
@@ -416,19 +492,41 @@ def verify_simulation(
     tol: float = DEFAULT_TOL,
 ) -> Report:
     """Check r(g(x)) = R r(x) R^{-1} on the sl basis and R^order = Id; the
-    report has checked = k + 1 and worst_at = a basis label or "power"."""
+    report has checked = k + 1 and worst_at = a basis label or "power".
+
+    r(g(x)) = sum_y act[y, x] r(y) with act = action_on_sl(aut), taken once.
+    For an R with one nonzero per column (R e_c = s_c e_{pi(c)}, the diagonal
+    and signed-permutation kinds) R r(x) R^{-1} has the entries (pi(i),
+    pi(j), s_i v / s_j) of r(x), so both sides come from the entry lists
+    GeneratorRep.sl_entries: the terms of both, keyed by (x, row, col), are
+    summed once, and the residual of x is the largest sum among its keys.
+    A dense R is checked on the dense (k, d, d) stack.
+    """
     if sim.dim != rep.dim:
         raise InputError(f"simulation matrix dim {sim.dim} != rep dim {rep.dim}")
-    r = sim.matrix
-    rinv = sim.inverse()
-    stack = rep_sl_stack(rep)
-    n = rep.n
-    residuals = []
-    for lab, base, m in zip(sl_basis_labels(n), sl_basis_matrices(n), stack):
-        lhs = rep_matrix_of(rep, matrix_to_coords(n, aut.apply(base)), stack)
-        rhs = r @ m @ rinv
-        residuals.append((lab, max_abs(lhs - rhs)))
-    residuals.append(("power", sim.power_residual()))
+    if aut.n != rep.n:
+        raise InputError(f"automorphism of sl({aut.n}) on a representation of sl({rep.n})")
+    act = action_on_sl(aut)
+    if sim.kind == "dense":
+        stack = rep_sl_stack(rep)
+        r, rinv = sim.matrix, sim.inverse()
+        lhs = (act.T @ stack.reshape(len(stack), -1)).reshape(stack.shape)
+        found = [max_abs(l - r @ m @ rinv) for l, m in zip(lhs, stack)]
+    else:
+        d = rep.dim
+        perm, scale = sim.monomial()
+        labels, rows, cols, vals = rep.sl_entries
+        starts = np.searchsorted(labels, np.arange(len(act) + 1))
+        ys, xs = np.nonzero(act)
+        t, u = ranges(starts[ys], np.diff(starts)[ys])
+        keys = np.concatenate(((xs[t] * d + rows[u]) * d + cols[u], (labels * d + perm[rows]) * d + perm[cols]))
+        terms = np.concatenate((act[ys, xs][t] * vals[u], -(vals * scale[rows]) * (1.0 / scale)[cols]))
+        keys, sums = summed(keys, terms)
+        found = np.zeros(len(act))
+        with np.errstate(invalid="ignore"):  # a NaN sum is kept, and read as inf below
+            np.maximum.at(found, keys // (d * d), np.abs(sums))
+        found = np.where(np.isnan(found), math.inf, found).tolist()
+    residuals = list(zip(sl_basis_labels(rep.n), found)) + [("power", sim.power_residual())]
     worst_at, worst = max(residuals, key=lambda item: item[1])
     violations = [(at, res) for at, res in residuals if res > tol]
     return Report(
@@ -439,45 +537,52 @@ def verify_simulation(
 
 def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grading:
     """Eigenspace decomposition of the carrier space, labelled by Z_order
-    via lambda = exp(2 pi i l / order)."""
+    via lambda = exp(2 pi i l / order).
+
+    A diagonal R gives coordinate vectors e_c, and an order-2 signed
+    permutation gives e_c for its fixed points and e_c +- s_c e_pi(c) for
+    each 2-cycle c < pi(c), in the order of c; each part is one array
+    filled by fancy indexing.  Any other R is split by its projectors.
+    """
     k = sim.order
     group = AbelianGroup((k,))
     d = sim.dim
-    parts: dict = {lab: [] for lab in group.elements()}
-
-    def eigen_label(value: complex) -> tuple[int, ...]:
-        ang = cmath.phase(value) / (2 * math.pi) * k
-        l = int(round(ang)) % k
-        if abs(value - cmath.exp(2j * math.pi * l / k)) > 1e-6:
-            raise VerificationError(f"eigenvalue {value} is not a {k}-th root of unity")
-        return (l,)
-
+    if sim.kind == "dense" or (sim.kind == "signed_permutation" and k != 2):
+        out = {(l,): basis for l, basis in enumerate(_eigenspaces(sim.matrix, k, tol)) if basis.shape[1]}
+        return _carrier_grading(group, out, d)
+    perm, signs = sim.monomial()
+    lead = np.flatnonzero(perm >= np.arange(d))  # fixed points and the first index of each 2-cycle
+    mates = perm[lead] != lead
     if sim.kind == "diagonal":
-        for c, rho in enumerate(sim.phases):
-            l = (Fraction(rho % 2) * k / 2) % k
+        label = {}
+        for rho in set(sim.phases):
+            l = (Fraction(rho) % 2 * k / 2) % k
             if l.denominator != 1:
                 raise VerificationError(f"phase pi*{rho} is not a {k}-th root of unity")
-            vec = np.zeros(d, dtype=complex)
-            vec[c] = 1.0
-            parts[(int(l),)].append(vec)
-    elif sim.kind == "signed_permutation" and k == 2:
-        for c in range(d):
-            q = sim.perm[c]
-            if q == c:
-                vec = np.zeros(d, dtype=complex)
-                vec[c] = 1.0
-                parts[eigen_label(sim.signs[c])].append(vec)
-            elif q > c:
-                for mu in (1.0, -1.0):
-                    vec = np.zeros(d, dtype=complex)
-                    vec[c] = mu
-                    vec[q] = sim.signs[c]
-                    parts[eigen_label(complex(mu))].append(vec)
+            label[rho] = int(l)
+        labels = np.array([label[rho] for rho in sim.phases])
     else:
-        for l, basis in enumerate(_eigenspaces(sim.matrix, k, tol)):
-            parts[(l,)] = list(basis.T)
-    out = {lab: np.column_stack(vecs) for lab, vecs in parts.items() if vecs}
-    grading = Grading(group=group, parts=out)
+        values = signs[lead]
+        labels = np.rint(np.angle(values) * k / (2 * math.pi)).astype(int) % k
+        off_root = ~mates & (np.abs(values - np.exp(2j * math.pi * labels / k)) > 1e-6)
+        if off_root.any():
+            raise VerificationError(f"eigenvalue {values[np.argmax(off_root)]} is not a {k}-th root of unity")
+    out = {}
+    for (l,) in group.elements():
+        # part l: the fixed points with eigenvalue l, and for l = 0 / 1 the sum / difference of each 2-cycle
+        pick = mates | (labels == l)
+        cols, rows, pair = np.arange(np.count_nonzero(pick)), lead[pick], mates[pick]
+        if not cols.size:
+            continue
+        part = np.zeros((d, cols.size), dtype=complex)
+        part[rows, cols] = np.where(pair, 1.0 - 2 * l, 1.0)
+        part[perm[rows[pair]], cols[pair]] = signs[rows[pair]]
+        out[(l,)] = part
+    return _carrier_grading(group, out, d)
+
+
+def _carrier_grading(group: AbelianGroup, parts: dict, d: int) -> Grading:
+    grading = Grading(group=group, parts=parts)
     if grading.total_dim != d:
         raise VerificationError("eigenspaces do not fill the carrier space")
     return grading
@@ -491,13 +596,19 @@ def check_compatibility(
 ) -> Report:
     """Definition check: r(X_i) V_j inside V_{i+j} for all labels i, j.
 
-    One projector per target part: each part of vgamma gets one orthonormal
-    basis Q (thin SVD, ``orthonormal_span``) per call, and for each basis
-    column X of a gamma part, r(X) is one product with the stacked sl
-    matrices (rep_matrix_of) and the whole image block W = r(X) V_j is checked
-    at once by max |W - Q (Q^H W)|, the distance of its columns from V_{i+j}.
-    A violation (i, j, res) is recorded per X column and part j whose
-    residual exceeds tol.
+    For each basis column X of a gamma part and each part j of vgamma, the
+    image block W = r(X) V_j is measured by its largest distance from
+    V_{i+j}; a violation (i, j, res) is recorded per X column and part j
+    whose residual exceeds tol.
+
+    When every part of vgamma is finite and made of coordinate vectors and
+    pairs with pairwise disjoint supports (as decompose_rep_space gives them
+    for the diagonal and signed-permutation kinds), the images come from
+    the stored entries, for all X of a gamma part at once, and each is
+    measured exactly against its coordinate vector or pair
+    (_pair_residuals).  Otherwise each part gets one orthonormal basis Q
+    (thin SVD, ``orthonormal_span``), r(X) is one product with the dense
+    stacked sl matrices and the distance is max |W - Q (Q^H W)|.
 
     The report carries checked = the number of image vectors r(X) v tested,
     worst_at = (i, j) of the largest residual (None when all are zero) and
@@ -510,19 +621,21 @@ def check_compatibility(
     lengths = {part.shape[0] for part in gamma.parts.values()}
     if lengths != {rep.n * rep.n - 1}:
         raise InputError(f"grading vectors of length {sorted(lengths)} are not coordinates on sl({rep.n})")
-    stack = rep_sl_stack(rep)
-    bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
-    absent = np.zeros((rep.dim, 0), dtype=complex)
+    vlengths = {part.shape[0] for part in vgamma.parts.values()}
+    if vlengths - {rep.dim}:
+        raise InputError(f"carrier grading vectors of length {sorted(vlengths)} do not live in dimension {rep.dim}")
+    supports = {lab: _pair_support(part) for lab, part in vgamma.parts.items()}
+    if all(s is not None for s in supports.values()):
+        residuals = _pair_residuals(rep, gamma, vgamma, supports, tol)
+    else:
+        residuals = _span_residuals(rep, gamma, vgamma, tol)
     worst, worst_at, checked = 0.0, None, 0
     violations = []
     for i, xpart in gamma.parts.items():
         for col in range(xpart.shape[1]):
-            m = rep_matrix_of(rep, xpart[:, col], stack)
             for j, vpart in vgamma.parts.items():
-                q = bases.get(vgamma.group.add(i, j), absent)
-                image = m @ vpart
-                res = span_distance(image, q)
-                checked += image.shape[1]
+                res = float(residuals[i, j][col])
+                checked += vpart.shape[1]
                 if res > worst:
                     worst, worst_at = res, (i, j)
                 if res > tol:
@@ -530,6 +643,112 @@ def check_compatibility(
     return Report(
         ok=not violations, max_residual=worst, violations=violations, checked=checked, worst_at=worst_at, tol=tol
     )
+
+
+def _pair_support(part: np.ndarray) -> tuple | None:
+    """(rows, cols, vals) of the nonzeros of part, in row order, when part
+    is finite and its columns are coordinate vectors or pairs with
+    pairwise disjoint supports; otherwise None."""
+    if not np.isfinite(part).all():
+        return None
+    rows, cols = np.nonzero(part)
+    if np.any(rows[1:] == rows[:-1]) or np.bincount(cols).max(initial=0) > 2:
+        return None
+    return rows, cols, part[rows, cols]
+
+
+def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports: dict, tol: float) -> dict:
+    """Residuals {(i, j): one per column of gamma part i} on the entries.
+
+    The columns of all V parts are numbered in one sequence (global
+    columns).  Each nonzero of a V column at basis row c is joined with the
+    entries of every r(x) in column c: summed, they give the image keys
+    (global column, row) and the (K, k) table T with r(x) v = T[:, x] there,
+    for every sl basis label x.  For gamma part i the images of all its X
+    columns are one product T X.
+
+    Against the target part V_{i+j}, an image entry w_r whose row lies in
+    no kept column of the target counts whole; a coordinate column e_r
+    holds it exactly; for a pair column tau = tau_r e_r + tau_q e_q the
+    distance of (w_r, w_q) from the span of tau is max(|tau_r|, |tau_q|)
+    |tau_q w_r - tau_r w_q| / |tau|^2, with w_q read at the key (column, q)
+    and zero where there is none.
+    """
+    vlabels = list(vgamma.parts)
+    k, d = rep.n * rep.n - 1, rep.dim
+    widths = [vgamma.parts[lab].shape[1] for lab in vlabels]
+    offsets = np.cumsum([0] + widths)
+    owner = np.repeat(np.arange(len(vlabels)), widths)  # part of each global column
+    vrows = np.concatenate([supports[lab][0] for lab in vlabels])
+    vcols = np.concatenate([supports[lab][1] + off for lab, off in zip(vlabels, offsets)])
+    vvals = np.concatenate([supports[lab][2] for lab in vlabels])
+    norm2 = np.bincount(vcols, np.abs(vvals) ** 2, minlength=offsets[-1])
+    kept = np.zeros(offsets[-1], dtype=bool)
+    for off, width in zip(offsets, widths):
+        norms = np.sqrt(norm2[off : off + width])
+        kept[off : off + width] = norms > tol * max(1.0, norms.max(initial=0.0))  # as orthonormal_span keeps
+    # per part and row: the kept global column holding the row, its value there and the column's other row
+    block, tau = np.full((len(vlabels), d), -1), np.zeros((len(vlabels), d), dtype=vvals.dtype)
+    mate = np.tile(np.arange(d), (len(vlabels), 1))
+    block[owner[vcols], vrows] = np.where(kept[vcols], vcols, -1)
+    tau[owner[vcols], vrows] = vvals
+    order = np.argsort(vcols, kind="stable")
+    same = np.flatnonzero(vcols[order][1:] == vcols[order][:-1])
+    a, b = order[same], order[same + 1]
+    mate[owner[vcols[a]], vrows[a]], mate[owner[vcols[b]], vrows[b]] = vrows[b], vrows[a]
+    tau = _real_if_real(tau)
+
+    elabels, rows, cols, vals = rep.sl_entries
+    by_col = np.argsort(cols, kind="stable")
+    starts = np.searchsorted(cols[by_col], np.arange(d + 1))
+    t, u = ranges(starts[vrows], np.diff(starts)[vrows])
+    at = by_col[u]
+    keys, sums = summed((vcols[t] * d + rows[at]) * k + elabels[at], vals[at] * vvals[t])
+    image, label = np.divmod(keys, k)  # image key: global column * d + row
+    new = np.diff(image, prepend=-1) != 0
+    keys = image[new]
+    table = np.zeros((keys.size, k), dtype=sums.dtype)
+    table[np.cumsum(new) - 1, label] = sums
+    table = _real_if_real(table)
+    gcol, row = np.divmod(keys, d)
+    bounds = np.searchsorted(gcol, offsets)  # the keys of part p: bounds[p]:bounds[p + 1]
+
+    index = {lab: p for p, lab in enumerate(vlabels)}
+    out = {}
+    for i, xpart in gamma.parts.items():
+        images = table @ _real_if_real(xpart)  # one row per key, one column per X
+        tgt = np.array([index.get(vgamma.group.add(i, j), -1) for j in vlabels])[owner[gcol]]
+        blk = np.where(tgt >= 0, block[tgt, row], -1)
+        other = gcol * d + mate[tgt, row]
+        pos = np.minimum(np.searchsorted(keys, other), keys.size - 1)
+        w_other = np.where((keys[pos] == other)[:, None], images[pos], 0)
+        t_row, t_other = tau[tgt, row][:, None], tau[tgt, other % d][:, None]
+        scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)[:, None]
+        res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
+        for p, j in enumerate(vlabels):
+            worst = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
+            out[i, j] = np.where(np.isnan(worst), math.inf, worst)
+    return out
+
+
+def _real_if_real(a: np.ndarray) -> np.ndarray:
+    """a.real when no entry has an imaginary part: real arithmetic then
+    gives the same values at half the work."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float) -> dict:
+    """Residuals {(i, j): one per column of gamma part i} on dense matrices."""
+    stack = rep_sl_stack(rep)
+    bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
+    absent = np.zeros((rep.dim, 0), dtype=complex)
+    out = {}
+    for i, xpart in gamma.parts.items():
+        mats = [rep_matrix_of(rep, x, stack) for x in xpart.T]
+        for j, vpart in vgamma.parts.items():
+            q = bases.get(vgamma.group.add(i, j), absent)
+            out[i, j] = [span_distance(m @ vpart, q) for m in mats]
+    return out
 
 
 # Largest predicted footprint of the solver's reduced system and its thin

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,9 +48,13 @@ MAX_FREE_CELLS = 10
 
 
 def _as_scalar(v):
-    if isinstance(v, (Fraction, int)):
-        return Fraction(v)
-    return complex(v)
+    """Fraction for a rational or an integer of any kind (numpy's too) and
+    for a real or complex number whose value is an integer, so integral data
+    stays exact; complex otherwise."""
+    if isinstance(v, numbers.Rational):
+        return Fraction(int(v)) if isinstance(v, numbers.Integral) else Fraction(v)
+    z = complex(v)
+    return Fraction(int(z.real)) if z.imag == 0 and z.real.is_integer() else z
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "HighestWeight",
     "GTPattern",
     "enumerate_patterns",
+    "PatternTable",
     "weyl_dim",
     "row_sum",
     "act_diagonal",
@@ -161,6 +163,57 @@ def _offset(n: int, length: int) -> int:
     """Column of entry 1 of the row of the given length in a flattened
     (row-major, top-down) pattern."""
     return (n * (n + 1) - length * (length + 1)) // 2
+
+
+def _mixed_radix(lower: np.ndarray, base: np.ndarray, place: np.ndarray) -> np.ndarray:
+    return ((lower - base).astype(place.dtype) * place).sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class PatternTable:
+    """The patterns of an irrep in basis order and their flattenings, the
+    rows of one (d, n(n+1)/2) int64 array ``arr``.
+
+    The descending-lex basis order makes a mixed-radix key of the entries
+    below the top row descending (``keys``); each digit has room for one
+    step past its column's range, so ``find`` looks up the patterns of
+    any rows of such keys with one searchsorted.
+    """
+
+    patterns: list
+    arr: np.ndarray
+    base: np.ndarray  # digit c is the entry n + c minus base[c]
+    place: np.ndarray  # place value of each digit (object dtype past int64)
+    keys: np.ndarray
+
+    @staticmethod
+    def of(hw: HighestWeight) -> "PatternTable":
+        pats = enumerate_patterns(hw)
+        arr = np.array([p.flatten() for p in pats], dtype=np.int64)
+        lower = arr[:, hw.n :]
+        base = lower.min(axis=0) - 1
+        radix = [int(r) for r in lower.max(axis=0) - base + 2]
+        key_kind = np.int64 if math.prod(radix) < 2**63 else object
+        place = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))], dtype=key_kind)
+        return PatternTable(pats, arr, base, place, _mixed_radix(lower, base, place))
+
+    def key(self, lower: np.ndarray) -> np.ndarray:
+        """Keys of the rows of lower, entries n, n+1, ... of flattened
+        patterns each within one step of its column's range."""
+        return _mixed_radix(lower, self.base, self.place)
+
+    def row(self, k: int) -> np.ndarray:
+        """The rows of length k of all patterns, a (d, k) view of arr."""
+        n = self.patterns[0].n
+        return self.arr[:, _offset(n, k) : _offset(n, k) + k]
+
+    def find(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Basis index of the pattern with each key in target (any shape),
+        and whether there is one."""
+        ascending = self.keys[::-1]
+        d = ascending.size
+        pos = np.minimum(np.searchsorted(ascending, target), d - 1)
+        return d - 1 - pos, ascending[pos] == target
 
 
 def weyl_dim(hw: HighestWeight) -> int:
@@ -281,11 +334,9 @@ def build_representation(hw: HighestWeight) -> Representation:
     and ENTRY_BYTES per predicted entry (predicted_entries) would exceed
     GENERATOR_BUDGET_BYTES.
 
-    The flattened patterns are the rows of one (d, n(n+1)/2) int64 array,
-    whose descending-lex order makes a mixed-radix key of the entries below
-    the top row descending; each digit has room for one step past its
-    column's range, so the targets of a move are one searchsorted, and a
-    target exists exactly when the moved pattern is valid.  The
+    The patterns come as one PatternTable: the targets of a move are one
+    searchsorted of their keys, and a target exists exactly when the moved
+    pattern is valid.  The
     coefficients of the moves of one generator are formed on all patterns
     and all j at once in exact integers: int64 while (m_1 + n)^(2n-2),
     a bound on every radicand factor product, stays below 2^53, so that
@@ -305,32 +356,23 @@ def build_representation(hw: HighestWeight) -> Representation:
             f"r{hw} (d={d}) needs {nbytes / 2**30:.2f} GiB for its patterns and at most {entries} "
             f"generator entries, over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
-    pats = enumerate_patterns(hw)
-    arr = np.array([p.flatten() for p in pats], dtype=np.int64)
+    table = PatternTable.of(hw)
+    pats = table.patterns
     gen = {}
     every = np.arange(d)
-    row_sums = [0] + [arr[:, _offset(n, k) : _offset(n, k) + k].sum(axis=1) for k in range(1, n + 1)]
+    row_sums = [0] + [table.row(k).sum(axis=1) for k in range(1, n + 1)]
     trace_shift = hw.weight_sum / n
     for k in range(1, n + 1):
         diag = (row_sums[k] - row_sums[k - 1]) - trace_shift
         live = diag != 0
         gen[(k, k)] = (every[live], every[live], diag[live])
 
-    lower = arr[:, n:]
-    base = lower.min(axis=0) - 1
-    radix = [int(r) for r in lower.max(axis=0) - base + 2]
-    key_kind = np.int64 if math.prod(radix) < 2**63 else object
-    place = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))], dtype=key_kind)
-    keys = ((lower - base).astype(key_kind) * place).sum(axis=1)
-    ascending = keys[::-1]
-    ints = arr.astype(np.int64 if (hw.m[0] + n) ** (2 * n - 2) < 2**53 else object)
+    ints = table.arr.astype(np.int64 if (hw.m[0] + n) ** (2 * n - 2) < 2**53 else object)
     for k in range(2, n + 1):
-        moved = place[_offset(n, k - 1) - n : _offset(n, k - 1) - n + k - 1]
+        moved = table.place[_offset(n, k - 1) - n : _offset(n, k - 1) - n + k - 1]
         for label, shift in (((k, k - 1), -1), ((k - 1, k), 1)):
             num, den = _radicands(ints, n, k, shift)
-            target = keys[:, None] + shift * moved
-            pos = np.minimum(np.searchsorted(ascending, target), d - 1)
-            valid = ascending[pos] == target
+            index, valid = table.find(table.keys[:, None] + shift * moved)
             skipped = np.argwhere(~valid & (num != 0))
             if skipped.size:
                 (p, j), = skipped[:1]
@@ -345,7 +387,7 @@ def build_representation(hw: HighestWeight) -> Representation:
             if np.any(rad < 0):
                 raise ArithmeticError(f"negative radicand at k={k} on {pats[src[np.argmax(rad < 0)]]}")
             live = rad != 0
-            rows, cols = d - 1 - pos[src, col][live], src[live]
+            rows, cols = index[src, col][live], src[live]
             order = np.argsort(rows * d + cols)
             gen[label] = (rows[order], cols[order], np.sqrt(rad[live])[order])
     for dist in range(2, n):
@@ -401,7 +443,8 @@ class GeneratorRep:
     The generators are stored once, as ``entries``: one linalg.Entries
     table whose matrix g is the label at position g of the row-major order
     (1,1), (1,2), ..., (n,n).  ``gen`` is their read-only dense view
-    (DenseGenerators).
+    (DenseGenerators), and ``sl_entries`` the entries of the canonical
+    sl(n) basis elements, formed on first use.
     """
 
     def __init__(self, n: int, gen):
@@ -424,6 +467,26 @@ class GeneratorRep:
 
     def matrix(self, k: int, l: int) -> np.ndarray:
         return self.gen[(k, l)]
+
+    @cached_property
+    def sl_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of r(x) for every canonical sl(n) basis
+        element x (algebra.sl_basis_labels: E_kl row-major, then H_k), read
+        once from the stored entries: arrays (labels, rows, cols, vals)
+        ordered by (label, row, col), label x the position of x.  The
+        diagonal of r(H_k) is r(E_kk) minus r(E_k+1,k+1) entry by entry, as
+        the dense difference forms it."""
+        e, n, d = self.entries, self.n, self.dim
+        a, b = np.divmod(e.gids, n)
+        off = a != b
+        plus, minus = ~off & (a < n - 1), ~off & (a > 0)  # E_kk enters H_k with +, H_k-1 with -
+        take = np.concatenate([np.flatnonzero(off), np.flatnonzero(plus), np.flatnonzero(minus)])
+        labels = np.concatenate([(a * (n - 1) + b - (b > a))[off], n * n - n + a[plus], n * n - n - 1 + a[minus]])
+        vals = np.concatenate([e.vals[off], e.vals[plus], -e.vals[minus]])
+        keys, vals = summed((labels * d + e.rows[take]) * d + e.cols[take], vals)
+        live = vals != 0
+        labels, at = np.divmod(keys[live], d * d)
+        return labels, *np.divmod(at, d), vals[live]
 
     def sl_label_matrix(self, label: tuple) -> np.ndarray:
         """Matrix of a canonical sl(n) basis element ("E", k, l) or ("H", k)."""

@@ -171,15 +171,22 @@ def simulation_to_json(sim: SimulationMatrix) -> dict:
     return out
 
 
+def _json_int(v) -> int:
+    """v itself when it is a JSON integer; int() would truncate 1.5 to 1."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 def simulation_from_json(payload: dict) -> SimulationMatrix:
     try:
         kind = payload["kind"]
-        order = int(payload["order"])
+        order = _json_int(payload["order"])
         if kind == "diagonal":
             phases = tuple(Fraction(int(n), int(d)) for n, d in payload["phases_pi"])
             return SimulationMatrix(order=order, kind=kind, phases=phases)
         if kind == "signed_permutation":
-            perm = tuple(int(p) for p in payload["perm"])
+            perm = tuple(_json_int(p) for p in payload["perm"])
             signs = tuple(complex(re, im) for re, im in payload["signs"])
             return SimulationMatrix(order=order, kind=kind, perm=perm, signs=signs)
         if kind == "dense":
@@ -188,7 +195,7 @@ def simulation_from_json(payload: dict) -> SimulationMatrix:
                 dtype=complex,
             )
             return SimulationMatrix(order=order, kind=kind, dense=dense)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed simulation-matrix JSON: {exc}") from exc
     raise InputError(f"unknown simulation-matrix kind {payload.get('kind')!r}")
 

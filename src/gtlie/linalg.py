@@ -9,8 +9,9 @@ Mostly-zero matrices are multiplied by one sparse-product kernel.
 ``Entries`` is the one table of their nonzero entries, ordered by row: it
 is either read from dense matrices (``Entries.of``) or stacked from
 per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is how
-gtrep stores representation generators.  ``row_join`` pairs entries with
-rows, ``product_terms`` forms every term of every pairwise product,
+gtrep stores representation generators.  ``ranges`` lays index ranges
+end to end, ``row_join`` pairs entries with rows by it,
+``product_terms`` forms every term of every pairwise product,
 ``summed`` adds equal keys, and ``row_blocks`` splits the output rows so
 that a check forms about TERMS_PER_BLOCK terms at a time.
 """
@@ -120,13 +121,17 @@ class Entries:
         return self.rows[at], self.cols[at], self.vals[at]
 
 
+def ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges first[t]:first[t] + count[t] laid end to end, as pairs
+    (t, u) of a range t and a position u in it."""
+    t = np.repeat(np.arange(count.size), count)
+    return t, np.arange(t.size) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
 def row_join(e: Entries, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (t, u) that join position t of inner with every entry u
     of e in row inner[t]; the work is the number of pairs."""
-    first = e.starts[inner]
-    count = e.starts[inner + 1] - first
-    t = np.repeat(np.arange(count.size), count)
-    return t, np.arange(t.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    return ranges(e.starts[inner], e.starts[inner + 1] - e.starts[inner])
 
 
 def product_terms(e: Entries, r0: int, r1: int) -> tuple:

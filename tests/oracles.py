@@ -21,11 +21,10 @@ from gtlie.algebra import (
     TwoPartCase,
     bracket,
     grading_adapted_basis,
-    matrix_to_coords,
     sl_basis_labels,
     sl_basis_matrices,
 )
-from gtlie.autos import rep_sl_matrices
+from gtlie.autos import action_on_sl, rep_sl_matrices
 from gtlie.contraction import EpsilonTable, PsiTable
 from gtlie.errors import InputError
 from gtlie.gtrep import GTPattern, HighestWeight, act_diagonal, enumerate_patterns
@@ -262,17 +261,21 @@ def per_column_rep_matrix(coords, mats) -> np.ndarray:
 
 
 def per_column_compatibility(rep, gamma, vgamma, tol):
-    """check_compatibility with each r(X) a per_column_rep_matrix; returns
-    (ok, max residual, violations (i, j, res) in order, worst_at)."""
+    """check_compatibility with each r(X) a per_column_rep_matrix, each image
+    block measured by dense_span_distance; returns (ok, max residual,
+    violations (i, j, res) in order, worst_at)."""
     mats = rep_sl_matrices(rep)
-    bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
+    disjoint = all(
+        np.isfinite(p).all() and (p != 0).sum(axis=1).max(initial=0) <= 1 and (p != 0).sum(axis=0).max(initial=0) <= 2
+        for p in vgamma.parts.values()
+    )
     worst, worst_at, violations = 0.0, None, []
     for i, xpart in gamma.parts.items():
         for col in range(xpart.shape[1]):
             m = per_column_rep_matrix(xpart[:, col], mats)
             for j, vpart in vgamma.parts.items():
-                q = bases.get(vgamma.group.add(i, j), np.zeros((rep.dim, 0)))
-                res = span_distance(m @ vpart, q)
+                target = vgamma.parts.get(vgamma.group.add(i, j), np.zeros((rep.dim, 0)))
+                res = dense_span_distance(m @ vpart, target, disjoint, tol)
                 if res > worst:
                     worst, worst_at = res, (i, j)
                 if res > tol:
@@ -280,16 +283,30 @@ def per_column_compatibility(rep, gamma, vgamma, tol):
     return not violations, worst, violations, worst_at
 
 
+def dense_span_distance(block, part, disjoint, tol) -> float:
+    """max |W - P W| for the orthogonal projector P onto the span of the
+    columns of part, on dense arrays: for disjoint column supports,
+    T T^H / |T|^2 column by column over the columns T of norm above
+    tol * max(1, largest); otherwise Q Q^H with Q from orthonormal_span."""
+    if not disjoint:
+        return span_distance(block, orthonormal_span(part, tol))
+    norms = np.linalg.norm(part, axis=0)
+    t = part[:, norms > tol * max(1.0, norms.max(initial=0.0))]
+    return max_abs(block - t @ ((t.conj().T @ block) / (np.abs(t) ** 2).sum(axis=0)[:, None]))
+
+
 def per_column_simulation(rep, aut, sim, tol):
-    """verify_simulation with each r(g(x)) a per_column_rep_matrix; returns
-    (ok, max residual, violations (label, res) in order, worst_at)."""
+    """verify_simulation with each r(g(x)) a per_column_rep_matrix of the
+    column of action_on_sl, R r(x) R^-1 and R^order dense; returns (ok,
+    max residual, violations (label, res) in order, worst_at)."""
     mats = rep_sl_matrices(rep)
     n, r, rinv = rep.n, sim.matrix, sim.inverse()
+    act = action_on_sl(aut)
     residuals = []
-    for lab, base, m in zip(sl_basis_labels(n), sl_basis_matrices(n), mats):
-        lhs = per_column_rep_matrix(matrix_to_coords(n, aut.apply(base)), mats)
+    for lab, coords, m in zip(sl_basis_labels(n), act.T, mats):
+        lhs = per_column_rep_matrix(coords, mats)
         residuals.append((lab, max_abs(lhs - r @ m @ rinv)))
-    residuals.append(("power", sim.power_residual()))
+    residuals.append(("power", max_abs(np.linalg.matrix_power(r, sim.order) - np.eye(sim.dim))))
     worst_at, worst = max(residuals, key=lambda item: item[1])
     violations = [(at, res) for at, res in residuals if res > tol]
     return not violations, worst, violations, worst_at if worst else None

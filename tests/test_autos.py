@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from gtlie.autos import (
 )
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
-from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns
+from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns, weyl_dim
 from gtlie.linalg import Entries
 from oracles import dense_doubled_generators, per_column_compatibility, per_column_simulation, per_vector_compatibility
 
@@ -351,6 +352,11 @@ def test_check_compatibility_group_mismatch():
     vgamma = decompose_rep_space(simulation_inner(HighestWeight(4, (1, 0, 0, 0)), 4, 1))
     with pytest.raises(InputError, match="sl\\(4\\)"):
         check_compatibility(rep4, gamma1, vgamma)
+    # carrier vectors of another dimension are refused too, not broadcast
+    gamma4 = grading_from_automorphism(gtlie.sl_algebra(4), auto_inner(4, 1))
+    vgamma6 = decompose_rep_space(simulation_inner(HighestWeight(4, (1, 1, 0, 0)), 4, 1))
+    with pytest.raises(InputError, match="dimension 4"):
+        check_compatibility(rep4, gamma4, vgamma6)
 
 
 def assert_matches_per_vector(rep, gamma, vgamma, tol=1e-9):
@@ -447,7 +453,8 @@ def test_compatibility_on_r4310_inner_is_exact_and_outer_passes():
     assert inner.checked == 15 * 175
     outer = check_compatibility(rep, grading_from_automorphism(sl4, auto_outer(4)),
                                 decompose_rep_space(J_matrix(hw)))
-    assert outer.ok and outer.max_residual < 1e-13 and outer.worst_at is not None
+    # the pair blocks e_c +- s e_q are projected exactly: no thin-SVD round-off is left
+    assert outer.ok and outer.max_residual == 0.0 and outer.worst_at is None
 
 
 def _signed_permutation_involutions(d):
@@ -594,3 +601,199 @@ def test_solver_normalizes_an_order_3_automorphism_on_a_reducible_carrier():
     for carrier in (build_representation(hw), doubled_rep(hw)[0]):
         found = _solved(carrier, aut)
         assert found is not None and found.order == 3
+
+
+def _carriers(hw):
+    """(rep, aut, sim) for every inner class auto_inner(n, s) and for the
+    outer automorphism, on J_matrix when it exists and on doubled_rep."""
+    n, rep = hw.n, build_representation(hw)
+    out = [(rep, auto_inner(n, s), simulation_inner(hw, n, s)) for s in range(n // 2 + 1)]
+    if is_self_contragredient(hw):
+        out.append((rep, auto_outer(n), J_matrix(hw)))
+    doubled, swap = doubled_rep(hw)
+    return out + [(doubled, auto_outer(n), swap)]
+
+
+def _check_like_the_oracles(rep, aut, sim, vgamma=None):
+    """verify_simulation and, on vgamma, check_compatibility, each matching
+    its per-column oracle; returns both reports (None for the second
+    without vgamma)."""
+    simcheck = verify_simulation(rep, aut, sim, 1e-9)
+    assert_matches_per_column(simcheck, per_column_simulation(rep, aut, sim, 1e-9))
+    if vgamma is None:
+        return simcheck, None
+    gamma = grading_from_automorphism(gtlie.sl_algebra(rep.n), aut)
+    compat = check_compatibility(rep, gamma, vgamma, 1e-9)
+    assert_matches_per_column(compat, per_column_compatibility(rep, gamma, vgamma, 1e-9))
+    assert compat.checked == sum(x.shape[1] for x in gamma.parts.values()) * rep.dim
+    return simcheck, compat
+
+
+@pytest.mark.parametrize("hw", SMALL_WEIGHTS, ids=str)
+def test_index_kernels_match_the_oracles_on_every_small_weight(hw):
+    for rep, aut, sim in _carriers(hw):
+        assert sim.kind in ("diagonal", "signed_permutation")
+        simcheck, compat = _check_like_the_oracles(rep, aut, sim, decompose_rep_space(sim))
+        assert simcheck.ok and compat.ok
+
+
+@pytest.mark.parametrize("m, c", [((2, 1, 0), 1), ((2, 1, 0), 4), ((2, 1, 1, 0), 7), ((3, 3, 0), 0)], ids=str)
+def test_a_flipped_sign_of_the_outer_simulation_is_flagged(m, c):
+    hw = HighestWeight(len(m), m)
+    if is_self_contragredient(hw):
+        rep, good = build_representation(hw), J_matrix(hw)
+    else:
+        rep, good = doubled_rep(hw)
+    signs = list(good.signs)
+    signs[c] = -signs[c]
+    bad = SimulationMatrix(order=2, kind="signed_permutation", perm=good.perm, signs=tuple(signs))
+    simcheck, compat = _check_like_the_oracles(rep, auto_outer(hw.n), bad, decompose_rep_space(bad))
+    # the V split reads the sign at the first index of each 2-cycle and at fixed points only
+    assert not simcheck.ok and compat.ok == (good.perm[c] < c)
+
+
+@pytest.mark.parametrize("m, s, c", [((2, 1, 0), 1, 3), ((3, 1, 0), 1, 0), ((2, 1, 1, 0), 2, 5)], ids=str)
+def test_a_shifted_phase_of_the_inner_simulation_is_flagged(m, s, c):
+    hw = HighestWeight(len(m), m)
+    rep, good = build_representation(hw), simulation_inner(hw, hw.n, s)
+    for shift in (Fraction(1, 2), Fraction(1)):  # a quarter turn has no Z2 label; a half turn moves e_c
+        phases = list(good.phases)
+        phases[c] += shift
+        bad = SimulationMatrix(order=2, kind="diagonal", phases=tuple(phases))
+        simcheck, compat = _check_like_the_oracles(
+            rep, auto_inner(hw.n, s), bad, decompose_rep_space(bad) if shift == 1 else None
+        )
+        assert not simcheck.ok and (compat is None or not compat.ok)
+
+
+@pytest.mark.parametrize("label, pos", [((1, 2), (0, 1)), ((2, 2), (3, 3)), ((3, 1), (7, 0))], ids=str)
+def test_a_changed_generator_entry_is_flagged(label, pos):
+    # Ad_A with A diagonal maps r(E_kl) to a multiple of itself, so the inner
+    # checks see a changed entry only where the phases make it one; J swaps
+    # r(E_kl) with r(E_lk) and always sees it
+    hw = HighestWeight(3, (2, 1, 0))
+    rep = build_representation(hw)
+    gen = {key: m.copy() for key, m in rep.gen.items()}
+    gen[label][pos] += 0.5
+    bad = GeneratorRep(3, gen)
+    _check_like_the_oracles(bad, auto_inner(3, 1), simulation_inner(hw, 3, 1), decompose_rep_space(simulation_inner(hw, 3, 1)))
+    simcheck, _ = _check_like_the_oracles(bad, auto_outer(3), J_matrix(hw), decompose_rep_space(J_matrix(hw)))
+    assert not simcheck.ok
+
+
+def test_a_nan_generator_entry_fails_both_checks_closed():
+    hw = HighestWeight(3, (2, 1, 0))
+    rep = build_representation(hw)
+    gen = {key: m.copy() for key, m in rep.gen.items()}
+    gen[(1, 3)][0, 6] = np.nan
+    bad = GeneratorRep(3, gen)
+    for aut, sim in ((auto_inner(3, 1), simulation_inner(hw, 3, 1)), (auto_outer(3), J_matrix(hw))):
+        assert verify_simulation(bad, aut, sim).max_residual == math.inf
+        gamma = grading_from_automorphism(gtlie.sl_algebra(3), aut)
+        assert check_compatibility(bad, gamma, decompose_rep_space(sim)).max_residual == math.inf
+
+
+def test_dense_r_and_mixed_v_parts_take_the_dense_path_and_match_the_oracles():
+    hw = HighestWeight(3, (2, 1, 0))
+    rep = build_representation(hw)
+    for aut in (auto_inner(3, 1), auto_outer(3)):
+        found = find_simulation_matrix(rep, aut)
+        assert found.kind == "dense"
+        simcheck, compat = _check_like_the_oracles(rep, aut, found, decompose_rep_space(found))
+        assert simcheck.ok and compat.ok
+    # each V part of the J split mixed by a random unitary: no longer disjoint columns
+    rng = np.random.default_rng(11)
+    sim = J_matrix(hw)
+    parts = {}
+    for lab, part in decompose_rep_space(sim).parts.items():
+        u, _ = np.linalg.qr(rng.standard_normal((part.shape[1],) * 2) + 1j * rng.standard_normal((part.shape[1],) * 2))
+        parts[lab] = part @ u
+    mixed = gtlie.Grading(group=AbelianGroup((2,)), parts=parts)
+    _, compat = _check_like_the_oracles(rep, auto_outer(3), sim, mixed)
+    assert compat.ok and 0 < compat.max_residual < 1e-13  # the thin-SVD basis leaves round-off
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["inner", "outer"])
+def test_verify_simulation_of_r40_20_0_stays_on_the_entries(kind):
+    # the dense (k, d, d) stack of d = 9261 would need 5.75 GiB of generators
+    hw = HighestWeight(3, (40, 20, 0))
+    rep = build_representation(hw)
+    aut, sim = (auto_inner(3, 1), simulation_inner(hw, 3, 1)) if kind == "inner" else (auto_outer(3), J_matrix(hw))
+    report, peak = _peak_bytes(lambda: verify_simulation(rep, aut, sim, 1e-9))
+    assert report.ok and report.max_residual == 0.0 and report.checked == 9
+    assert peak < 64 * 2**20
+
+
+def test_check_compatibility_of_r20_10_0_forms_no_dense_generator():
+    # the densified generators of d = 1331 take 127 MB
+    hw = HighestWeight(3, (20, 10, 0))
+    rep = build_representation(hw)
+    gamma = grading_from_automorphism(gtlie.sl_algebra(3), auto_inner(3, 1))
+    vgamma = decompose_rep_space(simulation_inner(hw, 3, 1))
+    report, peak = _peak_bytes(lambda: check_compatibility(rep, gamma, vgamma, 1e-9))
+    assert report.ok and report.max_residual == 0.0 and report.checked == 8 * 1331
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind="signed_permutation", perm=(0, 0), signs=(1.0, 1.0)),
+        dict(kind="signed_permutation", perm=(0, 2), signs=(1.0, 1.0)),
+        dict(kind="signed_permutation", perm=(1, 0), signs=(1.0,)),
+        dict(kind="signed_permutation", perm=(1, 0), signs=(1.0, 0.0)),
+        dict(kind="signed_permutation", perm=(1, 0), signs=(1.0, complex(math.nan, 0.0))),
+        dict(kind="signed_permutation", perm=(1, 0), signs=(math.inf, 1.0)),
+        dict(kind="diagonal", phases=(Fraction(0), math.nan)),
+        dict(kind="diagonal", phases=(math.inf,)),
+        dict(kind="diagonal", phases=(Fraction(0),), order=0),
+        dict(kind="dense", dense=np.ones((2, 3))),
+        dict(kind="dense", dense=np.array([[1.0, math.nan], [0.0, 1.0]])),
+        dict(kind="mystery", dense=np.eye(2)),
+    ],
+    ids=["repeated", "index d", "short signs", "zero sign", "nan sign", "inf sign", "nan phase", "inf phase",
+         "order 0", "not square", "nan entry", "unknown kind"],
+)
+def test_simulation_matrix_refuses_malformed_fields(fields):
+    with pytest.raises(InputError):
+        SimulationMatrix(**{"order": 2, **fields})
+
+
+def test_a_zero_sign_is_refused_before_any_check():
+    # it raised ZeroDivisionError from verify_simulation, and perm entry d an IndexError
+    rep = build_representation(HighestWeight(3, (1, 1, 0)))
+    with pytest.raises(InputError, match="nonzero"):
+        verify_simulation(rep, auto_outer(3), SimulationMatrix(order=2, kind="signed_permutation",
+                                                              perm=(0, 1, 2), signs=(1.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_pair_gradings_match_the_oracle(seed):
+    # coordinate vectors and pairs with arbitrary (also complex) values, a
+    # column below the span tolerance now and then, and mixed gamma columns
+    rng = np.random.default_rng(seed)
+    hw = HighestWeight(3, (2, 1, 0)) if seed % 2 else HighestWeight(4, (1, 1, 0, 0))
+    rep, n, d = build_representation(hw), hw.n, weyl_dim(hw)
+    gamma = grading_from_automorphism(gtlie.sl_algebra(n), auto_outer(n) if seed % 3 else auto_inner(n, 1))
+    gamma = gtlie.Grading(group=gamma.group, parts={l: p @ rng.standard_normal((p.shape[1],) * 2) for l, p in gamma.parts.items()})
+    order, parts, c = rng.permutation(d), {(0,): [], (1,): []}, 0
+    while c < d:
+        size = 2 if c + 1 < d and rng.random() < 0.6 else 1
+        for lab in ((0,), (1,))[: size]:
+            v = np.zeros(d, dtype=complex)
+            v[order[c : c + size]] = rng.standard_normal(size) + 1j * rng.standard_normal(size) * (seed % 2)
+            parts[lab if size == 2 else (int(rng.integers(2)),)].append(v * (1e-12 if rng.random() < 0.05 else 1.0))
+        c += size
+    vgamma = gtlie.Grading(group=AbelianGroup((2,)), parts={l: np.column_stack(p) for l, p in parts.items() if p})
+    report = check_compatibility(rep, gamma, vgamma, 1e-9)
+    assert_matches_per_column(report, per_column_compatibility(rep, gamma, vgamma, 1e-9))
+    assert not report.ok

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
+from gtlie import jsonio
 from gtlie.contraction import (
     ContractedRep,
     EpsilonTable,
@@ -538,3 +539,20 @@ def test_homomorphism_check_of_a_d175_rep_stays_in_bounded_memory():
     # the whole k^2 d^2 block of relations would be 110 MiB
     assert report.ok and report.checked == 225
     assert peak < 32 * 2**20
+
+
+def test_an_integral_numpy_table_stays_exact():
+    eps = epsilon_from_rows(Z2, np.ones((2, 2), dtype=int))
+    assert all(type(v) is Fraction for v in eps.values.values())
+    assert eps.as_tuple() == epsilon_from_rows(Z2, [[1, 1], [1, 1]]).as_tuple()
+    assert verify_epsilon(eps, 0.0).ok
+    assert jsonio.table_to_json(eps)["values"][0] == [[0], [0], 1, 1]
+
+
+def test_an_integral_float_cell_stays_exact():
+    psi = psi_from_rows(Z2, [[1 / 1, 1], [0.0, complex(1, 0)]])
+    assert all(type(v) is Fraction for v in psi.values.values())
+    assert psi.as_tuple() == (1, 1, 0, 1)
+    assert [v[2:] for v in jsonio.table_to_json(psi)["values"]] == [[1, 1], [1, 1], [0, 1], [1, 1]]
+    # a value that is not an integer stays complex, as before
+    assert psi_from_rows(Z2, [[0.5, 1], [1, 1]]).values[(0,), (0,)] == complex(0.5)

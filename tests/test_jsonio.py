@@ -104,3 +104,29 @@ def test_canonical_dumps_deterministic():
     a = jsonio.canonical_dumps(jsonio.rep_to_json(rep))
     b = jsonio.canonical_dumps(jsonio.rep_to_json(build_representation(HighestWeight(3, (1, 1, 0)))))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"perm": [0, 0]},
+        {"perm": [0, 2]},
+        {"perm": [1.7, 0.2]},
+        {"signs": [[1.0, 0.0]]},
+        {"signs": [[1.0, 0.0], [0.0, 0.0]]},
+        {"signs": [[1.0, 0.0], [float("nan"), 0.0]]},
+        {"order": 0},
+        {"order": 2.5},
+        {"kind": "diagonal", "phases_pi": [[0, 1], [1, 0]]},
+        {"kind": "dense", "matrix": [[[1.0, 0.0], [0.0, 0.0]]]},
+        {"kind": "dense", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("inf"), 0.0]]]},
+    ],
+    ids=["repeated", "index d", "fractional perm", "short signs", "zero sign", "nan sign", "order 0", "order 2.5",
+         "zero denominator",
+         "not square", "inf entry"],
+)
+def test_simulation_json_refuses_malformed_fields(change):
+    payload = {"dim": 2, "order": 2, "kind": "signed_permutation", "perm": [1, 0], "signs": [[1.0, 0.0], [1.0, 0.0]]}
+    assert jsonio.simulation_from_json(payload).dim == 2
+    with pytest.raises(InputError):
+        jsonio.simulation_from_json({**payload, **change})
