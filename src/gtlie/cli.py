@@ -15,6 +15,7 @@ byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -376,9 +377,12 @@ def cmd_contract_apply(cfg: RunConfig, args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Global flags are accepted both before and after the subcommand; the
-    # suppressed defaults keep subparsers from clobbering root-level values.
+    # Built once per process: parse_args leaves the parser as it was and
+    # returns a fresh Namespace each time.  Global flags are accepted both
+    # before and after the subcommand; the suppressed defaults keep
+    # subparsers from clobbering root-level values.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--tol", type=float, help="verification tolerance (default 1e-9)")
     common.add_argument("--format", choices=["text", "json"], help="report format")

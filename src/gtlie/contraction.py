@@ -14,13 +14,16 @@ when
     psi_{j,k} psi_{i,j+k} = psi_{i,k} psi_{j,i+k} = eps_{i,j} psi_{i+j,k}.
 
 One array kernel checks both systems, for one table or a batch (the binary
-(0/1) solution sets), exactly in integers for rational tables; a NaN cell is
-an infinite residual.  Stacked numpy kernels over (k, d, d) operator stacks
-apply a contraction, with eps and psi read once per call as label arrays.
+(0/1) solution sets), exactly in integers for rational tables; a NaN cell or
+a residual past the float range is an infinite residual.  Stacked numpy
+kernels over (k, d, d) operator stacks apply a contraction, with eps and psi
+read once per call as label arrays.  The inputs of a contraction are checked
+once per content (_verify_once); its outputs are checked on every call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import numbers
@@ -45,6 +48,51 @@ from .gtrep import GeneratorRep
 from .linalg import DEFAULT_TOL
 
 MAX_FREE_CELLS = 10
+# Content digests of the inputs that passed a precondition check, oldest
+# first; past PASSED_CAPACITY the oldest is dropped.
+PASSED_CAPACITY = 1024
+_passed: dict[bytes, None] = {}
+
+
+def _verify_once(check: str, tol: float, content: tuple, run, fail) -> None:
+    """Run the precondition check run() -> Report unless this exact content
+    passed the check named check at tol before; raise fail(report) when it
+    fails.  The key is a blake2b digest of check, tol and content, each
+    array as its dtype, shape and bytes (an object array as the repr of its
+    values), anything else as its repr.  Only passes are recorded, so a
+    failing input is checked, and refused, again on every call."""
+    h = hashlib.blake2b(digest_size=16)
+    for x in (check, tol, *content):
+        if isinstance(x, np.ndarray):
+            data = repr(x.tolist()).encode() if x.dtype.hasobject else x.tobytes()
+            pieces = (f"{x.dtype.str}{x.shape}".encode(), data)
+        else:
+            pieces = (repr(x).encode(),)
+        for piece in pieces:
+            h.update(len(piece).to_bytes(8, "little"))
+            h.update(piece)
+    key = h.digest()
+    if key in _passed:
+        return
+    report = run()
+    if not report.ok:
+        raise fail(report)
+    _passed[key] = None
+    if len(_passed) > PASSED_CAPACITY:
+        del _passed[next(iter(_passed))]
+
+
+def _grading_content(gamma: Grading) -> tuple:
+    """What a check reads of a grading: group orders, then each part label and array in dict order."""
+    return (gamma.group.orders, *itertools.chain.from_iterable(gamma.parts.items()))
+
+
+def _float_ratio(num, den) -> float:
+    """float(num / den), inf past the float range."""
+    try:
+        return float(num / den)
+    except OverflowError:
+        return math.inf
 
 
 def _as_scalar(v):
@@ -81,12 +129,19 @@ class ScalarTable:
         els = self.group.elements()
         return tuple(self.value(i, j) for i in els for j in els)
 
-    def on_labels(self, rows, cols) -> np.ndarray:
-        """Complex len(rows) x len(cols) array of the values at every label
-        pair (rows[a], cols[b]), read from one |G| x |G| table."""
+    def floats(self) -> np.ndarray:
+        """The values as one complex |G| x |G| array in lex order; InputError
+        for a cell outside the float range."""
+        try:
+            return np.array([complex(x) for x in self.as_tuple()]).reshape(self.group.size, -1)
+        except OverflowError as exc:
+            raise InputError(f"a table cell is outside the float range: {exc}") from exc
+
+    def on_labels(self, floats: np.ndarray, rows, cols) -> np.ndarray:
+        """The len(rows) x len(cols) array of floats() at every label pair
+        (rows[a], cols[b])."""
         index = {el: t for t, el in enumerate(self.group.elements())}
-        table = np.array([complex(x) for x in self.as_tuple()]).reshape(len(index), -1)
-        return table[np.ix_([index[r] for r in rows], [index[c] for c in cols])]
+        return floats[np.ix_([index[r] for r in rows], [index[c] for c in cols])]
 
     @classmethod
     def from_rows(cls, group: AbelianGroup, rows):
@@ -126,7 +181,7 @@ def _system(t: np.ndarray, group: AbelianGroup, scale: int, eps: np.ndarray | No
     """Residuals in check order of the eps system (eps None: the |G|^2 cells |t_ij - t_ji|, then the
     |G|^3 triples) or of the psi system over eps, for the tables t (..., |G|, |G|) of scale c, all
     triples (i, j, k) at once by broadcasting.  Integers are divided by c^2 once, which rounds as
-    float(Fraction) does; NaN is inf, so the checks fail closed."""
+    float(Fraction) does; NaN and a quotient past the float range are inf, so the checks fail closed."""
     n, add = group.size, np.array(group.addition_table())
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
     if eps is None:  # e1, e2, e3 = t_ij t_{i+j,k}, t_jk t_{j+k,i}, t_ki t_{k+i,j}
@@ -138,7 +193,12 @@ def _system(t: np.ndarray, group: AbelianGroup, scale: int, eps: np.ndarray | No
     if eps is None:
         sym = (t - t.swapaxes(-1, -2)).reshape(*t.shape[:-2], n * n) * scale  # over c^2 as well
         pairs = np.concatenate([np.stack([sym, sym]), pairs], axis=-1)
-    res = np.asarray(np.abs(pairs) / (scale * scale), dtype=float)
+    res = np.abs(pairs)
+    if res.dtype == object:
+        res = np.frompyfunc(_float_ratio, 2, 1)(res, scale * scale)
+    else:
+        res = res / (scale * scale)
+    res = np.asarray(res, dtype=float)
     return np.where(np.isnan(res), math.inf, res).max(axis=0)
 
 
@@ -190,9 +250,13 @@ def enumerate_binary_epsilon(group: AbelianGroup) -> list[EpsilonTable]:
 
 
 def enumerate_binary_psi(eps: EpsilonTable) -> list[PsiTable]:
-    """All 0/1 solutions of the psi system for the given epsilon table."""
-    if not verify_epsilon(eps, tol=0.0).ok:
-        raise VerificationError("epsilon table does not solve the contraction system")
+    """All 0/1 solutions of the psi system for the given epsilon table,
+    which must solve its own system exactly (checked once per content)."""
+    _verify_once(
+        "epsilon", 0.0, (eps.group.orders, eps.as_tuple()),
+        lambda: verify_epsilon(eps, tol=0.0),
+        lambda report: VerificationError("epsilon table does not solve the contraction system"),
+    )
     g, n = eps.group, eps.group.size
     tables = _binary_rows(n * n).reshape(-1, n, n)
     cells, scale = _cells(eps)
@@ -228,21 +292,31 @@ def contract_algebra(
 
     The result lives in the adapted basis (part bases concatenated in label
     order): all brackets of pairs a < b are scaled by eps and expanded by
-    one solve; the pairs b > a are their exact negatives.  Jacobi is
-    re-checked and must pass.
+    one solve; the pairs b > a are their exact negatives.
+
+    An eps cell outside the float range is an InputError.  The inputs are
+    verified once per content: verify_grading and verify_epsilon run only
+    for an (algebra, grading) or eps content not seen to pass them before
+    at this tol.  The output is verified on every call: Jacobi of the
+    contracted algebra is re-checked and must pass.
     """
     if gamma.group.orders != eps.group.orders:
         raise InputError("grading and epsilon table live over different groups")
-    grading_report = verify_grading(algebra, gamma, tol)
-    if not grading_report.ok:
-        raise VerificationError(f"input grading fails verification: {grading_report.violations[:3]}")
-    eps_report = verify_epsilon(eps, tol)
-    if not eps_report.ok:
-        raise VerificationError(f"epsilon table fails the contraction system: {eps_report.violations[:3]}")
+    cells = eps.floats()
+    _verify_once(
+        "grading", tol, (algebra.structure, *_grading_content(gamma)),
+        lambda: verify_grading(algebra, gamma, tol),
+        lambda report: VerificationError(f"input grading fails verification: {report.violations[:3]}"),
+    )
+    _verify_once(
+        "epsilon", tol, (eps.group.orders, eps.as_tuple()),
+        lambda: verify_epsilon(eps, tol),
+        lambda report: VerificationError(f"epsilon table fails the contraction system: {report.violations[:3]}"),
+    )
     labels, basis = grading_adapted_basis(gamma)
     k = algebra.dim
     a, b = np.triu_indices(k, 1)
-    scale = eps.on_labels(labels, labels)[a, b]
+    scale = eps.on_labels(cells, labels, labels)[a, b]
     coeffs = np.linalg.solve(basis, brackets(basis, basis, algebra)[:, a * k + b] * scale)
     structure = np.zeros((k, k, k), dtype=complex)
     structure[a, b] = coeffs.T
@@ -287,21 +361,35 @@ def contract_rep(
 ) -> ContractedRep:
     """Build r^eps(X_i) v_j = psi_{i,j} r(X_i) v_j in the adapted V basis:
     the (k, d, d) stack r(X_a) is one tensordot, the change of basis one
-    solve for all k d columns of r(X_a) V, and psi one (k, d) scale array."""
-    compat = check_compatibility(rep, gamma, vgamma, tol)
-    if not compat.ok:
-        raise IncompatibleError(
-            f"representation is not compatible with the grading: {compat.violations[:3]}"
-        )
-    psi_report = verify_psi(psi, eps, tol)
-    if not psi_report.ok:
-        raise VerificationError(f"psi table fails its system: {psi_report.violations[:3]}")
+    solve for all k d columns of r(X_a) V, and psi one (k, d) scale array.
+
+    A psi or eps cell outside the float range is an InputError.  The
+    inputs are verified once per content: check_compatibility runs only
+    for a (carrier, grading, V grading) content, and verify_psi only for a
+    (psi, eps) content, not seen to pass at this tol before.  The output is
+    checked by verify_rep_homomorphism, on every call of it."""
+    cells = psi.floats()
+    eps.floats()  # eps is only checked here, but contract_algebra applies it in floats
+    e = rep.entries
+    _verify_once(
+        "compatibility", tol,
+        (rep.n, e.rows, e.cols, e.vals, e.gids, e.starts, *_grading_content(gamma), *_grading_content(vgamma)),
+        lambda: check_compatibility(rep, gamma, vgamma, tol),
+        lambda report: IncompatibleError(
+            f"representation is not compatible with the grading: {report.violations[:3]}"
+        ),
+    )
+    _verify_once(
+        "psi", tol, (psi.group.orders, psi.as_tuple(), eps.group.orders, eps.as_tuple()),
+        lambda: verify_psi(psi, eps, tol),
+        lambda report: VerificationError(f"psi table fails its system: {report.violations[:3]}"),
+    )
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
     k, d = abasis.shape[1], vbasis.shape[0]
     images = np.tensordot(abasis.T, np.array(rep_sl_matrices(rep)), axes=1) @ vbasis  # r(X_a) V
     out = np.linalg.solve(vbasis, images.transpose(1, 0, 2).reshape(d, k * d)).reshape(d, k, d)
-    out *= psi.on_labels(alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
+    out *= psi.on_labels(cells, alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
     return ContractedRep(
         rep=rep,
         gamma=gamma,

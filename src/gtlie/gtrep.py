@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -444,7 +443,8 @@ class GeneratorRep:
     table whose matrix g is the label at position g of the row-major order
     (1,1), (1,2), ..., (n,n).  ``gen`` is their read-only dense view
     (DenseGenerators), and ``sl_entries`` the entries of the canonical
-    sl(n) basis elements, formed on first use.
+    sl(n) basis elements, formed from the entries on each access, so they
+    follow an in-place edit of the entries.
     """
 
     def __init__(self, n: int, gen):
@@ -468,7 +468,7 @@ class GeneratorRep:
     def matrix(self, k: int, l: int) -> np.ndarray:
         return self.gen[(k, l)]
 
-    @cached_property
+    @property
     def sl_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero entries of r(x) for every canonical sl(n) basis
         element x (algebra.sl_basis_labels: E_kl row-major, then H_k), read

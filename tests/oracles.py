@@ -176,8 +176,11 @@ def per_pair_homomorphism(crep, calg, tol):
 
 
 def per_cell_residual(x) -> float:
-    """|x|, with NaN as inf."""
-    res = abs(complex(x))
+    """|x|, with NaN and a value past the float range as inf."""
+    try:
+        res = abs(complex(x))
+    except OverflowError:
+        return math.inf
     return math.inf if math.isnan(res) else res
 
 

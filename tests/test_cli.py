@@ -5,7 +5,7 @@ import pytest
 from gtlie import algebra as algebra_module
 from gtlie import contraction, jsonio
 from gtlie.algebra import sl_algebra
-from gtlie.cli import main
+from gtlie.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -233,3 +233,27 @@ def test_global_flags_accepted_before_and_after_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:  # --seed is not a flag
         main(["--seed", "1", "rep", "build", "-n", "2", "-w", "1,0"])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    argv = ["contract", "solve-psi", "--group", "2", "--eps", "1,1,1,0"]
+    code, first = run(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:  # a bad flag is refused by the same parser
+        main(["contract", "solve-psi", "--group", "2", "--bogus", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again = run(capsys, *argv)
+    assert code == 0 and again == first
+
+
+def test_an_eps_cell_past_the_float_range_is_exit_2(tmp_path, capsys):
+    g1 = tmp_path / "g1.json"
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(g1)]) == 0
+    huge = ",".join(["1e400"] * 4)
+    code = main(["contract", "apply", "--sl", "3", "--grading", str(g1), "--eps", huge])
+    captured = capsys.readouterr()
+    assert code == 2 and "float range" in captured.err
+    code, text = run(capsys, "contract", "solve-psi", "--group", "2", "--eps", huge)
+    assert code == 0 and "binary psi solutions" in text and ": 1" in text

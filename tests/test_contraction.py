@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
+from gtlie import contraction as contraction_module
 from gtlie import jsonio
 from gtlie.contraction import (
     ContractedRep,
@@ -556,3 +557,142 @@ def test_an_integral_float_cell_stays_exact():
     assert [v[2:] for v in jsonio.table_to_json(psi)["values"]] == [[1, 1], [1, 1], [0, 1], [1, 1]]
     # a value that is not an integer stays complex, as before
     assert psi_from_rows(Z2, [[0.5, 1], [1, 1]]).values[(0,), (0,)] == complex(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Inputs are verified once per content
+# ---------------------------------------------------------------------------
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends each call's args to the returned list."""
+    calls, check = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+    return calls
+
+
+def fresh_sl3_setup():
+    """sl(3) with a new inner (3,1) grading and a new r(1,0,0) carrier and
+    V grading, owned by the calling test alone."""
+    sl3 = gtlie.sl_algebra(3)
+    gamma = gtlie.grading_from_automorphism(sl3, gtlie.auto_inner(3, 1))
+    hw = HighestWeight(3, (1, 0, 0))
+    rep = build_representation(hw)
+    return sl3, gamma, rep, gtlie.decompose_rep_space(gtlie.simulation_inner(hw, 3, 1))
+
+
+def test_an_in_place_edit_of_the_grading_or_eps_is_verified_again():
+    sl3, gamma, _, _ = fresh_sl3_setup()
+    table = eps([[1, 1], [1, 1]])
+    contract_algebra(sl3, gamma, table)
+    saved = gamma.parts[(1,)].copy()
+    gamma.parts[(1,)][:, 0] = gamma.parts[(0,)][:, 0]  # no longer a direct sum
+    with pytest.raises(VerificationError, match="input grading"):
+        contract_algebra(sl3, gamma, table)
+    gamma.parts[(1,)][:] = saved
+    contract_algebra(sl3, gamma, table)
+    table.values[(0,), (1,)] = Fraction(0)  # no longer symmetric
+    with pytest.raises(VerificationError, match="epsilon table"):
+        contract_algebra(sl3, gamma, table)
+
+
+def test_an_in_place_edit_of_the_carrier_or_its_grading_is_verified_again():
+    _, gamma, rep, vgamma = fresh_sl3_setup()
+    table, ones = eps([[1, 1], [1, 1]]), psi([[1, 1], [1, 1]])
+    contract_rep(rep, vgamma, gamma, ones, table)
+    saved = vgamma.parts[(0,)].copy()
+    vgamma.parts[(0,)][:, 0] = vgamma.parts[(1,)][:, 0]  # V_0 now holds the V_1 vector
+    with pytest.raises(IncompatibleError):
+        contract_rep(rep, vgamma, gamma, ones, table)
+    vgamma.parts[(0,)][:] = saved
+    contract_rep(rep, vgamma, gamma, ones, table)
+    rep.entries.vals[0] = math.nan
+    with pytest.raises(IncompatibleError):
+        contract_rep(rep, vgamma, gamma, ones, table)
+
+
+def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
+    sl3, gamma, rep, _ = fresh_sl3_setup()
+    checks = {name: counting(monkeypatch, contraction_module, name)
+              for name in ("verify_epsilon", "check_compatibility")}
+    bad_eps = eps([[0, 1], [1, 0]])
+    bad_v = gtlie.Grading(group=Z2, parts={(0,): np.eye(3)[:, :1], (1,): np.eye(3)[:, 1:]})
+    for _ in range(3):
+        with pytest.raises(VerificationError):
+            contract_algebra(sl3, gamma, bad_eps)
+        with pytest.raises(VerificationError):
+            enumerate_binary_psi(bad_eps)
+        with pytest.raises(IncompatibleError):
+            contract_rep(rep, bad_v, gamma, psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 1]]))
+    assert len(checks["verify_epsilon"]) == 6 and len(checks["check_compatibility"]) == 3
+
+
+def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
+    checks = {name: counting(monkeypatch, contraction_module, name)
+              for name in ("verify_grading", "verify_epsilon", "check_compatibility", "verify_psi")}
+    tables = enumerate_binary_epsilon(Z2)
+    for _ in range(2):  # the second round rebuilds every input: same content, new objects
+        sl3, gamma, rep, vgamma = fresh_sl3_setup()
+        for table in tables:
+            contract_algebra(sl3, gamma, table)
+            contract_rep(rep, vgamma, gamma, enumerate_binary_psi(table)[-1], table)
+    assert len(tables) == 5
+    counts = {name: len(calls) for name, calls in checks.items()}
+    assert counts == {"verify_grading": 1, "verify_epsilon": 5 + 5, "check_compatibility": 1, "verify_psi": 5}
+    # at another tol the inputs are verified again
+    contract_algebra(sl3, gamma, tables[0], tol=1e-6)
+    assert len(checks["verify_grading"]) == 2
+
+
+def test_the_record_of_passed_inputs_drops_the_oldest_past_its_capacity(monkeypatch):
+    monkeypatch.setattr(contraction_module, "PASSED_CAPACITY", 2)
+    calls = counting(monkeypatch, contraction_module, "verify_epsilon")
+    first, second, third = enumerate_binary_epsilon(Z2)[:3]
+    for table in (first, second, first, third, second, first):
+        enumerate_binary_psi(table)
+    # first and second recorded; third drops first; second is still there; first is checked again
+    assert [args[0] for args in calls] == [first, second, third, first]
+    assert len(contraction_module._passed) == 2
+
+
+# ---------------------------------------------------------------------------
+# Cells and residuals past the float range
+# ---------------------------------------------------------------------------
+
+HUGE = 10**400
+
+
+def test_a_residual_past_the_float_range_is_infinite():
+    report = verify_epsilon(eps([[HUGE, 1], [1, 1]]))
+    assert not report.ok and report.max_residual == math.inf
+    assert vars(report) == vars(per_cell_epsilon(eps([[HUGE, 1], [1, 1]]), 1e-9))
+    constant = eps([[HUGE, HUGE], [HUGE, HUGE]])
+    assert verify_epsilon(constant, tol=0.0).max_residual == 0.0  # exact: it solves its system
+    found = enumerate_binary_psi(constant)
+    assert [t.as_tuple() for t in found] == [(0, 0, 0, 0)]
+    assert [t.as_tuple() for t in found] == [t.as_tuple() for t in per_table_binary_psi(constant)]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_huge_table_reports_equal_the_per_cell_oracles(data):
+    cell = st.sampled_from([0, 1, -1, HUGE, -HUGE, Fraction(1, HUGE), Fraction(3, 7)])
+    group = data.draw(st.sampled_from(TABLE_GROUPS[:3]))
+    n = group.size
+    e, p = ([[data.draw(cell) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    e, p = epsilon_from_rows(group, e), psi_from_rows(group, p)
+    assert vars(verify_epsilon(e)) == vars(per_cell_epsilon(e, 1e-9))
+    assert vars(verify_psi(p, e)) == vars(per_cell_psi(p, e, 1e-9))
+
+
+def test_a_cell_past_the_float_range_is_an_input_error():
+    sl3, gamma, rep, vgamma = fresh_sl3_setup()
+    constant = eps([[HUGE, HUGE], [HUGE, HUGE]])
+    for table in (constant, eps([[HUGE, 1], [1, 1]])):
+        with pytest.raises(InputError, match="float range"):
+            contract_algebra(sl3, gamma, table)
+    zero = psi([[0, 0], [0, 0]])
+    assert verify_psi(zero, constant).ok
+    for p, e in ((psi([[HUGE, 1], [1, 1]]), eps([[1, 1], [1, 1]])), (zero, constant)):
+        with pytest.raises(InputError, match="float range"):
+            contract_rep(rep, vgamma, gamma, p, e)
