@@ -32,7 +32,8 @@ coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``check_compatibility``
 forms the images of those columns from the entries and measures each one
 against its coordinate vector or its pair exactly.  A dense R (the
 solver's) and a carrier grading with any other columns take the dense
-path: the (k, d, d) stack of r(sl basis) and a thin-SVD basis per part.
+path: the dense (k, d, d) stack of r(sl basis), rep.sl_stack, which gtrep
+scatters once per representation, and a thin-SVD basis per part.
 """
 
 from __future__ import annotations
@@ -460,31 +461,6 @@ def doubled_rep(hw: HighestWeight):
     return GeneratorRep(r0.n, entries), swap
 
 
-# ---------------------------------------------------------------------------
-# Wiring representations to algebra coordinates
-# ---------------------------------------------------------------------------
-
-
-def rep_sl_matrices(rep: GeneratorRep) -> list[np.ndarray]:
-    """Representation matrices of the canonical sl(n) basis, in order."""
-    return [rep.sl_label_matrix(lab) for lab in sl_basis_labels(rep.n)]
-
-
-def rep_sl_stack(rep: GeneratorRep) -> np.ndarray:
-    """rep_sl_matrices as one complex (k, d, d) array."""
-    return np.array(rep_sl_matrices(rep), dtype=complex)
-
-
-def rep_matrix_of(rep: GeneratorRep, coords, stack: np.ndarray | None = None) -> np.ndarray:
-    """Representation matrix of an algebra element given by coordinates: one
-    product of the coordinates with the stacked sl matrices (rep_sl_stack,
-    formed here unless passed), as np.tensordot(coords, stack, axes=1)
-    forms it, without tensordot's per-call overhead on small stacks."""
-    if stack is None:
-        stack = rep_sl_stack(rep)
-    return (np.asarray(coords, dtype=complex) @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
-
-
 def verify_simulation(
     rep: GeneratorRep,
     aut: Automorphism,
@@ -500,7 +476,7 @@ def verify_simulation(
     pi(j), s_i v / s_j) of r(x), so both sides come from the entry lists
     GeneratorRep.sl_entries: the terms of both, keyed by (x, row, col), are
     summed once, and the residual of x is the largest sum among its keys.
-    A dense R is checked on the dense (k, d, d) stack.
+    A dense R is checked on the dense stack rep.sl_stack.
     """
     if sim.dim != rep.dim:
         raise InputError(f"simulation matrix dim {sim.dim} != rep dim {rep.dim}")
@@ -508,10 +484,9 @@ def verify_simulation(
         raise InputError(f"automorphism of sl({aut.n}) on a representation of sl({rep.n})")
     act = action_on_sl(aut)
     if sim.kind == "dense":
-        stack = rep_sl_stack(rep)
+        stack = rep.sl_stack
         r, rinv = sim.matrix, sim.inverse()
-        lhs = (act.T @ stack.reshape(len(stack), -1)).reshape(stack.shape)
-        found = [max_abs(l - r @ m @ rinv) for l, m in zip(lhs, stack)]
+        found = [max_abs(l - r @ m @ rinv) for l, m in zip(_combined(act.T, stack), stack)]
     else:
         d = rep.dim
         perm, scale = sim.monomial()
@@ -737,14 +712,21 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
+def _combined(coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The matrices sum_x coords[a, x] stack[x], one per row a of coords, as
+    one product (np.tensordot(coords, stack, axes=1) without its per-call
+    overhead on small stacks)."""
+    return (coords @ stack.reshape(len(stack), -1)).reshape(-1, *stack.shape[1:])
+
+
 def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float) -> dict:
     """Residuals {(i, j): one per column of gamma part i} on dense matrices."""
-    stack = rep_sl_stack(rep)
+    stack = rep.sl_stack
     bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
     absent = np.zeros((rep.dim, 0), dtype=complex)
     out = {}
     for i, xpart in gamma.parts.items():
-        mats = [rep_matrix_of(rep, x, stack) for x in xpart.T]
+        mats = _combined(xpart.T, stack)
         for j, vpart in vgamma.parts.items():
             q = bases.get(vgamma.group.add(i, j), absent)
             out[i, j] = [span_distance(m @ vpart, q) for m in mats]
@@ -812,18 +794,13 @@ def find_simulation_matrix(
     normalized to R^order = Id.
     """
     n, d = rep.n, rep.dim
-    stack = rep_sl_stack(rep)
-    basis = dict(zip(sl_basis_labels(n), sl_basis_matrices(n)))
-
-    def image(label: tuple) -> np.ndarray:
-        return rep_matrix_of(rep, matrix_to_coords(n, aut.apply(basis[label])), stack)
-
-    cartan = [("H", k) for k in range(1, n)]
-    h_src = [rep.sl_label_matrix(lab) for lab in cartan]
-    h_dst = [image(lab) for lab in cartan]
-    if all(_is_diagonal(h) for h in h_src + h_dst):
-        src = np.array([np.diag(h) for h in h_src]).reshape(n - 1, 1, d)
-        dst = np.array([np.diag(h) for h in h_dst]).reshape(n - 1, d, 1)
+    stack = rep.sl_stack
+    images = _combined(action_on_sl(aut).T, stack)  # r(g(x)) for every sl basis element x
+    index = {label: x for x, label in enumerate(sl_basis_labels(n))}
+    cartan = [index["H", k] for k in range(1, n)]
+    if all(_is_diagonal(h) for h in [*stack[cartan], *images[cartan]]):
+        src = np.diagonal(stack[cartan], axis1=1, axis2=2).reshape(n - 1, 1, d)
+        dst = np.diagonal(images[cartan], axis1=1, axis2=2).reshape(n - 1, d, 1)
         allowed = np.all(np.abs(dst - src) <= tol, axis=0)
     else:
         allowed = np.ones((d, d), dtype=bool)
@@ -835,7 +812,7 @@ def find_simulation_matrix(
     equations = []
     for k in range(1, n):
         for label in (("E", k, k + 1), ("E", k + 1, k)):
-            a, m = image(label), rep.sl_label_matrix(label)
+            a, m = images[index[label]], stack[index[label]]
             # Row (p, q) of A R - R M involves R[i, q] via A[p, i] and
             # R[p, j] via M[j, q]; rows reached by no allowed entry vanish.
             support = ((a != 0) @ allowed) | (allowed @ (m != 0))

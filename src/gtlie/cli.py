@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +48,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise InputError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # NaN fails this too
+            raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def _emit(cfg: RunConfig, report: dict, lines: list[str]) -> None:

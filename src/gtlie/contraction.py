@@ -27,6 +27,7 @@ import hashlib
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from .algebra import (
     grading_adapted_basis,
     verify_grading,
 )
-from .autos import check_compatibility, rep_sl_matrices
+from .autos import check_compatibility
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import GeneratorRep
@@ -87,12 +88,22 @@ def _grading_content(gamma: Grading) -> tuple:
     return (gamma.group.orders, *itertools.chain.from_iterable(gamma.parts.items()))
 
 
-def _float_ratio(num, den) -> float:
-    """float(num / den), inf past the float range."""
-    try:
-        return float(num / den)
-    except OverflowError:
-        return math.inf
+def _inf_on_overflow(op) -> np.ufunc:
+    """The binary op as an object-array ufunc whose OverflowError (a
+    quotient, or a Fraction meeting a complex cell, past the float range)
+    gives inf, so the residual it enters fails closed."""
+
+    def guarded(a, b):
+        try:
+            return op(a, b)
+        except OverflowError:
+            return math.inf
+
+    return np.frompyfunc(guarded, 2, 1)
+
+
+_MUL, _SUB = _inf_on_overflow(operator.mul), _inf_on_overflow(operator.sub)
+_ABS_RATIO = _inf_on_overflow(lambda num, den: float(abs(num) / den))
 
 
 def _as_scalar(v):
@@ -181,23 +192,24 @@ def _system(t: np.ndarray, group: AbelianGroup, scale: int, eps: np.ndarray | No
     """Residuals in check order of the eps system (eps None: the |G|^2 cells |t_ij - t_ji|, then the
     |G|^3 triples) or of the psi system over eps, for the tables t (..., |G|, |G|) of scale c, all
     triples (i, j, k) at once by broadcasting.  Integers are divided by c^2 once, which rounds as
-    float(Fraction) does; NaN and a quotient past the float range are inf, so the checks fail closed."""
+    float(Fraction) does; NaN and a value past the float range (an OverflowError on object cells
+    included) are inf, so the checks fail closed."""
     n, add = group.size, np.array(group.addition_table())
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    mul, sub = (_MUL, _SUB) if t.dtype == object else (np.multiply, np.subtract)
     if eps is None:  # e1, e2, e3 = t_ij t_{i+j,k}, t_jk t_{j+k,i}, t_ki t_{k+i,j}
-        x, y, z = (t[..., a, b] * t[..., add[a, b], c] for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+        x, y, z = (mul(t[..., a, b], t[..., add[a, b], c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
     else:  # p1, p2, p3 = t_jk t_{i,j+k}, t_ik t_{j,i+k}, eps_ij t_{i+j,k}
-        x, y = (t[..., a, b] * t[..., c, add[a, b]] for a, b, c in ((j, k, i), (i, k, j)))
-        z = eps[i, j] * t[..., add[i, j], k]
-    pairs = np.stack([x - y, y - z])
+        x, y = (mul(t[..., a, b], t[..., c, add[a, b]]) for a, b, c in ((j, k, i), (i, k, j)))
+        z = mul(eps[i, j], t[..., add[i, j], k])
+    pairs = np.stack([sub(x, y), sub(y, z)])
     if eps is None:
-        sym = (t - t.swapaxes(-1, -2)).reshape(*t.shape[:-2], n * n) * scale  # over c^2 as well
+        sym = sub(t, t.swapaxes(-1, -2)).reshape(*t.shape[:-2], n * n) * scale  # over c^2 as well
         pairs = np.concatenate([np.stack([sym, sym]), pairs], axis=-1)
-    res = np.abs(pairs)
-    if res.dtype == object:
-        res = np.frompyfunc(_float_ratio, 2, 1)(res, scale * scale)
+    if pairs.dtype == object:
+        res = _ABS_RATIO(pairs, scale * scale)
     else:
-        res = res / (scale * scale)
+        res = np.abs(pairs) / (scale * scale)
     res = np.asarray(res, dtype=float)
     return np.where(np.isnan(res), math.inf, res).max(axis=0)
 
@@ -363,11 +375,14 @@ def contract_rep(
     the (k, d, d) stack r(X_a) is one tensordot, the change of basis one
     solve for all k d columns of r(X_a) V, and psi one (k, d) scale array.
 
-    A psi or eps cell outside the float range is an InputError.  The
-    inputs are verified once per content: check_compatibility runs only
-    for a (carrier, grading, V grading) content, and verify_psi only for a
-    (psi, eps) content, not seen to pass at this tol before.  The output is
+    The stack r(sl basis) is rep.sl_stack, read first, so a carrier past
+    GENERATOR_BUDGET_BYTES is an InputError before any check.  A psi or
+    eps cell outside the float range is an InputError.  The inputs are
+    verified once per content: check_compatibility runs only for a
+    (carrier, grading, V grading) content, and verify_psi only for a (psi,
+    eps) content, not seen to pass at this tol before.  The output is
     checked by verify_rep_homomorphism, on every call of it."""
+    stack = rep.sl_stack
     cells = psi.floats()
     eps.floats()  # eps is only checked here, but contract_algebra applies it in floats
     e = rep.entries
@@ -387,7 +402,7 @@ def contract_rep(
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
     k, d = abasis.shape[1], vbasis.shape[0]
-    images = np.tensordot(abasis.T, np.array(rep_sl_matrices(rep)), axes=1) @ vbasis  # r(X_a) V
+    images = np.tensordot(abasis.T, stack, axes=1) @ vbasis  # r(X_a) V
     out = np.linalg.solve(vbasis, images.transpose(1, 0, 2).reshape(d, k * d)).reshape(d, k, d)
     out *= psi.on_labels(cells, alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
     return ContractedRep(

@@ -23,9 +23,13 @@ vector for n = 3), so a representation stores them once, as one
 ``linalg.Entries`` table over the n^2 labels.  ``build_representation``
 fills it from one integer array of all patterns, forming each coefficient
 over all patterns at once in exact integers, and the verifiers read it
-directly.  ``rep.gen`` is a read-only dense view for the consumers that
-need d x d matrices: a generator is densified on first access, under
-GENERATOR_BUDGET_BYTES, and cached as a non-writeable array.
+directly.  The table is read-only, so what is derived from it is formed
+once and cached.  The two dense views, ``rep.gen`` (the n^2 generators by
+label) and ``rep.sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis) that
+simulation, compatibility and contraction read), are each one scatter of
+entries into a read-only array, after the one check against
+GENERATOR_BUDGET_BYTES; this module is the only place that densifies a
+representation.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,7 +58,6 @@ __all__ = [
     "build_representation",
     "GENERATOR_BUDGET_BYTES",
     "check_generator_budget",
-    "DenseGenerators",
     "GeneratorRep",
     "Representation",
     "verify_commutation",
@@ -294,8 +299,8 @@ def _labels(n: int) -> list[tuple[int, int]]:
 
 
 # Largest predicted footprint, in bytes, of a representation's storage: at
-# build the pattern array plus the predicted generator entries; at the
-# first dense access the n^2 dense float64 d x d generators.
+# build the pattern array plus the predicted generator entries; before a
+# dense view is scattered the n^2 dense float64 d x d generators.
 GENERATOR_BUDGET_BYTES = 2 << 30
 # Bytes of one stored generator entry: row, col and matrix index (int64) and
 # value (float64).
@@ -397,41 +402,6 @@ def build_representation(hw: HighestWeight) -> Representation:
     return Representation(hw, pats, Entries.stack(d, [gen[label] for label in _labels(n)]))
 
 
-class DenseGenerators(Mapping):
-    """Read-only mapping from each generator label (k, l) to its dense
-    d x d matrix.  A generator is densified from the entries on first
-    access, after check_generator_budget, and cached as a non-writeable
-    array, so an in-place write raises instead of being lost."""
-
-    def __init__(self, n: int, entries: Entries):
-        self._gids = {label: g for g, label in enumerate(_labels(n))}
-        self._n = n
-        self._entries = entries
-        self._cache: dict = {}
-
-    def __getitem__(self, label) -> np.ndarray:
-        m = self._cache.get(label)
-        if m is None:
-            g = self._gids[label]
-            d = self._entries.dim
-            check_generator_budget(self._n, d)
-            rows, cols, vals = self._entries.triple(g)
-            m = np.zeros((d, d), dtype=vals.dtype)
-            m[rows, cols] = vals
-            m.flags.writeable = False
-            self._cache[label] = m
-        return m
-
-    def __contains__(self, label) -> bool:
-        return label in self._gids
-
-    def __iter__(self):
-        return iter(self._gids)
-
-    def __len__(self) -> int:
-        return len(self._gids)
-
-
 class GeneratorRep:
     """A representation given by a matrix for every generator label (k, l).
 
@@ -439,12 +409,13 @@ class GeneratorRep:
     arbitrary traceless combinations come from the off-diagonal labels
     and the differences gen(k,k) - gen(k+1,k+1).
 
-    The generators are stored once, as ``entries``: one linalg.Entries
-    table whose matrix g is the label at position g of the row-major order
-    (1,1), (1,2), ..., (n,n).  ``gen`` is their read-only dense view
-    (DenseGenerators), and ``sl_entries`` the entries of the canonical
-    sl(n) basis elements, formed from the entries on each access, so they
-    follow an in-place edit of the entries.
+    The generators are stored once, as ``entries``: one read-only
+    linalg.Entries table whose matrix g is the label at position g of the
+    row-major order (1,1), (1,2), ..., (n,n).  Everything else is derived
+    from it once and cached: ``sl_entries``, the entries of the canonical
+    sl(n) basis elements, and the two dense views, ``gen`` (label to d x d
+    matrix) and ``sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis)),
+    each formed by one scatter (_dense) under GENERATOR_BUDGET_BYTES.
     """
 
     def __init__(self, n: int, gen):
@@ -463,17 +434,38 @@ class GeneratorRep:
         self.n = n
         self.entries = gen
         self.dim = gen.dim
-        self.gen = DenseGenerators(n, gen)
 
-    def matrix(self, k: int, l: int) -> np.ndarray:
-        return self.gen[(k, l)]
+    def _dense(self, count: int, table) -> np.ndarray:
+        """The read-only (count, d, d) array with vals at (labels, rows,
+        cols) for table() = (labels, rows, cols, vals); InputError from
+        check_generator_budget before table() is read."""
+        check_generator_budget(self.n, self.dim)
+        labels, rows, cols, vals = table()
+        out = np.zeros((count, self.dim, self.dim), dtype=vals.dtype)
+        out[labels, rows, cols] = vals
+        out.flags.writeable = False
+        return out
 
-    @property
+    @cached_property
+    def gen(self) -> Mapping:
+        """Read-only mapping from each generator label (k, l) to its dense,
+        read-only d x d matrix."""
+        e = self.entries
+        mats = self._dense(self.n * self.n, lambda: (e.gids, e.rows, e.cols, e.vals))
+        return MappingProxyType(dict(zip(_labels(self.n), mats)))
+
+    @cached_property
+    def sl_stack(self) -> np.ndarray:
+        """r(x) for every canonical sl(n) basis element x, in order, as one
+        read-only (n^2 - 1, d, d) array scattered from sl_entries."""
+        return self._dense(self.n * self.n - 1, lambda: self.sl_entries)
+
+    @cached_property
     def sl_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero entries of r(x) for every canonical sl(n) basis
         element x (algebra.sl_basis_labels: E_kl row-major, then H_k), read
-        once from the stored entries: arrays (labels, rows, cols, vals)
-        ordered by (label, row, col), label x the position of x.  The
+        once from the stored entries: read-only arrays (labels, rows, cols,
+        vals) ordered by (label, row, col), label x the position of x.  The
         diagonal of r(H_k) is r(E_kk) minus r(E_k+1,k+1) entry by entry, as
         the dense difference forms it."""
         e, n, d = self.entries, self.n, self.dim
@@ -486,14 +478,10 @@ class GeneratorRep:
         keys, vals = summed((labels * d + e.rows[take]) * d + e.cols[take], vals)
         live = vals != 0
         labels, at = np.divmod(keys[live], d * d)
-        return labels, *np.divmod(at, d), vals[live]
-
-    def sl_label_matrix(self, label: tuple) -> np.ndarray:
-        """Matrix of a canonical sl(n) basis element ("E", k, l) or ("H", k)."""
-        if label[0] == "E":
-            return self.gen[(label[1], label[2])]
-        k = label[1]
-        return self.gen[(k, k)] - self.gen[(k + 1, k + 1)]
+        out = (labels, *np.divmod(at, d), vals[live])
+        for x in out:
+            x.flags.writeable = False
+        return out
 
 
 class Representation(GeneratorRep):

@@ -6,10 +6,10 @@ span, taken once (``orthonormal_span``), then ``span_distance`` =
 max |W - Q (Q^H W)|.  ``independent_columns`` grows such a basis.
 
 Mostly-zero matrices are multiplied by one sparse-product kernel.
-``Entries`` is the one table of their nonzero entries, ordered by row: it
-is either read from dense matrices (``Entries.of``) or stacked from
-per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is how
-gtrep stores representation generators.  ``ranges`` lays index ranges
+``Entries`` is the one read-only table of their nonzero entries, ordered
+by row: it is either read from dense matrices (``Entries.of``) or stacked
+from per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is
+how gtrep stores representation generators.  ``ranges`` lays index ranges
 end to end, ``row_join`` pairs entries with rows by it,
 ``product_terms`` forms every term of every pairwise product,
 ``summed`` adds equal keys, and ``row_blocks`` splits the output rows so
@@ -82,13 +82,18 @@ class Entries:
     """Nonzero entries (NaN included) of one or more d x d matrices, ordered
     by (row, matrix, col): matrix gids[t] holds vals[t] at (rows[t],
     cols[t]), and the entries in row k are those at positions
-    starts[k]:starts[k + 1]."""
+    starts[k]:starts[k + 1].  The table owns its arrays and makes them
+    read-only when it is built, so nothing derived from it can go stale."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     gids: np.ndarray
     starts: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.vals, self.gids, self.starts):
+            a.flags.writeable = False
 
     @staticmethod
     def stack(d: int, triples: list) -> "Entries":
@@ -114,11 +119,6 @@ class Entries:
     @property
     def dim(self) -> int:
         return self.starts.size - 1
-
-    def triple(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of matrix g, in row-major order."""
-        at = np.flatnonzero(self.gids == g)
-        return self.rows[at], self.cols[at], self.vals[at]
 
 
 def ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 are compared against: one bracket and one lstsq per image vector, one
 lstsq per candidate column, the dense k^4 Jacobi tensor, one commutator
 per pair of sl(n) basis matrices, one Python sum per represented algebra
-element, one solve per contracted operator, one generator sum per
+element, the sl(n) basis matrices one label at a time from the dense
+generators, one solve per contracted operator, one generator sum per
 homomorphism relation, the contraction tables checked one cell and one
 triple at a time in Fraction arithmetic (and enumerated one candidate
 table at a time), the doubled representation built from dense blocks,
@@ -24,7 +25,7 @@ from gtlie.algebra import (
     sl_basis_labels,
     sl_basis_matrices,
 )
-from gtlie.autos import action_on_sl, rep_sl_matrices
+from gtlie.autos import action_on_sl
 from gtlie.contraction import EpsilonTable, PsiTable
 from gtlie.errors import InputError
 from gtlie.gtrep import GTPattern, HighestWeight, act_diagonal, enumerate_patterns
@@ -107,7 +108,7 @@ def dense_jacobi_residual(structure) -> float:
 def per_vector_compatibility(rep, gamma, vgamma, tol):
     """check_compatibility with one lstsq per image vector; returns (ok,
     max residual, violation labels (i, j) in order)."""
-    mats = rep_sl_matrices(rep)
+    mats = per_label_sl_matrices(rep)
     worst, labels = 0.0, []
     for i, xpart in gamma.parts.items():
         for col in range(xpart.shape[1]):
@@ -149,7 +150,7 @@ def per_vector_contract_rep(rep, vgamma, gamma, psi) -> list:
     algebra basis vector, scaled column by column by psi."""
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
-    mats = rep_sl_matrices(rep)
+    mats = per_label_sl_matrices(rep)
     out = []
     for a in range(abasis.shape[1]):
         m = per_column_rep_matrix(abasis[:, a], mats)
@@ -175,10 +176,12 @@ def per_pair_homomorphism(crep, calg, tol):
     return not labels, worst, labels
 
 
-def per_cell_residual(x) -> float:
-    """|x|, with NaN and a value past the float range as inf."""
+def per_cell_residual(difference) -> float:
+    """|difference()|, with NaN, a value past the float range and an
+    OverflowError while forming it (a Fraction past the float range meeting
+    a complex) as inf."""
     try:
-        res = abs(complex(x))
+        res = abs(complex(difference()))
     except OverflowError:
         return math.inf
     return math.inf if math.isnan(res) else res
@@ -189,12 +192,14 @@ def per_cell_epsilon(eps, tol) -> Report:
     of the cells themselves (Fraction, or complex where a cell is)."""
     g, v = eps.group, eps.value
     els = g.elements()
-    residuals = {("symmetry", i, j): per_cell_residual(v(i, j) - v(j, i)) for i in els for j in els}
+    residuals = {("symmetry", i, j): per_cell_residual(lambda: v(i, j) - v(j, i)) for i in els for j in els}
     for i, j, k in itertools.product(els, repeat=3):
-        e1 = v(i, j) * v(g.add(i, j), k)
-        e2 = v(j, k) * v(g.add(j, k), i)
-        e3 = v(k, i) * v(g.add(k, i), j)
-        residuals["triple", i, j, k] = max(per_cell_residual(e1 - e2), per_cell_residual(e2 - e3))
+        e1 = lambda: v(i, j) * v(g.add(i, j), k)
+        e2 = lambda: v(j, k) * v(g.add(j, k), i)
+        e3 = lambda: v(k, i) * v(g.add(k, i), j)
+        residuals["triple", i, j, k] = max(
+            per_cell_residual(lambda: e1() - e2()), per_cell_residual(lambda: e2() - e3())
+        )
     return Report.of(residuals, tol)
 
 
@@ -203,10 +208,10 @@ def per_cell_psi(psi, eps, tol) -> Report:
     g, v = psi.group, psi.value
     residuals = {}
     for i, j, k in itertools.product(g.elements(), repeat=3):
-        p1 = v(j, k) * v(i, g.add(j, k))
-        p2 = v(i, k) * v(j, g.add(i, k))
-        p3 = eps.value(i, j) * v(g.add(i, j), k)
-        residuals[i, j, k] = max(per_cell_residual(p1 - p2), per_cell_residual(p2 - p3))
+        p1 = lambda: v(j, k) * v(i, g.add(j, k))
+        p2 = lambda: v(i, k) * v(j, g.add(i, k))
+        p3 = lambda: eps.value(i, j) * v(g.add(i, j), k)
+        residuals[i, j, k] = max(per_cell_residual(lambda: p1() - p2()), per_cell_residual(lambda: p2() - p3()))
     return Report.of(residuals, tol)
 
 
@@ -251,6 +256,20 @@ def dense_doubled_generators(rep) -> dict:
     return gen
 
 
+def per_label_sl_matrices(rep) -> list:
+    """The matrices of the canonical sl(n) basis elements, in order, one
+    label at a time from the dense generators: r(E_kl) = gen(k, l) and
+    r(H_k) = gen(k, k) - gen(k+1, k+1)."""
+    out = []
+    for label in sl_basis_labels(rep.n):
+        if label[0] == "E":
+            out.append(rep.gen[label[1], label[2]])
+        else:
+            k = label[1]
+            out.append(rep.gen[k, k] - rep.gen[k + 1, k + 1])
+    return out
+
+
 def per_column_rep_matrix(coords, mats) -> np.ndarray:
     """Representation matrix of an algebra element: the Python sum of
     coords[i] mats[i] over the nonzero coordinates."""
@@ -267,7 +286,7 @@ def per_column_compatibility(rep, gamma, vgamma, tol):
     """check_compatibility with each r(X) a per_column_rep_matrix, each image
     block measured by dense_span_distance; returns (ok, max residual,
     violations (i, j, res) in order, worst_at)."""
-    mats = rep_sl_matrices(rep)
+    mats = per_label_sl_matrices(rep)
     disjoint = all(
         np.isfinite(p).all() and (p != 0).sum(axis=1).max(initial=0) <= 1 and (p != 0).sum(axis=0).max(initial=0) <= 2
         for p in vgamma.parts.values()
@@ -302,7 +321,7 @@ def per_column_simulation(rep, aut, sim, tol):
     """verify_simulation with each r(g(x)) a per_column_rep_matrix of the
     column of action_on_sl, R r(x) R^-1 and R^order dense; returns (ok,
     max residual, violations (label, res) in order, worst_at)."""
-    mats = rep_sl_matrices(rep)
+    mats = per_label_sl_matrices(rep)
     n, r, rinv = rep.n, sim.matrix, sim.inverse()
     act = action_on_sl(aut)
     residuals = []

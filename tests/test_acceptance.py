@@ -21,6 +21,7 @@ from gtlie.gtrep import (
     verify_transpose,
     weyl_dim,
 )
+from oracles import per_label_sl_matrices
 
 Z2 = AbelianGroup((2,))
 
@@ -108,9 +109,7 @@ def test_criterion_4_outer_simulation():
     m = sim.matrix
     signed_perm = sim.kind == "signed_permutation" and all(s in (1, -1) for s in sim.signs)
     square_exact = np.array_equal(m @ m, np.eye(8, dtype=complex))
-    from gtlie.autos import rep_sl_matrices
-
-    intertwine = max(np.abs(-m @ x.T - x @ m).max() for x in rep_sl_matrices(rep))
+    intertwine = max(np.abs(-m @ x.T - x @ m).max() for x in per_label_sl_matrices(rep))
 
     pats = enumerate_patterns(hw)
     index = {p.rows[1:]: i for i, p in enumerate(pats)}

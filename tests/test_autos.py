@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
-from gtlie.algebra import sl_basis_matrices
+from gtlie.algebra import matrix_to_coords, sl_basis_matrices
 from gtlie.autos import (
     SOLVER_BUDGET_BYTES,
     J_matrix,
@@ -26,9 +26,7 @@ from gtlie.autos import (
     grading_from_automorphism,
     is_self_contragredient,
     pattern_conjugate,
-    rep_matrix_of,
     rep_of_Xns,
-    rep_sl_matrices,
     simulation_inner,
     verify_simulation,
 )
@@ -36,7 +34,14 @@ from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns, weyl_dim
 from gtlie.linalg import Entries
-from oracles import dense_doubled_generators, per_column_compatibility, per_column_simulation, per_vector_compatibility
+from oracles import (
+    dense_doubled_generators,
+    per_column_compatibility,
+    per_column_rep_matrix,
+    per_column_simulation,
+    per_label_sl_matrices,
+    per_vector_compatibility,
+)
 
 
 def pat(*rows):
@@ -155,11 +160,9 @@ def test_exponential_route_simulates_conjugation():
         inv = np.diag(1.0 / np.diag(expd))
         aut = auto_inner(n, s)
         worst = 0.0
-        for base, m in zip(sl_basis_matrices(n), rep_sl_matrices(rep)):
-            from gtlie.algebra import matrix_to_coords
-            from gtlie.autos import rep_matrix_of
-
-            lhs = rep_matrix_of(rep, matrix_to_coords(n, aut.apply(base)))
+        mats = per_label_sl_matrices(rep)
+        for base, m in zip(sl_basis_matrices(n), mats):
+            lhs = per_column_rep_matrix(matrix_to_coords(n, aut.apply(base)), mats)
             worst = max(worst, np.abs(lhs - expd @ m @ inv).max())
         assert worst <= 1e-9
 
@@ -223,7 +226,7 @@ def test_J_matrix_involution_and_simulation():
     assert verify_simulation(rep, auto_outer(3), sim, 1e-9).ok
     # -J r(X)^T = r_c(X) J with r_c = r for a self-contragredient weight
     worst = max(
-        np.abs(-m @ x.T - x @ m).max() for x in rep_sl_matrices(rep)
+        np.abs(-m @ x.T - x @ m).max() for x in per_label_sl_matrices(rep)
     )
     assert worst <= 1e-9
 
@@ -264,10 +267,10 @@ def test_doubled_rep_simulation_and_irreducibility():
     rep2, swap = doubled_rep(hw)
     assert rep2.dim == 6
     assert verify_simulation(rep2, auto_outer(3), swap, 1e-9).ok
-    family = rep_sl_matrices(rep2) + [swap.matrix]
+    family = per_label_sl_matrices(rep2) + [swap.matrix]
     assert gtlie.burnside_span_dim(family) == 36
     # without the swap the doubled representation is reducible
-    assert gtlie.burnside_span_dim(rep_sl_matrices(rep2)) < 36
+    assert gtlie.burnside_span_dim(per_label_sl_matrices(rep2)) < 36
 
 
 def test_doubled_rep_trivial_weight():

@@ -150,6 +150,12 @@ def test_compat_flow(tmp_path, capsys):
     assert code == 1 and "doubled" in text
     code, text = run(capsys, "compat", "check", str(rep100), str(g2), "--outer", "3", "--doubled")
     assert code == 0 and "compatible" in text
+    # the outer grading with the inner simulation fails; a NaN or infinite tolerance is refused, not passed
+    code, text = run(capsys, "compat", "check", str(rep210), str(g2), "--inner", "3,1")
+    assert code == 1 and "incompatible" in text
+    for tol in ("nan", "inf"):
+        code, _ = run(capsys, "--tol", tol, "compat", "check", str(rep210), str(g2), "--inner", "3,1")
+        assert code == 2
 
 
 def test_contract_solve_counts(capsys):
@@ -230,6 +236,9 @@ def test_global_flags_accepted_before_and_after_subcommand(capsys):
     code, _ = run(capsys, "rep", "build", "-n", "2", "-w", "1,0", "--tol", "1e-9")
     assert code == 0
     assert main(["--tol", "-1", "rep", "build", "-n", "2", "-w", "1,0"]) == 2
+    for tol in ("nan", "inf"):  # a NaN tolerance would pass every residual comparison
+        assert main(["--tol", tol, "rep", "build", "-n", "2", "-w", "1,0"]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:  # --seed is not a flag
         main(["--seed", "1", "rep", "build", "-n", "2", "-w", "1,0"])
     assert exc.value.code == 2

@@ -29,7 +29,7 @@ from gtlie.contraction import (
 )
 from gtlie.errors import IncompatibleError, InputError, VerificationError
 from gtlie.groups import AbelianGroup
-from gtlie.gtrep import HighestWeight, build_representation
+from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation
 from oracles import (
     per_cell_epsilon,
     per_cell_psi,
@@ -606,9 +606,32 @@ def test_an_in_place_edit_of_the_carrier_or_its_grading_is_verified_again():
         contract_rep(rep, vgamma, gamma, ones, table)
     vgamma.parts[(0,)][:] = saved
     contract_rep(rep, vgamma, gamma, ones, table)
-    rep.entries.vals[0] = math.nan
+    with pytest.raises(ValueError):  # the stored entries are read-only
+        rep.entries.vals[0] = math.nan
+    vals = rep.entries.vals.copy()
+    vals[0] = math.nan
+    bad = GeneratorRep(rep.n, dataclasses.replace(rep.entries, vals=vals))
     with pytest.raises(IncompatibleError):
-        contract_rep(rep, vgamma, gamma, ones, table)
+        contract_rep(bad, vgamma, gamma, ones, table)
+
+
+def test_a_carrier_past_the_dense_budget_is_refused_before_any_check():
+    _, gamma, _, vgamma = fresh_sl3_setup()
+    rep = build_representation(HighestWeight(3, (40, 20, 0)))  # d = 9261: 5.75 GiB dense
+    # a psi cell past the float range and a V grading of the wrong dimension would each be refused too
+    refused = (
+        lambda: contract_rep(rep, vgamma, gamma, psi([[HUGE, 1], [1, 1]]), eps([[1, 1], [1, 1]])),
+        lambda: gtlie.find_simulation_matrix(rep, gtlie.auto_outer(3)),
+    )
+    tracemalloc.start()
+    try:
+        for call in refused:
+            with pytest.raises(InputError, match="dense generators of dimension 9261 .* budget"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
@@ -673,10 +696,21 @@ def test_a_residual_past_the_float_range_is_infinite():
     assert [t.as_tuple() for t in found] == [t.as_tuple() for t in per_table_binary_psi(constant)]
 
 
+def test_a_mixed_table_past_the_float_range_is_infinite():
+    # a Fraction past the float range meeting a complex cell overflows converting to float
+    ones = eps([[1, 1], [1, 1]])
+    for report, oracle in (
+        (verify_epsilon(eps([[HUGE, 1j], [1j, 1]])), per_cell_epsilon(eps([[HUGE, 1j], [1j, 1]]), 1e-9)),
+        (verify_psi(psi([[HUGE, 1j], [1j, 1]]), ones), per_cell_psi(psi([[HUGE, 1j], [1j, 1]]), ones, 1e-9)),
+    ):
+        assert not report.ok and report.max_residual == math.inf
+        assert vars(report) == vars(oracle)
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_huge_table_reports_equal_the_per_cell_oracles(data):
-    cell = st.sampled_from([0, 1, -1, HUGE, -HUGE, Fraction(1, HUGE), Fraction(3, 7)])
+    cell = st.sampled_from([0, 1, -1, HUGE, -HUGE, Fraction(1, HUGE), Fraction(3, 7), 1j, 0.5 - 2j])
     group = data.draw(st.sampled_from(TABLE_GROUPS[:3]))
     n = group.size
     e, p = ([[data.draw(cell) for _ in range(n)] for _ in range(n)] for _ in range(2))

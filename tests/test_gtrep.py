@@ -23,7 +23,7 @@ from gtlie.gtrep import (
     verify_transpose,
     weyl_dim,
 )
-from oracles import Radicand, act_lowering, act_raising, per_pattern_generators
+from oracles import Radicand, act_lowering, act_raising, per_label_sl_matrices, per_pattern_generators
 
 
 def pat(*rows):
@@ -371,6 +371,26 @@ def test_dense_view_is_read_only_and_every_tamper_still_fails_closed():
             assert bad.gen[label][pos] == m[pos] + 1e-6
             assert not verify_commutation(bad).ok
             assert max(verify_transpose(bad), verify_sl_trace(bad)) == pytest.approx(1e-6, abs=1e-12)
+
+
+def test_the_sl_stack_is_the_per_label_densifier_byte_for_byte():
+    for hw in SMALL_WEIGHTS:
+        for rep in (build_representation(hw), doubled_rep(hw)[0]):
+            want, got = np.array(per_label_sl_matrices(rep)), rep.sl_stack
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), hw
+            assert rep.sl_stack is got and not got.flags.writeable
+
+
+def test_every_stored_entry_array_is_read_only():
+    hw = HighestWeight(3, (2, 1, 0))
+    built = build_representation(hw)
+    for rep in (built, GeneratorRep(3, dict(built.gen)), doubled_rep(hw)[0]):
+        for field in ("rows", "cols", "vals", "gids", "starts"):
+            with pytest.raises(ValueError):
+                getattr(rep.entries, field)[0] = 1
+        for derived in rep.sl_entries:
+            with pytest.raises(ValueError):
+                derived[0] = 1
 
 
 def test_generators_must_cover_every_label_with_one_shape():
