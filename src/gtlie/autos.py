@@ -75,6 +75,7 @@ from .linalg import (
     orthonormal_span,
     ranges,
     span_distance,
+    stable_order,
     summed,
 )
 
@@ -450,7 +451,8 @@ def doubled_rep(hw: HighestWeight):
     d, e = r0.dim, r0.entries
     rows, cols = np.concatenate([e.rows, e.cols + d]), np.concatenate([e.cols, e.rows + d])
     gids, vals = np.tile(e.gids, 2), np.concatenate([e.vals, -e.vals])
-    at = np.lexsort((cols, gids, rows))  # entry (i, k, v) of r and (k + d, i + d, -v), by (row, gid, col)
+    # entry (i, k, v) of r and (k + d, i + d, -v), by (row, gid, col)
+    _, at = stable_order((rows * (r0.n * r0.n) + gids) * (2 * d) + cols)
     entries = Entries(rows[at], cols[at], vals[at], gids[at], np.searchsorted(rows[at], np.arange(2 * d + 1)))
     swap = SimulationMatrix(
         order=2,
@@ -667,15 +669,15 @@ def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports
     mate = np.tile(np.arange(d), (len(vlabels), 1))
     block[owner[vcols], vrows] = np.where(kept[vcols], vcols, -1)
     tau[owner[vcols], vrows] = vvals
-    order = np.argsort(vcols, kind="stable")
-    same = np.flatnonzero(vcols[order][1:] == vcols[order][:-1])
+    sorted_cols, order = stable_order(vcols)
+    same = np.flatnonzero(sorted_cols[1:] == sorted_cols[:-1])
     a, b = order[same], order[same + 1]
     mate[owner[vcols[a]], vrows[a]], mate[owner[vcols[b]], vrows[b]] = vrows[b], vrows[a]
     tau = _real_if_real(tau)
 
     elabels, rows, cols, vals = rep.sl_entries
-    by_col = np.argsort(cols, kind="stable")
-    starts = np.searchsorted(cols[by_col], np.arange(d + 1))
+    sorted_cols, by_col = stable_order(cols)
+    starts = np.searchsorted(sorted_cols, np.arange(d + 1))
     t, u = ranges(starts[vrows], np.diff(starts)[vrows])
     at = by_col[u]
     keys, sums = summed((vcols[t] * d + rows[at]) * k + elabels[at], vals[at] * vvals[t])

@@ -27,7 +27,8 @@ directly.  The table is read-only, so what is derived from it is formed
 once and cached.  The two dense views, ``rep.gen`` (the n^2 generators by
 label) and ``rep.sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis) that
 simulation, compatibility and contraction read), are each one scatter of
-entries into a read-only array, after the one check against
+entries into a read-only array, after one check that its bytes, with
+those of the other view when it is held, stay within
 GENERATOR_BUDGET_BYTES; this module is the only place that densifies a
 representation.
 """
@@ -45,7 +46,7 @@ import numpy as np
 
 from .algebra import Report
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, row_blocks, summed
+from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, row_blocks, stable_order, summed
 
 __all__ = [
     "HighestWeight",
@@ -310,10 +311,18 @@ ENTRY_BYTES = 32
 def check_generator_budget(n: int, d: int) -> None:
     """Raise InputError when n^2 dense d x d float64 generators exceed
     GENERATOR_BUDGET_BYTES."""
-    nbytes = 8 * n * n * d * d
-    if nbytes > GENERATOR_BUDGET_BYTES:
+    _check_dense(n * n, d, 8, 0)
+
+
+def _check_dense(count: int, d: int, itemsize: int, held: int) -> None:
+    """Raise InputError when count dense d x d matrices of itemsize bytes
+    per entry, with the held bytes of dense views already formed, exceed
+    GENERATOR_BUDGET_BYTES."""
+    nbytes = count * d * d * itemsize
+    if held + nbytes > GENERATOR_BUDGET_BYTES:
+        besides = f" besides the {held / 2**30:.2f} GiB of dense views held" if held else ""
         raise InputError(
-            f"{n * n} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
+            f"{count} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB{besides}, "
             f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
 
@@ -392,7 +401,7 @@ def build_representation(hw: HighestWeight) -> Representation:
                 raise ArithmeticError(f"negative radicand at k={k} on {pats[src[np.argmax(rad < 0)]]}")
             live = rad != 0
             rows, cols = index[src, col][live], src[live]
-            order = np.argsort(rows * d + cols)
+            _, order = stable_order(rows * d + cols)
             gen[label] = (rows[order], cols[order], np.sqrt(rad[live])[order])
     for dist in range(2, n):
         for k in range(1, n + 1 - dist):
@@ -415,7 +424,8 @@ class GeneratorRep:
     from it once and cached: ``sl_entries``, the entries of the canonical
     sl(n) basis elements, and the two dense views, ``gen`` (label to d x d
     matrix) and ``sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis)),
-    each formed by one scatter (_dense) under GENERATOR_BUDGET_BYTES.
+    each formed by one scatter (_dense); the two together stay under
+    GENERATOR_BUDGET_BYTES.
     """
 
     def __init__(self, n: int, gen):
@@ -434,16 +444,20 @@ class GeneratorRep:
         self.n = n
         self.entries = gen
         self.dim = gen.dim
+        self._dense_bytes = 0
 
     def _dense(self, count: int, table) -> np.ndarray:
         """The read-only (count, d, d) array with vals at (labels, rows,
-        cols) for table() = (labels, rows, cols, vals); InputError from
-        check_generator_budget before table() is read."""
-        check_generator_budget(self.n, self.dim)
+        cols) for table() = (labels, rows, cols, vals), whose vals have the
+        stored dtype.  Its bytes and those of the dense view already formed
+        are charged against the one GENERATOR_BUDGET_BYTES, and InputError
+        is raised before table() is read."""
+        _check_dense(count, self.dim, self.entries.vals.itemsize, self._dense_bytes)
         labels, rows, cols, vals = table()
         out = np.zeros((count, self.dim, self.dim), dtype=vals.dtype)
         out[labels, rows, cols] = vals
         out.flags.writeable = False
+        self._dense_bytes += out.nbytes
         return out
 
     @cached_property

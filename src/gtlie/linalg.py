@@ -14,6 +14,15 @@ end to end, ``row_join`` pairs entries with rows by it,
 ``product_terms`` forms every term of every pairwise product,
 ``summed`` adds equal keys, and ``row_blocks`` splits the output rows so
 that a check forms about TERMS_PER_BLOCK terms at a time.
+
+Every ordering of integer keys goes through one sort kernel,
+``stable_order``: each key is packed with its position into one int64,
+(key - min) << bits | position, and the packed values are sorted with
+the plain ``np.sort``.  They are distinct and order first by key, then
+by position, so any sort of them gives exactly the permutation of a
+stable argsort, and every equal-key sum is formed in the same order.  A
+stable argsort is kept only for keys whose span leaves no room for the
+position bits.
 """
 
 from __future__ import annotations
@@ -98,10 +107,10 @@ class Entries:
     @staticmethod
     def stack(d: int, triples: list) -> "Entries":
         """The table of matrices g = 0, 1, ... given as triples (rows, cols,
-        vals) of their nonzero entries in row-major order."""
-        rows = np.concatenate([r for r, _, _ in triples])
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
+        vals) of their nonzero entries in row-major order, put in row order
+        by one stable_order of the rows: stable, so the entries of a row
+        stay in (matrix, col) order."""
+        rows, order = stable_order(np.concatenate([r for r, _, _ in triples]))
         return Entries(
             rows,
             np.concatenate([c for _, c, _ in triples])[order],
@@ -151,12 +160,39 @@ def row_blocks(d: int, terms: int):
     return zip(edges[:-1], edges[1:])
 
 
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """keys sorted and the permutation that sorts them, equal keys in order
+    of position: the result of np.argsort(keys, kind="stable"), bit for
+    bit, for an int64 array.  Each key is packed with its position p as
+    (key - min) << bits | p, bits = bit_length(n - 1), sorted in place by
+    np.sort and unpacked by shift and mask.  A key span of 2^(63 - bits)
+    or more leaves no room for the position, and is sorted by the stable
+    argsort itself."""
+    n = keys.size
+    if not n:
+        return keys.copy(), np.zeros(0, dtype=np.intp)
+    bits = (n - 1).bit_length()
+    low, high = int(keys.min()), int(keys.max())
+    if high - low >= 1 << (63 - bits):
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    packed = keys - low
+    packed <<= bits
+    packed |= np.arange(n)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    packed += low
+    return packed, order
+
+
 def summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys and the sum of the values at each: one stable sort,
-    one np.add.reduceat."""
+    """Distinct keys and the sum of the values at each: one stable_order,
+    one np.add.reduceat.  The order is stable, so each sum adds its values
+    in order of position."""
     if not keys.size:
         return keys, values
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
+    keys, order = stable_order(keys)
+    values = values[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts], np.add.reduceat(values, starts)

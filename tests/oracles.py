@@ -6,9 +6,10 @@ element, the sl(n) basis matrices one label at a time from the dense
 generators, one solve per contracted operator, one generator sum per
 homomorphism relation, the contraction tables checked one cell and one
 triple at a time in Fraction arithmetic (and enumerated one candidate
-table at a time), the doubled representation built from dense blocks,
-and the Gel'fand-Tseitlin generators built one pattern and one move at a
-time with exact Fraction radicands."""
+table at a time), the doubled representation built from dense blocks
+or ordered by np.lexsort, the Gel'fand-Tseitlin generators built one
+pattern and one move at a time with exact Fraction radicands, and the
+equal-key sums ordered by a stable argsort."""
 
 import itertools
 import math
@@ -254,6 +255,33 @@ def dense_doubled_generators(rep) -> dict:
         big[d:, d:] = -m.T
         gen[key] = big
     return gen
+
+
+def lexsorted_doubled_entries(rep) -> Entries:
+    """The entries of r + (-r^T) put in (row, gid, col) order by np.lexsort:
+    entry (i, k, v) of r and (k + d, i + d, -v)."""
+    d, e = rep.dim, rep.entries
+    rows, cols = np.concatenate([e.rows, e.cols + d]), np.concatenate([e.cols, e.rows + d])
+    gids, vals = np.tile(e.gids, 2), np.concatenate([e.vals, -e.vals])
+    at = np.lexsort((cols, gids, rows))
+    return Entries(rows[at], cols[at], vals[at], gids[at], np.searchsorted(rows[at], np.arange(2 * d + 1)))
+
+
+def stable_argsort_order(keys):
+    """Sorted keys and np.argsort(keys, kind="stable")."""
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def stable_summed(keys, values):
+    """Distinct keys and the sum of the values at each: one stable argsort,
+    one np.add.reduceat."""
+    if not keys.size:
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(values, starts)
 
 
 def per_label_sl_matrices(rep) -> list:

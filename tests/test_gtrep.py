@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtlie import gtrep
 from gtlie.autos import doubled_rep
 from gtlie.errors import InputError
 from gtlie.gtrep import (
@@ -391,6 +392,23 @@ def test_every_stored_entry_array_is_read_only():
         for derived in rep.sl_entries:
             with pytest.raises(ValueError):
                 derived[0] = 1
+
+
+def test_both_dense_views_and_their_real_itemsize_count_against_one_budget(monkeypatch):
+    # r(1,0,0): the 9 generators take 9 * 9 * 8 = 648 bytes dense, the 8 sl matrices 576
+    hw = HighestWeight(3, (1, 0, 0))
+    # a complex table takes 16 bytes an entry: 1296 bytes for the 9 generators alone
+    complex_rep = GeneratorRep(3, {label: np.asarray(m, dtype=complex) for label, m in build_representation(hw).gen.items()})
+    reps = [build_representation(hw), build_representation(hw)]
+    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 1000)
+    for rep, (first, second) in zip(reps, (("gen", "sl_stack"), ("sl_stack", "gen"))):
+        held = getattr(rep, first)
+        with pytest.raises(InputError, match="besides the 0.00 GiB of dense views held, over the 0.00 GiB budget"):
+            getattr(rep, second)
+        assert second not in vars(rep) and getattr(rep, first) is held
+        assert verify_commutation(rep).ok and (rep.gen[(1, 2)] if first == "gen" else rep.sl_stack[0])[0, 1] == 1.0
+    with pytest.raises(InputError, match="9 dense generators of dimension 3 need"):
+        complex_rep.gen
 
 
 def test_generators_must_cover_every_label_with_one_shape():

@@ -1,0 +1,136 @@
+"""The one sort kernel, linalg.stable_order, and the equal-key sums formed on
+it, against a stable argsort: property tests on drawn keys, and every
+verifier that sums keys, run on the benchmark workloads' inputs with the
+kernel and with the stable argsort put in its place."""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gtlie import algebra, autos, gtrep
+from gtlie.gtrep import GeneratorRep, HighestWeight
+from gtlie.linalg import Entries, stable_order, summed
+from oracles import lexsorted_doubled_entries, stable_argsort_order, stable_summed
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# Few distinct keys (many duplicates), negative and wide keys, and the whole
+# int64 range, where most spans leave no room for the position bits.
+KEYS = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=80),
+    st.lists(st.integers(-(2**40), 2**40), max_size=40),
+    st.lists(INT64, max_size=20),
+).map(lambda k: np.array(k, dtype=np.int64))
+VALUES = {
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "complex": st.complex_numbers(allow_nan=True, allow_infinity=True),
+}
+
+
+def same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300)
+@given(KEYS)
+@example(np.zeros(0, dtype=np.int64))
+@example(np.array([7], dtype=np.int64))
+@example(np.array([0, 2**62, 5], dtype=np.int64))
+@example(np.array([-(2**63), 2**63 - 1, 0, -(2**63)], dtype=np.int64))
+def test_stable_order_is_the_stable_argsort(keys):
+    got, want = stable_order(keys), stable_argsort_order(keys)
+    assert same(got[0], want[0]) and same(got[1], want[1])
+
+
+@settings(max_examples=300)
+@given(st.data(), KEYS, st.sampled_from(sorted(VALUES)))
+def test_summed_is_the_stable_argsort_sum(data, keys, kind):
+    values = np.array(data.draw(st.lists(VALUES[kind], min_size=keys.size, max_size=keys.size)), dtype=kind)
+    with np.errstate(all="ignore"):  # inf - inf and overflow, the same on both sides
+        got, want = summed(keys, values), stable_summed(keys, values)
+    assert same(got[0], want[0]) and same(got[1], want[1])
+
+
+@pytest.mark.parametrize(
+    "keys, argsorts",
+    [
+        ([0, 2**61 - 1, 5, 0], 0),  # 4 positions take 2 bits: the largest packed key is 2^63 - 1
+        ([0, 2**61, 5, 0], 1),
+        ([0, 2**62, 5], 1),
+        ([-(2**63), 2**63 - 1], 1),
+        ([2**63 - 1], 0),
+    ],
+)
+def test_only_a_span_without_room_for_the_positions_takes_the_argsort(monkeypatch, keys, argsorts):
+    keys = np.array(keys, dtype=np.int64)
+    want = stable_argsort_order(keys)
+    calls, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
+    got = stable_order(keys)
+    assert same(got[0], want[0]) and same(got[1], want[1])
+    assert calls == [{"kind": "stable"}] * argsorts
+
+
+# -- the same results on real inputs -------------------------------------------
+
+LADDER = [(10, 5, 0), (14, 7, 0), (20, 10, 0), (6, 3, 1, 0)]
+CHAIN = (4, 3, 1, 0)
+
+
+def use_stable_argsort(monkeypatch):
+    """Put the stable-argsort oracles in place of summed and stable_order in
+    every library module that has them."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gtlie."):
+            for attr, oracle in (("summed", stable_summed), ("stable_order", stable_argsort_order)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, oracle)
+
+
+def tampered(rep: GeneratorRep, at: int, by: float) -> GeneratorRep:
+    e = rep.entries
+    vals = e.vals.copy()
+    vals[at] += by
+    return GeneratorRep(rep.n, Entries(e.rows.copy(), e.cols.copy(), vals, e.gids.copy(), e.starts.copy()))
+
+
+def results() -> list:
+    """repr of every Report (as vars) and residual of the summing verifiers,
+    and the bytes of every stored table, on the rep_ladder weights (and one
+    tampered copy), sl(2..10) and the inner and outer (4,3,1,0) chain."""
+    out = []
+    for m in LADDER:
+        rep = gtrep.build_representation(HighestWeight(len(m), m))
+        for r in (rep, tampered(rep, 5, 1e-7)):
+            arrays = [*vars(r.entries).values(), *r.sl_entries]
+            out.append([a.tobytes() for a in arrays])
+            out.append(repr((vars(gtrep.verify_commutation(r)), gtrep.verify_transpose(r), gtrep.verify_sl_trace(r))))
+    for n in range(2, 11):
+        out.append(repr(vars(algebra.check_jacobi(algebra.sl_algebra(n)))))
+    hw = HighestWeight(len(CHAIN), CHAIN)
+    rep, sl = gtrep.build_representation(hw), algebra.sl_algebra(hw.n)
+    for aut, sim in ((autos.auto_inner(hw.n, 1), autos.simulation_inner(hw, hw.n, 1)),
+                     (autos.auto_outer(hw.n), autos.J_matrix(hw))):
+        gamma, vgamma = autos.grading_from_automorphism(sl, aut), autos.decompose_rep_space(sim)
+        out.append(repr(vars(autos.verify_simulation(rep, aut, sim))))
+        out.append(repr(vars(autos.check_compatibility(rep, gamma, vgamma))))
+    return out
+
+
+def test_every_summing_verifier_reports_what_the_stable_argsort_gives(monkeypatch):
+    got = results()
+    with monkeypatch.context() as patch:
+        use_stable_argsort(patch)
+        assert gtrep.summed is stable_summed and autos.stable_order is stable_argsort_order
+        want = results()
+    assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("m", [(2, 1, 0), (3, 1, 0)])
+def test_doubled_entries_are_those_the_lexsort_orders(m):
+    hw = HighestWeight(len(m), m)
+    got, want = autos.doubled_rep(hw)[0].entries, lexsorted_doubled_entries(gtrep.build_representation(hw))
+    for field in ("rows", "cols", "vals", "gids", "starts"):
+        assert same(getattr(got, field), getattr(want, field)), field

@@ -20,5 +20,28 @@ def test_no_check_lives_in_an_assert(path):
     assert not found, f"assert or __debug__ in the library: {found}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_stable_sort_goes_through_the_one_kernel(path):
+    # linalg.stable_order gives the stable order by one np.sort of packed
+    # keys; an argsort, lexsort or stable sort anywhere else is a second
+    # sort path.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kernel = set()
+    if path.name == "linalg.py":
+        (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "stable_order"]
+        kernel = set(ast.walk(fn))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if node not in kernel and (
+            (isinstance(node, ast.keyword) and node.arg == "kind"
+             and isinstance(node.value, ast.Constant) and node.value.value == "stable")
+            or (isinstance(node, ast.Attribute) and node.attr in ("argsort", "lexsort"))
+            or (isinstance(node, ast.Name) and node.id in ("argsort", "lexsort"))
+        )
+    ]
+    assert not found, f"a sort outside linalg.stable_order: {found}"
+
+
 def test_the_rule_sees_every_library_module():
     assert {p.name for p in SOURCES} >= {"algebra.py", "autos.py", "cli.py", "gtrep.py", "linalg.py"}
