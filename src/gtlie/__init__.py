@@ -28,8 +28,6 @@ from .autos import (
     find_simulation_matrix,
     grading_from_automorphism,
     is_self_contragredient,
-    pattern_conjugate,
-    rep_of_Xns,
     simulation_inner,
     verify_simulation,
 )
@@ -51,14 +49,11 @@ from .contraction import (
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import (
-    GTPattern,
     GeneratorRep,
     HighestWeight,
     Representation,
-    act_diagonal,
     build_representation,
-    enumerate_patterns,
-    row_sum,
+    pattern_array,
     verify_commutation,
     verify_sl_trace,
     verify_transpose,

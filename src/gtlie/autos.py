@@ -46,6 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import gtrep
 from .algebra import (
     Grading,
     LieAlgebra,
@@ -58,13 +59,10 @@ from .errors import InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import (
     GeneratorRep,
-    GTPattern,
     HighestWeight,
     PatternTable,
     build_representation,
     check_generator_budget,
-    enumerate_patterns,
-    row_sum,
     weyl_dim,
 )
 from .linalg import (
@@ -322,36 +320,6 @@ def _finite_real(x) -> bool:
     return isinstance(x, numbers.Rational) or (isinstance(x, numbers.Real) and math.isfinite(x))
 
 
-def rep_of_Xns(hw: HighestWeight, n: int, s: int) -> np.ndarray:
-    """Diagonal matrix of the algebra element X with exp(X) = A_{n,s}.
-
-    Eigenvalue on xi(m):
-
-        i pi ( eta/n r_n + 2 sum_{t=1..s-1} (-1)^{t-1} r_{n-s+t}
-               - r_{n-s} - (-1)^eta r_n ).
-
-    The row-sum formula assumes s >= 1; for s = 0 the automorphism is the
-    identity and the matrix is zero.
-    """
-    if hw.n != n:
-        raise InputError(f"weight {hw} is not a weight of sl({n})")
-    if not 0 <= s <= n // 2:
-        raise InputError(f"s must satisfy 0 <= s <= {n // 2}, got {s}")
-    pats = enumerate_patterns(hw)
-    d = len(pats)
-    if s == 0:
-        return np.zeros((d, d), dtype=complex)
-    e = eta(s)
-    vals = []
-    for p in pats:
-        total = Fraction(e, n) * row_sum(p, n)
-        total += 2 * sum((-1) ** (t - 1) * row_sum(p, n - s + t) for t in range(1, s))
-        total -= row_sum(p, n - s)
-        total -= (-1) ** e * row_sum(p, n)
-        vals.append(1j * math.pi * float(total))
-    return np.diag(vals)
-
-
 def simulation_inner(hw: HighestWeight, n: int, s: int) -> SimulationMatrix:
     """Diagonal simulation matrix of Ad_{A_{n,s}} on the GT basis.
 
@@ -368,7 +336,7 @@ def simulation_inner(hw: HighestWeight, n: int, s: int) -> SimulationMatrix:
         raise InputError(f"s must satisfy 0 <= s <= {n // 2}, got {s}")
     table = PatternTable.of(hw)
     if s == 0:
-        return SimulationMatrix(order=1, kind="diagonal", phases=(Fraction(0),) * len(table.patterns))
+        return SimulationMatrix(order=1, kind="diagonal", phases=(Fraction(0),) * len(table.arr))
     num = (eta(s) - n) * table.row(n).sum(axis=1) - n * table.row(n - s).sum(axis=1)
     if np.any(num % n):
         num = num - num[0]
@@ -393,20 +361,6 @@ def is_self_contragredient(hw: HighestWeight) -> bool:
     return contragredient_weight(hw) == hw
 
 
-def pattern_conjugate(p: GTPattern) -> GTPattern:
-    """The reflected pattern m'_{i,j} = m_{1,n} - m_{j-i+1,j}.
-
-    It is a valid pattern of the contragredient weight; for a
-    self-contragredient weight the map is an involution on the basis.
-    """
-    top = p.rows[0][0]
-    rows = tuple(tuple(top - x for x in reversed(row)) for row in p.rows)
-    q = GTPattern(rows)
-    if not q.is_valid():
-        raise VerificationError(f"conjugate of {p} violates betweenness")
-    return q
-
-
 def J_matrix(hw: HighestWeight) -> SimulationMatrix:
     """Signed permutation J xi(m) = (-1)^{sum m_{i,j}} xi(m') simulating the
     outer automorphism on a self-contragredient representation.
@@ -426,7 +380,8 @@ def J_matrix(hw: HighestWeight) -> SimulationMatrix:
     inside = ((lower >= below.min(axis=0)) & (lower <= below.max(axis=0))).all(axis=1)
     perm, found = table.find(table.key(np.where(inside[:, None], lower, below)))
     if not (found & inside).all():
-        raise VerificationError(f"conjugate of {table.patterns[np.argmin(found & inside)]} violates betweenness")
+        bad = table.arr[np.argmin(found & inside)].tolist()
+        raise VerificationError(f"conjugate of pattern {bad} violates betweenness")
     parity = table.arr.sum(axis=1) % 2
     square = parity ^ parity[perm]  # J^2 e_c = (-1)^square[c] e_c
     if np.any(square != square[0]):
@@ -520,10 +475,20 @@ def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grad
     permutation gives e_c for its fixed points and e_c +- s_c e_pi(c) for
     each 2-cycle c < pi(c), in the order of c; each part is one array
     filled by fancy indexing.  Any other R is split by its projectors.
+
+    The parts are dense: d columns of d complex entries in all.  Their
+    bytes are charged against gtrep.GENERATOR_BUDGET_BYTES first, and
+    InputError is raised past it, before any part is formed.
     """
     k = sim.order
     group = AbelianGroup((k,))
     d = sim.dim
+    nbytes = 16 * d * d
+    if nbytes > gtrep.GENERATOR_BUDGET_BYTES:
+        raise InputError(
+            f"the carrier parts of dimension {d} need {nbytes / 2**30:.2f} GiB as dense columns, "
+            f"over the {gtrep.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
+        )
     if sim.kind == "dense" or (sim.kind == "signed_permutation" and k != 2):
         out = {(l,): basis for l, basis in enumerate(_eigenspaces(sim.matrix, k, tol)) if basis.shape[1]}
         return _carrier_grading(group, out, d)

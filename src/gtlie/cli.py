@@ -33,7 +33,7 @@ from .gtrep import (
     HighestWeight,
     build_representation,
     check_generator_budget,
-    enumerate_patterns,
+    pattern_array,
     verify_commutation,
     verify_sl_trace,
     verify_transpose,
@@ -170,7 +170,7 @@ def cmd_rep_build(cfg: RunConfig, args) -> int:
 
 def cmd_rep_check(cfg: RunConfig, args) -> int:
     rep = jsonio.rep_from_json(_load_json(args.rep))
-    basis_ok = list(rep.patterns) == enumerate_patterns(rep.hw)
+    basis_ok = np.array_equal(rep.basis, pattern_array(rep.hw))
     report = {"command": "rep check", "basis_order_ok": basis_ok, **_rep_checks(cfg, rep, rep.hw)}
     report["ok"] = ok = basis_ok and report["ok"]
     _emit(cfg, report, [f"rep check {args.rep}: dim {rep.dim}", "OK" if ok else "FAIL"])

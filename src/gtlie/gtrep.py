@@ -18,13 +18,19 @@ generators are shifted by -(r_n / n) Id so that sum_k r(E_kk) = 0 and the
 generator matrices realize elements of sl(n); the shift is scalar, so all
 gl-type commutation relations are untouched.
 
+The patterns are one (d, n(n+1)/2) int64 array of flattenings in basis
+order (``pattern_array``), grown entry by entry with one np.repeat per
+interlacing range; a representation keeps it as ``rep.basis``.
+
 The generators are almost entirely zero (about 11 nonzeros per basis
 vector for n = 3), so a representation stores them once, as one
 ``linalg.Entries`` table over the n^2 labels.  ``build_representation``
-fills it from one integer array of all patterns, forming each coefficient
-over all patterns at once in exact integers, and the verifiers read it
-directly.  The table is read-only, so what is derived from it is formed
-once and cached.  The two dense views, ``rep.gen`` (the n^2 generators by
+fills it from the pattern array, forming each coefficient over all
+patterns at once in exact integers, and the verifiers read it directly;
+``verify_commutation`` sums each product term once, into its relation
+pair (g, h) with g < h, since the relation (h, g) is its negation.  The
+table is read-only, so what is derived from it is formed once and
+cached.  The two dense views, ``rep.gen`` (the n^2 generators by
 label) and ``rep.sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis) that
 simulation, compatibility and contraction read), are each one scatter of
 entries into a read-only array, after one check that its bytes, with
@@ -50,12 +56,9 @@ from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, row_blocks, st
 
 __all__ = [
     "HighestWeight",
-    "GTPattern",
-    "enumerate_patterns",
+    "pattern_array",
     "PatternTable",
     "weyl_dim",
-    "row_sum",
-    "act_diagonal",
     "build_representation",
     "GENERATOR_BUDGET_BYTES",
     "check_generator_budget",
@@ -96,74 +99,6 @@ class HighestWeight:
         return "(" + ",".join(str(x) for x in self.m) + ")"
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    """Triangular pattern; rows stored top-down (lengths n, n-1, ..., 1)."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        """m_{i,j}: entry i (1-based) of the row of length j."""
-        return self.rows[self.n - j][i - 1]
-
-    def is_valid(self) -> bool:
-        for j in range(1, self.n):
-            upper = self.rows[self.n - j - 1]  # length j + 1
-            lower = self.rows[self.n - j]  # length j
-            for i in range(j):
-                if not (upper[i] >= lower[i] >= upper[i + 1]):
-                    return False
-        return True
-
-    def flatten(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
-
-    @property
-    def entry_sum(self) -> int:
-        return sum(self.flatten())
-
-    def __str__(self):
-        return "/".join(" ".join(str(x) for x in row) for row in self.rows)
-
-
-def _fill_rows(rows: list[tuple[int, ...]], out: list[GTPattern]):
-    prev = rows[-1]
-    j = len(prev) - 1
-    if j == 0:
-        out.append(GTPattern(tuple(rows)))
-        return
-    ranges = [range(prev[i], prev[i + 1] - 1, -1) for i in range(j)]
-
-    def rec(pos: int, acc: list[int]):
-        if pos == j:
-            rows.append(tuple(acc))
-            _fill_rows(rows, out)
-            rows.pop()
-            return
-        for v in ranges[pos]:
-            acc.append(v)
-            rec(pos + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-
-
-def enumerate_patterns(hw: HighestWeight) -> list[GTPattern]:
-    """All valid patterns with the given top row, in descending lexicographic
-    order of the flattened (row-major, top-down) tuple.
-
-    The highest-weight pattern comes first; this fixed order is the basis
-    order of the representation.
-    """
-    out: list[GTPattern] = []
-    _fill_rows([tuple(hw.m)], out)
-    return out
-
-
 def _offset(n: int, length: int) -> int:
     """Column of entry 1 of the row of the given length in a flattened
     (row-major, top-down) pattern."""
@@ -174,10 +109,35 @@ def _mixed_radix(lower: np.ndarray, base: np.ndarray, place: np.ndarray) -> np.n
     return ((lower - base).astype(place.dtype) * place).sum(axis=1)
 
 
+def pattern_array(hw: HighestWeight) -> np.ndarray:
+    """All valid patterns with the given top row, as the read-only rows of
+    one (d, n(n+1)/2) int64 array of flattenings (row-major, top-down), in
+    descending lexicographic order; the highest-weight pattern comes
+    first, and this fixed order is the basis order of the representation.
+
+    The array grows one entry at a time, top-down and left to right:
+    entry i of a row ranges over its interlacing range from m[i] of the row
+    above down to m[i+1], so each partial pattern is repeated once per
+    value (one np.repeat) and the values are appended in descending order.
+    """
+    n = hw.n
+    arr = np.array([hw.m], dtype=np.int64)
+    for length in range(n - 1, 0, -1):
+        above = _offset(n, length + 1)
+        for i in range(above, above + length):
+            high = arr[:, i]
+            count = high - arr[:, i + 1] + 1
+            value = np.repeat(high + np.cumsum(count) - count, count)
+            value -= np.arange(value.size)
+            arr = np.column_stack((np.repeat(arr, count, axis=0), value))
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class PatternTable:
-    """The patterns of an irrep in basis order and their flattenings, the
-    rows of one (d, n(n+1)/2) int64 array ``arr``.
+    """The patterns of an irrep in basis order, the rows of one
+    (d, n(n+1)/2) int64 array ``arr`` (pattern_array).
 
     The descending-lex basis order makes a mixed-radix key of the entries
     below the top row descending (``keys``); each digit has room for one
@@ -185,7 +145,7 @@ class PatternTable:
     any rows of such keys with one searchsorted.
     """
 
-    patterns: list
+    n: int
     arr: np.ndarray
     base: np.ndarray  # digit c is the entry n + c minus base[c]
     place: np.ndarray  # place value of each digit (object dtype past int64)
@@ -193,14 +153,13 @@ class PatternTable:
 
     @staticmethod
     def of(hw: HighestWeight) -> "PatternTable":
-        pats = enumerate_patterns(hw)
-        arr = np.array([p.flatten() for p in pats], dtype=np.int64)
+        arr = pattern_array(hw)
         lower = arr[:, hw.n :]
         base = lower.min(axis=0) - 1
         radix = [int(r) for r in lower.max(axis=0) - base + 2]
         key_kind = np.int64 if math.prod(radix) < 2**63 else object
         place = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))], dtype=key_kind)
-        return PatternTable(pats, arr, base, place, _mixed_radix(lower, base, place))
+        return PatternTable(hw.n, arr, base, place, _mixed_radix(lower, base, place))
 
     def key(self, lower: np.ndarray) -> np.ndarray:
         """Keys of the rows of lower, entries n, n+1, ... of flattened
@@ -209,8 +168,7 @@ class PatternTable:
 
     def row(self, k: int) -> np.ndarray:
         """The rows of length k of all patterns, a (d, k) view of arr."""
-        n = self.patterns[0].n
-        return self.arr[:, _offset(n, k) : _offset(n, k) + k]
+        return self.arr[:, _offset(self.n, k) : _offset(self.n, k) + k]
 
     def find(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Basis index of the pattern with each key in target (any shape),
@@ -233,22 +191,6 @@ def weyl_dim(hw: HighestWeight) -> int:
     if total.denominator != 1:
         raise ArithmeticError(f"Weyl product for {hw} is not an integer: {total}")
     return int(total)
-
-
-def row_sum(p: GTPattern, k: int) -> int:
-    """r_k = m_{1,k} + ... + m_{k,k}; r_0 = 0."""
-    if not 0 <= k <= p.n:
-        raise InputError(f"row index {k} out of range 0..{p.n}")
-    if k == 0:
-        return 0
-    return sum(p.rows[p.n - k])
-
-
-def act_diagonal(p: GTPattern, k: int) -> int:
-    """Eigenvalue of E_kk on xi(p), i.e. r_k - r_{k-1}."""
-    if not 1 <= k <= p.n:
-        raise InputError(f"generator index {k} out of range 1..{p.n}")
-    return row_sum(p, k) - row_sum(p, k - 1)
 
 
 def _radicands(m: np.ndarray, n: int, k: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +312,6 @@ def build_representation(hw: HighestWeight) -> Representation:
             f"generator entries, over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
     table = PatternTable.of(hw)
-    pats = table.patterns
     gen = {}
     every = np.arange(d)
     row_sums = [0] + [table.row(k).sum(axis=1) for k in range(1, n + 1)]
@@ -390,7 +331,8 @@ def build_representation(hw: HighestWeight) -> Representation:
             if skipped.size:
                 (p, j), = skipped[:1]
                 raise ArithmeticError(
-                    f"skipped move j={j + 1}, k={k} on {pats[p]} has nonzero numerator {num[p, j]}"
+                    f"skipped move j={j + 1}, k={k} on pattern {table.arr[p].tolist()} "
+                    f"has nonzero numerator {num[p, j]}"
                 )
             src, col = np.nonzero(valid)
             num, den = num[src, col], den[src, col]
@@ -398,7 +340,8 @@ def build_representation(hw: HighestWeight) -> Representation:
                 raise ZeroDivisionError(f"zero denominator at k={k}: pattern-validity bug")
             rad = np.asarray((-num) / den, dtype=float)
             if np.any(rad < 0):
-                raise ArithmeticError(f"negative radicand at k={k} on {pats[src[np.argmax(rad < 0)]]}")
+                bad = table.arr[src[np.argmax(rad < 0)]].tolist()
+                raise ArithmeticError(f"negative radicand at k={k} on pattern {bad}")
             live = rad != 0
             rows, cols = index[src, col][live], src[live]
             _, order = stable_order(rows * d + cols)
@@ -408,7 +351,7 @@ def build_representation(hw: HighestWeight) -> Representation:
             l = k + dist
             gen[(k, l)] = _commutator(d, gen[(k, l - 1)], gen[(l - 1, l)])
             gen[(l, k)] = _commutator(d, gen[(l, l - 1)], gen[(l - 1, k)])
-    return Representation(hw, pats, Entries.stack(d, [gen[label] for label in _labels(n)]))
+    return Representation(hw, table.arr, Entries.stack(d, [gen[label] for label in _labels(n)]))
 
 
 class GeneratorRep:
@@ -499,12 +442,21 @@ class GeneratorRep:
 
 
 class Representation(GeneratorRep):
-    """GT irreducible representation with its pattern basis."""
+    """GT irreducible representation with its pattern basis: ``basis``, the
+    read-only (d, n(n+1)/2) int64 array of flattened patterns in basis
+    order (pattern_array)."""
 
-    def __init__(self, hw: HighestWeight, patterns: list[GTPattern], gen):
+    def __init__(self, hw: HighestWeight, basis: np.ndarray, gen):
         super().__init__(hw.n, gen)
         self.hw = hw
-        self.patterns = tuple(patterns)
+        self.basis = np.asarray(basis, dtype=np.int64)
+        self.basis.flags.writeable = False
+
+    @cached_property
+    def patterns(self) -> tuple:
+        """The rows of basis as a tuple of flat int tuples, formed on first
+        access: comparable with == for a plain bool."""
+        return tuple(map(tuple, self.basis.tolist()))
 
 
 def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
@@ -514,16 +466,20 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     Sparse product kernel on the stored entries (a rep made from dense
     matrices read every nonzero of them, so a tampered entry anywhere is
     seen).  Joining their column indices with their row indices gives every
-    term X_g[i, k] X_h[k, j] of every product of two generators; it enters
-    relation (g, h) with + and relation (h, g) with -.  The expected side
-    is appended with the opposite sign, equal (relation, row, col) keys are
-    summed after one sort, and the largest sum is the residual.  The work
-    is proportional to the number of product terms, not to n^4 d^3, and
-    output rows are processed in blocks of about linalg.TERMS_PER_BLOCK
-    terms, so temporaries stay bounded.
+    term X_g[i, k] X_h[k, j] of every product of two generators.  The
+    residual of relation (h, g) is the negated residual of (g, h), and
+    that of (g, g) is zero, so there is one sum per relation pair: each
+    term enters only relation (min(g, h), max(g, h)), times sign(h - g),
+    which is 0 for g == h, and the expected side is appended once per pair
+    the same way.  Equal (relation, row, col) keys are summed after one
+    sort, and the largest sum is the residual.  The work is proportional
+    to the number of product terms, not to n^4 d^3, and output rows are
+    processed in blocks of about linalg.TERMS_PER_BLOCK terms, so
+    temporaries stay bounded.
 
     The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the
-    largest residual (None when all are zero) and tol.
+    largest residual, (a, b) first in label order (None when all are
+    zero), and tol.
     """
     n, d = rep.n, rep.dim
     labels = _labels(n)
@@ -532,22 +488,20 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     m = np.arange(n)
     products = int(np.diff(every.starts)[every.cols].sum())
     worst, worst_at = 0.0, None
-    for r0, r1 in row_blocks(d, 2 * products + 2 * n * every.rows.size):
+    for r0, r1 in row_blocks(d, products + n * every.rows.size):
         g, h, at, term = product_terms(every, r0, r1)
         s = slice(every.starts[r0], every.starts[r1])
         # An entry of gen(x, y) is expected in relation ((x, m), (m, y)) with
-        # + and in ((m, y), (x, m)) with -, for every m.
+        # + and in ((m, y), (x, m)) with -, for every m: relation pair
+        # (p, q) with p = (x, m), q = (m, y), times sign(q - p) and negated.
         x, y = np.divmod(every.gids[s], n)
-        x, y = x[:, None], y[:, None]
-        at_e = np.repeat(every.rows[s] * d + every.cols[s], n)
-        val_e = np.repeat(every.vals[s], n)
+        p, q = (x[:, None] * n + m).ravel(), (m * n + y[:, None]).ravel()
         keys = np.concatenate((
-            (g * nn + h) * size + at,
-            (h * nn + g) * size + at,
-            ((x * n + m) * nn + m * n + y).ravel() * size + at_e,
-            ((m * n + y) * nn + x * n + m).ravel() * size + at_e,
+            np.minimum(g * nn + h, h * nn + g) * size + at,
+            np.minimum(p * nn + q, q * nn + p) * size + np.repeat(every.rows[s] * d + every.cols[s], n),
         ))
-        keys, sums = summed(keys, np.concatenate((term, -term, -val_e, val_e)))
+        sign = np.concatenate((np.sign(h - g), np.sign(p - q)))
+        keys, sums = summed(keys, np.concatenate((term, np.repeat(every.vals[s], n))) * sign)
         res = max_abs(sums)
         if res > worst:
             rel = int(keys[np.argmax(np.abs(sums))]) // size

@@ -19,7 +19,7 @@ from .autos import SimulationMatrix
 from .contraction import ContractedAlgebra, EpsilonTable, PsiTable, ScalarTable
 from .errors import InputError
 from .groups import AbelianGroup, label_str, parse_label
-from .gtrep import GTPattern, HighestWeight, Representation
+from .gtrep import HighestWeight, Representation
 
 
 def canonical_dumps(payload) -> str:
@@ -112,48 +112,40 @@ def rep_to_json(rep: Representation) -> dict:
         "n": rep.n,
         "highest_weight": list(rep.hw.m),
         "dim": rep.dim,
-        "basis": [list(p.flatten()) for p in rep.patterns],
+        "basis": rep.basis.tolist(),
         "generators": gens,
     }
 
 
-def _pattern_from_flat(n: int, flat) -> GTPattern:
-    rows = []
-    pos = 0
-    for length in range(n, 0, -1):
-        rows.append(tuple(int(x) for x in flat[pos : pos + length]))
-        pos += length
-    if pos != len(flat):
-        raise InputError(f"flattened pattern of length {len(flat)} does not fit n={n}")
-    return GTPattern(tuple(rows))
-
-
 def rep_from_json(payload: dict) -> Representation:
     """Parse a representation, refusing with InputError unless the generator
-    keys are exactly the n^2 labels "k,l" and every generator is a finite
-    d x d matrix, with d the declared dimension and the basis length."""
+    keys are exactly the n^2 labels "k,l", every basis row is a flattened
+    pattern of n(n+1)/2 integers and every generator is a finite d x d
+    matrix, with d the declared dimension and the number of basis rows."""
     try:
         n = int(payload["n"])
         hw = HighestWeight(n, tuple(int(x) for x in payload["highest_weight"]))
-        patterns = [_pattern_from_flat(n, flat) for flat in payload["basis"]]
+        basis = np.array(payload["basis"], dtype=np.int64)
         d = int(payload["dim"])
         gen = {}
         for key, rows in payload["generators"].items():
             k, l = (int(x) for x in key.split(","))
             gen[(k, l)] = np.array(rows, dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed representation JSON: {exc}") from exc
+    if basis.ndim != 2 or basis.shape[1] != n * (n + 1) // 2:
+        raise InputError(f"basis rows must be flattened patterns of {n * (n + 1) // 2} entries for n={n}")
     labels = {(k, l) for k in range(1, n + 1) for l in range(1, n + 1)}
     if set(gen) != labels or len(payload["generators"]) != len(labels):
         raise InputError(f"generator keys must be exactly the {n * n} labels k,l with 1 <= k, l <= {n}")
-    if d != len(patterns):
+    if d != len(basis):
         raise InputError("representation JSON dimension mismatch")
     for (k, l), m in gen.items():
         if m.shape != (d, d):
             raise InputError(f"generator {k},{l} has shape {m.shape}, expected {(d, d)}")
         if not np.isfinite(m).all():
             raise InputError(f"generator {k},{l} has a non-finite entry")
-    return Representation(hw, patterns, gen)
+    return Representation(hw, basis, gen)
 
 
 # -- simulation matrices ----------------------------------------------------

@@ -7,9 +7,12 @@ generators, one solve per contracted operator, one generator sum per
 homomorphism relation, the contraction tables checked one cell and one
 triple at a time in Fraction arithmetic (and enumerated one candidate
 table at a time), the doubled representation built from dense blocks
-or ordered by np.lexsort, the Gel'fand-Tseitlin generators built one
-pattern and one move at a time with exact Fraction radicands, and the
-equal-key sums ordered by a stable argsort."""
+or ordered by np.lexsort, the Gel'fand-Tseitlin patterns enumerated by
+recursion as GTPattern objects, their row sums, diagonal action,
+conjugation and inner phases one pattern at a time, the generators built
+one pattern and one move at a time with exact Fraction radicands, the
+commutation check summing every product term in both orientations of its
+relation pair, and the equal-key sums ordered by a stable argsort."""
 
 import itertools
 import math
@@ -26,11 +29,11 @@ from gtlie.algebra import (
     sl_basis_labels,
     sl_basis_matrices,
 )
-from gtlie.autos import action_on_sl
+from gtlie.autos import action_on_sl, eta
 from gtlie.contraction import EpsilonTable, PsiTable
-from gtlie.errors import InputError
-from gtlie.gtrep import GTPattern, HighestWeight, act_diagonal, enumerate_patterns
-from gtlie.linalg import Entries, max_abs, orthonormal_span, product_terms, rank, span_distance, summed
+from gtlie.errors import InputError, VerificationError
+from gtlie.gtrep import GeneratorRep, HighestWeight
+from gtlie.linalg import Entries, max_abs, orthonormal_span, product_terms, rank, row_blocks, span_distance, summed
 
 
 def span_residual(vec, basis) -> float:
@@ -361,6 +364,136 @@ def per_column_simulation(rep, aut, sim, tol):
     violations = [(at, res) for at, res in residuals if res > tol]
     return not violations, worst, violations, worst_at if worst else None
 
+
+# -- Gel'fand-Tseitlin patterns, one recursion and one pattern at a time -----
+
+
+@dataclass(frozen=True)
+class GTPattern:
+    """Triangular pattern; rows stored top-down (lengths n, n-1, ..., 1)."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def entry(self, i: int, j: int) -> int:
+        """m_{i,j}: entry i (1-based) of the row of length j."""
+        return self.rows[self.n - j][i - 1]
+
+    def is_valid(self) -> bool:
+        for j in range(1, self.n):
+            upper = self.rows[self.n - j - 1]  # length j + 1
+            lower = self.rows[self.n - j]  # length j
+            for i in range(j):
+                if not (upper[i] >= lower[i] >= upper[i + 1]):
+                    return False
+        return True
+
+    def flatten(self) -> tuple[int, ...]:
+        return tuple(x for row in self.rows for x in row)
+
+    def __str__(self):
+        return "/".join(" ".join(str(x) for x in row) for row in self.rows)
+
+
+def _fill_rows(rows: list[tuple[int, ...]], out: list[GTPattern]):
+    prev = rows[-1]
+    j = len(prev) - 1
+    if j == 0:
+        out.append(GTPattern(tuple(rows)))
+        return
+    ranges = [range(prev[i], prev[i + 1] - 1, -1) for i in range(j)]
+
+    def rec(pos: int, acc: list[int]):
+        if pos == j:
+            rows.append(tuple(acc))
+            _fill_rows(rows, out)
+            rows.pop()
+            return
+        for v in ranges[pos]:
+            acc.append(v)
+            rec(pos + 1, acc)
+            acc.pop()
+
+    rec(0, [])
+
+
+def enumerate_patterns(hw: HighestWeight) -> list[GTPattern]:
+    """All valid patterns with the given top row, in descending lexicographic
+    order of the flattened (row-major, top-down) tuple, by recursion over
+    the rows and, within a row, over the entries."""
+    out: list[GTPattern] = []
+    _fill_rows([tuple(hw.m)], out)
+    return out
+
+
+def recursive_pattern_array(hw: HighestWeight) -> np.ndarray:
+    """The flattened recursive patterns as one (d, n(n+1)/2) int64 array."""
+    return np.array([p.flatten() for p in enumerate_patterns(hw)], dtype=np.int64)
+
+
+def row_sum(p: GTPattern, k: int) -> int:
+    """r_k = m_{1,k} + ... + m_{k,k}; r_0 = 0."""
+    if not 0 <= k <= p.n:
+        raise InputError(f"row index {k} out of range 0..{p.n}")
+    if k == 0:
+        return 0
+    return sum(p.rows[p.n - k])
+
+
+def act_diagonal(p: GTPattern, k: int) -> int:
+    """Eigenvalue of E_kk on xi(p), i.e. r_k - r_{k-1}."""
+    if not 1 <= k <= p.n:
+        raise InputError(f"generator index {k} out of range 1..{p.n}")
+    return row_sum(p, k) - row_sum(p, k - 1)
+
+
+def pattern_conjugate(p: GTPattern) -> GTPattern:
+    """The reflected pattern m'_{i,j} = m_{1,n} - m_{j-i+1,j}.
+
+    It is a valid pattern of the contragredient weight; for a
+    self-contragredient weight the map is an involution on the basis.
+    """
+    top = p.rows[0][0]
+    rows = tuple(tuple(top - x for x in reversed(row)) for row in p.rows)
+    q = GTPattern(rows)
+    if not q.is_valid():
+        raise VerificationError(f"conjugate of {p} violates betweenness")
+    return q
+
+
+def rep_of_Xns(hw: HighestWeight, n: int, s: int) -> np.ndarray:
+    """Diagonal matrix of the algebra element X with exp(X) = A_{n,s}.
+
+    Eigenvalue on xi(m):
+
+        i pi ( eta/n r_n + 2 sum_{t=1..s-1} (-1)^{t-1} r_{n-s+t}
+               - r_{n-s} - (-1)^eta r_n ).
+
+    The row-sum formula assumes s >= 1; for s = 0 the automorphism is the
+    identity and the matrix is zero.
+    """
+    if hw.n != n:
+        raise InputError(f"weight {hw} is not a weight of sl({n})")
+    if not 0 <= s <= n // 2:
+        raise InputError(f"s must satisfy 0 <= s <= {n // 2}, got {s}")
+    pats = enumerate_patterns(hw)
+    d = len(pats)
+    if s == 0:
+        return np.zeros((d, d), dtype=complex)
+    e = eta(s)
+    vals = []
+    for p in pats:
+        total = Fraction(e, n) * row_sum(p, n)
+        total += 2 * sum((-1) ** (t - 1) * row_sum(p, n - s + t) for t in range(1, s))
+        total -= row_sum(p, n - s)
+        total -= (-1) ** e * row_sum(p, n)
+        vals.append(1j * math.pi * float(total))
+    return np.diag(vals)
+
+
 # -- Gel'fand-Tseitlin generators, one pattern and one move at a time --------
 
 
@@ -488,3 +621,36 @@ def per_pattern_generators(hw: HighestWeight) -> dict:
             commutator(gen[(k, l - 1)], gen[(l - 1, l)], gen[(k, l)])
             commutator(gen[(l, l - 1)], gen[(l - 1, k)], gen[(l, k)])
     return gen
+
+
+def two_orientation_commutation(rep: GeneratorRep, tol: float = 1e-9) -> Report:
+    """verify_commutation summing every relation in both orientations: each
+    product term X_g X_h enters relation (g, h) with + and (h, g) with -,
+    and each expected entry of gen(x, y) enters ((x, m), (m, y)) with - and
+    ((m, y), (x, m)) with +, all n^4 relations summed and maximized."""
+    n, d = rep.n, rep.dim
+    labels = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    nn, size = n * n, d * d
+    every = rep.entries
+    m = np.arange(n)
+    products = int(np.diff(every.starts)[every.cols].sum())
+    worst, worst_at = 0.0, None
+    for r0, r1 in row_blocks(d, 2 * products + 2 * n * every.rows.size):
+        g, h, at, term = product_terms(every, r0, r1)
+        s = slice(every.starts[r0], every.starts[r1])
+        x, y = np.divmod(every.gids[s], n)
+        x, y = x[:, None], y[:, None]
+        at_e = np.repeat(every.rows[s] * d + every.cols[s], n)
+        val_e = np.repeat(every.vals[s], n)
+        keys = np.concatenate((
+            (g * nn + h) * size + at,
+            (h * nn + g) * size + at,
+            ((x * n + m) * nn + m * n + y).ravel() * size + at_e,
+            ((m * n + y) * nn + x * n + m).ravel() * size + at_e,
+        ))
+        keys, sums = summed(keys, np.concatenate((term, -term, -val_e, val_e)))
+        res = max_abs(sums)
+        if res > worst:
+            rel = int(keys[np.argmax(np.abs(sums))]) // size
+            worst, worst_at = res, (labels[rel // nn], labels[rel % nn])
+    return Report(ok=worst <= tol, max_residual=worst, checked=n**4, worst_at=worst_at, tol=tol)

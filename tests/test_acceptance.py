@@ -16,12 +16,12 @@ from gtlie.groups import AbelianGroup
 from gtlie.gtrep import (
     HighestWeight,
     build_representation,
-    enumerate_patterns,
+    pattern_array,
     verify_commutation,
     verify_transpose,
     weyl_dim,
 )
-from oracles import per_label_sl_matrices
+from oracles import enumerate_patterns, per_label_sl_matrices
 
 Z2 = AbelianGroup((2,))
 
@@ -63,7 +63,7 @@ def test_criterion_1_dimensions():
     checked = 0
     for n in (2, 3, 4):
         for hw in all_weights(n):
-            ok = ok and len(enumerate_patterns(hw)) == weyl_dim(hw)
+            ok = ok and len(pattern_array(hw)) == weyl_dim(hw)
             checked += 1
     report(1, ok, f"r(2,1,0) has dim 8; pattern count == Weyl dim for {checked} weights (entries <= 4, n <= 4)")
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
+from gtlie import gtrep
 from gtlie.algebra import matrix_to_coords, sl_basis_matrices
 from gtlie.autos import (
     SOLVER_BUDGET_BYTES,
@@ -25,22 +26,24 @@ from gtlie.autos import (
     find_simulation_matrix,
     grading_from_automorphism,
     is_self_contragredient,
-    pattern_conjugate,
-    rep_of_Xns,
     simulation_inner,
     verify_simulation,
 )
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
-from gtlie.gtrep import GeneratorRep, GTPattern, HighestWeight, build_representation, enumerate_patterns, weyl_dim
+from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation, weyl_dim
 from gtlie.linalg import Entries
 from oracles import (
+    GTPattern,
     dense_doubled_generators,
+    enumerate_patterns,
+    pattern_conjugate,
     per_column_compatibility,
     per_column_rep_matrix,
     per_column_simulation,
     per_label_sl_matrices,
     per_vector_compatibility,
+    rep_of_Xns,
 )
 
 
@@ -318,6 +321,27 @@ def test_decompose_rep_space_variants():
 
     dense_j = SimulationMatrix(order=2, kind="dense", dense=sim.matrix)
     assert decompose_rep_space(dense_j).part_dims() == {(0,): 5, (1,): 3}
+
+
+def test_decompose_rep_space_charges_its_dense_parts_against_the_budget(monkeypatch):
+    # the parts of r(2,1,0) are 8 complex columns of 8 entries: 1024 bytes
+    hw = HighestWeight(3, (2, 1, 0))
+    sims = [J_matrix(hw), simulation_inner(hw, 3, 1), SimulationMatrix(order=2, kind="dense", dense=J_matrix(hw).matrix)]
+    big = simulation_inner(HighestWeight(3, (20, 10, 0)), 3, 1)  # d = 1331: 27 MiB of parts
+    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 1024)
+    assert all(decompose_rep_space(sim).total_dim == 8 for sim in sims)
+    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 1023)
+    for sim in sims:
+        with pytest.raises(InputError, match="dimension 8 need 0.00 GiB as dense columns, over the 0.00 GiB budget"):
+            decompose_rep_space(sim)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="budget"):
+            decompose_rep_space(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_simulation_rejects_wrong_scale():

@@ -74,6 +74,47 @@ def test_rep_check_refuses_a_malformed_generator_set(tmp_path, capsys, how):
     assert main(["rep", "check", str(bad)]) == 2
 
 
+def _spoil_basis(basis, how):
+    # r(2,1,0): basis[-1] is the lowest pattern 2 1 0/1 0/0
+    if how == "swapped rows":
+        basis[1], basis[2] = basis[2], basis[1]
+    elif how == "betweenness":
+        basis[-1][-1] = 2  # the bottom entry must lie between 1 and 0
+    elif how == "short row":
+        basis[3] = basis[3][:-1]
+    elif how == "long rows":
+        basis[:] = [row + [0] for row in basis]
+    elif how == "past int64":
+        basis[0][0] = 2**70
+
+
+@pytest.mark.parametrize(
+    "how, code, err",
+    [
+        ("swapped rows", 1, ""),
+        ("betweenness", 1, ""),
+        ("short row", 2, "malformed"),
+        ("long rows", 2, "6 entries"),
+        ("past int64", 2, "malformed"),
+    ],
+)
+def test_rep_check_sees_a_tampered_basis(tmp_path, capsys, how, code, err):
+    out = tmp_path / "rep.json"
+    assert run(capsys, "rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(out))[0] == 0
+    payload = json.loads(out.read_text())
+    _spoil_basis(payload["basis"], how)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["rep", "check", str(bad), "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert err in captured.err
+    if code == 1:
+        # the generators are untouched: only the basis order check fails
+        report = json.loads(captured.out)
+        assert not report["ok"] and not report["basis_order_ok"]
+        assert report["commutator_residual"] <= 1e-9 and report["sl_trace_residual"] <= 1e-9
+
+
 def test_rep_check_sees_a_scalar_shift_of_the_diagonal_generators(tmp_path, capsys):
     # 5 Id added to every r(E_kk) passes every commutation relation and the
     # transpose check; only the sl trace sum_k r(E_kk) = 0 catches it.

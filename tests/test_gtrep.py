@@ -13,18 +13,28 @@ from gtlie.errors import InputError
 from gtlie.gtrep import (
     GENERATOR_BUDGET_BYTES,
     GeneratorRep,
-    GTPattern,
     HighestWeight,
-    act_diagonal,
     build_representation,
-    enumerate_patterns,
-    row_sum,
+    pattern_array,
     verify_commutation,
     verify_sl_trace,
     verify_transpose,
     weyl_dim,
 )
-from oracles import Radicand, act_lowering, act_raising, per_label_sl_matrices, per_pattern_generators
+from gtlie.linalg import max_abs
+from oracles import (
+    GTPattern,
+    Radicand,
+    act_diagonal,
+    act_lowering,
+    act_raising,
+    enumerate_patterns,
+    per_label_sl_matrices,
+    per_pattern_generators,
+    recursive_pattern_array,
+    row_sum,
+    two_orientation_commutation,
+)
 
 
 def pat(*rows):
@@ -229,7 +239,7 @@ def dense_commutation_residual(rep, relation=None):
             expected = expected + rep.gen[(a, e)]
         if e == a:
             expected = expected - rep.gen[(c, b)]
-        worst = max(worst, float(np.abs(mab @ mce - mce @ mab - expected).max()))
+        worst = max(worst, max_abs(mab @ mce - mce @ mab - expected))
     return worst
 
 
@@ -257,6 +267,28 @@ def tampered(rep, label, pos, delta):
     gen = {key: m.copy() for key, m in rep.gen.items()}
     gen[label][pos] += delta
     return GeneratorRep(rep.n, gen)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(SMALL_WEIGHTS), st.booleans(), st.sampled_from([0.0, 1e-6, -0.5, np.nan]), st.data())
+def test_commutation_matches_the_two_orientation_oracle(hw, doubled, delta, data):
+    # one sum per relation pair against both orientations summed apart, on
+    # the irreps, their doubled carriers and single tampered entries
+    rep = doubled_rep(hw)[0] if doubled else build_representation(hw)
+    if delta != 0:
+        label = data.draw(st.sampled_from(list(rep.gen)))
+        pos = data.draw(st.tuples(st.integers(0, rep.dim - 1), st.integers(0, rep.dim - 1)))
+        rep = tampered(rep, label, pos, delta)
+    report, oracle = verify_commutation(rep, 1e-9), two_orientation_commutation(rep, 1e-9)
+    assert report.ok == oracle.ok and report.checked == oracle.checked == rep.n**4 and report.tol == 1e-9
+    if np.isnan(delta):
+        assert report.max_residual == oracle.max_residual == float("inf")
+    else:
+        assert abs(report.max_residual - oracle.max_residual) <= 1e-12
+    if report.worst_at is None:
+        assert report.max_residual == 0.0
+    else:
+        assert dense_commutation_residual(rep, report.worst_at) == pytest.approx(report.max_residual, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -321,10 +353,20 @@ def test_build_refuses_an_oversized_irrep_up_front():
 LADDER_WEIGHTS = [HighestWeight(len(m), m) for m in ((10, 5, 0), (14, 7, 0), (20, 10, 0), (6, 3, 1, 0), (4, 3, 1, 0))]
 
 
+@pytest.mark.parametrize(
+    "hw", SMALL_WEIGHTS + LADDER_WEIGHTS + [HighestWeight(3, (40, 20, 0)), HighestWeight(5, (3, 2, 1, 1, 0))], ids=str
+)
+def test_the_pattern_array_is_the_recursive_enumeration_byte_for_byte(hw):
+    got, want = pattern_array(hw), recursive_pattern_array(hw)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (weyl_dim(hw), hw.n * (hw.n + 1) // 2)
+    assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
 def assert_bit_identical(hw):
     rep = build_representation(hw)
     oracle = per_pattern_generators(hw)
-    assert rep.patterns == tuple(enumerate_patterns(hw)) and list(rep.gen) == list(oracle)
+    assert rep.basis.tobytes() == recursive_pattern_array(hw).tobytes()
+    assert rep.patterns == tuple(p.flatten() for p in enumerate_patterns(hw)) and list(rep.gen) == list(oracle)
     for label, m in oracle.items():
         assert rep.gen[label].dtype == m.dtype and rep.gen[label].tobytes() == m.tobytes(), label
 
