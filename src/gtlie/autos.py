@@ -42,6 +42,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -273,13 +274,23 @@ class SimulationMatrix:
     def monomial(self) -> tuple[np.ndarray, np.ndarray]:
         """(perm, scale) with R e_c = scale[c] e_{perm[c]}: the identity and
         exp(i pi rho_c) for the diagonal kind, perm and signs for the
-        signed-permutation kind."""
+        signed-permutation kind.  Formed on the first call and kept, as
+        read-only arrays: the fields are immutable, so the pair cannot go
+        stale."""
+        return self._monomial
+
+    @cached_property
+    def _monomial(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "diagonal":
             value = {rho: _phase_to_complex(rho) for rho in set(self.phases)}
-            return np.arange(self.dim), np.array([value[rho] for rho in self.phases], dtype=complex)
-        if self.kind == "signed_permutation":
-            return np.array(self.perm, dtype=np.int64), np.array(self.signs, dtype=complex)
-        raise InputError("a dense simulation matrix has no monomial form")
+            out = np.arange(self.dim), np.array([value[rho] for rho in self.phases], dtype=complex)
+        elif self.kind == "signed_permutation":
+            out = np.array(self.perm, dtype=np.int64), np.array(self.signs, dtype=complex)
+        else:
+            raise InputError("a dense simulation matrix has no monomial form")
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     @property
     def matrix(self) -> np.ndarray:

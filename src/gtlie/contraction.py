@@ -18,7 +18,9 @@ One array kernel checks both systems, for one table or a batch (the binary
 a residual past the float range is an infinite residual.  Stacked numpy
 kernels over (k, d, d) operator stacks apply a contraction, with eps and psi
 read once per call as label arrays.  The inputs of a contraction are checked
-once per content (_verify_once); its outputs are checked on every call.
+once per content (_verify_once); its outputs are checked on every call, the
+contracted representation by the sparse relation kernel of linalg
+(relation_sums) on the nonzero entries of its matrices.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .autos import check_compatibility
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import GeneratorRep
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, Entries, relation_sums
 
 MAX_FREE_CELLS = 10
 # Content digests of the inputs that passed a precondition check, oldest
@@ -423,11 +425,17 @@ def verify_rep_homomorphism(
 ) -> Report:
     """Check [r^eps(x), r^eps(y)] = r^eps([x, y]_new) on the adapted bases.
 
-    One left index a at a time, M_a M_b - M_b M_a - sum_l c_abl M_l for all
-    b >= a is one (k - a, d, d) block, the sum one tensordot over the finite
-    M_l with c_abl != 0 (a NaN or inf makes its relations infinite); the
-    temporaries stay three (k, d, d) stacks.  c is exactly antisymmetric
-    and fl(P - Q) = -fl(Q - P), so (b, a) has exactly the residual of (a, b).
+    One call of linalg.relation_sums: the entries of the k matrices M_a
+    (Entries.of) and the triples (a, b, l, c_abl), a < b, at the nonzeros
+    of the contracted structure, give the sums of M_a M_b - M_b M_a -
+    sum_l c_abl M_l at every key the terms meet, one block of output rows
+    at a time; each pair's residual is its largest |sum| (one
+    np.maximum.reduceat).  c is exactly antisymmetric, so (b, a) has the
+    residual of (a, b), and (a, a) has residual 0.  A dense product meets a
+    NaN or inf of M_t in every row and column (NaN * 0), the sparse one
+    only at nonzeros, so a non-finite M_t makes every (t, b) and (a, t)
+    infinite, as the dense check does.  The entry itself enters the sum of
+    every (a, b) with c_abt != 0, and a NaN sum is infinite too.
     Violations (a, b, res) come in row-major order; checked = k^2 pairs.
     """
     if crep.labels != calg.labels:
@@ -437,16 +445,21 @@ def verify_rep_homomorphism(
     if len(crep.matrices) != k or len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise InputError(f"expected {k} square matrices of one size, got {len(crep.matrices)} of shapes {shapes}")
     mats = np.array(crep.matrices, dtype=complex)
-    finite = np.isfinite(mats).all(axis=(1, 2))
+    d = mats.shape[1]
+    structure = calg.result.structure
+    a, b, l = np.nonzero(structure)
+    upper = a < b
+    a, b, l = a[upper], b[upper], l[upper]
     res = np.zeros((k, k))
-    for a in range(k):
-        block = mats[a] @ mats[a:]
-        block -= mats[a:] @ mats[a]
-        coeffs = calg.result.structure[a, a:]
-        used = coeffs.any(axis=0) & finite
-        block -= np.tensordot(coeffs[:, used], mats[used], axes=1)
-        res[a, a:] = np.abs(block).reshape(k - a, -1).max(axis=1)
-        res[a, a:][coeffs[:, ~finite].any(axis=1)] = math.inf
+    for keys, sums in relation_sums(Entries.of(mats), k, a, b, l, structure[a, b, l]):
+        if not keys.size:
+            continue
+        pair = keys // (d * d)
+        starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+        pa, pb = np.divmod(pair[starts], k)
+        res[pa, pb] = np.maximum(res[pa, pb], np.maximum.reduceat(np.abs(sums), starts))
+    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    res[bad] = res[:, bad] = math.inf
     res[np.isnan(res)] = math.inf
-    res += np.triu(res, 1).T
-    return Report.of({(a, b): float(res[a, b]) for a in range(k) for b in range(k)}, tol)
+    res = np.maximum(res, res.T)
+    return Report.of(dict(zip(itertools.product(range(k), repeat=2), res.ravel().tolist())), tol)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .algebra import Report
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, row_blocks, stable_order, summed
+from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, relation_sums, row_blocks, stable_order, summed
 
 __all__ = [
     "HighestWeight",
@@ -463,19 +463,18 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     """Max residual of [gen(a,b), gen(c,e)] = delta_bc gen(a,e) - delta_ea gen(c,b)
     over all n^4 label pairs.
 
-    Sparse product kernel on the stored entries (a rep made from dense
-    matrices read every nonzero of them, so a tampered entry anywhere is
-    seen).  Joining their column indices with their row indices gives every
-    term X_g[i, k] X_h[k, j] of every product of two generators.  The
-    residual of relation (h, g) is the negated residual of (g, h), and
-    that of (g, g) is zero, so there is one sum per relation pair: each
-    term enters only relation (min(g, h), max(g, h)), times sign(h - g),
-    which is 0 for g == h, and the expected side is appended once per pair
-    the same way.  Equal (relation, row, col) keys are summed after one
-    sort, and the largest sum is the residual.  The work is proportional
-    to the number of product terms, not to n^4 d^3, and output rows are
+    One call of linalg.relation_sums on the stored entries (a rep made from
+    dense matrices read every nonzero of them, so a tampered entry anywhere
+    is seen), with the gl(n) structure triples: [E_xm, E_my] holds E_xy
+    for every x, m, y, so label x n + y enters the relation pair (p, q) =
+    (x n + m, m n + y), p != q, as (min(p, q), max(p, q)) times
+    sign(q - p).  The residual of (h, g) is the negated residual of (g, h)
+    and that of (g, g) is zero, so the kernel forms one sum per relation
+    pair; the largest sum is the residual.  The work is proportional to
+    the number of product terms, not to n^4 d^3, and output rows are
     processed in blocks of about linalg.TERMS_PER_BLOCK terms, so
-    temporaries stay bounded.
+    temporaries stay bounded.  A NaN entry enters the expected side of
+    some pair p != q as itself, so the check fails closed.
 
     The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the
     largest residual, (a, b) first in label order (None when all are
@@ -483,29 +482,18 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     """
     n, d = rep.n, rep.dim
     labels = _labels(n)
-    nn, size = n * n, d * d
-    every = rep.entries
-    m = np.arange(n)
-    products = int(np.diff(every.starts)[every.cols].sum())
+    x, y, m = (v.ravel() for v in np.indices((n, n, n)))
+    p, q = x * n + m, m * n + y
+    cross = p != q
+    p, q = p[cross], q[cross]
     worst, worst_at = 0.0, None
-    for r0, r1 in row_blocks(d, products + n * every.rows.size):
-        g, h, at, term = product_terms(every, r0, r1)
-        s = slice(every.starts[r0], every.starts[r1])
-        # An entry of gen(x, y) is expected in relation ((x, m), (m, y)) with
-        # + and in ((m, y), (x, m)) with -, for every m: relation pair
-        # (p, q) with p = (x, m), q = (m, y), times sign(q - p) and negated.
-        x, y = np.divmod(every.gids[s], n)
-        p, q = (x[:, None] * n + m).ravel(), (m * n + y[:, None]).ravel()
-        keys = np.concatenate((
-            np.minimum(g * nn + h, h * nn + g) * size + at,
-            np.minimum(p * nn + q, q * nn + p) * size + np.repeat(every.rows[s] * d + every.cols[s], n),
-        ))
-        sign = np.concatenate((np.sign(h - g), np.sign(p - q)))
-        keys, sums = summed(keys, np.concatenate((term, np.repeat(every.vals[s], n))) * sign)
+    for keys, sums in relation_sums(
+        rep.entries, n * n, np.minimum(p, q), np.maximum(p, q), (x * n + y)[cross], np.sign(q - p)
+    ):
         res = max_abs(sums)
         if res > worst:
-            rel = int(keys[np.argmax(np.abs(sums))]) // size
-            worst, worst_at = res, (labels[rel // nn], labels[rel % nn])
+            rel = int(keys[np.argmax(np.abs(sums))]) // (d * d)
+            worst, worst_at = res, (labels[rel // (n * n)], labels[rel % (n * n)])
     return Report(ok=worst <= tol, max_residual=worst, checked=n**4, worst_at=worst_at, tol=tol)
 
 

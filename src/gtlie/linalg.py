@@ -15,14 +15,24 @@ end to end, ``row_join`` pairs entries with rows by it,
 ``summed`` adds equal keys, and ``row_blocks`` splits the output rows so
 that a check forms about TERMS_PER_BLOCK terms at a time.
 
+Every bracket check asks one question, "do the matrices X_a satisfy
+[X_a, X_b] = sum_l f_ab^l X_l?", and ``relation_sums`` answers it for
+structure triples (a, b, l, f) with a < b: it yields, block by block, the
+summed residual of each pair at every (row, col) the terms meet.  The gl(n)
+relations of a GT representation (gtrep.verify_commutation), a contracted
+representation (contraction.verify_rep_homomorphism) and the adjoint
+matrices of an algebra (algebra.check_jacobi) are its three callers; the
+GT build forms its nested commutators from product_terms directly.
+
 Every ordering of integer keys goes through one sort kernel,
-``stable_order``: each key is packed with its position into one int64,
-(key - min) << bits | position, and the packed values are sorted with
-the plain ``np.sort``.  They are distinct and order first by key, then
-by position, so any sort of them gives exactly the permutation of a
-stable argsort, and every equal-key sum is formed in the same order.  A
-stable argsort is kept only for keys whose span leaves no room for the
-position bits.
+``stable_order``: from PACKED_SORT_MIN_KEYS keys on, each key is packed
+with its position into one int64, (key - min) << bits | position, and
+the packed values are sorted with the plain ``np.sort``.  They are
+distinct and order first by key, then by position, so any sort of them
+gives exactly the permutation of a stable argsort, and every equal-key
+sum is formed in the same order.  Fewer keys, where the stable argsort's
+lower fixed cost wins, and keys whose span leaves no room for the
+position bits take the stable argsort itself.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 # Most terms a blocked sparse check forms at once (temporaries near 2 MiB).
 TERMS_PER_BLOCK = 1 << 15
+# Fewest keys stable_order packs; fewer go to the stable argsort, whose fixed
+# cost is lower.  On random keys the argsort takes 11 us against 13-22 us for
+# the packed sort at 512 keys, about the same at 768, and 26-32 us against
+# 18-19 us at 1024 (best of 7 x 2000 calls, 2-core x86 VM, one thread).
+PACKED_SORT_MIN_KEYS = 768
 
 
 def max_abs(a) -> float:
@@ -120,10 +135,18 @@ class Entries:
         )
 
     @staticmethod
-    def of(mats: list) -> "Entries":
-        """Read with np.nonzero from the dense matrices themselves."""
-        found = [np.nonzero(m) for m in mats]
-        return Entries.stack(mats[0].shape[0], [(r, c, m[r, c]) for m, (r, c) in zip(mats, found)])
+    def of(mats) -> "Entries":
+        """Read from the dense matrices themselves, a (count, d, d) array
+        of any strides (or a list of d x d matrices, stacked): one
+        flatnonzero of mats != 0 lists the entries by (matrix, row, col),
+        and one stable_order of the rows puts them in row order.  (On a
+        3-d array np.nonzero takes several times as long.)"""
+        mats = np.asarray(mats)
+        d = mats.shape[1]
+        g, at = np.divmod(np.flatnonzero(mats != 0), d * d)
+        r, c = np.divmod(at, d)
+        rows, order = stable_order(r)
+        return Entries(rows, c[order], mats[g, r, c][order], g[order], np.searchsorted(rows, np.arange(d + 1)))
 
     @property
     def dim(self) -> int:
@@ -160,36 +183,70 @@ def row_blocks(d: int, terms: int):
     return zip(edges[:-1], edges[1:])
 
 
+def relation_sums(e: Entries, count: int, a: np.ndarray, b: np.ndarray, l: np.ndarray, f: np.ndarray):
+    """The residuals of the relations [X_a, X_b] = sum_l f_ab^l X_l among the
+    count matrices X of e, given as structure triples (a, b, l, f) with
+    a < b: for each block of output rows (row_blocks), the distinct keys
+    ((a count + b) d + row) d + col and the sum of [X_a, X_b] - sum_l f X_l
+    at each, ascending (summed).
+
+    The residual of (b, a) is the negated residual of (a, b), so each
+    product term X_g[i, k] X_h[k, j] (product_terms) enters only the pair
+    (min(g, h), max(g, h)), times sign(h - g), which is 0 for g == h; each
+    entry of X_l then enters every pair with a triple at l, times -f.
+    Terms come first, each part in the order of its entries, so equal keys
+    add their values in one fixed order.  Only entries are joined, so the
+    work is the number of terms, and a NaN or inf enters only the terms it
+    is a factor of, never a dense product's NaN * 0: a caller that needs
+    those relations to fail marks them itself."""
+    d = e.dim
+    l, order = stable_order(l)
+    a, b, f = a[order], b[order], f[order]
+    first = np.searchsorted(l, np.arange(count + 1))
+    per, runs = np.diff(first), np.diff(e.starts)
+    for r0, r1 in row_blocks(d, int(runs[e.cols].sum() + per[e.gids].sum())):
+        g, h, at, term = product_terms(e, r0, r1)
+        s = slice(e.starts[r0], e.starts[r1])
+        t, u = ranges(first[e.gids[s]], per[e.gids[s]])
+        keys = np.concatenate((
+            (np.minimum(g, h) * count + np.maximum(g, h)) * (d * d) + at,
+            ((a[u] * count + b[u]) * d + e.rows[s][t]) * d + e.cols[s][t],
+        ))
+        yield summed(keys, np.concatenate((term * np.sign(h - g), -f[u] * e.vals[s][t])))
+
+
 def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """keys sorted and the permutation that sorts them, equal keys in order
     of position: the result of np.argsort(keys, kind="stable"), bit for
-    bit, for an int64 array.  Each key is packed with its position p as
-    (key - min) << bits | p, bits = bit_length(n - 1), sorted in place by
-    np.sort and unpacked by shift and mask.  A key span of 2^(63 - bits)
-    or more leaves no room for the position, and is sorted by the stable
-    argsort itself."""
+    bit, for an int64 array.  From PACKED_SORT_MIN_KEYS keys on, each key
+    is packed with its position p as (key - min) << bits | p, bits =
+    bit_length(n - 1), sorted in place by np.sort and unpacked by shift and
+    mask.  Fewer keys, or a key span of 2^(63 - bits) or more, which leaves
+    no room for the position, are sorted by the stable argsort itself."""
     n = keys.size
-    if not n:
-        return keys.copy(), np.zeros(0, dtype=np.intp)
-    bits = (n - 1).bit_length()
-    low, high = int(keys.min()), int(keys.max())
-    if high - low >= 1 << (63 - bits):
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
-    packed = keys - low
-    packed <<= bits
-    packed |= np.arange(n)
-    packed.sort()
-    order = packed & ((1 << bits) - 1)
-    packed >>= bits
-    packed += low
-    return packed, order
+    if n >= PACKED_SORT_MIN_KEYS:
+        bits = (n - 1).bit_length()
+        low = int(keys.min())
+        if int(keys.max()) - low < 1 << (63 - bits):
+            packed = keys - low
+            packed <<= bits
+            packed |= np.arange(n)
+            packed.sort()
+            order = packed & ((1 << bits) - 1)
+            packed >>= bits
+            packed += low
+            return packed, order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
 
 
 def summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys and the sum of the values at each: one stable_order,
-    one np.add.reduceat.  The order is stable, so each sum adds its values
-    in order of position."""
+    one np.add.reduceat.  The order is stable, so each sum reads its values
+    in order of position, and the same inputs give the same bits.  That is
+    not a left fold: np.add.reduceat groups the additions its own way (for
+    [a, -a, -b, b] it forms a + ((-a - b) + b)), so float values that
+    cancel exactly can leave a rounding residue."""
     if not keys.size:
         return keys, values
     keys, order = stable_order(keys)

@@ -307,6 +307,19 @@ def test_doubled_rep_forms_no_dense_block():
     assert rep.dim == 1024 and peak < 8 * 2**20
 
 
+def test_the_monomial_form_is_formed_once_and_read_only():
+    hw = HighestWeight(3, (2, 1, 0))
+    for sim in (simulation_inner(hw, 3, 1), J_matrix(hw), doubled_rep(HighestWeight(3, (1, 0, 0)))[1]):
+        perm, scale = sim.monomial()
+        again = sim.monomial()
+        assert again[0] is perm and again[1] is scale
+        for a in (perm, scale):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+    with pytest.raises(InputError):
+        SimulationMatrix(order=2, kind="dense", dense=np.eye(2)).monomial()
+
+
 def test_decompose_rep_space_variants():
     hw = HighestWeight(3, (2, 1, 0))
     sim = J_matrix(hw)

@@ -499,16 +499,20 @@ def test_a_tampered_entry_is_reported_at_its_pairs(m, kind, data):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("t", [0, 2, 7])
 def test_a_nan_in_one_contracted_matrix_fails_closed(rep_setup, t, value):
+    # every binary Z2 (eps, psi) pair, eps = 0 and psi = 0 among them, with
+    # the bad entry on and off the diagonal: the sparse check must mark
+    # every relation the dense oracle's NaN * 0 reaches
     sl3, gamma1, rep, vgamma = rep_setup
-    table = eps([[1, 1], [1, 0]])
-    crep = contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 0]]), table)
-    calg = contract_algebra(sl3, gamma1, table)
-    bad = crep.matrices[t].copy()
-    bad[0, 0] = value
-    report = verify_rep_homomorphism(tampered(crep, t, bad), calg)
-    ok, worst, labels = per_pair_homomorphism(tampered(crep, t, bad), calg, 1e-9)
-    assert not report.ok and report.max_residual == worst == math.inf
-    assert [v[:2] for v in report.violations] == labels and (t, t) in labels
+    for table, p in table_pairs():
+        crep = contract_rep(rep, vgamma, gamma1, p, table)
+        calg = contract_algebra(sl3, gamma1, table)
+        for at in ((0, 0), (2, 1)):
+            bad = crep.matrices[t].copy()
+            bad[at] = value
+            report = verify_rep_homomorphism(tampered(crep, t, bad), calg)
+            ok, worst, labels = per_pair_homomorphism(tampered(crep, t, bad), calg, 1e-9)
+            assert not report.ok and report.max_residual == worst == math.inf
+            assert [v[:2] for v in report.violations] == labels and (t, t) in labels
 
 
 def test_homomorphism_check_refuses_matrices_of_the_wrong_shape(rep_setup):

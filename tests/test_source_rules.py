@@ -43,5 +43,29 @@ def test_every_stable_sort_goes_through_the_one_kernel(path):
     assert not found, f"a sort outside linalg.stable_order: {found}"
 
 
+# The functions that may form product terms: the relation kernel every
+# bracket check calls, and the nested commutators of the GT build.
+PRODUCT_TERM_USERS = {("linalg.py", "relation_sums"), ("gtrep.py", "_commutator")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_product_terms_are_formed_only_by_the_relation_kernel_and_the_build(path):
+    # a check that joins product terms itself is a second relation kernel
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (getattr(child, "id", None) == "product_terms" or getattr(child, "attr", None) == "product_terms") \
+                    and (path.name, function) not in PRODUCT_TERM_USERS:
+                found.append(f"{path.name}:{child.lineno} in {function}")
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    assert not found, f"product_terms used outside linalg.relation_sums and the GT build: {found}"
+
+
 def test_the_rule_sees_every_library_module():
     assert {p.name for p in SOURCES} >= {"algebra.py", "autos.py", "cli.py", "gtrep.py", "linalg.py"}
