@@ -14,6 +14,8 @@ bracket-closure condition ``[L_j, L_k] subset of L_{j+k}``.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +35,14 @@ from .linalg import (
 
 @dataclass
 class Report:
-    """Outcome of a verification predicate.
+    """Outcome of a verification predicate, built only by Report.of.
 
-    ``checked`` counts the relations or images tested, ``worst_at`` names
-    where ``max_residual`` occurred and ``tol`` is the tolerance it was
-    held to; verifiers that do not fill them leave the defaults.
+    ``checked`` counts the relations or images tested, ``violations`` lists
+    (*where, residual) for each residual over ``tol``, ``worst_at`` names
+    where ``max_residual`` occurred and ``tol`` is the tolerance it was held
+    to.  A NaN residual reads as inf, so ok == (not violations), worst_at is
+    v[:-1] of the first worst violation v, and max_residual is the largest
+    violation's residual whenever the check fails.
     """
 
     ok: bool
@@ -51,16 +56,17 @@ class Report:
         return self.ok
 
     @classmethod
-    def of(cls, residuals: dict, tol: float) -> "Report":
-        """Fold {where: residual} (in check order, NaN already made inf): a
-        violation (*where, residual) per residual over tol, worst_at = the
-        first where of the largest (None when all are zero)."""
-        where, values = list(residuals), list(residuals.values())
-        worst = max(values, default=0.0)
-        violations = [(*at, res) for at, res in zip(where, values) if res > tol]
+    def of(cls, pairs, tol: float, checked: int | None = None) -> "Report":
+        """Fold (where, residual) pairs, in check order (a where may repeat):
+        a NaN residual is inf, a violation (*where, residual) per residual
+        over tol, worst_at = the first where of the largest residual (None
+        when all are zero), checked = the number of pairs unless given."""
+        pairs = [(where, math.inf if math.isnan(res) else float(res)) for where, res in pairs]
+        worst_at, worst = max(pairs, key=operator.itemgetter(1), default=(None, 0.0))
+        violations = [(*where, res) for where, res in pairs if res > tol]
         return cls(
             ok=not violations, max_residual=worst, violations=violations,
-            checked=len(values), worst_at=where[values.index(worst)] if worst else None, tol=tol,
+            checked=len(pairs) if checked is None else checked, worst_at=worst_at if worst else None, tol=tol,
         )
 
 
@@ -127,13 +133,14 @@ def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
     algebra, what the check formed when it summed both orders of each
     pair (the kernel now forms about half as many), and refused over
     JACOBI_BUDGET_BYTES.  The report carries checked = k^3 triples,
-    worst_at = (i, j, l) with i < j (None when all are zero) and tol.
+    worst_at = (i, j, l) with i < j (None when all are zero), that triple
+    as its one violation when it fails, and tol.
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
     k = algebra.dim
     if not k:
-        return Report(ok=True, tol=tol)
+        return Report.of([], tol)
     ad = Entries.of(algebra.structure.transpose(0, 2, 1))
     runs = np.diff(ad.starts)
     terms = 2 * runs[ad.cols] + runs[ad.gids]
@@ -150,7 +157,7 @@ def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
         if res > worst:
             key = int(keys[np.argmax(np.abs(sums))])
             worst, worst_at = res, (key // k**3, key // k**2 % k, key % k)
-    return Report(ok=worst <= tol, max_residual=worst, checked=k**3, worst_at=worst_at, tol=tol)
+    return Report.of([(worst_at, worst)] if worst else [], tol, checked=k**3)
 
 
 # ---------------------------------------------------------------------------
@@ -301,33 +308,26 @@ def verify_grading(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_T
     """Check direct-sum and bracket-closure conditions of a grading.
 
     Each block [L_j, L_l] is formed at once and measured against an
-    orthonormal basis of L_{j+l}, taken once per part.  The report carries
-    checked = the number of bracket images, worst_at = (j, l) (None when
-    all residuals are zero) and tol.
+    orthonormal basis of L_{j+l}, taken once per part.  Parts that are not
+    a direct sum of the algebra come first, as the violation
+    ("direct_sum", total dim, rank, inf): no residual bounds them.  The
+    report carries checked = the number of bracket images, worst_at =
+    (j, l) (None when all residuals are zero) and tol.
     """
     k = algebra.dim
     for lab, basis in grading.parts.items():
         if basis.shape[0] != k:
             raise InputError(f"part {lab} lives in dimension {basis.shape[0]}, expected {k}")
     stacked = np.column_stack([p for p in grading.parts.values() if p.shape[1]] or [np.zeros((k, 0))])
-    violations: list = []
-    if grading.total_dim != k or rank(stacked, tol) != k:
-        violations.append(("direct_sum", grading.total_dim, rank(stacked, tol)))
+    dims = (grading.total_dim, rank(stacked, tol))
+    pairs = [] if dims == (k, k) else [(("direct_sum", *dims), math.inf)]
     bases = {lab: orthonormal_span(part, tol) for lab, part in grading.parts.items()}
     absent = np.zeros((k, 0), dtype=complex)
-    worst, worst_at, checked = 0.0, None, 0
     for j, pj in grading.parts.items():
         for l, pl in grading.parts.items():
             images = brackets(pj, pl, algebra)
-            res = span_distance(images, bases.get(grading.group.add(j, l), absent))
-            checked += images.shape[1]
-            if res > worst:
-                worst, worst_at = res, (j, l)
-            if res > tol:
-                violations.append((j, l, res))
-    return Report(
-        ok=not violations, max_residual=worst, violations=violations, checked=checked, worst_at=worst_at, tol=tol
-    )
+            pairs.append(((j, l), span_distance(images, bases.get(grading.group.add(j, l), absent))))
+    return Report.of(pairs, tol, checked=grading.total_dim**2)
 
 
 class TwoPartCase(enum.Enum):

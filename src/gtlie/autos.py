@@ -436,7 +436,7 @@ def verify_simulation(
     tol: float = DEFAULT_TOL,
 ) -> Report:
     """Check r(g(x)) = R r(x) R^{-1} on the sl basis and R^order = Id; the
-    report has checked = k + 1 and worst_at = a basis label or "power".
+    report has checked = k + 1 and worst_at = (basis label,) or ("power",).
 
     r(g(x)) = sum_y act[y, x] r(y) with act = action_on_sl(aut), taken once.
     For an R with one nonzero per column (R e_c = s_c e_{pi(c)}, the diagonal
@@ -454,7 +454,7 @@ def verify_simulation(
     if sim.kind == "dense":
         stack = rep.sl_stack
         r, rinv = sim.matrix, sim.inverse()
-        found = [max_abs(l - r @ m @ rinv) for l, m in zip(_combined(act.T, stack), stack)]
+        found = [max_abs(l - r @ m @ rinv) for l, m in zip(np.tensordot(act.T, stack, axes=1), stack)]
     else:
         d = rep.dim
         perm, scale = sim.monomial()
@@ -466,16 +466,10 @@ def verify_simulation(
         terms = np.concatenate((act[ys, xs][t] * vals[u], -(vals * scale[rows]) * (1.0 / scale)[cols]))
         keys, sums = summed(keys, terms)
         found = np.zeros(len(act))
-        with np.errstate(invalid="ignore"):  # a NaN sum is kept, and read as inf below
+        with np.errstate(invalid="ignore"):  # a NaN sum is kept, and Report.of reads it as inf
             np.maximum.at(found, keys // (d * d), np.abs(sums))
-        found = np.where(np.isnan(found), math.inf, found).tolist()
-    residuals = list(zip(sl_basis_labels(rep.n), found)) + [("power", sim.power_residual())]
-    worst_at, worst = max(residuals, key=lambda item: item[1])
-    violations = [(at, res) for at, res in residuals if res > tol]
-    return Report(
-        ok=not violations, max_residual=worst, violations=violations,
-        checked=len(residuals), worst_at=worst_at if worst else None, tol=tol,
-    )
+    where = [(label,) for label in sl_basis_labels(rep.n)] + [("power",)]
+    return Report.of(zip(where, [*found, sim.power_residual()]), tol)
 
 
 def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grading:
@@ -582,20 +576,9 @@ def check_compatibility(
         residuals = _pair_residuals(rep, gamma, vgamma, supports, tol)
     else:
         residuals = _span_residuals(rep, gamma, vgamma, tol)
-    worst, worst_at, checked = 0.0, None, 0
-    violations = []
-    for i, xpart in gamma.parts.items():
-        for col in range(xpart.shape[1]):
-            for j, vpart in vgamma.parts.items():
-                res = float(residuals[i, j][col])
-                checked += vpart.shape[1]
-                if res > worst:
-                    worst, worst_at = res, (i, j)
-                if res > tol:
-                    violations.append((i, j, res))
-    return Report(
-        ok=not violations, max_residual=worst, violations=violations, checked=checked, worst_at=worst_at, tol=tol
-    )
+    pairs = [((i, j), residuals[i, j][col]) for i, xpart in gamma.parts.items()
+             for col in range(xpart.shape[1]) for j in vgamma.parts]
+    return Report.of(pairs, tol, checked=gamma.total_dim * vgamma.total_dim)
 
 
 def _pair_support(part: np.ndarray) -> tuple | None:
@@ -679,8 +662,7 @@ def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports
         scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)[:, None]
         res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
         for p, j in enumerate(vlabels):
-            worst = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
-            out[i, j] = np.where(np.isnan(worst), math.inf, worst)
+            out[i, j] = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
     return out
 
 
@@ -690,13 +672,6 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _combined(coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The matrices sum_x coords[a, x] stack[x], one per row a of coords, as
-    one product (np.tensordot(coords, stack, axes=1) without its per-call
-    overhead on small stacks)."""
-    return (coords @ stack.reshape(len(stack), -1)).reshape(-1, *stack.shape[1:])
-
-
 def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float) -> dict:
     """Residuals {(i, j): one per column of gamma part i} on dense matrices."""
     stack = rep.sl_stack
@@ -704,7 +679,7 @@ def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: flo
     absent = np.zeros((rep.dim, 0), dtype=complex)
     out = {}
     for i, xpart in gamma.parts.items():
-        mats = _combined(xpart.T, stack)
+        mats = np.tensordot(xpart.T, stack, axes=1)
         for j, vpart in vgamma.parts.items():
             q = bases.get(vgamma.group.add(i, j), absent)
             out[i, j] = [span_distance(m @ vpart, q) for m in mats]
@@ -773,7 +748,7 @@ def find_simulation_matrix(
     """
     n, d = rep.n, rep.dim
     stack = rep.sl_stack
-    images = _combined(action_on_sl(aut).T, stack)  # r(g(x)) for every sl basis element x
+    images = np.tensordot(action_on_sl(aut).T, stack, axes=1)  # r(g(x)) for every sl basis element x
     index = {label: x for x, label in enumerate(sl_basis_labels(n))}
     cartan = [index["H", k] for k in range(1, n)]
     if all(_is_diagonal(h) for h in [*stack[cartan], *images[cartan]]):

@@ -189,13 +189,13 @@ def _cells(*tables: ScalarTable) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=np.int64 if 2 * max(scale, *map(abs, ints)) ** 2 <= 2**53 else object), scale
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and NaN cells are reported as inf residuals
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN cells give inf and NaN residuals
 def _system(t: np.ndarray, group: AbelianGroup, scale: int, eps: np.ndarray | None = None) -> np.ndarray:
     """Residuals in check order of the eps system (eps None: the |G|^2 cells |t_ij - t_ji|, then the
     |G|^3 triples) or of the psi system over eps, for the tables t (..., |G|, |G|) of scale c, all
     triples (i, j, k) at once by broadcasting.  Integers are divided by c^2 once, which rounds as
-    float(Fraction) does; NaN and a value past the float range (an OverflowError on object cells
-    included) are inf, so the checks fail closed."""
+    float(Fraction) does; a value past the float range (an OverflowError on object cells included)
+    is inf, and a NaN stays NaN, which Report.of reads as inf, so the checks fail closed."""
     n, add = group.size, np.array(group.addition_table())
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
     mul, sub = (_MUL, _SUB) if t.dtype == object else (np.multiply, np.subtract)
@@ -212,8 +212,7 @@ def _system(t: np.ndarray, group: AbelianGroup, scale: int, eps: np.ndarray | No
         res = _ABS_RATIO(pairs, scale * scale)
     else:
         res = np.abs(pairs) / (scale * scale)
-    res = np.asarray(res, dtype=float)
-    return np.where(np.isnan(res), math.inf, res).max(axis=0)
+    return np.asarray(res, dtype=float).max(axis=0)
 
 
 def verify_epsilon(eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
@@ -227,7 +226,7 @@ def verify_epsilon(eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
     res = _system(cells.reshape(g.size, g.size), g, scale)
     where = [("symmetry", *at) for at in itertools.product(g.elements(), repeat=2)]
     where += [("triple", *at) for at in itertools.product(g.elements(), repeat=3)]
-    return Report.of(dict(zip(where, res.tolist())), tol)
+    return Report.of(zip(where, res.tolist()), tol)
 
 
 def verify_psi(psi: PsiTable, eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Report:
@@ -241,7 +240,7 @@ def verify_psi(psi: PsiTable, eps: EpsilonTable, tol: float = DEFAULT_TOL) -> Re
     cells, scale = _cells(psi, eps)
     p, e = cells.reshape(2, g.size, g.size)
     res = _system(p, g, scale, eps=e)
-    return Report.of(dict(zip(itertools.product(g.elements(), repeat=3), res.tolist())), tol)
+    return Report.of(zip(itertools.product(g.elements(), repeat=3), res.tolist()), tol)
 
 
 def _binary_rows(cells: int) -> np.ndarray:
@@ -435,7 +434,7 @@ def verify_rep_homomorphism(
     NaN or inf of M_t in every row and column (NaN * 0), the sparse one
     only at nonzeros, so a non-finite M_t makes every (t, b) and (a, t)
     infinite, as the dense check does.  The entry itself enters the sum of
-    every (a, b) with c_abt != 0, and a NaN sum is infinite too.
+    every (a, b) with c_abt != 0, and Report.of reads a NaN sum as inf.
     Violations (a, b, res) come in row-major order; checked = k^2 pairs.
     """
     if crep.labels != calg.labels:
@@ -460,6 +459,5 @@ def verify_rep_homomorphism(
         res[pa, pb] = np.maximum(res[pa, pb], np.maximum.reduceat(np.abs(sums), starts))
     bad = ~np.isfinite(mats).all(axis=(1, 2))
     res[bad] = res[:, bad] = math.inf
-    res[np.isnan(res)] = math.inf
     res = np.maximum(res, res.T)
-    return Report.of(dict(zip(itertools.product(range(k), repeat=2), res.ravel().tolist())), tol)
+    return Report.of(zip(itertools.product(range(k), repeat=2), res.ravel().tolist()), tol)

@@ -42,6 +42,7 @@ representation.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,7 +73,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HighestWeight:
-    """Weakly decreasing non-negative integer weight with last entry 0."""
+    """Weakly decreasing non-negative integer weight with last entry 0;
+    a non-integral entry is refused, not truncated."""
 
     n: int
     m: tuple[int, ...]
@@ -80,7 +82,10 @@ class HighestWeight:
     def __post_init__(self):
         if self.n < 2:
             raise InputError("need n >= 2")
-        m = tuple(int(x) for x in self.m)
+        try:
+            m = tuple(operator.index(x) for x in self.m)
+        except TypeError as exc:
+            raise InputError(f"weight entries must be integers: {self.m}") from exc
         object.__setattr__(self, "m", m)
         if len(m) != self.n:
             raise InputError(f"weight {m} must have {self.n} entries")
@@ -363,12 +368,13 @@ class GeneratorRep:
 
     The generators are stored once, as ``entries``: one read-only
     linalg.Entries table whose matrix g is the label at position g of the
-    row-major order (1,1), (1,2), ..., (n,n).  Everything else is derived
-    from it once and cached: ``sl_entries``, the entries of the canonical
-    sl(n) basis elements, and the two dense views, ``gen`` (label to d x d
-    matrix) and ``sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis)),
-    each formed by one scatter (_dense); the two together stay under
-    GENERATOR_BUDGET_BYTES.
+    row-major order (1,1), (1,2), ..., (n,n).  ``n``, ``entries`` and
+    ``dim`` are read-only attributes: a changed carrier is a new rep.
+    Everything else is derived from them once and cached: ``sl_entries``,
+    the entries of the canonical sl(n) basis elements, and the two dense
+    views, ``gen`` (label to d x d matrix) and ``sl_stack`` (the
+    (n^2 - 1, d, d) array of r(sl basis)), each formed by one scatter
+    (_dense); the two together stay under GENERATOR_BUDGET_BYTES.
     """
 
     def __init__(self, n: int, gen):
@@ -384,10 +390,12 @@ class GeneratorRep:
                 if m.shape != (d, d):
                     raise InputError(f"generator {label} has shape {m.shape}, expected {(d, d)}")
             gen = Entries.of(mats)
-        self.n = n
-        self.entries = gen
-        self.dim = gen.dim
+        self._n, self._entries = n, gen
         self._dense_bytes = 0
+
+    n = property(lambda self: self._n)
+    entries = property(lambda self: self._entries)
+    dim = property(lambda self: self._entries.dim)
 
     def _dense(self, count: int, table) -> np.ndarray:
         """The read-only (count, d, d) array with vals at (labels, rows,
@@ -444,13 +452,16 @@ class GeneratorRep:
 class Representation(GeneratorRep):
     """GT irreducible representation with its pattern basis: ``basis``, the
     read-only (d, n(n+1)/2) int64 array of flattened patterns in basis
-    order (pattern_array)."""
+    order (pattern_array).  ``hw`` and ``basis`` are read-only attributes."""
 
     def __init__(self, hw: HighestWeight, basis: np.ndarray, gen):
         super().__init__(hw.n, gen)
-        self.hw = hw
-        self.basis = np.asarray(basis, dtype=np.int64)
-        self.basis.flags.writeable = False
+        self._hw = hw
+        self._basis = np.asarray(basis, dtype=np.int64)
+        self._basis.flags.writeable = False
+
+    hw = property(lambda self: self._hw)
+    basis = property(lambda self: self._basis)
 
     @cached_property
     def patterns(self) -> tuple:
@@ -478,7 +489,7 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
 
     The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the
     largest residual, (a, b) first in label order (None when all are
-    zero), and tol.
+    zero), that pair as its one violation when it fails, and tol.
     """
     n, d = rep.n, rep.dim
     labels = _labels(n)
@@ -494,7 +505,7 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
         if res > worst:
             rel = int(keys[np.argmax(np.abs(sums))]) // (d * d)
             worst, worst_at = res, (labels[rel // (n * n)], labels[rel % (n * n)])
-    return Report(ok=worst <= tol, max_residual=worst, checked=n**4, worst_at=worst_at, tol=tol)
+    return Report.of([(worst_at, worst)] if worst else [], tol, checked=n**4)
 
 
 def verify_transpose(rep: GeneratorRep) -> float:

@@ -39,6 +39,13 @@ def _read_num(v) -> complex:
     return complex(v)
 
 
+def _json_int(v) -> int:
+    """v itself when it is a JSON integer; int() would truncate 1.5 to 1."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 # -- algebra ----------------------------------------------------------------
 
 
@@ -56,13 +63,13 @@ def algebra_to_json(algebra: LieAlgebra) -> dict:
 
 def algebra_from_json(payload: dict) -> LieAlgebra:
     try:
-        k = int(payload["dim"])
+        k = _json_int(payload["dim"])
         names = tuple(str(x) for x in payload["basis"])
         structure = np.zeros((k, k, k), dtype=complex)
         for i, j, l, re, im in payload["constants"]:
-            if not all(0 <= int(x) < k for x in (i, j, l)):
+            if not all(0 <= _json_int(x) < k for x in (i, j, l)):
                 raise InputError(f"structure constant index {(i, j, l)} is outside 0..{k - 1}")
-            structure[int(i), int(j), int(l)] = complex(re, im)
+            structure[i, j, l] = complex(re, im)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra JSON: {exc}") from exc
     if len(names) != k:
@@ -83,7 +90,7 @@ def grading_to_json(grading: Grading) -> dict:
 
 def grading_from_json(payload: dict) -> Grading:
     try:
-        group = AbelianGroup(tuple(int(n) for n in payload["group"]))
+        group = AbelianGroup(tuple(_json_int(n) for n in payload["group"]))
         parts = {}
         for key, vectors in payload["parts"].items():
             lab = group.check(parse_label(key))
@@ -123,10 +130,10 @@ def rep_from_json(payload: dict) -> Representation:
     pattern of n(n+1)/2 integers and every generator is a finite d x d
     matrix, with d the declared dimension and the number of basis rows."""
     try:
-        n = int(payload["n"])
-        hw = HighestWeight(n, tuple(int(x) for x in payload["highest_weight"]))
-        basis = np.array(payload["basis"], dtype=np.int64)
-        d = int(payload["dim"])
+        n = _json_int(payload["n"])
+        hw = HighestWeight(n, tuple(_json_int(x) for x in payload["highest_weight"]))
+        basis = np.array([[_json_int(x) for x in row] for row in payload["basis"]], dtype=np.int64)
+        d = _json_int(payload["dim"])
         gen = {}
         for key, rows in payload["generators"].items():
             k, l = (int(x) for x in key.split(","))
@@ -163,19 +170,12 @@ def simulation_to_json(sim: SimulationMatrix) -> dict:
     return out
 
 
-def _json_int(v) -> int:
-    """v itself when it is a JSON integer; int() would truncate 1.5 to 1."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{v!r} is not an integer")
-    return v
-
-
 def simulation_from_json(payload: dict) -> SimulationMatrix:
     try:
         kind = payload["kind"]
         order = _json_int(payload["order"])
         if kind == "diagonal":
-            phases = tuple(Fraction(int(n), int(d)) for n, d in payload["phases_pi"])
+            phases = tuple(Fraction(_json_int(n), _json_int(d)) for n, d in payload["phases_pi"])
             return SimulationMatrix(order=order, kind=kind, phases=phases)
         if kind == "signed_permutation":
             perm = tuple(_json_int(p) for p in payload["perm"])
@@ -208,11 +208,11 @@ def table_to_json(table: ScalarTable) -> dict:
 
 def _table_from_json(payload: dict, cls):
     try:
-        group = AbelianGroup(tuple(int(n) for n in payload["group"]))
+        group = AbelianGroup(tuple(_json_int(n) for n in payload["group"]))
         values = {}
         for i, j, num, den in payload["values"]:
-            values[(tuple(int(x) for x in i), tuple(int(x) for x in j))] = Fraction(
-                int(num), int(den)
+            values[(tuple(_json_int(x) for x in i), tuple(_json_int(x) for x in j))] = Fraction(
+                _json_int(num), _json_int(den)
             )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed table JSON: {exc}") from exc

@@ -204,7 +204,7 @@ def per_cell_epsilon(eps, tol) -> Report:
         residuals["triple", i, j, k] = max(
             per_cell_residual(lambda: e1() - e2()), per_cell_residual(lambda: e2() - e3())
         )
-    return Report.of(residuals, tol)
+    return Report.of(residuals.items(), tol)
 
 
 def per_cell_psi(psi, eps, tol) -> Report:
@@ -216,7 +216,7 @@ def per_cell_psi(psi, eps, tol) -> Report:
         p2 = lambda: v(i, k) * v(j, g.add(i, k))
         p3 = lambda: eps.value(i, j) * v(g.add(i, j), k)
         residuals[i, j, k] = max(per_cell_residual(lambda: p1() - p2()), per_cell_residual(lambda: p2() - p3()))
-    return Report.of(residuals, tol)
+    return Report.of(residuals.items(), tol)
 
 
 def per_table_binary_epsilon(group) -> list:
@@ -362,7 +362,7 @@ def per_column_simulation(rep, aut, sim, tol):
     residuals.append(("power", max_abs(np.linalg.matrix_power(r, sim.order) - np.eye(sim.dim))))
     worst_at, worst = max(residuals, key=lambda item: item[1])
     violations = [(at, res) for at, res in residuals if res > tol]
-    return not violations, worst, violations, worst_at if worst else None
+    return not violations, worst, violations, (worst_at,) if worst else None
 
 
 # -- Gel'fand-Tseitlin patterns, one recursion and one pattern at a time -----

@@ -364,7 +364,7 @@ def test_verify_simulation_rejects_wrong_scale():
     report = verify_simulation(rep, auto_inner(3, 0), bad, 1e-9)
     assert not report.ok
     assert any(v[0] == "power" for v in report.violations)
-    assert report.worst_at == "power" and report.max_residual == 3.0
+    assert report.worst_at == ("power",) and report.max_residual == 3.0
 
 
 def test_verify_simulation_report_says_what_was_checked():
@@ -374,7 +374,7 @@ def test_verify_simulation_report_says_what_was_checked():
     assert report.ok and report.checked == 8 + 1 and report.tol == 1e-9
     # the outer automorphism has no R on (1,0,0): the identity fails on labels
     report = verify_simulation(rep, auto_outer(3), SimulationMatrix(order=2, kind="dense", dense=np.eye(3)), 1e-9)
-    assert report.worst_at in {v[0] for v in report.violations} and report.worst_at != "power"
+    assert report.worst_at in {v[:-1] for v in report.violations} and report.worst_at != ("power",)
     assert report.max_residual == max(v[1] for v in report.violations)
 
 

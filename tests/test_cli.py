@@ -74,6 +74,19 @@ def test_rep_check_refuses_a_malformed_generator_set(tmp_path, capsys, how):
     assert main(["rep", "check", str(bad)]) == 2
 
 
+def test_rep_check_refuses_non_integral_numbers_it_used_to_truncate(tmp_path, capsys):
+    # int() read n 3.2, weight 2.9 and basis entry 2.5 as 3, 2 and 2: OK, exit 0
+    out = tmp_path / "rep.json"
+    assert main(["rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["n"], payload["highest_weight"] = 3.2, [2.9, 1, 0]
+    payload["basis"][0][3] += 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["rep", "check", str(bad)]) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def _spoil_basis(basis, how):
     # r(2,1,0): basis[-1] is the lowest pattern 2 1 0/1 0/0
     if how == "swapped rows":

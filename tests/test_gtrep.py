@@ -21,7 +21,7 @@ from gtlie.gtrep import (
     verify_transpose,
     weyl_dim,
 )
-from gtlie.linalg import max_abs
+from gtlie.linalg import Entries, max_abs
 from oracles import (
     GTPattern,
     Radicand,
@@ -54,6 +54,14 @@ def test_highest_weight_validation():
         HighestWeight(3, (1, 2, 0))  # not decreasing
     with pytest.raises(InputError):
         HighestWeight(3, (-1, -1, 0))
+
+
+@pytest.mark.parametrize("m", [(2.5, 1, 0), (2.0, 1, 0), ("2", 1, 0), (np.float64(2), 1, 0)], ids=str)
+def test_a_weight_entry_that_is_not_an_integer_is_refused_not_truncated(m):
+    # int() made (2.5, 1, 0) the weight (2, 1, 0)
+    with pytest.raises(InputError, match="integers"):
+        HighestWeight(3, m)
+    assert HighestWeight(3, tuple(np.array([2, 1, 0]))).m == (2, 1, 0)  # numpy integers pass
 
 
 def test_enumerate_small_weights():
@@ -434,6 +442,25 @@ def test_every_stored_entry_array_is_read_only():
         for derived in rep.sl_entries:
             with pytest.raises(ValueError):
                 derived[0] = 1
+
+
+def test_the_carrier_attributes_are_read_only():
+    # sl_entries, sl_stack, gen and patterns are cached from them, so an
+    # assigned carrier would leave a verified cache in front of new entries
+    hw = HighestWeight(3, (1, 0, 0))
+    rep = build_representation(hw)
+    e, basis = rep.entries, rep.basis
+    assert verify_commutation(rep).ok and rep.sl_entries
+    nan_vals = np.full_like(e.vals, np.nan)
+    nan_entries = Entries(e.rows.copy(), e.cols.copy(), nan_vals, e.gids.copy(), e.starts.copy())
+    for name, value in (("n", 4), ("entries", nan_entries), ("dim", 4), ("hw", HighestWeight(3, (2, 1, 0))),
+                        ("basis", basis.copy())):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, value)
+    assert (rep.n, rep.dim, rep.hw) == (3, 3, hw) and rep.entries is e and rep.basis is basis
+    for name in ("n", "entries", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(GeneratorRep(3, dict(rep.gen)), name, getattr(rep, name))
 
 
 def test_both_dense_views_and_their_real_itemsize_count_against_one_budget(monkeypatch):

@@ -130,3 +130,40 @@ def test_simulation_json_refuses_malformed_fields(change):
     assert jsonio.simulation_from_json(payload).dim == 2
     with pytest.raises(InputError):
         jsonio.simulation_from_json({**payload, **change})
+
+
+REP = jsonio.rep_to_json(build_representation(HighestWeight(3, (2, 1, 0))))
+ALGEBRA = jsonio.algebra_to_json(gtlie.sl_algebra(3))
+GRADING = jsonio.grading_to_json(gtlie.grading_from_automorphism(gtlie.sl_algebra(3), gtlie.auto_inner(3, 1)))
+PHASES = jsonio.simulation_to_json(gtlie.simulation_inner(HighestWeight(3, (1, 0, 0)), 3, 1))
+EPS = jsonio.table_to_json(gtlie.epsilon_from_rows(AbelianGroup((2,)), [[1, 1], [1, 1]]))
+PSI = jsonio.table_to_json(gtlie.psi_from_rows(AbelianGroup((2,)), [[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "reader, payload, edit",
+    [
+        (jsonio.rep_from_json, REP, lambda p: p.update(n=3.2)),
+        (jsonio.rep_from_json, REP, lambda p: p.update(n=3.0)),
+        (jsonio.rep_from_json, REP, lambda p: p.update(highest_weight=[2.9, 1, 0])),
+        (jsonio.rep_from_json, REP, lambda p: p.update(dim=8.0)),
+        (jsonio.rep_from_json, REP, lambda p: p["basis"][0].__setitem__(0, 2.5)),
+        (jsonio.rep_from_json, REP, lambda p: p["basis"][0].__setitem__(0, True)),
+        (jsonio.algebra_from_json, ALGEBRA, lambda p: p.update(dim=8.5)),
+        (jsonio.algebra_from_json, ALGEBRA, lambda p: p["constants"][0].__setitem__(2, p["constants"][0][2] + 0.7)),
+        (jsonio.grading_from_json, GRADING, lambda p: p.update(group=[2.9])),
+        (jsonio.simulation_from_json, PHASES, lambda p: p["phases_pi"][0].__setitem__(0, 0.9)),
+        (jsonio.epsilon_from_json, EPS, lambda p: p["values"][0].__setitem__(2, 0.5)),
+        (jsonio.epsilon_from_json, EPS, lambda p: p["values"][1][1].__setitem__(0, 1.5)),
+        (jsonio.psi_from_json, PSI, lambda p: p.update(group=[2.0])),
+    ],
+    ids=["rep n", "rep n 3.0", "rep weight", "rep dim", "rep basis", "rep basis bool", "algebra dim",
+         "algebra index", "grading order", "diagonal phase", "eps numerator", "eps label", "psi order"],
+)
+def test_every_json_integer_is_read_strictly(reader, payload, edit):
+    # int() truncated each of these: 2.9 read as 2, 0.5 as 0
+    reader(json.loads(json.dumps(payload)))
+    bad = json.loads(json.dumps(payload))
+    edit(bad)
+    with pytest.raises(InputError):
+        reader(bad)

@@ -69,3 +69,41 @@ def test_product_terms_are_formed_only_by_the_relation_kernel_and_the_build(path
 
 def test_the_rule_sees_every_library_module():
     assert {p.name for p in SOURCES} >= {"algebra.py", "autos.py", "cli.py", "gtrep.py", "linalg.py"}
+
+
+def _outside(path, allowed: set, hit) -> list:
+    """file:line of each node for which hit(node) holds, outside the
+    functions named in allowed as (file name, qualified name)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if hit(child) and (path.name, scope) not in allowed:
+                found.append(f"{path.name}:{child.lineno}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def _named(node, name) -> bool:
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def _builds_report(node) -> bool:
+    return isinstance(node, ast.Call) and _named(node.func, "Report")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_report_is_built_by_the_one_fold(path):
+    # a check that calls Report(...) itself forms its own verdict
+    found = _outside(path, {("algebra.py", "Report.of")}, _builds_report)
+    assert not found, f"Report built outside Report.of: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_nan_is_read_only_by_the_sup_norm_and_the_fold(path):
+    # a second NaN rule would let a check disagree with Report.of
+    found = _outside(path, {("linalg.py", "max_abs"), ("algebra.py", "Report.of")}, lambda n: _named(n, "isnan"))
+    assert not found, f"isnan outside linalg.max_abs and Report.of: {found}"
