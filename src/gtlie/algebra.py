@@ -60,7 +60,11 @@ class Report:
         """Fold (where, residual) pairs, in check order (a where may repeat):
         a NaN residual is inf, a violation (*where, residual) per residual
         over tol, worst_at = the first where of the largest residual (None
-        when all are zero), checked = the number of pairs unless given."""
+        when all are zero), checked = the number of pairs unless given.  A
+        NaN, negative or infinite tol is an InputError: no residual could
+        exceed it, so every check would pass."""
+        if not 0 <= tol < math.inf:
+            raise InputError(f"tolerance must be finite and not negative, got {tol}")
         pairs = [(where, math.inf if math.isnan(res) else float(res)) for where, res in pairs]
         worst_at, worst = max(pairs, key=operator.itemgetter(1), default=(None, 0.0))
         violations = [(*where, res) for where, res in pairs if res > tol]
@@ -310,14 +314,19 @@ def verify_grading(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_T
     Each block [L_j, L_l] is formed at once and measured against an
     orthonormal basis of L_{j+l}, taken once per part.  Parts that are not
     a direct sum of the algebra come first, as the violation
-    ("direct_sum", total dim, rank, inf): no residual bounds them.  The
-    report carries checked = the number of bracket images, worst_at =
+    ("direct_sum", total dim, rank, inf): no residual bounds them.  A part
+    with a NaN or infinite entry has neither a rank nor a span: each is
+    the violation ("non_finite", label, inf), and nothing else is checked.
+    The report carries checked = the number of bracket images, worst_at =
     (j, l) (None when all residuals are zero) and tol.
     """
     k = algebra.dim
     for lab, basis in grading.parts.items():
         if basis.shape[0] != k:
             raise InputError(f"part {lab} lives in dimension {basis.shape[0]}, expected {k}")
+    pairs = [(("non_finite", lab), math.inf) for lab, part in grading.parts.items() if not np.isfinite(part).all()]
+    if pairs:
+        return Report.of(pairs, tol, checked=grading.total_dim**2)
     stacked = np.column_stack([p for p in grading.parts.values() if p.shape[1]] or [np.zeros((k, 0))])
     dims = (grading.total_dim, rank(stacked, tol))
     pairs = [] if dims == (k, k) else [(("direct_sum", *dims), math.inf)]

@@ -102,14 +102,16 @@ class Automorphism:
         return self.matrix.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """The image of a matrix, or of each matrix of a stack (the last two
+        axes of x): one broadcast product or solve for the whole stack."""
         a = self.matrix
         y = np.asarray(x, dtype=complex)
         if self.kind == "outer":
-            y = -y.T
+            y = -y.swapaxes(-1, -2)
         if _is_diagonal(a):
             d = np.diag(a)
             return y * np.outer(d, 1.0 / d)
-        return np.linalg.solve(a.T, (a @ y).T).T
+        return np.linalg.solve(a.T, (a @ y).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
@@ -151,7 +153,7 @@ def action_on_sl(aut: Automorphism, tol: float = DEFAULT_TOL) -> np.ndarray:
     diagonal/outer representatives yield exact integer matrices.
     """
     n = aut.n
-    act = matrix_to_coords(n, np.array([aut.apply(m) for m in sl_basis_matrices(n)]), tol).T
+    act = matrix_to_coords(n, aut.apply(np.array(sl_basis_matrices(n))), tol).T
     rounded = np.round(act)
     if max_abs(act - rounded) <= 1e-12 * max(1.0, max_abs(act)):
         return rounded
@@ -673,9 +675,14 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
 
 
 def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float) -> dict:
-    """Residuals {(i, j): one per column of gamma part i} on dense matrices."""
+    """Residuals {(i, j): one per column of gamma part i} on dense matrices.
+    A part with a NaN or infinite entry has no orthonormal basis: it gets
+    one NaN column, so every distance from it is NaN, which Report.of
+    reads as inf."""
     stack = rep.sl_stack
-    bases = {lab: orthonormal_span(part, tol) for lab, part in vgamma.parts.items()}
+    undefined = np.full((rep.dim, 1), np.nan)
+    bases = {lab: orthonormal_span(part, tol) if np.isfinite(part).all() else undefined
+             for lab, part in vgamma.parts.items()}
     absent = np.zeros((rep.dim, 0), dtype=complex)
     out = {}
     for i, xpart in gamma.parts.items():

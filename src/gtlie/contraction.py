@@ -17,14 +17,18 @@ One array kernel checks both systems, for one table or a batch (the binary
 (0/1) solution sets), exactly in integers for rational tables; a NaN cell or
 a residual past the float range is an infinite residual.  Stacked numpy
 kernels over (k, d, d) operator stacks apply a contraction, with eps and psi
-read once per call as label arrays.  The inputs of a contraction are checked
-once per content (_verify_once); its outputs are checked on every call, the
-contracted representation by the sparse relation kernel of linalg
+read once per call as label arrays.  One record of passes, keyed by content
+digest (_recorded), holds the inputs that passed a precondition check
+(_verify_once) and each contracted algebra that passed every check, so an
+input is checked and an algebra contracted once per content; failures are
+never recorded.  A contracted representation is checked on every call of
+verify_rep_homomorphism, by the sparse relation kernel of linalg
 (relation_sums) on the nonzero entries of its matrices.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import math
@@ -51,21 +55,22 @@ from .gtrep import GeneratorRep
 from .linalg import DEFAULT_TOL, Entries, relation_sums
 
 MAX_FREE_CELLS = 10
-# Content digests of the inputs that passed a precondition check, oldest
-# first; past PASSED_CAPACITY the oldest is dropped.
+# The one record of what passed, by content digest, oldest first: each
+# entry is (value, bytes of its arrays), the value None for an input that
+# passed a precondition check and the outputs of a contracted algebra that
+# passed every check.  Past PASSED_CAPACITY entries or PASSED_RESULT_BYTES
+# bytes the oldest are dropped; a larger result is not recorded.
 PASSED_CAPACITY = 1024
-_passed: dict[bytes, None] = {}
+PASSED_RESULT_BYTES = 1 << 25
+_passed: dict[bytes, tuple] = {}
 
 
-def _verify_once(check: str, tol: float, content: tuple, run, fail) -> None:
-    """Run the precondition check run() -> Report unless this exact content
-    passed the check named check at tol before; raise fail(report) when it
-    fails.  The key is a blake2b digest of check, tol and content, each
-    array as its dtype, shape and bytes (an object array as the repr of its
-    values), anything else as its repr.  Only passes are recorded, so a
-    failing input is checked, and refused, again on every call."""
+def _digest(*content) -> bytes:
+    """blake2b digest of content: each array as its dtype, shape and bytes
+    (an object array as the repr of its values), anything else as its repr,
+    each piece length-prefixed."""
     h = hashlib.blake2b(digest_size=16)
-    for x in (check, tol, *content):
+    for x in content:
         if isinstance(x, np.ndarray):
             data = repr(x.tolist()).encode() if x.dtype.hasobject else x.tobytes()
             pieces = (f"{x.dtype.str}{x.shape}".encode(), data)
@@ -74,15 +79,38 @@ def _verify_once(check: str, tol: float, content: tuple, run, fail) -> None:
         for piece in pieces:
             h.update(len(piece).to_bytes(8, "little"))
             h.update(piece)
-    key = h.digest()
-    if key in _passed:
-        return
-    report = run()
-    if not report.ok:
-        raise fail(report)
-    _passed[key] = None
-    if len(_passed) > PASSED_CAPACITY:
-        del _passed[next(iter(_passed))]
+    return h.digest()
+
+
+def _recorded(key: bytes, compute, nbytes=lambda value: 0):
+    """The value recorded under key, else compute()'s value, recorded when
+    compute returns and nbytes(value) is at most PASSED_RESULT_BYTES.  A
+    compute that raises records nothing, so a failing input is checked,
+    and refused, again on every call."""
+    entry = _passed.get(key)
+    if entry is not None:
+        return entry[0]
+    value = compute()
+    size = nbytes(value)
+    if size <= PASSED_RESULT_BYTES:
+        _passed[key] = (value, size)
+        total = sum(s for _, s in _passed.values())
+        while len(_passed) > PASSED_CAPACITY or total > PASSED_RESULT_BYTES:
+            total -= _passed.pop(next(iter(_passed)))[1]
+    return value
+
+
+def _verify_once(check: str, tol: float, content: tuple, run, fail) -> None:
+    """Run the precondition check run() -> Report unless this exact content
+    passed the check named check at tol before (_digest of check, tol and
+    content); raise fail(report) when it fails."""
+
+    def verified():
+        report = run()
+        if not report.ok:
+            raise fail(report)
+
+    _recorded(_digest(check, tol, *content), verified)
 
 
 def _grading_content(gamma: Grading) -> tuple:
@@ -310,11 +338,29 @@ def contract_algebra(
     An eps cell outside the float range is an InputError.  The inputs are
     verified once per content: verify_grading and verify_epsilon run only
     for an (algebra, grading) or eps content not seen to pass them before
-    at this tol.  The output is verified on every call: Jacobi of the
-    contracted algebra is re-checked and must pass.
+    at this tol.  The output must pass the Jacobi check.  A contraction
+    that passed every check is recorded by the content of (algebra
+    structure, grading, eps, tol): the same content again gets the recorded
+    labels, adapted basis and contracted algebra, whose arrays are
+    read-only, and a copy of the Jacobi report, next to the caller's own
+    algebra, grading and eps, with no check run again.
     """
     if gamma.group.orders != eps.group.orders:
         raise InputError("grading and epsilon table live over different groups")
+    key = _digest(
+        "contract_algebra", tol, algebra.structure, *_grading_content(gamma), eps.group.orders, eps.as_tuple()
+    )
+    labels, adapted, result, jac = _recorded(
+        key, lambda: _contract(algebra, gamma, eps, tol), lambda out: out[1].nbytes + out[2].structure.nbytes
+    )
+    return ContractedAlgebra(
+        base=algebra, grading=gamma, eps=eps, labels=labels, adapted=adapted, result=result, jacobi=copy.deepcopy(jac)
+    )
+
+
+def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float) -> tuple:
+    """(labels, adapted basis, contracted algebra, its Jacobi report) of
+    contract_algebra, every check run; the arrays are made read-only."""
     cells = eps.floats()
     _verify_once(
         "grading", tol, (algebra.structure, *_grading_content(gamma)),
@@ -340,9 +386,8 @@ def contract_algebra(
     jac = check_jacobi(result, tol)
     if not jac.ok:
         raise VerificationError(f"contracted algebra violates Jacobi (residual {jac.max_residual:.3g})")
-    return ContractedAlgebra(
-        base=algebra, grading=gamma, eps=eps, labels=tuple(labels), adapted=basis, result=result, jacobi=jac
-    )
+    basis.flags.writeable = structure.flags.writeable = False
+    return tuple(labels), basis, result, jac
 
 
 @dataclass(frozen=True, eq=False)

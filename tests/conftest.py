@@ -2,8 +2,9 @@
 run draws the same examples, and without a deadline, since one example may
 build representations.  Each test sets only its own max_examples.
 
-Every test starts with an empty record of passed contraction inputs, so no
-count of verifier calls depends on which tests ran before it."""
+Every test starts with an empty contraction record (the inputs that passed
+a precondition check and the contracted algebras that passed every check),
+so no count of verifier calls depends on which tests ran before it."""
 
 import pytest
 from hypothesis import settings
@@ -15,5 +16,5 @@ settings.load_profile("gtlie")
 
 
 @pytest.fixture(autouse=True)
-def empty_record_of_passed_inputs():
+def empty_contraction_record():
     contraction._passed.clear()

@@ -12,7 +12,8 @@ recursion as GTPattern objects, their row sums, diagonal action,
 conjugation and inner phases one pattern at a time, the generators built
 one pattern and one move at a time with exact Fraction radicands, the
 commutation check summing every product term in both orientations of its
-relation pair, and the equal-key sums ordered by a stable argsort."""
+relation pair, the equal-key sums ordered by a stable argsort, and the
+action of an automorphism on sl(n) one basis matrix at a time."""
 
 import itertools
 import math
@@ -26,6 +27,7 @@ from gtlie.algebra import (
     TwoPartCase,
     bracket,
     grading_adapted_basis,
+    matrix_to_coords,
     sl_basis_labels,
     sl_basis_matrices,
 )
@@ -311,6 +313,24 @@ def per_column_rep_matrix(coords, mats) -> np.ndarray:
             out = out + c * m
     return out
 
+
+
+def per_matrix_action_on_sl(aut, tol: float = 1e-9) -> np.ndarray:
+    """action_on_sl with the automorphism applied to one sl basis matrix at
+    a time: A X A^{-1} (or -A X^T A^{-1}) as one outer-product rescaling
+    for a diagonal A, else one solve per matrix; integral results snapped
+    the same way."""
+    a = aut.matrix
+    images = []
+    for m in sl_basis_matrices(aut.n):
+        y = -m.T if aut.kind == "outer" else m
+        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+            images.append(y * np.outer(np.diag(a), 1.0 / np.diag(a)))
+        else:
+            images.append(np.linalg.solve(a.T, (a @ y).T).T)
+    act = matrix_to_coords(aut.n, np.array(images), tol).T
+    rounded = np.round(act)
+    return rounded if max_abs(act - rounded) <= 1e-12 * max(1.0, max_abs(act)) else act
 
 
 def per_column_compatibility(rep, gamma, vgamma, tol):

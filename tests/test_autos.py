@@ -42,6 +42,7 @@ from oracles import (
     per_column_rep_matrix,
     per_column_simulation,
     per_label_sl_matrices,
+    per_matrix_action_on_sl,
     per_vector_compatibility,
     rep_of_Xns,
 )
@@ -81,6 +82,15 @@ def test_auto_outer_action():
     assert np.array_equal(image, expected)
     for m in sl_basis_matrices(3):
         assert np.abs(g.apply(g.apply(m)) - m).max() == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_stacked_action_matches_the_per_matrix_oracle_byte_for_byte(n):
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    auts = [auto_inner(n, 1), auto_inner(n, n // 2), auto_outer(n)]
+    auts += [gtlie.Automorphism(g.kind, q @ g.matrix @ q.T, g.order) for g in auts]  # not diagonal
+    for aut in auts:
+        assert action_on_sl(aut).tobytes() == per_matrix_action_on_sl(aut).tobytes()
 
 
 def test_grading_from_inner_and_outer():
@@ -751,6 +761,18 @@ def test_dense_r_and_mixed_v_parts_take_the_dense_path_and_match_the_oracles():
     mixed = gtlie.Grading(group=AbelianGroup((2,)), parts=parts)
     _, compat = _check_like_the_oracles(rep, auto_outer(3), sim, mixed)
     assert compat.ok and 0 < compat.max_residual < 1e-13  # the thin-SVD basis leaves round-off
+
+
+def test_a_nan_carrier_part_fails_the_dense_path_with_an_infinite_residual():
+    # a NaN part has no thin SVD: every distance from it is infinite, and nothing raises
+    hw = HighestWeight(3, (1, 0, 0))
+    gamma = grading_from_automorphism(gtlie.sl_algebra(3), auto_inner(3, 1))
+    rep, vgamma = build_representation(hw), decompose_rep_space(simulation_inner(hw, 3, 1))
+    for lab in vgamma.parts:
+        parts = {j: part.copy() for j, part in vgamma.parts.items()}
+        parts[lab][0, 0] = math.nan
+        report = check_compatibility(rep, gamma, gtlie.Grading(group=vgamma.group, parts=parts))
+        assert not report.ok and report.max_residual == math.inf and report.checked == 8 * 3
 
 
 def _peak_bytes(call):

@@ -175,6 +175,24 @@ def test_grading_verify_and_corruption(tmp_path, capsys):
     assert main(["grading", "verify", str(bad), "--sl", "3"]) == 1
 
 
+def test_a_nan_grading_part_prints_a_failing_report(tmp_path, capsys):
+    # a NaN part has no thin SVD: the check reports it as an infinite residual instead of raising
+    path, rep = tmp_path / "g1.json", tmp_path / "rep.json"
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(path)]) == 0
+    assert main(["rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(rep)]) == 0
+    payload = json.loads(path.read_text())
+    payload["parts"]["0"][0][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code, text = run(capsys, "grading", "verify", str(bad), "--sl", "3")
+    assert (code, text.splitlines()) == (1, [f"grading verify {bad}: residual inf", "FAIL"])
+    code, text = run(capsys, "--format", "json", "grading", "verify", str(bad), "--sl", "3")
+    assert code == 1 and json.loads(text)["violations"] == [["non_finite", "(0,)", "inf"]]
+    code, text = run(capsys, "compat", "check", str(rep), str(bad), "--inner", "3,1")
+    assert code == 1 and text.splitlines()[-2:] == ["incompatible", "FAIL"]
+
+
 def test_grading_classify(tmp_path, capsys):
     path = tmp_path / "g2.json"
     assert main(["grading", "from-auto", "--outer", "3", "--out", str(path)]) == 0

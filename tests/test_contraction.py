@@ -656,7 +656,7 @@ def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
 
 def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
     checks = {name: counting(monkeypatch, contraction_module, name)
-              for name in ("verify_grading", "verify_epsilon", "check_compatibility", "verify_psi")}
+              for name in ("verify_grading", "verify_epsilon", "check_compatibility", "verify_psi", "check_jacobi")}
     tables = enumerate_binary_epsilon(Z2)
     for _ in range(2):  # the second round rebuilds every input: same content, new objects
         sl3, gamma, rep, vgamma = fresh_sl3_setup()
@@ -665,10 +665,12 @@ def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
             contract_rep(rep, vgamma, gamma, enumerate_binary_psi(table)[-1], table)
     assert len(tables) == 5
     counts = {name: len(calls) for name, calls in checks.items()}
-    assert counts == {"verify_grading": 1, "verify_epsilon": 5 + 5, "check_compatibility": 1, "verify_psi": 5}
-    # at another tol the inputs are verified again
+    assert counts == {
+        "verify_grading": 1, "verify_epsilon": 5 + 5, "check_compatibility": 1, "verify_psi": 5, "check_jacobi": 5
+    }
+    # at another tol the inputs are verified, and the algebra contracted, again
     contract_algebra(sl3, gamma, tables[0], tol=1e-6)
-    assert len(checks["verify_grading"]) == 2
+    assert len(checks["verify_grading"]) == 2 and len(checks["check_jacobi"]) == 6
 
 
 def test_the_record_of_passed_inputs_drops_the_oldest_past_its_capacity(monkeypatch):
@@ -680,6 +682,76 @@ def test_the_record_of_passed_inputs_drops_the_oldest_past_its_capacity(monkeypa
     # first and second recorded; third drops first; second is still there; first is checked again
     assert [args[0] for args in calls] == [first, second, third, first]
     assert len(contraction_module._passed) == 2
+
+
+def paper_contents() -> list:
+    """The paper's 30 contraction inputs, every object built anew: sl(2),
+    sl(3) and sl(4), each under the inner (n,1) and the outer grading, with
+    each of the 5 binary Z2 eps tables."""
+    out = []
+    for n in (2, 3, 4):
+        sl = gtlie.sl_algebra(n)
+        for aut in (gtlie.auto_inner(n, 1), gtlie.auto_outer(n)):
+            gamma = gtlie.grading_from_automorphism(sl, aut)
+            out += [(sl, gamma, table) for table in enumerate_binary_epsilon(Z2)]
+    return out
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_recorded_contraction_equals_a_cold_one_byte_for_byte(monkeypatch):
+    jacobi = counting(monkeypatch, contraction_module, "check_jacobi")
+    first = [contract_algebra(*inputs) for inputs in paper_contents()]
+    assert len(jacobi) == 30
+    repeated = [(c.base, c.grading, c.eps) for c in first]
+    rebuilt = paper_contents()
+    hits = [(inputs, contract_algebra(*inputs)) for inputs in repeated + rebuilt]
+    assert len(jacobi) == 30  # every one a hit: no check ran
+    contraction_module._passed.clear()
+    cold = [contract_algebra(*inputs) for inputs in paper_contents()]
+    assert len(jacobi) == 60
+    for (inputs, hit), ref in zip(hits, cold + cold):
+        assert all(mine is theirs for mine, theirs in zip((hit.base, hit.grading, hit.eps), inputs))
+        assert hit.labels == ref.labels and hit.result.basis_names == ref.result.basis_names
+        assert same_bytes(hit.adapted, ref.adapted) and same_bytes(hit.result.structure, ref.result.structure)
+        assert vars(hit.jacobi) == vars(ref.jacobi)
+
+
+def test_a_recorded_contraction_cannot_be_changed_through_what_it_hands_out(sl3_setup):
+    sl3, gamma1 = sl3_setup
+    table = eps([[1, 1], [1, 0]])
+    calg = contract_algebra(sl3, gamma1, table)
+    expected = dataclasses.asdict(calg.jacobi)
+    for _ in range(2):  # what the miss and then what a hit handed out
+        for array in (calg.adapted, calg.result.structure):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+        calg.jacobi.ok = False
+        calg.jacobi.violations.append(("spoiled", math.inf))
+        calg = contract_algebra(sl3, gamma1, table)
+        assert dataclasses.asdict(calg.jacobi) == expected and calg.jacobi.violations == []
+
+
+def test_the_record_drops_the_oldest_result_past_its_byte_bound(monkeypatch, sl3_setup):
+    sl3, gamma1 = sl3_setup
+    contracted = counting(monkeypatch, contraction_module, "_contract")
+    first, second, third = enumerate_binary_epsilon(Z2)[:3]
+    size = 8 * 8 * 16 + 8**3 * 16  # the adapted basis and the structure tensor of a contracted sl(3)
+    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", 2 * size)
+    for table in (first, second, third, second, first):
+        contract_algebra(sl3, gamma1, table)
+    # third drops first; second is still there; first is contracted again and drops second
+    assert [args[2] for args in contracted] == [first, second, third, first]
+    assert sorted(s for _, s in contraction_module._passed.values() if s) == [size, size]
+    # a result past the bound (a contracted sl(4): 57,600 bytes) is never recorded: it is contracted
+    # on every call, and the results recorded before it stay
+    sl4 = gtlie.sl_algebra(4)
+    gamma4 = gtlie.grading_from_automorphism(sl4, gtlie.auto_inner(4, 1))
+    for algebra, gamma, table in [(sl4, gamma4, first)] * 3 + [(sl3, gamma1, third), (sl3, gamma1, first)]:
+        contract_algebra(algebra, gamma, table)
+    assert [args[0] for args in contracted[4:]] == [sl4] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from gtlie.autos import (
     verify_simulation,
 )
 from gtlie.contraction import contract_algebra, contract_rep, verify_epsilon, verify_psi, verify_rep_homomorphism
+from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation, verify_commutation
 
@@ -47,50 +48,51 @@ def inner_grading():
     return grading_from_automorphism(sl_algebra(3), auto_inner(3, 1))
 
 
-def grading_case(kind):
+def grading_case(kind, tol=TOL):
     sl3, gamma = sl_algebra(3), inner_grading()
+    parts = {lab: part.copy() for lab, part in gamma.parts.items()}
     if kind == "fail":  # a vector of L_0 in L_1 as well: no direct sum, and brackets spill
-        parts = {lab: part.copy() for lab, part in gamma.parts.items()}
         parts[(1,)][:, 0] = parts[(0,)][:, 0]
-        gamma = Grading(group=gamma.group, parts=parts)
-    return verify_grading(sl3, gamma, TOL), 8 * 8
+    elif kind == "nan":
+        parts[(0,)][0, 0] = math.nan
+    return verify_grading(sl3, Grading(group=gamma.group, parts=parts), tol), 8 * 8
 
 
-def simulation_case(kind):
+def simulation_case(kind, tol=TOL):
     if kind == "fail":  # the identity does not simulate X -> -X^T
-        return verify_simulation(rep("pass"), auto_outer(3), SimulationMatrix(2, "dense", dense=np.eye(8)), TOL), 9
-    return verify_simulation(rep(kind), auto_inner(3, 1), simulation_inner(HW, 3, 1), TOL), 8 + 1
+        return verify_simulation(rep("pass"), auto_outer(3), SimulationMatrix(2, "dense", dense=np.eye(8)), tol), 9
+    return verify_simulation(rep(kind), auto_inner(3, 1), simulation_inner(HW, 3, 1), tol), 8 + 1
 
 
-def compatibility_case(kind):
+def compatibility_case(kind, tol=TOL):
     vgamma = decompose_rep_space(simulation_inner(HW, 3, 1))
     gamma = grading_from_automorphism(sl_algebra(3), auto_outer(3)) if kind == "fail" else inner_grading()
-    return check_compatibility(rep("pass" if kind == "fail" else kind), gamma, vgamma, TOL), 8 * 8
+    return check_compatibility(rep("pass" if kind == "fail" else kind), gamma, vgamma, tol), 8 * 8
 
 
-def epsilon_case(kind):
+def epsilon_case(kind, tol=TOL):
     rows = {"pass": ONES, "fail": [[1, 1], [0, 1]], "nan": [[math.nan, 1], [1, 1]]}[kind]
-    return verify_epsilon(gtlie.epsilon_from_rows(Z2, rows), TOL), 4 + 8
+    return verify_epsilon(gtlie.epsilon_from_rows(Z2, rows), tol), 4 + 8
 
 
-def psi_case(kind):
+def psi_case(kind, tol=TOL):
     rows = {"pass": ONES, "fail": [[1, 1], [1, 0]], "nan": [[math.nan, 1], [1, 1]]}[kind]
-    return verify_psi(gtlie.psi_from_rows(Z2, rows), gtlie.epsilon_from_rows(Z2, ONES), TOL), 8
+    return verify_psi(gtlie.psi_from_rows(Z2, rows), gtlie.epsilon_from_rows(Z2, ONES), tol), 8
 
 
-def commutation_case(kind):
-    return verify_commutation(rep(kind), TOL), 3**4
+def commutation_case(kind, tol=TOL):
+    return verify_commutation(rep(kind), tol), 3**4
 
 
-def jacobi_case(kind):
+def jacobi_case(kind, tol=TOL):
     structure = sl_algebra(3).structure.copy()
     if kind == "fail":  # still antisymmetric, no longer a Lie algebra
         structure[0, 1, 2] += 0.5
         structure[1, 0, 2] -= 0.5
-    return check_jacobi(LieAlgebra(basis_names=tuple("abcdefgh"), structure=structure), TOL), 8**3
+    return check_jacobi(LieAlgebra(basis_names=tuple("abcdefgh"), structure=structure), tol), 8**3
 
 
-def homomorphism_case(kind):
+def homomorphism_case(kind, tol=TOL):
     sl3, gamma = sl_algebra(3), inner_grading()
     hw = HighestWeight(3, (1, 0, 0))
     table, ones = gtlie.epsilon_from_rows(Z2, ONES), gtlie.psi_from_rows(Z2, ONES)
@@ -99,17 +101,14 @@ def homomorphism_case(kind):
         mats = [m.copy() for m in crep.matrices]
         mats[2][1, 0] = 0.5 if kind == "fail" else math.nan
         crep = dataclasses.replace(crep, matrices=tuple(mats))
-    return verify_rep_homomorphism(crep, contract_algebra(sl3, gamma, table), TOL), 8 * 8
+    return verify_rep_homomorphism(crep, contract_algebra(sl3, gamma, table), tol), 8 * 8
 
 
-# Two checks take no NaN input: LieAlgebra refuses one as not antisymmetric,
-# and the thin SVD of a NaN grading part raises LinAlgError.
+CHECKS = (grading_case, simulation_case, compatibility_case, epsilon_case, psi_case, commutation_case,
+          jacobi_case, homomorphism_case)
+# check_jacobi takes no NaN input: LieAlgebra refuses one as not antisymmetric.
 CASES = [
-    (case, kind)
-    for case in (grading_case, simulation_case, compatibility_case, epsilon_case, psi_case, commutation_case,
-                 jacobi_case, homomorphism_case)
-    for kind in ("pass", "fail", "nan")
-    if not (case in (grading_case, jacobi_case) and kind == "nan")
+    (case, kind) for case in CHECKS for kind in ("pass", "fail", "nan") if not (case is jacobi_case and kind == "nan")
 ]
 
 
@@ -137,3 +136,11 @@ def test_the_fold_keeps_repeated_places_and_reads_nan_as_inf():
     assert report.checked == 4 and report.tol == 0.25
     assert vars(Report.of([], 1e-9, checked=7)) == vars(Report(ok=True, checked=7, tol=1e-9))
     assert Report.of([((1, 2), 0.0)], 1e-9).worst_at is None
+
+
+@pytest.mark.parametrize("case", CHECKS, ids=lambda case: case.__name__)
+def test_a_tolerance_no_residual_can_exceed_is_refused_by_every_check(case):
+    # at a NaN or infinite tol every failing input would pass; a negative one fails every check
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(InputError, match="tolerance"):
+            case("fail", tol)

@@ -107,3 +107,14 @@ def test_nan_is_read_only_by_the_sup_norm_and_the_fold(path):
     # a second NaN rule would let a check disagree with Report.of
     found = _outside(path, {("linalg.py", "max_abs"), ("algebra.py", "Report.of")}, lambda n: _named(n, "isnan"))
     assert not found, f"isnan outside linalg.max_abs and Report.of: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_contraction_record_is_read_and_written_only_by_its_helper(path):
+    # any other reader or writer of contraction._passed is a second cache with its own keys or eviction
+    tree = ast.parse(path.read_text(), filename=str(path))
+    definition = [f"{path.name}:{node.lineno}" for node in tree.body
+                  if isinstance(node, ast.AnnAssign) and _named(node.target, "_passed")]
+    found = _outside(path, {("contraction.py", "_recorded")}, lambda n: _named(n, "_passed"))
+    assert found == definition, f"contraction._passed used outside contraction._recorded: {found}"
+    assert len(definition) == (path.name == "contraction.py")
