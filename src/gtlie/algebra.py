@@ -16,7 +16,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .groups import AbelianGroup
 from .linalg import (
     DEFAULT_TOL,
     Entries,
+    digest,
     max_abs,
     orthonormal_span,
     rank,
@@ -33,11 +36,11 @@ from .linalg import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    """Outcome of a verification predicate, built only by Report.of.
+    """Outcome of a verification predicate, read-only and built only by Report.of.
 
-    ``checked`` counts the relations or images tested, ``violations`` lists
+    ``checked`` counts the relations or images tested, ``violations`` holds
     (*where, residual) for each residual over ``tol``, ``worst_at`` names
     where ``max_residual`` occurred and ``tol`` is the tolerance it was held
     to.  A NaN residual reads as inf, so ok == (not violations), worst_at is
@@ -47,7 +50,7 @@ class Report:
 
     ok: bool
     max_residual: float = 0.0
-    violations: list = field(default_factory=list)
+    violations: tuple = ()
     checked: int = 0
     worst_at: object = None
     tol: float | None = None
@@ -67,7 +70,7 @@ class Report:
             raise InputError(f"tolerance must be finite and not negative, got {tol}")
         pairs = [(where, math.inf if math.isnan(res) else float(res)) for where, res in pairs]
         worst_at, worst = max(pairs, key=operator.itemgetter(1), default=(None, 0.0))
-        violations = [(*where, res) for where, res in pairs if res > tol]
+        violations = tuple((*where, res) for where, res in pairs if res > tol)
         return cls(
             ok=not violations, max_residual=worst, violations=violations,
             checked=len(pairs) if checked is None else checked, worst_at=worst_at if worst else None, tol=tol,
@@ -76,7 +79,8 @@ class Report:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Finite-dimensional complex Lie algebra over a named basis."""
+    """Finite-dimensional complex Lie algebra over a named basis, read-only:
+    ``structure`` is flagged non-writeable in place (write no other view of it); ``digest`` (cached) covers it."""
 
     basis_names: tuple[str, ...]
     structure: np.ndarray  # shape (k, k, k), [e_i, e_j] = sum_l structure[i,j,l] e_l
@@ -94,10 +98,15 @@ class LieAlgebra:
             block = self.structure[i : i + step] + self.structure[:, i : i + step].transpose(1, 0, 2)
             if max_abs(block) != 0.0:
                 raise InputError("structure constants are not exactly antisymmetric")
+        self.structure.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return len(self.basis_names)
+
+    @cached_property
+    def digest(self) -> bytes:
+        return digest(self.structure)
 
 
 def brackets(p: np.ndarray, q: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
@@ -140,8 +149,6 @@ def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
     worst_at = (i, j, l) with i < j (None when all are zero), that triple
     as its one violation when it fails, and tol.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
     k = algebra.dim
     if not k:
         return Report.of([], tol)
@@ -280,16 +287,24 @@ class Grading:
     ``parts`` maps a group element to a (dim x m) matrix whose columns
     span the corresponding subspace; empty parts are allowed.  The same
     container is used for algebra gradings and for representation-space
-    decompositions.
+    decompositions.  It owns its parts and is read-only: ``parts`` is a read-only
+    mapping whose arrays are flagged in place, not copied (write no other view
+    of them), and ``digest`` (cached) covers group orders, labels and parts.
     """
 
     group: AbelianGroup
     parts: dict
 
     def __post_init__(self):
-        for lab in self.parts:
+        for lab, part in self.parts.items():
             if not self.group.contains(lab):
                 raise InputError(f"part label {lab} not in group {self.group}")
+            part.flags.writeable = False
+        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
+
+    @cached_property
+    def digest(self) -> bytes:
+        return digest(self.group.orders, *(x for item in self.parts.items() for x in item))
 
     @property
     def total_dim(self) -> int:

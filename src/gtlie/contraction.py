@@ -17,25 +17,25 @@ One array kernel checks both systems, for one table or a batch (the binary
 (0/1) solution sets), exactly in integers for rational tables; a NaN cell or
 a residual past the float range is an infinite residual.  Stacked numpy
 kernels over (k, d, d) operator stacks apply a contraction, with eps and psi
-read once per call as label arrays.  One record of passes, keyed by content
-digest (_recorded), holds the inputs that passed a precondition check
-(_verify_once) and each contracted algebra that passed every check, so an
-input is checked and an algebra contracted once per content; failures are
-never recorded.  A contracted representation is checked on every call of
+read once per call as label arrays.  Every input is read-only and caches its
+digest, and one record of passes (_recorded), keyed by the digests of the
+objects a check reads, holds the inputs that passed a precondition check
+(_verify_once) and each contracted algebra that passed every check; failures
+are never recorded.  A contracted representation is checked on every call of
 verify_rep_homomorphism, by the sparse relation kernel of linalg
 (relation_sums) on the nonzero entries of its matrices.
 """
 
 from __future__ import annotations
 
-import copy
-import hashlib
 import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,34 +52,17 @@ from .autos import check_compatibility
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import GeneratorRep
-from .linalg import DEFAULT_TOL, Entries, relation_sums
+from .linalg import DEFAULT_TOL, Entries, digest, relation_sums
 
 MAX_FREE_CELLS = 10
-# The one record of what passed, by content digest, oldest first: each
-# entry is (value, bytes of its arrays), the value None for an input that
-# passed a precondition check and the outputs of a contracted algebra that
-# passed every check.  Past PASSED_CAPACITY entries or PASSED_RESULT_BYTES
-# bytes the oldest are dropped; a larger result is not recorded.
+# The one record of what passed, by digest, oldest first: each entry is
+# (value, bytes of its arrays), the value None for an input that passed a
+# precondition check and the outputs of a contracted algebra that passed
+# every check.  Past PASSED_CAPACITY entries the oldest entry is dropped, and
+# past PASSED_RESULT_BYTES bytes the oldest result; a larger one is not recorded.
 PASSED_CAPACITY = 1024
 PASSED_RESULT_BYTES = 1 << 25
 _passed: dict[bytes, tuple] = {}
-
-
-def _digest(*content) -> bytes:
-    """blake2b digest of content: each array as its dtype, shape and bytes
-    (an object array as the repr of its values), anything else as its repr,
-    each piece length-prefixed."""
-    h = hashlib.blake2b(digest_size=16)
-    for x in content:
-        if isinstance(x, np.ndarray):
-            data = repr(x.tolist()).encode() if x.dtype.hasobject else x.tobytes()
-            pieces = (f"{x.dtype.str}{x.shape}".encode(), data)
-        else:
-            pieces = (repr(x).encode(),)
-        for piece in pieces:
-            h.update(len(piece).to_bytes(8, "little"))
-            h.update(piece)
-    return h.digest()
 
 
 def _recorded(key: bytes, compute, nbytes=lambda value: 0):
@@ -95,27 +78,24 @@ def _recorded(key: bytes, compute, nbytes=lambda value: 0):
     if size <= PASSED_RESULT_BYTES:
         _passed[key] = (value, size)
         total = sum(s for _, s in _passed.values())
-        while len(_passed) > PASSED_CAPACITY or total > PASSED_RESULT_BYTES:
-            total -= _passed.pop(next(iter(_passed)))[1]
+        while total > PASSED_RESULT_BYTES:
+            total -= _passed.pop(next(k for k, (_, s) in _passed.items() if s))[1]
+        while len(_passed) > PASSED_CAPACITY:
+            _passed.pop(next(iter(_passed)))
     return value
 
 
-def _verify_once(check: str, tol: float, content: tuple, run, fail) -> None:
-    """Run the precondition check run() -> Report unless this exact content
-    passed the check named check at tol before (_digest of check, tol and
-    content); raise fail(report) when it fails."""
+def _verify_once(name: str, check, tol: float, inputs: tuple, error: type, prefix: str) -> None:
+    """Run check(*inputs, tol) -> Report unless inputs of the same digests
+    passed it at tol before (key: the digest of name, tol and their digests);
+    raise error with prefix and the first three violations when it fails."""
 
     def verified():
-        report = run()
+        report = check(*inputs, tol)
         if not report.ok:
-            raise fail(report)
+            raise error(f"{prefix}: {list(report.violations[:3])}")
 
-    _recorded(_digest(check, tol, *content), verified)
-
-
-def _grading_content(gamma: Grading) -> tuple:
-    """What a check reads of a grading: group orders, then each part label and array in dict order."""
-    return (gamma.group.orders, *itertools.chain.from_iterable(gamma.parts.items()))
+    _recorded(digest(name, tol, *(x.digest for x in inputs)), verified)
 
 
 def _inf_on_overflow(op) -> np.ufunc:
@@ -148,7 +128,8 @@ def _as_scalar(v):
 
 @dataclass(frozen=True, eq=False)
 class ScalarTable:
-    """G x G table of scalars; rationals in the core, complex tolerated."""
+    """G x G table of scalars; rationals in the core, complex tolerated.  Read-only:
+    ``values`` is a read-only mapping, and the cached ``digest`` covers the group orders and as_tuple()."""
 
     group: AbelianGroup
     values: dict
@@ -157,7 +138,11 @@ class ScalarTable:
         cleaned = {}
         for (i, j), v in self.values.items():
             cleaned[(self.group.check(i), self.group.check(j))] = _as_scalar(v)
-        object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "values", MappingProxyType(cleaned))
+
+    @cached_property
+    def digest(self) -> bytes:
+        return digest(self.group.orders, self.as_tuple())
 
     def value(self, i, j):
         try:
@@ -293,11 +278,8 @@ def enumerate_binary_epsilon(group: AbelianGroup) -> list[EpsilonTable]:
 def enumerate_binary_psi(eps: EpsilonTable) -> list[PsiTable]:
     """All 0/1 solutions of the psi system for the given epsilon table,
     which must solve its own system exactly (checked once per content)."""
-    _verify_once(
-        "epsilon", 0.0, (eps.group.orders, eps.as_tuple()),
-        lambda: verify_epsilon(eps, tol=0.0),
-        lambda report: VerificationError("epsilon table does not solve the contraction system"),
-    )
+    _verify_once("epsilon", verify_epsilon, 0.0, (eps,), VerificationError,
+                 "epsilon table does not solve the contraction system")
     g, n = eps.group, eps.group.size
     tables = _binary_rows(n * n).reshape(-1, n, n)
     cells, scale = _cells(eps)
@@ -337,41 +319,28 @@ def contract_algebra(
 
     An eps cell outside the float range is an InputError.  The inputs are
     verified once per content: verify_grading and verify_epsilon run only
-    for an (algebra, grading) or eps content not seen to pass them before
-    at this tol.  The output must pass the Jacobi check.  A contraction
-    that passed every check is recorded by the content of (algebra
-    structure, grading, eps, tol): the same content again gets the recorded
-    labels, adapted basis and contracted algebra, whose arrays are
-    read-only, and a copy of the Jacobi report, next to the caller's own
-    algebra, grading and eps, with no check run again.
+    for an (algebra, grading) or eps whose digests have not passed them at
+    this tol.  The output must pass the Jacobi check.  A contraction that
+    passed every check is recorded under tol and the digests of algebra,
+    grading and eps; a hit gets the recorded, read-only labels, adapted
+    basis, contracted algebra and Jacobi report next to the caller's own
+    inputs, with no check run.
     """
     if gamma.group.orders != eps.group.orders:
         raise InputError("grading and epsilon table live over different groups")
-    key = _digest(
-        "contract_algebra", tol, algebra.structure, *_grading_content(gamma), eps.group.orders, eps.as_tuple()
-    )
-    labels, adapted, result, jac = _recorded(
-        key, lambda: _contract(algebra, gamma, eps, tol), lambda out: out[1].nbytes + out[2].structure.nbytes
-    )
-    return ContractedAlgebra(
-        base=algebra, grading=gamma, eps=eps, labels=labels, adapted=adapted, result=result, jacobi=copy.deepcopy(jac)
-    )
+    key = digest("contract_algebra", tol, algebra.digest, gamma.digest, eps.digest)
+    out = _recorded(key, lambda: _contract(algebra, gamma, eps, tol), lambda r: r[1].nbytes + r[2].structure.nbytes)
+    return ContractedAlgebra(algebra, gamma, eps, *out)
 
 
 def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float) -> tuple:
-    """(labels, adapted basis, contracted algebra, its Jacobi report) of
-    contract_algebra, every check run; the arrays are made read-only."""
+    """The recorded fields of contract_algebra's result, every check run:
+    labels, adapted basis (made read-only), contracted algebra and its Jacobi report."""
     cells = eps.floats()
-    _verify_once(
-        "grading", tol, (algebra.structure, *_grading_content(gamma)),
-        lambda: verify_grading(algebra, gamma, tol),
-        lambda report: VerificationError(f"input grading fails verification: {report.violations[:3]}"),
-    )
-    _verify_once(
-        "epsilon", tol, (eps.group.orders, eps.as_tuple()),
-        lambda: verify_epsilon(eps, tol),
-        lambda report: VerificationError(f"epsilon table fails the contraction system: {report.violations[:3]}"),
-    )
+    _verify_once("grading", verify_grading, tol, (algebra, gamma), VerificationError,
+                 "input grading fails verification")
+    _verify_once("epsilon", verify_epsilon, tol, (eps,), VerificationError,
+                 "epsilon table fails the contraction system")
     labels, basis = grading_adapted_basis(gamma)
     k = algebra.dim
     a, b = np.triu_indices(k, 1)
@@ -386,7 +355,7 @@ def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float
     jac = check_jacobi(result, tol)
     if not jac.ok:
         raise VerificationError(f"contracted algebra violates Jacobi (residual {jac.max_residual:.3g})")
-    basis.flags.writeable = structure.flags.writeable = False
+    basis.flags.writeable = False
     return tuple(labels), basis, result, jac
 
 
@@ -425,26 +394,15 @@ def contract_rep(
     GENERATOR_BUDGET_BYTES is an InputError before any check.  A psi or
     eps cell outside the float range is an InputError.  The inputs are
     verified once per content: check_compatibility runs only for a
-    (carrier, grading, V grading) content, and verify_psi only for a (psi,
-    eps) content, not seen to pass at this tol before.  The output is
+    (carrier, grading, V grading), and verify_psi only for a (psi, eps),
+    whose digests have not passed at this tol before.  The output is
     checked by verify_rep_homomorphism, on every call of it."""
     stack = rep.sl_stack
     cells = psi.floats()
     eps.floats()  # eps is only checked here, but contract_algebra applies it in floats
-    e = rep.entries
-    _verify_once(
-        "compatibility", tol,
-        (rep.n, e.rows, e.cols, e.vals, e.gids, e.starts, *_grading_content(gamma), *_grading_content(vgamma)),
-        lambda: check_compatibility(rep, gamma, vgamma, tol),
-        lambda report: IncompatibleError(
-            f"representation is not compatible with the grading: {report.violations[:3]}"
-        ),
-    )
-    _verify_once(
-        "psi", tol, (psi.group.orders, psi.as_tuple(), eps.group.orders, eps.as_tuple()),
-        lambda: verify_psi(psi, eps, tol),
-        lambda report: VerificationError(f"psi table fails its system: {report.violations[:3]}"),
-    )
+    _verify_once("compatibility", check_compatibility, tol, (rep, gamma, vgamma), IncompatibleError,
+                 "representation is not compatible with the grading")
+    _verify_once("psi", verify_psi, tol, (psi, eps), VerificationError, "psi table fails its system")
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
     k, d = abasis.shape[1], vbasis.shape[0]

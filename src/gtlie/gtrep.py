@@ -53,7 +53,8 @@ import numpy as np
 
 from .algebra import Report
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Entries, max_abs, product_terms, relation_sums, row_blocks, stable_order, summed
+from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, relation_sums, row_blocks, stable_order,
+                     summed)
 
 __all__ = [
     "HighestWeight",
@@ -370,7 +371,8 @@ class GeneratorRep:
     linalg.Entries table whose matrix g is the label at position g of the
     row-major order (1,1), (1,2), ..., (n,n).  ``n``, ``entries`` and
     ``dim`` are read-only attributes: a changed carrier is a new rep.
-    Everything else is derived from them once and cached: ``sl_entries``,
+    Everything else is derived from them once and cached: ``digest``, the
+    linalg.digest of ``n`` and the five entries arrays, ``sl_entries``,
     the entries of the canonical sl(n) basis elements, and the two dense
     views, ``gen`` (label to d x d matrix) and ``sl_stack`` (the
     (n^2 - 1, d, d) array of r(sl basis)), each formed by one scatter
@@ -396,6 +398,11 @@ class GeneratorRep:
     n = property(lambda self: self._n)
     entries = property(lambda self: self._entries)
     dim = property(lambda self: self._entries.dim)
+
+    @cached_property
+    def digest(self) -> bytes:
+        e = self.entries
+        return digest(self.n, e.rows, e.cols, e.vals, e.gids, e.starts)
 
     def _dense(self, count: int, table) -> np.ndarray:
         """The read-only (count, d, d) array with vals at (labels, rows,

@@ -37,6 +37,7 @@ position bits take the stable argsort itself.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,24 @@ def max_abs(a) -> float:
         return 0.0
     top = float(np.max(np.abs(a)))
     return float("inf") if np.isnan(top) else top
+
+
+def digest(*content) -> bytes:
+    """blake2b digest of content: each array as its dtype, shape and bytes
+    (an object array as the repr of its values), anything else as its repr,
+    each piece length-prefixed.  The one content hash: each read-only input
+    of a contraction caches its own as ``digest``."""
+    h = hashlib.blake2b(digest_size=16)
+    for x in content:
+        if isinstance(x, np.ndarray):
+            data = repr(x.tolist()).encode() if x.dtype.hasobject else x.tobytes()
+            pieces = (f"{x.dtype.str}{x.shape}".encode(), data)
+        else:
+            pieces = (repr(x).encode(),)
+        for piece in pieces:
+            h.update(len(piece).to_bytes(8, "little"))
+            h.update(piece)
+    return h.digest()
 
 
 def rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -3,8 +3,11 @@ run draws the same examples, and without a deadline, since one example may
 build representations.  Each test sets only its own max_examples.
 
 Every test starts with an empty contraction record (the inputs that passed
-a precondition check and the contracted algebras that passed every check),
-so no count of verifier calls depends on which tests ran before it."""
+a precondition check and the contracted algebras that passed every check,
+keyed by the digests the read-only inputs cache), so no count of verifier
+calls depends on which tests ran before it.  A digest cached on a shared
+input, such as a module fixture's grading, stays valid across tests: the
+input cannot change."""
 
 import pytest
 from hypothesis import settings

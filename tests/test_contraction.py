@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
+from gtlie import algebra as algebra_module
 from gtlie import contraction as contraction_module
+from gtlie import gtrep as gtrep_module
 from gtlie import jsonio
 from gtlie.contraction import (
     ContractedRep,
@@ -585,30 +588,34 @@ def fresh_sl3_setup():
     return sl3, gamma, rep, gtlie.decompose_rep_space(gtlie.simulation_inner(hw, 3, 1))
 
 
-def test_an_in_place_edit_of_the_grading_or_eps_is_verified_again():
+def edited_parts(gamma: gtlie.Grading) -> dict:
+    """A writable copy of the grading's parts."""
+    return {lab: part.copy() for lab, part in gamma.parts.items()}
+
+
+def test_an_edited_copy_of_the_grading_or_eps_is_verified_again():
     sl3, gamma, _, _ = fresh_sl3_setup()
     table = eps([[1, 1], [1, 1]])
     contract_algebra(sl3, gamma, table)
-    saved = gamma.parts[(1,)].copy()
-    gamma.parts[(1,)][:, 0] = gamma.parts[(0,)][:, 0]  # no longer a direct sum
+    parts = edited_parts(gamma)
+    parts[(1,)][:, 0] = parts[(0,)][:, 0]  # no longer a direct sum
     with pytest.raises(VerificationError, match="input grading"):
-        contract_algebra(sl3, gamma, table)
-    gamma.parts[(1,)][:] = saved
+        contract_algebra(sl3, gtlie.Grading(group=gamma.group, parts=parts), table)
     contract_algebra(sl3, gamma, table)
-    table.values[(0,), (1,)] = Fraction(0)  # no longer symmetric
+    cells = dict(table.values)
+    cells[(0,), (1,)] = Fraction(0)  # no longer symmetric
     with pytest.raises(VerificationError, match="epsilon table"):
-        contract_algebra(sl3, gamma, table)
+        contract_algebra(sl3, gamma, EpsilonTable(Z2, cells))
 
 
-def test_an_in_place_edit_of_the_carrier_or_its_grading_is_verified_again():
+def test_an_edited_copy_of_the_carrier_or_its_grading_is_verified_again():
     _, gamma, rep, vgamma = fresh_sl3_setup()
     table, ones = eps([[1, 1], [1, 1]]), psi([[1, 1], [1, 1]])
     contract_rep(rep, vgamma, gamma, ones, table)
-    saved = vgamma.parts[(0,)].copy()
-    vgamma.parts[(0,)][:, 0] = vgamma.parts[(1,)][:, 0]  # V_0 now holds the V_1 vector
+    parts = edited_parts(vgamma)
+    parts[(0,)][:, 0] = parts[(1,)][:, 0]  # V_0 now holds the V_1 vector
     with pytest.raises(IncompatibleError):
-        contract_rep(rep, vgamma, gamma, ones, table)
-    vgamma.parts[(0,)][:] = saved
+        contract_rep(rep, gtlie.Grading(group=vgamma.group, parts=parts), gamma, ones, table)
     contract_rep(rep, vgamma, gamma, ones, table)
     with pytest.raises(ValueError):  # the stored entries are read-only
         rep.entries.vals[0] = math.nan
@@ -684,6 +691,54 @@ def test_the_record_of_passed_inputs_drops_the_oldest_past_its_capacity(monkeypa
     assert len(contraction_module._passed) == 2
 
 
+# ---------------------------------------------------------------------------
+# Inputs are read-only and hashed once
+# ---------------------------------------------------------------------------
+
+
+def test_every_input_and_report_is_read_only():
+    sl3, gamma, _, _ = fresh_sl3_setup()
+    table = eps([[1, 1], [1, 0]])
+    report = verify_epsilon(eps([[1, 1], [0, 1]]))
+    assert isinstance(report.violations, tuple) and report.violations
+    with pytest.raises(ValueError, match="read-only"):
+        sl3.structure[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        gamma.parts[(0,)][0, 0] = 1
+    with pytest.raises(TypeError):
+        gamma.parts[(0,)] = np.eye(8)
+    with pytest.raises(TypeError):
+        table.values[(0,), (0,)] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.ok = True
+    with pytest.raises(TypeError):
+        report.violations[0] = ("spoiled", math.inf)
+    # a part is flagged in place, not copied: the caller's own array becomes read-only
+    mine = np.eye(3)
+    assert gtlie.Grading(group=Z2, parts={(0,): mine}).parts[(0,)] is mine
+    assert not mine.flags.writeable
+
+
+def test_five_contractions_hash_each_input_once(monkeypatch):
+    hashed = []
+    for module in (algebra_module, gtrep_module, contraction_module):
+        monkeypatch.setattr(
+            module, "digest", lambda *content, real=module.digest: hashed.append(real(*content)) or hashed[-1]
+        )
+    sl3, gamma, rep, vgamma = fresh_sl3_setup()
+    table, rescale = eps([[1, 1], [1, 0]]), psi([[1, 1], [0, 1]])
+    for _ in range(5):
+        contract_algebra(sl3, gamma, table)
+        contract_rep(rep, vgamma, gamma, rescale, table)
+    counts = collections.Counter(hashed)
+    inputs = (sl3, gamma, rep, vgamma, table, rescale)
+    assert len({x.digest for x in inputs}) == 6
+    assert [counts[x.digest] for x in inputs] == [1] * 6
+    # every other digest is a record key over those: 5 contract_algebra, 1 grading and 1 epsilon
+    # (the misses of the first contraction), 5 compatibility and 5 psi
+    assert len(hashed) == 6 + 5 + 1 + 1 + 5 + 5
+
+
 def paper_contents() -> list:
     """The paper's 30 contraction inputs, every object built anew: sl(2),
     sl(3) and sl(4), each under the inner (n,1) and the outer grading, with
@@ -728,15 +783,18 @@ def test_a_recorded_contraction_cannot_be_changed_through_what_it_hands_out(sl3_
         for array in (calg.adapted, calg.result.structure):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
-        calg.jacobi.ok = False
-        calg.jacobi.violations.append(("spoiled", math.inf))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            calg.jacobi.ok = False
+        with pytest.raises(AttributeError):  # a tuple has no append
+            calg.jacobi.violations.append(("spoiled", math.inf))
         calg = contract_algebra(sl3, gamma1, table)
-        assert dataclasses.asdict(calg.jacobi) == expected and calg.jacobi.violations == []
+        assert dataclasses.asdict(calg.jacobi) == expected and calg.jacobi.violations == ()
 
 
 def test_the_record_drops_the_oldest_result_past_its_byte_bound(monkeypatch, sl3_setup):
     sl3, gamma1 = sl3_setup
     contracted = counting(monkeypatch, contraction_module, "_contract")
+    checks = {name: counting(monkeypatch, contraction_module, name) for name in ("verify_grading", "verify_epsilon")}
     first, second, third = enumerate_binary_epsilon(Z2)[:3]
     size = 8 * 8 * 16 + 8**3 * 16  # the adapted basis and the structure tensor of a contracted sl(3)
     monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", 2 * size)
@@ -744,6 +802,9 @@ def test_the_record_drops_the_oldest_result_past_its_byte_bound(monkeypatch, sl3
         contract_algebra(sl3, gamma1, table)
     # third drops first; second is still there; first is contracted again and drops second
     assert [args[2] for args in contracted] == [first, second, third, first]
+    # the byte bound drops results only: the grading and eps passes in front of first's result stay
+    assert [args[0] for args in checks["verify_epsilon"]] == [first, second, third]
+    assert len(checks["verify_grading"]) == 1
     assert sorted(s for _, s in contraction_module._passed.values() if s) == [size, size]
     # a result past the bound (a contracted sl(4): 57,600 bytes) is never recorded: it is contracted
     # on every call, and the results recorded before it stay

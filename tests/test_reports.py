@@ -131,7 +131,7 @@ def test_every_check_folds_its_verdict_the_one_way(case, kind):
 
 def test_the_fold_keeps_repeated_places_and_reads_nan_as_inf():
     report = Report.of([(("a",), 0.5), (("b",), math.nan), (("a",), math.inf), (("c",), 0.0)], 0.25)
-    assert report.violations == [("a", 0.5), ("b", math.inf), ("a", math.inf)]
+    assert report.violations == (("a", 0.5), ("b", math.inf), ("a", math.inf))
     assert not report.ok and report.max_residual == math.inf and report.worst_at == ("b",)
     assert report.checked == 4 and report.tol == 0.25
     assert vars(Report.of([], 1e-9, checked=7)) == vars(Report(ok=True, checked=7, tol=1e-9))
@@ -144,3 +144,13 @@ def test_a_tolerance_no_residual_can_exceed_is_refused_by_every_check(case):
     for tol in (math.nan, math.inf, -1e-9):
         with pytest.raises(InputError, match="tolerance"):
             case("fail", tol)
+
+
+@pytest.mark.parametrize("case", CHECKS, ids=lambda case: case.__name__)
+def test_a_zero_tolerance_is_accepted_by_every_check(case):
+    # Report.of is the one tolerance rule, and it admits 0: only an exact residual of 0 passes
+    for kind in ("pass", "fail"):
+        report, _ = case(kind, 0.0)
+        assert report.tol == 0.0
+        if kind == "fail":
+            assert not report.ok

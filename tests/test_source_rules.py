@@ -118,3 +118,23 @@ def test_the_contraction_record_is_read_and_written_only_by_its_helper(path):
     found = _outside(path, {("contraction.py", "_recorded")}, lambda n: _named(n, "_passed"))
     assert found == definition, f"contraction._passed used outside contraction._recorded: {found}"
     assert len(definition) == (path.name == "contraction.py")
+
+
+# The callers of linalg.digest: the cached digest of each read-only input, and
+# the two record keys, over those digests.  linalg.digest itself calls hashlib's.
+DIGEST_CALLERS = {
+    ("linalg.py", "digest"),
+    ("algebra.py", "LieAlgebra.digest"),
+    ("algebra.py", "Grading.digest"),
+    ("gtrep.py", "GeneratorRep.digest"),
+    ("contraction.py", "ScalarTable.digest"),
+    ("contraction.py", "_verify_once"),
+    ("contraction.py", "contract_algebra"),
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_content_is_hashed_only_by_the_digest_properties_and_the_record_keys(path):
+    # any other digest call hashes, per call, content that its object already hashed once
+    found = _outside(path, DIGEST_CALLERS, lambda n: isinstance(n, ast.Call) and _named(n.func, "digest"))
+    assert not found, f"digest called outside the digest properties and the record keys: {found}"
