@@ -31,6 +31,7 @@ from .linalg import (
     max_abs,
     orthonormal_span,
     rank,
+    read_only,
     relation_sums,
     span_distance,
 )
@@ -80,7 +81,7 @@ class Report:
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Finite-dimensional complex Lie algebra over a named basis, read-only:
-    ``structure`` is flagged non-writeable in place (write no other view of it); ``digest`` (cached) covers it."""
+    ``structure`` is linalg.read_only; ``digest`` (cached) covers it."""
 
     basis_names: tuple[str, ...]
     structure: np.ndarray  # shape (k, k, k), [e_i, e_j] = sum_l structure[i,j,l] e_l
@@ -98,7 +99,7 @@ class LieAlgebra:
             block = self.structure[i : i + step] + self.structure[:, i : i + step].transpose(1, 0, 2)
             if max_abs(block) != 0.0:
                 raise InputError("structure constants are not exactly antisymmetric")
-        self.structure.flags.writeable = False
+        object.__setattr__(self, "structure", read_only(self.structure))
 
     @property
     def dim(self) -> int:
@@ -287,20 +288,22 @@ class Grading:
     ``parts`` maps a group element to a (dim x m) matrix whose columns
     span the corresponding subspace; empty parts are allowed.  The same
     container is used for algebra gradings and for representation-space
-    decompositions.  It owns its parts and is read-only: ``parts`` is a read-only
-    mapping whose arrays are flagged in place, not copied (write no other view
-    of them), and ``digest`` (cached) covers group orders, labels and parts.
+    decompositions.  It is read-only: ``parts`` is a read-only mapping of
+    linalg.read_only arrays (the library's own parts own their memory, so
+    none is copied), and ``digest`` (cached) covers group orders, labels and parts.
     """
 
     group: AbelianGroup
     parts: dict
 
     def __post_init__(self):
-        for lab, part in self.parts.items():
+        for lab in self.parts:
             if not self.group.contains(lab):
                 raise InputError(f"part label {lab} not in group {self.group}")
-            part.flags.writeable = False
-        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
+        object.__setattr__(self, "parts", MappingProxyType({lab: read_only(p) for lab, p in self.parts.items()}))
+
+    def __reduce__(self):
+        return Grading, (self.group, dict(self.parts))
 
     @cached_property
     def digest(self) -> bytes:

@@ -32,8 +32,8 @@ coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``check_compatibility``
 forms the images of those columns from the entries and measures each one
 against its coordinate vector or its pair exactly.  A dense R (the
 solver's) and a carrier grading with any other columns take the dense
-path: the dense (k, d, d) stack of r(sl basis), rep.sl_stack, which gtrep
-scatters once per representation, and a thin-SVD basis per part.
+path: r(x) from rep.images, over the one dense array of generators that
+gtrep scatters once per representation, and a thin-SVD basis per part.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .linalg import (
     max_abs,
     orthonormal_span,
     ranges,
+    read_only,
     span_distance,
     stable_order,
     summed,
@@ -87,7 +88,7 @@ from .linalg import (
 @dataclass(frozen=True, eq=False)
 class Automorphism:
     """An automorphism of sl(n, C): X -> A X A^{-1} (inner) or
-    X -> -A X^T A^{-1} (outer composed with an inner one)."""
+    X -> -A X^T A^{-1} (outer composed with an inner one); ``matrix`` is linalg.read_only."""
 
     kind: str  # "inner" | "outer"
     matrix: np.ndarray
@@ -96,6 +97,7 @@ class Automorphism:
     def __post_init__(self):
         if self.kind not in ("inner", "outer"):
             raise InputError(f"unknown automorphism kind {self.kind!r}")
+        object.__setattr__(self, "matrix", read_only(self.matrix))
 
     @property
     def n(self) -> int:
@@ -223,8 +225,8 @@ class SimulationMatrix:
 
     kind "diagonal": phases are exact rationals rho with entries
     exp(i pi rho); kind "signed_permutation": R e_c = signs[c] e_{perm[c]};
-    kind "dense": explicit complex matrix.  The first two have one nonzero
-    per column (``monomial``), so the checks on them are index arithmetic.
+    kind "dense": explicit complex matrix, kept as linalg.read_only.  The first two have one
+    nonzero per column (``monomial``), so the checks on them are index arithmetic.
 
     Raises InputError unless order is an integer >= 1 and, by kind, the
     phases are finite reals; perm is a permutation of range(d) with one
@@ -262,6 +264,7 @@ class SimulationMatrix:
                 raise InputError(f"dense simulation matrix has shape {m.shape}, not square")
             if not np.isfinite(m).all():
                 raise InputError("dense simulation matrix has a non-finite entry")
+            object.__setattr__(self, "dense", read_only(m))
         else:
             raise InputError(f"unknown simulation-matrix kind {self.kind!r}")
 
@@ -414,7 +417,7 @@ def doubled_rep(hw: HighestWeight):
     that are not self-contragredient.  Raises InputError up front when the
     doubled generators would exceed GENERATOR_BUDGET_BYTES.
     """
-    check_generator_budget(hw.n, 2 * weyl_dim(hw))
+    check_generator_budget(hw.n, 2 * weyl_dim(hw), 8)
     r0 = build_representation(hw)
     d, e = r0.dim, r0.entries
     rows, cols = np.concatenate([e.rows, e.cols + d]), np.concatenate([e.cols, e.rows + d])
@@ -446,7 +449,7 @@ def verify_simulation(
     pi(j), s_i v / s_j) of r(x), so both sides come from the entry lists
     GeneratorRep.sl_entries: the terms of both, keyed by (x, row, col), are
     summed once, and the residual of x is the largest sum among its keys.
-    A dense R is checked on the dense stack rep.sl_stack.
+    A dense R is checked on the dense matrices rep.images.
     """
     if sim.dim != rep.dim:
         raise InputError(f"simulation matrix dim {sim.dim} != rep dim {rep.dim}")
@@ -454,9 +457,8 @@ def verify_simulation(
         raise InputError(f"automorphism of sl({aut.n}) on a representation of sl({rep.n})")
     act = action_on_sl(aut)
     if sim.kind == "dense":
-        stack = rep.sl_stack
         r, rinv = sim.matrix, sim.inverse()
-        found = [max_abs(l - r @ m @ rinv) for l, m in zip(np.tensordot(act.T, stack, axes=1), stack)]
+        found = [max_abs(l - r @ m @ rinv) for l, m in zip(rep.images(act), rep.images(np.eye(len(act))))]
     else:
         d = rep.dim
         perm, scale = sim.monomial()
@@ -556,8 +558,8 @@ def check_compatibility(
     the stored entries, for all X of a gamma part at once, and each is
     measured exactly against its coordinate vector or pair
     (_pair_residuals).  Otherwise each part gets one orthonormal basis Q
-    (thin SVD, ``orthonormal_span``), r(X) is one product with the dense
-    stacked sl matrices and the distance is max |W - Q (Q^H W)|.
+    (thin SVD, ``orthonormal_span``), r(X) comes from rep.images and the
+    distance is max |W - Q (Q^H W)|.
 
     The report carries checked = the number of image vectors r(X) v tested,
     worst_at = (i, j) of the largest residual (None when all are zero) and
@@ -679,14 +681,13 @@ def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: flo
     A part with a NaN or infinite entry has no orthonormal basis: it gets
     one NaN column, so every distance from it is NaN, which Report.of
     reads as inf."""
-    stack = rep.sl_stack
     undefined = np.full((rep.dim, 1), np.nan)
     bases = {lab: orthonormal_span(part, tol) if np.isfinite(part).all() else undefined
              for lab, part in vgamma.parts.items()}
     absent = np.zeros((rep.dim, 0), dtype=complex)
     out = {}
     for i, xpart in gamma.parts.items():
-        mats = np.tensordot(xpart.T, stack, axes=1)
+        mats = rep.images(xpart)
         for j, vpart in vgamma.parts.items():
             q = bases.get(vgamma.group.add(i, j), absent)
             out[i, j] = [span_distance(m @ vpart, q) for m in mats]
@@ -754,8 +755,8 @@ def find_simulation_matrix(
     normalized to R^order = Id.
     """
     n, d = rep.n, rep.dim
-    stack = rep.sl_stack
-    images = np.tensordot(action_on_sl(aut).T, stack, axes=1)  # r(g(x)) for every sl basis element x
+    stack = rep.images(np.eye(n * n - 1))
+    images = rep.images(action_on_sl(aut))  # r(g(x)) for every sl basis element x
     index = {label: x for x, label in enumerate(sl_basis_labels(n))}
     cartan = [index["H", k] for k in range(1, n)]
     if all(_is_diagonal(h) for h in [*stack[cartan], *images[cartan]]):

@@ -16,14 +16,14 @@ when
 One array kernel checks both systems, for one table or a batch (the binary
 (0/1) solution sets), exactly in integers for rational tables; a NaN cell or
 a residual past the float range is an infinite residual.  Stacked numpy
-kernels over (k, d, d) operator stacks apply a contraction, with eps and psi
-read once per call as label arrays.  Every input is read-only and caches its
-digest, and one record of passes (_recorded), keyed by the digests of the
-objects a check reads, holds the inputs that passed a precondition check
-(_verify_once) and each contracted algebra that passed every check; failures
-are never recorded.  A contracted representation is checked on every call of
-verify_rep_homomorphism, by the sparse relation kernel of linalg
-(relation_sums) on the nonzero entries of its matrices.
+kernels apply a contraction, with eps and psi read once per call as label
+arrays.  Every input is read-only and caches its digest, and one record of
+passes (_recorded), keyed by the digests of the objects a check reads, holds
+the inputs that passed a precondition check (_verify_once) and each
+contracted algebra that passed every check; failures are never recorded.  A
+contracted representation is stored as the linalg.Entries table of its
+matrices, the form its check reads: verify_rep_homomorphism hands it, on
+every call, to the sparse relation kernel of linalg (relation_sums).
 """
 
 from __future__ import annotations
@@ -139,6 +139,9 @@ class ScalarTable:
         for (i, j), v in self.values.items():
             cleaned[(self.group.check(i), self.group.check(j))] = _as_scalar(v)
         object.__setattr__(self, "values", MappingProxyType(cleaned))
+
+    def __reduce__(self):
+        return type(self), (self.group, dict(self.values))
 
     @cached_property
     def digest(self) -> bytes:
@@ -361,10 +364,10 @@ def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float
 
 @dataclass(frozen=True, eq=False)
 class ContractedRep:
-    """Blockwise-rescaled operators r^eps(X_i) in the adapted V basis.
-
-    ``matrices[a]`` represents the a-th adapted algebra basis vector (same
-    order as ContractedAlgebra over the same grading).
+    """Blockwise-rescaled operators r^eps(X_i) in the adapted V basis,
+    stored as one read-only linalg.Entries table ``entries``: its matrix a
+    represents the a-th adapted algebra basis vector (same order as
+    ContractedAlgebra over the same grading).
     """
 
     rep: GeneratorRep
@@ -375,7 +378,7 @@ class ContractedRep:
     labels: tuple
     vlabels: tuple
     vbasis: np.ndarray
-    matrices: tuple
+    entries: Entries
 
 
 def contract_rep(
@@ -387,17 +390,18 @@ def contract_rep(
     tol: float = DEFAULT_TOL,
 ) -> ContractedRep:
     """Build r^eps(X_i) v_j = psi_{i,j} r(X_i) v_j in the adapted V basis:
-    the (k, d, d) stack r(X_a) is one tensordot, the change of basis one
-    solve for all k d columns of r(X_a) V, and psi one (k, d) scale array.
+    the (k, d, d) stack r(X_a) is rep.images, the change of basis one solve
+    for all k d columns of r(X_a) V, psi one (k, d) scale array, and the
+    result one Entries.of.
 
-    The stack r(sl basis) is rep.sl_stack, read first, so a carrier past
+    The dense generators rep.dense are read first, so a carrier past
     GENERATOR_BUDGET_BYTES is an InputError before any check.  A psi or
     eps cell outside the float range is an InputError.  The inputs are
     verified once per content: check_compatibility runs only for a
     (carrier, grading, V grading), and verify_psi only for a (psi, eps),
     whose digests have not passed at this tol before.  The output is
     checked by verify_rep_homomorphism, on every call of it."""
-    stack = rep.sl_stack
+    rep.dense  # formed first: past the budget, InputError before any check
     cells = psi.floats()
     eps.floats()  # eps is only checked here, but contract_algebra applies it in floats
     _verify_once("compatibility", check_compatibility, tol, (rep, gamma, vgamma), IncompatibleError,
@@ -406,8 +410,8 @@ def contract_rep(
     alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
     k, d = abasis.shape[1], vbasis.shape[0]
-    images = np.tensordot(abasis.T, stack, axes=1) @ vbasis  # r(X_a) V
-    out = np.linalg.solve(vbasis, images.transpose(1, 0, 2).reshape(d, k * d)).reshape(d, k, d)
+    images = (rep.images(abasis) @ vbasis).transpose(1, 0, 2).reshape(d, k * d)  # r(X_a) V
+    out = np.linalg.solve(vbasis, images).reshape(d, k, d)
     out *= psi.on_labels(cells, alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
     return ContractedRep(
         rep=rep,
@@ -418,49 +422,44 @@ def contract_rep(
         labels=tuple(alabels),
         vlabels=tuple(vlabels),
         vbasis=vbasis,
-        matrices=tuple(np.ascontiguousarray(out.transpose(1, 0, 2))),
+        entries=Entries.of(out.transpose(1, 0, 2)),
     )
 
 
+@np.errstate(invalid="ignore")  # a NaN sum is kept, and Report.of reads it as inf
 def verify_rep_homomorphism(
     crep: ContractedRep, calg: ContractedAlgebra, tol: float = DEFAULT_TOL
 ) -> Report:
     """Check [r^eps(x), r^eps(y)] = r^eps([x, y]_new) on the adapted bases.
 
-    One call of linalg.relation_sums: the entries of the k matrices M_a
-    (Entries.of) and the triples (a, b, l, c_abl), a < b, at the nonzeros
-    of the contracted structure, give the sums of M_a M_b - M_b M_a -
-    sum_l c_abl M_l at every key the terms meet, one block of output rows
-    at a time; each pair's residual is its largest |sum| (one
-    np.maximum.reduceat).  c is exactly antisymmetric, so (b, a) has the
-    residual of (a, b), and (a, a) has residual 0.  A dense product meets a
+    One call of linalg.relation_sums: crep.entries, the k matrices M_a, and
+    the triples (a, b, l, c_abl), a < b, at the nonzeros of the contracted
+    structure, give the sums of M_a M_b - M_b M_a - sum_l c_abl M_l at every
+    key the terms meet, one block of output rows at a time; each pair's
+    residual is its largest |sum| (np.maximum.at).  c is exactly
+    antisymmetric, so (b, a) has the residual of (a, b), and (a, a) has
+    residual 0.  A dense product meets a
     NaN or inf of M_t in every row and column (NaN * 0), the sparse one
     only at nonzeros, so a non-finite M_t makes every (t, b) and (a, t)
     infinite, as the dense check does.  The entry itself enters the sum of
     every (a, b) with c_abt != 0, and Report.of reads a NaN sum as inf.
     Violations (a, b, res) come in row-major order; checked = k^2 pairs.
+    A matrix index outside range(k) is an InputError.
     """
     if crep.labels != calg.labels:
         raise InputError("contracted rep and algebra use different adapted bases")
-    k = len(crep.labels)
-    shapes = sorted({np.shape(m) for m in crep.matrices})
-    if len(crep.matrices) != k or len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
-        raise InputError(f"expected {k} square matrices of one size, got {len(crep.matrices)} of shapes {shapes}")
-    mats = np.array(crep.matrices, dtype=complex)
-    d = mats.shape[1]
+    e, k = crep.entries, len(crep.labels)
+    outside = e.gids[(e.gids < 0) | (e.gids >= k)]
+    if outside.size:
+        raise InputError(f"contracted matrix {outside[0]} is not one of the {k} adapted basis vectors")
     structure = calg.result.structure
     a, b, l = np.nonzero(structure)
     upper = a < b
     a, b, l = a[upper], b[upper], l[upper]
     res = np.zeros((k, k))
-    for keys, sums in relation_sums(Entries.of(mats), k, a, b, l, structure[a, b, l]):
-        if not keys.size:
-            continue
-        pair = keys // (d * d)
-        starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
-        pa, pb = np.divmod(pair[starts], k)
-        res[pa, pb] = np.maximum(res[pa, pb], np.maximum.reduceat(np.abs(sums), starts))
-    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    for keys, sums in relation_sums(e, k, a, b, l, structure[a, b, l]):
+        np.maximum.at(res.reshape(-1), keys // e.dim**2, np.abs(sums))
+    bad = e.gids[~np.isfinite(e.vals)]
     res[bad] = res[:, bad] = math.inf
     res = np.maximum(res, res.T)
     return Report.of(zip(itertools.product(range(k), repeat=2), res.ravel().tolist()), tol)

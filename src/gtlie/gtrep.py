@@ -30,13 +30,11 @@ patterns at once in exact integers, and the verifiers read it directly;
 ``verify_commutation`` sums each product term once, into its relation
 pair (g, h) with g < h, since the relation (h, g) is its negation.  The
 table is read-only, so what is derived from it is formed once and
-cached.  The two dense views, ``rep.gen`` (the n^2 generators by
-label) and ``rep.sl_stack`` (the (n^2 - 1, d, d) array of r(sl basis) that
-simulation, compatibility and contraction read), are each one scatter of
-entries into a read-only array, after one check that its bytes, with
-those of the other view when it is held, stay within
-GENERATOR_BUDGET_BYTES; this module is the only place that densifies a
-representation.
+cached.  The one dense view is ``rep.dense``, the read-only (n^2, d, d)
+array of the generators in label order, one scatter of the entries after
+one budget check at the stored itemsize; ``rep.gen`` maps each label to its
+slice, and ``rep.images`` forms r(x) for sl(n) coordinates x from it.  This
+module is the only place that densifies a representation.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import Report
+from .algebra import Report, sl_basis_matrices
 from .errors import InputError
 from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, relation_sums, row_blocks, stable_order,
                      summed)
@@ -248,29 +246,21 @@ def _labels(n: int) -> list[tuple[int, int]]:
 
 
 # Largest predicted footprint, in bytes, of a representation's storage: at
-# build the pattern array plus the predicted generator entries; before a
-# dense view is scattered the n^2 dense float64 d x d generators.
+# build the pattern array plus the predicted generator entries; before the
+# dense view is scattered the n^2 dense d x d generators at their itemsize.
 GENERATOR_BUDGET_BYTES = 2 << 30
 # Bytes of one stored generator entry: row, col and matrix index (int64) and
 # value (float64).
 ENTRY_BYTES = 32
 
 
-def check_generator_budget(n: int, d: int) -> None:
-    """Raise InputError when n^2 dense d x d float64 generators exceed
-    GENERATOR_BUDGET_BYTES."""
-    _check_dense(n * n, d, 8, 0)
-
-
-def _check_dense(count: int, d: int, itemsize: int, held: int) -> None:
-    """Raise InputError when count dense d x d matrices of itemsize bytes
-    per entry, with the held bytes of dense views already formed, exceed
-    GENERATOR_BUDGET_BYTES."""
-    nbytes = count * d * d * itemsize
-    if held + nbytes > GENERATOR_BUDGET_BYTES:
-        besides = f" besides the {held / 2**30:.2f} GiB of dense views held" if held else ""
+def check_generator_budget(n: int, d: int, itemsize: int) -> None:
+    """Raise InputError when n^2 dense d x d generators of itemsize bytes
+    per entry exceed GENERATOR_BUDGET_BYTES."""
+    nbytes = n * n * d * d * itemsize
+    if nbytes > GENERATOR_BUDGET_BYTES:
         raise InputError(
-            f"{count} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB{besides}, "
+            f"{n * n} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
             f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
 
@@ -373,10 +363,9 @@ class GeneratorRep:
     ``dim`` are read-only attributes: a changed carrier is a new rep.
     Everything else is derived from them once and cached: ``digest``, the
     linalg.digest of ``n`` and the five entries arrays, ``sl_entries``,
-    the entries of the canonical sl(n) basis elements, and the two dense
-    views, ``gen`` (label to d x d matrix) and ``sl_stack`` (the
-    (n^2 - 1, d, d) array of r(sl basis)), each formed by one scatter
-    (_dense); the two together stay under GENERATOR_BUDGET_BYTES.
+    the entries of the canonical sl(n) basis elements, and the one dense
+    view ``dense``, whose slices ``gen`` maps by label and from which
+    ``images`` forms r(x) for any sl(n) coordinates x.
     """
 
     def __init__(self, n: int, gen):
@@ -393,7 +382,6 @@ class GeneratorRep:
                     raise InputError(f"generator {label} has shape {m.shape}, expected {(d, d)}")
             gen = Entries.of(mats)
         self._n, self._entries = n, gen
-        self._dense_bytes = 0
 
     n = property(lambda self: self._n)
     entries = property(lambda self: self._entries)
@@ -404,33 +392,30 @@ class GeneratorRep:
         e = self.entries
         return digest(self.n, e.rows, e.cols, e.vals, e.gids, e.starts)
 
-    def _dense(self, count: int, table) -> np.ndarray:
-        """The read-only (count, d, d) array with vals at (labels, rows,
-        cols) for table() = (labels, rows, cols, vals), whose vals have the
-        stored dtype.  Its bytes and those of the dense view already formed
-        are charged against the one GENERATOR_BUDGET_BYTES, and InputError
-        is raised before table() is read."""
-        _check_dense(count, self.dim, self.entries.vals.itemsize, self._dense_bytes)
-        labels, rows, cols, vals = table()
-        out = np.zeros((count, self.dim, self.dim), dtype=vals.dtype)
-        out[labels, rows, cols] = vals
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The generators in label order as one read-only (n^2, d, d) array
+        of the stored dtype, one scatter of the entries after one
+        check_generator_budget, which raises before anything is formed."""
+        e = self.entries
+        check_generator_budget(self.n, self.dim, e.vals.itemsize)
+        out = np.zeros((self.n * self.n, self.dim, self.dim), dtype=e.vals.dtype)
+        out[e.gids, e.rows, e.cols] = e.vals
         out.flags.writeable = False
-        self._dense_bytes += out.nbytes
         return out
 
     @cached_property
     def gen(self) -> Mapping:
         """Read-only mapping from each generator label (k, l) to its dense,
-        read-only d x d matrix."""
-        e = self.entries
-        mats = self._dense(self.n * self.n, lambda: (e.gids, e.rows, e.cols, e.vals))
-        return MappingProxyType(dict(zip(_labels(self.n), mats)))
+        read-only d x d matrix, a slice of ``dense``."""
+        return MappingProxyType(dict(zip(_labels(self.n), self.dense)))
 
-    @cached_property
-    def sl_stack(self) -> np.ndarray:
-        """r(x) for every canonical sl(n) basis element x, in order, as one
-        read-only (n^2 - 1, d, d) array scattered from sl_entries."""
-        return self._dense(self.n * self.n - 1, lambda: self.sl_entries)
+    def images(self, coords: np.ndarray) -> np.ndarray:
+        """r(x) for each column x of canonical sl(n) coordinates, as one
+        (columns, d, d) array: coords.T @ S, S the (n^2 - 1, n^2) matrix of
+        the canonical basis in generator coordinates, tensordot ``dense``."""
+        s = np.array(sl_basis_matrices(self.n)).real.reshape(-1, self.n * self.n)
+        return np.tensordot(coords.T @ s, self.dense, 1)
 
     @cached_property
     def sl_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -9,11 +9,12 @@ Mostly-zero matrices are multiplied by one sparse-product kernel.
 ``Entries`` is the one read-only table of their nonzero entries, ordered
 by row: it is either read from dense matrices (``Entries.of``) or stacked
 from per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is
-how gtrep stores representation generators.  ``ranges`` lays index ranges
-end to end, ``row_join`` pairs entries with rows by it,
-``product_terms`` forms every term of every pairwise product,
-``summed`` adds equal keys, and ``row_blocks`` splits the output rows so
-that a check forms about TERMS_PER_BLOCK terms at a time.
+how gtrep stores representation generators and contraction a contracted
+representation.  ``ranges`` lays index ranges end to end, ``row_join``
+pairs entries with rows by it, ``product_terms`` forms every term of
+every pairwise product, ``summed`` adds equal keys, and ``row_blocks``
+splits the output rows so that a check forms about TERMS_PER_BLOCK terms
+at a time.
 
 Every bracket check asks one question, "do the matrices X_a satisfy
 [X_a, X_b] = sum_l f_ab^l X_l?", and ``relation_sums`` answers it for
@@ -78,6 +79,16 @@ def digest(*content) -> bytes:
             h.update(len(piece).to_bytes(8, "little"))
             h.update(piece)
     return h.digest()
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a flagged read-only in place when it owns its memory, else a read-only copy (a view stays
+    writable through its base).  A writable view of an owned array, taken before the call, is
+    the one case left to the caller to avoid."""
+    if not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:

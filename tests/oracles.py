@@ -165,11 +165,20 @@ def per_vector_contract_rep(rep, vgamma, gamma, psi) -> list:
     return out
 
 
+def contracted_matrices(crep) -> list:
+    """The k dense matrices of a contracted representation, one scatter of
+    its entries table."""
+    e = crep.entries
+    out = np.zeros((len(crep.labels), e.dim, e.dim), dtype=e.vals.dtype)
+    out[e.gids, e.rows, e.cols] = e.vals
+    return list(out)
+
+
 def per_pair_homomorphism(crep, calg, tol):
     """verify_rep_homomorphism one pair (a, b) at a time, the right side a
     generator sum over the l with c_abl != 0; returns (ok, max residual,
     violation labels (a, b) in row-major order)."""
-    structure, mats = calg.result.structure, crep.matrices
+    structure, mats = calg.result.structure, contracted_matrices(crep)
     k = len(mats)
     worst, labels = 0.0, []
     for a in range(k):

@@ -1,8 +1,10 @@
 import collections
+import copy
 import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +35,9 @@ from gtlie.contraction import (
 from gtlie.errors import IncompatibleError, InputError, VerificationError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation
+from gtlie.linalg import Entries
 from oracles import (
+    contracted_matrices,
     per_cell_epsilon,
     per_cell_psi,
     per_pair_homomorphism,
@@ -315,7 +319,7 @@ def test_contract_rep_identity(rep_setup):
     table = eps([[1, 1], [1, 1]])
     ones = psi([[1, 1], [1, 1]])
     crep = contract_rep(rep, vgamma, gamma1, ones, table)
-    for direct, m in zip(per_vector_contract_rep(rep, vgamma, gamma1, ones), crep.matrices, strict=True):
+    for direct, m in zip(per_vector_contract_rep(rep, vgamma, gamma1, ones), contracted_matrices(crep), strict=True):
         assert np.abs(direct - m).max() <= 1e-12
     calg = contract_algebra(sl3, gamma1, table)
     assert verify_rep_homomorphism(crep, calg).max_residual <= 1e-12
@@ -328,14 +332,15 @@ def test_contract_rep_block_shape(rep_setup):
     p = psi([[1, 1], [0, 1]])
     crep = contract_rep(rep, vgamma, gamma1, p, table)
     v0 = sum(1 for lab in crep.vlabels if lab == (0,))
+    mats = contracted_matrices(crep)
     for a, lab in enumerate(crep.labels):
-        m = crep.matrices[a]
+        m = mats[a]
         if lab == (0,):
             assert np.abs(m[v0:, :v0]).max() == 0.0 and np.abs(m[:v0, v0:]).max() == 0.0
         else:
             assert np.abs(m[:v0, :v0]).max() == 0.0 and np.abs(m[v0:, v0:]).max() == 0.0
     # psi_{1,0} = 0 kills the lower-left block of the odd operators
-    odd = [crep.matrices[a] for a, lab in enumerate(crep.labels) if lab == (1,)]
+    odd = [mats[a] for a, lab in enumerate(crep.labels) if lab == (1,)]
     assert any(np.abs(m[:v0, v0:]).max() > 0 for m in odd)
     assert all(np.abs(m[v0:, :v0]).max() == 0.0 for m in odd)
 
@@ -379,7 +384,7 @@ def test_homomorphism_check_catches_invalid_psi(rep_setup):
     bad_psi = psi([[1, 1], [1, 1]])
     scaled = []
     for a, lab in enumerate(good.labels):
-        base = contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 1]])).matrices[a]
+        base = contracted_matrices(contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 1]])))[a]
         m = base.copy()
         for col, vlab in enumerate(good.vlabels):
             m[:, col] *= complex(bad_psi.value(lab, vlab))
@@ -387,7 +392,7 @@ def test_homomorphism_check_catches_invalid_psi(rep_setup):
     tampered = ContractedRep(
         rep=rep, gamma=gamma1, vgamma=vgamma, eps=table, psi=bad_psi,
         labels=good.labels, vlabels=good.vlabels, vbasis=good.vbasis,
-        matrices=tuple(scaled),
+        entries=Entries.of(scaled),
     )
     assert not verify_rep_homomorphism(tampered, calg).ok
 
@@ -454,7 +459,7 @@ def test_stacked_contraction_kernels_match_the_per_vector_oracles(m, kind):
         calg = contract_algebra(alg, gamma, e)
         crep = contract_rep(rep, vgamma, gamma, p, e)
         oracle = per_vector_contract_rep(rep, vgamma, gamma, p)
-        assert all(np.array_equal(x, y) for x, y in zip(crep.matrices, oracle, strict=True))
+        assert all(np.array_equal(x, y) for x, y in zip(contracted_matrices(crep), oracle, strict=True))
         report = verify_rep_homomorphism(crep, calg)
         ok, worst, labels = per_pair_homomorphism(crep, calg, 1e-9)
         assert report.ok == ok and [v[:2] for v in report.violations] == labels
@@ -463,9 +468,9 @@ def test_stacked_contraction_kernels_match_the_per_vector_oracles(m, kind):
 
 
 def tampered(crep, t, mat):
-    mats = list(crep.matrices)
+    mats = contracted_matrices(crep)
     mats[t] = mat
-    return dataclasses.replace(crep, matrices=tuple(mats))
+    return dataclasses.replace(crep, entries=Entries.of(mats))
 
 
 @settings(max_examples=60)
@@ -479,10 +484,11 @@ def test_a_tampered_entry_is_reported_at_its_pairs(m, kind, data):
     t, i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
     bump = np.zeros((d, d))
     bump[i, j] = 1.0
-    report = verify_rep_homomorphism(tampered(crep, t, crep.matrices[t] + bump), calg)
+    mats = contracted_matrices(crep)
+    report = verify_rep_homomorphism(tampered(crep, t, mats[t] + bump), calg)
     # M_t + E moves the residual of (a, b) by
     # [a == t] [E, M_b] + [b == t] [M_a, E] - c_abt E
-    c, mats = calg.result.structure, crep.matrices
+    c = calg.result.structure
     expected = [
         (a, b)
         for a in range(k)
@@ -491,7 +497,7 @@ def test_a_tampered_entry_is_reported_at_its_pairs(m, kind, data):
                   - c[a, b, t] * bump).max() > 1e-9
     ]
     assert [v[:2] for v in report.violations] == expected
-    ok, worst, labels = per_pair_homomorphism(tampered(crep, t, crep.matrices[t] + bump), calg, 1e-9)
+    ok, worst, labels = per_pair_homomorphism(tampered(crep, t, mats[t] + bump), calg, 1e-9)
     assert labels == expected and report.ok == ok == (not expected)
     assert abs(report.max_residual - worst) <= 1e-12
     if expected:
@@ -510,7 +516,7 @@ def test_a_nan_in_one_contracted_matrix_fails_closed(rep_setup, t, value):
         crep = contract_rep(rep, vgamma, gamma1, p, table)
         calg = contract_algebra(sl3, gamma1, table)
         for at in ((0, 0), (2, 1)):
-            bad = crep.matrices[t].copy()
+            bad = contracted_matrices(crep)[t]
             bad[at] = value
             report = verify_rep_homomorphism(tampered(crep, t, bad), calg)
             ok, worst, labels = per_pair_homomorphism(tampered(crep, t, bad), calg, 1e-9)
@@ -518,15 +524,18 @@ def test_a_nan_in_one_contracted_matrix_fails_closed(rep_setup, t, value):
             assert [v[:2] for v in report.violations] == labels and (t, t) in labels
 
 
-def test_homomorphism_check_refuses_matrices_of_the_wrong_shape(rep_setup):
+def test_homomorphism_check_refuses_a_matrix_index_outside_k(rep_setup):
     sl3, gamma1, rep, vgamma = rep_setup
     table = eps([[1, 1], [1, 1]])
     crep = contract_rep(rep, vgamma, gamma1, psi([[1, 1], [1, 1]]), table)
     calg = contract_algebra(sl3, gamma1, table)
-    head = crep.matrices[:-1]
-    for mats in (head, head + (np.eye(4),), head + (np.ones((3, 2)),), head + (np.ones((1, 3, 3)),)):
-        with pytest.raises(InputError):
-            verify_rep_homomorphism(dataclasses.replace(crep, matrices=mats), calg)
+    e = crep.entries
+    extra = Entries.of(contracted_matrices(crep) + [np.eye(3)])  # a ninth matrix for an 8-dimensional algebra
+    shifted = Entries(e.rows.copy(), e.cols.copy(), e.vals.copy(), e.gids - 1, e.starts.copy())
+    for entries, index in ((extra, 8), (shifted, -1)):
+        with pytest.raises(InputError, match=f"contracted matrix {index} is not one of the 8 adapted basis vectors"):
+            verify_rep_homomorphism(dataclasses.replace(crep, entries=entries), calg)
+    assert verify_rep_homomorphism(crep, calg).ok
 
 
 def test_homomorphism_check_of_a_d175_rep_stays_in_bounded_memory():
@@ -537,7 +546,7 @@ def test_homomorphism_check_of_a_d175_rep_stays_in_bounded_memory():
     table = eps([[1, 1], [1, 0]])
     crep = contract_rep(build_representation(hw), vgamma, gamma, psi([[1, 1], [1, 0]]), table)
     calg = contract_algebra(alg, gamma, table)
-    assert crep.vbasis.shape == (175, 175) and len(crep.matrices) == 15
+    assert crep.vbasis.shape == (175, 175) and crep.entries.dim == 175 and crep.entries.gids.max() == 14
     tracemalloc.start()
     try:
         report = verify_rep_homomorphism(crep, calg)
@@ -645,6 +654,20 @@ def test_a_carrier_past_the_dense_budget_is_refused_before_any_check():
     assert peak < 1 << 20
 
 
+def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
+    # every dense reader takes the one view: one budget check, one scatter
+    budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
+    hw = HighestWeight(3, (2, 1, 0))
+    rep, outer = build_representation(hw), gtlie.auto_outer(3)
+    gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(3), outer)
+    jsonio.rep_to_json(rep)
+    contract_rep(rep, gtlie.decompose_rep_space(gtlie.J_matrix(hw)), gamma, psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 1]]))
+    found = gtlie.find_simulation_matrix(rep, outer)
+    assert found.kind == "dense" and gtlie.verify_simulation(rep, outer, found).ok
+    assert budget_checks == [(3, 8, 8)] and not rep.dense.flags.writeable
+    assert all(np.shares_memory(m, rep.dense) for m in rep.gen.values())
+
+
 def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
     sl3, gamma, rep, _ = fresh_sl3_setup()
     checks = {name: counting(monkeypatch, contraction_module, name)
@@ -713,10 +736,48 @@ def test_every_input_and_report_is_read_only():
         report.ok = True
     with pytest.raises(TypeError):
         report.violations[0] = ("spoiled", math.inf)
-    # a part is flagged in place, not copied: the caller's own array becomes read-only
+    base = np.eye(4, dtype=complex)
+    simulation = gtlie.SimulationMatrix(order=2, kind="dense", dense=base[::-1])  # a view: copied, then flagged
+    for array in (gtlie.auto_outer(3).matrix, gtlie.auto_inner(3, 1).matrix, simulation.dense):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    base[0, 0] = 5
+    assert simulation.dense[0, 0] == 0 and simulation.dense[3, 0] == 1
+    # a part that owns its memory is flagged in place, not copied: the caller's own array becomes read-only
     mine = np.eye(3)
     assert gtlie.Grading(group=Z2, parts={(0,): mine}).parts[(0,)] is mine
     assert not mine.flags.writeable
+
+
+def test_a_part_sliced_from_a_writable_array_cannot_change_after_a_contraction():
+    # the parts are views of one writable base, so each is copied before it is flagged
+    sl3, gamma, _, _ = fresh_sl3_setup()
+    base = np.column_stack([gamma.parts[(0,)], gamma.parts[(1,)]])
+    aliased = gtlie.Grading(group=Z2, parts={(0,): base[:, :4], (1,): base[:, 4:]})
+    table = eps([[1, 1], [1, 0]])
+    contract_algebra(sl3, aliased, table)
+    parts = edited_parts(aliased)
+    base[:, 4] = base[:, 0]  # would put a vector of L_0 in L_1 as well
+    assert all(np.array_equal(aliased.parts[lab], part) for lab, part in parts.items())
+    assert gtlie.Grading(group=Z2, parts=edited_parts(aliased)).digest == aliased.digest
+    assert gtlie.verify_grading(sl3, aliased).ok
+    again = contract_algebra(sl3, aliased, table)
+    contraction_module._passed.clear()
+    cold = contract_algebra(sl3, gtlie.Grading(group=Z2, parts=parts), table)
+    assert again.labels == cold.labels and vars(again.jacobi) == vars(cold.jacobi)
+    assert same_bytes(again.adapted, cold.adapted) and same_bytes(again.result.structure, cold.result.structure)
+
+
+def test_gradings_and_tables_pickle_and_deep_copy_to_equal_read_only_inputs():
+    _, gamma, _, _ = fresh_sl3_setup()
+    for x, mapping in ((gamma, "parts"), (eps([[1, 1], [1, 0]]), "values"), (psi([[1, 1], [0, 1]]), "values")):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x) and y is not x and y.digest == x.digest
+            with pytest.raises(TypeError):
+                getattr(y, mapping)[(0,)] = 0
+            for part in y.parts.values() if mapping == "parts" else ():
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0, 0] = 1
 
 
 def test_five_contractions_hash_each_input_once(monkeypatch):

@@ -424,12 +424,12 @@ def test_dense_view_is_read_only_and_every_tamper_still_fails_closed():
             assert max(verify_transpose(bad), verify_sl_trace(bad)) == pytest.approx(1e-6, abs=1e-12)
 
 
-def test_the_sl_stack_is_the_per_label_densifier_byte_for_byte():
+def test_the_images_of_the_sl_basis_are_the_per_label_densifier_byte_for_byte():
     for hw in SMALL_WEIGHTS:
         for rep in (build_representation(hw), doubled_rep(hw)[0]):
-            want, got = np.array(per_label_sl_matrices(rep)), rep.sl_stack
+            want, got = np.array(per_label_sl_matrices(rep)), rep.images(np.eye(rep.n * rep.n - 1))
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), hw
-            assert rep.sl_stack is got and not got.flags.writeable
+            assert not rep.dense.flags.writeable and all(np.shares_memory(m, rep.dense) for m in rep.gen.values())
 
 
 def test_every_stored_entry_array_is_read_only():
@@ -445,7 +445,7 @@ def test_every_stored_entry_array_is_read_only():
 
 
 def test_the_carrier_attributes_are_read_only():
-    # sl_entries, sl_stack, gen and patterns are cached from them, so an
+    # sl_entries, dense, gen and patterns are cached from them, so an
     # assigned carrier would leave a verified cache in front of new entries
     hw = HighestWeight(3, (1, 0, 0))
     rep = build_representation(hw)
@@ -463,21 +463,25 @@ def test_the_carrier_attributes_are_read_only():
             setattr(GeneratorRep(3, dict(rep.gen)), name, getattr(rep, name))
 
 
-def test_both_dense_views_and_their_real_itemsize_count_against_one_budget(monkeypatch):
-    # r(1,0,0): the 9 generators take 9 * 9 * 8 = 648 bytes dense, the 8 sl matrices 576
-    hw = HighestWeight(3, (1, 0, 0))
-    # a complex table takes 16 bytes an entry: 1296 bytes for the 9 generators alone
-    complex_rep = GeneratorRep(3, {label: np.asarray(m, dtype=complex) for label, m in build_representation(hw).gen.items()})
-    reps = [build_representation(hw), build_representation(hw)]
-    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 1000)
-    for rep, (first, second) in zip(reps, (("gen", "sl_stack"), ("sl_stack", "gen"))):
-        held = getattr(rep, first)
-        with pytest.raises(InputError, match="besides the 0.00 GiB of dense views held, over the 0.00 GiB budget"):
-            getattr(rep, second)
-        assert second not in vars(rep) and getattr(rep, first) is held
-        assert verify_commutation(rep).ok and (rep.gen[(1, 2)] if first == "gen" else rep.sl_stack[0])[0, 1] == 1.0
-    with pytest.raises(InputError, match="9 dense generators of dimension 3 need"):
-        complex_rep.gen
+def test_the_one_dense_view_is_charged_at_its_real_itemsize_before_any_scatter(monkeypatch):
+    # r(6,3,0), d = 64: the 9 generators take 9 * 64 * 64 * 8 = 294912 bytes dense as float64,
+    # twice that as complex128
+    complex_rep = GeneratorRep(3, {label: np.asarray(m, dtype=complex)
+                                   for label, m in build_representation(HighestWeight(3, (6, 3, 0))).gen.items()})
+    real = build_representation(HighestWeight(3, (6, 3, 0)))
+    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 9 * 64 * 64 * 8)
+    assert real.dense.nbytes == gtrep.GENERATOR_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
+    tracemalloc.start()
+    try:
+        for read in (lambda: complex_rep.dense, lambda: complex_rep.gen, lambda: complex_rep.images(np.eye(8))):
+            with pytest.raises(InputError, match="9 dense generators of dimension 64 need 0.00 GiB, over the 0.00 GiB budget"):
+                read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refusals allocate a few KiB of messages, the complex view would be 576 KiB
+    assert "dense" not in vars(complex_rep) and peak < 32 << 10
+    assert verify_commutation(complex_rep).ok
 
 
 def test_generators_must_cover_every_label_with_one_shape():

@@ -26,6 +26,8 @@ from gtlie.contraction import contract_algebra, contract_rep, verify_epsilon, ve
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation, verify_commutation
+from gtlie.linalg import Entries
+from oracles import contracted_matrices
 
 TOL = 1e-9
 Z2 = AbelianGroup((2,))
@@ -98,9 +100,9 @@ def homomorphism_case(kind, tol=TOL):
     table, ones = gtlie.epsilon_from_rows(Z2, ONES), gtlie.psi_from_rows(Z2, ONES)
     crep = contract_rep(build_representation(hw), decompose_rep_space(simulation_inner(hw, 3, 1)), gamma, ones, table)
     if kind != "pass":
-        mats = [m.copy() for m in crep.matrices]
+        mats = contracted_matrices(crep)
         mats[2][1, 0] = 0.5 if kind == "fail" else math.nan
-        crep = dataclasses.replace(crep, matrices=tuple(mats))
+        crep = dataclasses.replace(crep, entries=Entries.of(mats))
     return verify_rep_homomorphism(crep, contract_algebra(sl3, gamma, table), tol), 8 * 8
 
 

@@ -138,3 +138,25 @@ def test_content_is_hashed_only_by_the_digest_properties_and_the_record_keys(pat
     # any other digest call hashes, per call, content that its object already hashed once
     found = _outside(path, DIGEST_CALLERS, lambda n: isinstance(n, ast.Call) and _named(n.func, "digest"))
     assert not found, f"digest called outside the digest properties and the record keys: {found}"
+
+
+# Where dense matrices enter the library and are read into an Entries table:
+# generators given as dense matrices, the adjoint matrices of an algebra, and
+# the output of a contraction.
+ENTRIES_READERS = {
+    ("gtrep.py", "GeneratorRep.__init__"),
+    ("algebra.py", "check_jacobi"),
+    ("contraction.py", "contract_rep"),
+}
+
+
+def _reads_entries(node) -> bool:
+    return isinstance(node, ast.Call) and _named(node.func, "of") and _named(getattr(node.func, "value", None), "Entries")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dense_matrices_become_entries_only_where_they_enter_the_library(path):
+    # any other Entries.of densifies what the library already holds as entries and reads it back
+    found = _outside(path, ENTRIES_READERS, _reads_entries)
+    assert not found, f"Entries.of called outside the places dense matrices enter: {found}"
+    assert "sl_stack" not in path.read_text(), f"a second dense view is named in {path.name}"
