@@ -423,4 +423,7 @@ def grading_adapted_basis(grading: Grading):
     labels = [lab for lab in grading.sorted_labels() for _ in range(grading.parts[lab].shape[1])]
     if not labels:
         raise VerificationError("grading has no vectors")
+    lengths = {part.shape[0] for part in grading.parts.values()}
+    if len(lengths) > 1:
+        raise InputError(f"grading vectors of length {sorted(lengths)} do not live in one space")
     return labels, np.column_stack([grading.parts[lab] for lab in grading.sorted_labels()])

@@ -32,8 +32,8 @@ coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``check_compatibility``
 forms the images of those columns from the entries and measures each one
 against its coordinate vector or its pair exactly.  A dense R (the
 solver's) and a carrier grading with any other columns take the dense
-path: r(x) from rep.images, over the one dense array of generators that
-gtrep scatters once per representation, and a thin-SVD basis per part.
+path: r(x) from rep.images, one scatter of the entries GeneratorRep.combined
+forms for them, and a thin-SVD basis per part.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ from .gtrep import (
     HighestWeight,
     PatternTable,
     build_representation,
-    check_generator_budget,
-    weyl_dim,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -115,6 +113,16 @@ class Automorphism:
             return y * np.outer(d, 1.0 / d)
         return np.linalg.solve(a.T, (a @ y).swapaxes(-1, -2)).swapaxes(-1, -2)
 
+    @cached_property
+    def action(self) -> np.ndarray:
+        """Read-only matrix on sl(n) coordinates, formed once: column x is
+        g(x), snapped to integers when within 1e-12 of them, as the standard
+        representatives are.  Its tolerances are fixed (the traceless check's
+        at DEFAULT_TOL); a check holds the action to the caller's tol."""
+        act = matrix_to_coords(self.n, self.apply(np.array(sl_basis_matrices(self.n)))).T
+        rounded = np.round(act)
+        return read_only(rounded if max_abs(act - rounded) <= 1e-12 * max(1.0, max_abs(act)) else act)
+
 
 def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
@@ -148,20 +156,6 @@ def auto_outer(n: int) -> Automorphism:
     return Automorphism(kind="outer", matrix=np.eye(n, dtype=complex), order=2)
 
 
-def action_on_sl(aut: Automorphism, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of the automorphism on sl(n) coordinates (canonical basis).
-
-    Entries that are numerically integral are snapped so that the standard
-    diagonal/outer representatives yield exact integer matrices.
-    """
-    n = aut.n
-    act = matrix_to_coords(n, aut.apply(np.array(sl_basis_matrices(n))), tol).T
-    rounded = np.round(act)
-    if max_abs(act - rounded) <= 1e-12 * max(1.0, max_abs(act)):
-        return rounded
-    return act
-
-
 def _eigenspaces(m: np.ndarray, order: int, tol: float) -> list[np.ndarray]:
     """Bases of the eigenspaces of m (m^order = Id) for exp(2 pi i l / order),
     l = 0, ..., order - 1: independent columns of the projectors
@@ -189,7 +183,7 @@ def grading_from_automorphism(
     n = aut.n
     if n * n - 1 != k:
         raise InputError(f"automorphism on {n}x{n} matrices does not act on dim {k}")
-    act = action_on_sl(aut, tol)
+    act = aut.action
     order = aut.order
     power = np.linalg.matrix_power(act, order)
     if max_abs(power - np.eye(k)) > tol:
@@ -414,10 +408,9 @@ def doubled_rep(hw: HighestWeight):
     simulation matrix for the outer automorphism.
 
     Works for any weight; this is the compatible companion for weights
-    that are not self-contragredient.  Raises InputError up front when the
-    doubled generators would exceed GENERATOR_BUDGET_BYTES.
+    that are not self-contragredient.  The doubled entries are index
+    arithmetic on those of r, so only the build's own budget applies.
     """
-    check_generator_budget(hw.n, 2 * weyl_dim(hw), 8)
     r0 = build_representation(hw)
     d, e = r0.dim, r0.entries
     rows, cols = np.concatenate([e.rows, e.cols + d]), np.concatenate([e.cols, e.rows + d])
@@ -443,31 +436,29 @@ def verify_simulation(
     """Check r(g(x)) = R r(x) R^{-1} on the sl basis and R^order = Id; the
     report has checked = k + 1 and worst_at = (basis label,) or ("power",).
 
-    r(g(x)) = sum_y act[y, x] r(y) with act = action_on_sl(aut), taken once.
-    For an R with one nonzero per column (R e_c = s_c e_{pi(c)}, the diagonal
-    and signed-permutation kinds) R r(x) R^{-1} has the entries (pi(i),
-    pi(j), s_i v / s_j) of r(x), so both sides come from the entry lists
-    GeneratorRep.sl_entries: the terms of both, keyed by (x, row, col), are
-    summed once, and the residual of x is the largest sum among its keys.
-    A dense R is checked on the dense matrices rep.images.
+    g(x) is column x of aut.action.  For an R with one nonzero per column
+    (R e_c = s_c e_{pi(c)}, the diagonal and signed-permutation kinds)
+    R r(x) R^{-1} has the entries (pi(i), pi(j), s_i v / s_j) of r(x), so
+    both sides are entry lists, r(g(x)) from GeneratorRep.combined and r(x)
+    from GeneratorRep.sl_entries: keyed by (x, row, col), they are summed
+    once, and the residual of x is the largest sum among its keys.  A dense
+    R is checked on the dense matrices rep.images.
     """
     if sim.dim != rep.dim:
         raise InputError(f"simulation matrix dim {sim.dim} != rep dim {rep.dim}")
     if aut.n != rep.n:
         raise InputError(f"automorphism of sl({aut.n}) on a representation of sl({rep.n})")
-    act = action_on_sl(aut)
+    act = aut.action
     if sim.kind == "dense":
         r, rinv = sim.matrix, sim.inverse()
         found = [max_abs(l - r @ m @ rinv) for l, m in zip(rep.images(act), rep.images(np.eye(len(act))))]
     else:
         d = rep.dim
         perm, scale = sim.monomial()
+        xs, grows, gcols, gvals = rep.combined(gtrep.sl_in_generators(rep.n) @ act)
         labels, rows, cols, vals = rep.sl_entries
-        starts = np.searchsorted(labels, np.arange(len(act) + 1))
-        ys, xs = np.nonzero(act)
-        t, u = ranges(starts[ys], np.diff(starts)[ys])
-        keys = np.concatenate(((xs[t] * d + rows[u]) * d + cols[u], (labels * d + perm[rows]) * d + perm[cols]))
-        terms = np.concatenate((act[ys, xs][t] * vals[u], -(vals * scale[rows]) * (1.0 / scale)[cols]))
+        keys = np.concatenate(((xs * d + grows) * d + gcols, (labels * d + perm[rows]) * d + perm[cols]))
+        terms = np.concatenate((gvals, -(vals * scale[rows]) * (1.0 / scale)[cols]))
         keys, sums = summed(keys, terms)
         found = np.zeros(len(act))
         with np.errstate(invalid="ignore"):  # a NaN sum is kept, and Report.of reads it as inf
@@ -756,7 +747,7 @@ def find_simulation_matrix(
     """
     n, d = rep.n, rep.dim
     stack = rep.images(np.eye(n * n - 1))
-    images = rep.images(action_on_sl(aut))  # r(g(x)) for every sl basis element x
+    images = rep.images(aut.action)  # r(g(x)) for every sl basis element x
     index = {label: x for x, label in enumerate(sl_basis_labels(n))}
     cartan = [index["H", k] for k in range(1, n)]
     if all(_is_diagonal(h) for h in [*stack[cartan], *images[cartan]]):

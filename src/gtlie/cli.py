@@ -146,7 +146,7 @@ def _rep_checks(cfg: RunConfig, rep, hw: HighestWeight) -> dict:
 def cmd_rep_build(cfg: RunConfig, args) -> int:
     hw = _parse_weight(args.n, args.weight)
     try:
-        check_generator_budget(hw.n, weyl_dim(hw), 8)
+        check_generator_budget(hw.n * hw.n, weyl_dim(hw), 8)
     except InputError as exc:
         raise InputError(
             f"rep build emits dense generators, so r{hw} is refused before it is built or verified: {exc}"

@@ -21,9 +21,9 @@ arrays.  Every input is read-only and caches its digest, and one record of
 passes (_recorded), keyed by the digests of the objects a check reads, holds
 the inputs that passed a precondition check (_verify_once) and each
 contracted algebra that passed every check; failures are never recorded.  A
-contracted representation is stored as the linalg.Entries table of its
-matrices, the form its check reads: verify_rep_homomorphism hands it, on
-every call, to the sparse relation kernel of linalg (relation_sums).
+contracted representation, formed from rep.images, is stored as the
+linalg.Entries table of its matrices, the form its check reads:
+verify_rep_homomorphism hands it to linalg.relation_sums on every call.
 """
 
 from __future__ import annotations
@@ -394,23 +394,25 @@ def contract_rep(
     for all k d columns of r(X_a) V, psi one (k, d) scale array, and the
     result one Entries.of.
 
-    The dense generators rep.dense are read first, so a carrier past
+    The stack is formed first, so a carrier whose k images pass
     GENERATOR_BUDGET_BYTES is an InputError before any check.  A psi or
     eps cell outside the float range is an InputError.  The inputs are
     verified once per content: check_compatibility runs only for a
     (carrier, grading, V grading), and verify_psi only for a (psi, eps),
     whose digests have not passed at this tol before.  The output is
     checked by verify_rep_homomorphism, on every call of it."""
-    rep.dense  # formed first: past the budget, InputError before any check
+    alabels, abasis = grading_adapted_basis(gamma)
+    stack = rep.images(abasis)  # formed first: past the budget, InputError before any check
     cells = psi.floats()
     eps.floats()  # eps is only checked here, but contract_algebra applies it in floats
     _verify_once("compatibility", check_compatibility, tol, (rep, gamma, vgamma), IncompatibleError,
                  "representation is not compatible with the grading")
     _verify_once("psi", verify_psi, tol, (psi, eps), VerificationError, "psi table fails its system")
-    alabels, abasis = grading_adapted_basis(gamma)
     vlabels, vbasis = grading_adapted_basis(vgamma)
     k, d = abasis.shape[1], vbasis.shape[0]
-    images = (rep.images(abasis) @ vbasis).transpose(1, 0, 2).reshape(d, k * d)  # r(X_a) V
+    images = stack @ vbasis  # r(X_a) V
+    del stack  # released before the copy below
+    images = images.transpose(1, 0, 2).reshape(d, k * d)
     out = np.linalg.solve(vbasis, images).reshape(d, k, d)
     out *= psi.on_labels(cells, alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
     return ContractedRep(

@@ -30,11 +30,10 @@ patterns at once in exact integers, and the verifiers read it directly;
 ``verify_commutation`` sums each product term once, into its relation
 pair (g, h) with g < h, since the relation (h, g) is its negation.  The
 table is read-only, so what is derived from it is formed once and
-cached.  The one dense view is ``rep.dense``, the read-only (n^2, d, d)
-array of the generators in label order, one scatter of the entries after
-one budget check at the stored itemsize; ``rep.gen`` maps each label to its
-slice, and ``rep.images`` forms r(x) for sl(n) coordinates x from it.  This
-module is the only place that densifies a representation.
+cached.  One kernel, ``rep.combined``, forms the entries of every r(x):
+``rep.sl_entries`` and the dense ``rep.images`` are read from it, and
+``rep.gen`` from the stored entries.  This module is the only place that
+densifies a representation, each time after one budget check.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -51,8 +50,8 @@ import numpy as np
 
 from .algebra import Report, sl_basis_matrices
 from .errors import InputError
-from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, relation_sums, row_blocks, stable_order,
-                     summed)
+from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, ranges, read_only, relation_sums, row_blocks,
+                     stable_order, summed)
 
 __all__ = [
     "HighestWeight",
@@ -245,22 +244,29 @@ def _labels(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
 
 
+@cache
+def sl_in_generators(n: int) -> np.ndarray:
+    """The read-only (n^2, n^2 - 1) matrix of the canonical sl(n) basis in
+    generator coordinates: column x is algebra.sl_basis_matrices(n)[x]."""
+    return read_only(np.array(sl_basis_matrices(n)).real.reshape(n * n - 1, n * n).T)
+
+
 # Largest predicted footprint, in bytes, of a representation's storage: at
-# build the pattern array plus the predicted generator entries; before the
-# dense view is scattered the n^2 dense d x d generators at their itemsize.
+# build the pattern array plus the predicted generator entries; before a
+# scatter the dense d x d matrices it forms, at their itemsize.
 GENERATOR_BUDGET_BYTES = 2 << 30
 # Bytes of one stored generator entry: row, col and matrix index (int64) and
 # value (float64).
 ENTRY_BYTES = 32
 
 
-def check_generator_budget(n: int, d: int, itemsize: int) -> None:
-    """Raise InputError when n^2 dense d x d generators of itemsize bytes
+def check_generator_budget(count: int, d: int, itemsize: int) -> None:
+    """Raise InputError when count dense d x d matrices of itemsize bytes
     per entry exceed GENERATOR_BUDGET_BYTES."""
-    nbytes = n * n * d * d * itemsize
+    nbytes = count * d * d * itemsize
     if nbytes > GENERATOR_BUDGET_BYTES:
         raise InputError(
-            f"{n * n} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
+            f"{count} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
             f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
 
@@ -361,11 +367,9 @@ class GeneratorRep:
     linalg.Entries table whose matrix g is the label at position g of the
     row-major order (1,1), (1,2), ..., (n,n).  ``n``, ``entries`` and
     ``dim`` are read-only attributes: a changed carrier is a new rep.
-    Everything else is derived from them once and cached: ``digest``, the
-    linalg.digest of ``n`` and the five entries arrays, ``sl_entries``,
-    the entries of the canonical sl(n) basis elements, and the one dense
-    view ``dense``, whose slices ``gen`` maps by label and from which
-    ``images`` forms r(x) for any sl(n) coordinates x.
+    Every r(x) comes from ``combined``.  ``digest``, the linalg.digest of
+    ``n`` and the five entries arrays, ``sl_entries`` and ``gen`` are
+    formed once and cached.
     """
 
     def __init__(self, n: int, gen):
@@ -393,52 +397,51 @@ class GeneratorRep:
         return digest(self.n, e.rows, e.cols, e.vals, e.gids, e.starts)
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """The generators in label order as one read-only (n^2, d, d) array
-        of the stored dtype, one scatter of the entries after one
-        check_generator_budget, which raises before anything is formed."""
-        e = self.entries
-        check_generator_budget(self.n, self.dim, e.vals.itemsize)
-        out = np.zeros((self.n * self.n, self.dim, self.dim), dtype=e.vals.dtype)
-        out[e.gids, e.rows, e.cols] = e.vals
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def gen(self) -> Mapping:
         """Read-only mapping from each generator label (k, l) to its dense,
-        read-only d x d matrix, a slice of ``dense``."""
-        return MappingProxyType(dict(zip(_labels(self.n), self.dense)))
+        read-only d x d matrix, one _scatter of the stored entries."""
+        e, count = self.entries, self.n * self.n
+        check_generator_budget(count, self.dim, e.vals.itemsize)
+        return MappingProxyType(dict(zip(_labels(self.n), _scatter(count, self.dim, e.gids, e.rows, e.cols, e.vals))))
 
     def images(self, coords: np.ndarray) -> np.ndarray:
-        """r(x) for each column x of canonical sl(n) coordinates, as one
-        (columns, d, d) array: coords.T @ S, S the (n^2 - 1, n^2) matrix of
-        the canonical basis in generator coordinates, tensordot ``dense``."""
-        s = np.array(sl_basis_matrices(self.n)).real.reshape(-1, self.n * self.n)
-        return np.tensordot(coords.T @ s, self.dense, 1)
+        """r(x) for each column x of canonical sl(n) coordinates (another
+        length is an InputError), one _scatter of ``combined``."""
+        if coords.shape[0] != self.n * self.n - 1:
+            raise InputError(f"vectors of length {coords.shape[0]} are not coordinates on sl({self.n})")
+        gcoords = sl_in_generators(self.n) @ coords
+        check_generator_budget(coords.shape[1], self.dim, np.result_type(self.entries.vals, gcoords).itemsize)
+        return _scatter(coords.shape[1], self.dim, *self.combined(gcoords))
+
+    def combined(self, gcoords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of sum_g gcoords[g, c] gen(g) for each column c
+        of generator coordinates (an (n^2, columns) array, g in label order),
+        as read-only arrays (columns, rows, cols, vals) ordered by (column,
+        row, col): each stored entry joined with the nonzero coefficients of
+        its label, and the terms at each place summed once."""
+        e, d = self.entries, self.dim
+        g, c = np.nonzero(gcoords)
+        starts = np.searchsorted(g, np.arange(self.n * self.n + 1))
+        t, u = ranges(starts[e.gids], np.diff(starts)[e.gids])
+        keys, vals = summed((c[u] * d + e.rows[t]) * d + e.cols[t], e.vals[t] * gcoords[g[u], c[u]])
+        live = vals != 0
+        column, at = np.divmod(keys[live], d * d)
+        return tuple(read_only(x) for x in (column, *np.divmod(at, d), vals[live]))
 
     @cached_property
     def sl_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries of r(x) for every canonical sl(n) basis
-        element x (algebra.sl_basis_labels: E_kl row-major, then H_k), read
-        once from the stored entries: read-only arrays (labels, rows, cols,
-        vals) ordered by (label, row, col), label x the position of x.  The
-        diagonal of r(H_k) is r(E_kk) minus r(E_k+1,k+1) entry by entry, as
-        the dense difference forms it."""
-        e, n, d = self.entries, self.n, self.dim
-        a, b = np.divmod(e.gids, n)
-        off = a != b
-        plus, minus = ~off & (a < n - 1), ~off & (a > 0)  # E_kk enters H_k with +, H_k-1 with -
-        take = np.concatenate([np.flatnonzero(off), np.flatnonzero(plus), np.flatnonzero(minus)])
-        labels = np.concatenate([(a * (n - 1) + b - (b > a))[off], n * n - n + a[plus], n * n - n - 1 + a[minus]])
-        vals = np.concatenate([e.vals[off], e.vals[plus], -e.vals[minus]])
-        keys, vals = summed((labels * d + e.rows[take]) * d + e.cols[take], vals)
-        live = vals != 0
-        labels, at = np.divmod(keys[live], d * d)
-        out = (labels, *np.divmod(at, d), vals[live])
-        for x in out:
-            x.flags.writeable = False
-        return out
+        """The entries ``combined`` forms for the canonical sl(n) basis
+        (algebra.sl_basis_labels: E_kl row-major, then H_k = E_kk -
+        E_k+1,k+1), the column of x its position."""
+        return self.combined(sl_in_generators(self.n))
+
+
+def _scatter(count: int, d: int, at, rows, cols, vals) -> np.ndarray:
+    """One read-only (count, d, d) array holding vals at (at, rows, cols);
+    the caller has passed check_generator_budget for it."""
+    out = np.zeros((count, d, d), dtype=vals.dtype)
+    out[at, rows, cols] = vals
+    return read_only(out)
 
 
 class Representation(GeneratorRep):
@@ -516,8 +519,6 @@ def verify_transpose(rep: GeneratorRep) -> float:
 
 
 def verify_sl_trace(rep: GeneratorRep) -> float:
-    """Sup norm of sum_k gen(k,k), one summed over the stored entries of the
-    diagonal generators; zero for a representation of sl(n)."""
-    e, d = rep.entries, rep.dim
-    diagonal = e.gids % (rep.n + 1) == 0
-    return max_abs(summed(e.rows[diagonal] * d + e.cols[diagonal], e.vals[diagonal])[1])
+    """Sup norm of sum_k gen(k,k), one column of ``combined``; zero for a
+    representation of sl(n)."""
+    return max_abs(rep.combined(np.arange(rep.n * rep.n)[:, None] % (rep.n + 1) == 0)[3])

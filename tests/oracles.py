@@ -31,7 +31,7 @@ from gtlie.algebra import (
     sl_basis_labels,
     sl_basis_matrices,
 )
-from gtlie.autos import action_on_sl, eta
+from gtlie.autos import eta
 from gtlie.contraction import EpsilonTable, PsiTable
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
@@ -325,7 +325,7 @@ def per_column_rep_matrix(coords, mats) -> np.ndarray:
 
 
 def per_matrix_action_on_sl(aut, tol: float = 1e-9) -> np.ndarray:
-    """action_on_sl with the automorphism applied to one sl basis matrix at
+    """Automorphism.action with the automorphism applied to one sl basis matrix at
     a time: A X A^{-1} (or -A X^T A^{-1}) as one outer-product rescaling
     for a diagonal A, else one solve per matrix; integral results snapped
     the same way."""
@@ -379,11 +379,11 @@ def dense_span_distance(block, part, disjoint, tol) -> float:
 
 def per_column_simulation(rep, aut, sim, tol):
     """verify_simulation with each r(g(x)) a per_column_rep_matrix of the
-    column of action_on_sl, R r(x) R^-1 and R^order dense; returns (ok,
+    column of aut.action, R r(x) R^-1 and R^order dense; returns (ok,
     max residual, violations (label, res) in order, worst_at)."""
     mats = per_label_sl_matrices(rep)
     n, r, rinv = rep.n, sim.matrix, sim.inverse()
-    act = action_on_sl(aut)
+    act = aut.action
     residuals = []
     for lab, coords, m in zip(sl_basis_labels(n), act.T, mats):
         lhs = per_column_rep_matrix(coords, mats)

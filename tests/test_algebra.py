@@ -378,7 +378,7 @@ def test_eigenspace_projectors_pick_the_oracle_columns(n):
     k = n * n - 1
     auts = [gtlie.auto_inner(n, s) for s in range(n // 2 + 1)] + [gtlie.auto_outer(n)]
     for aut in auts:
-        act = gtlie.autos.action_on_sl(aut)
+        act = aut.action
         for proj in ((np.eye(k) + act) / 2, (np.eye(k) - act) / 2):
             assert list(independent_columns(proj)) == greedy_columns(proj, 1e-9)
 

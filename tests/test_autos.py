@@ -16,7 +16,6 @@ from gtlie.autos import (
     SOLVER_BUDGET_BYTES,
     J_matrix,
     SimulationMatrix,
-    action_on_sl,
     auto_inner,
     auto_outer,
     check_compatibility,
@@ -65,7 +64,7 @@ def test_auto_inner_matrices():
 
     g42 = auto_inner(4, 2)
     assert np.allclose(g42.matrix, np.diag([1.0, 1.0, -1.0, -1.0]))
-    act = action_on_sl(g42)
+    act = g42.action
     assert np.array_equal(act @ act, np.eye(15))
 
     with pytest.raises(InputError):
@@ -90,7 +89,18 @@ def test_the_stacked_action_matches_the_per_matrix_oracle_byte_for_byte(n):
     auts = [auto_inner(n, 1), auto_inner(n, n // 2), auto_outer(n)]
     auts += [gtlie.Automorphism(g.kind, q @ g.matrix @ q.T, g.order) for g in auts]  # not diagonal
     for aut in auts:
-        assert action_on_sl(aut).tobytes() == per_matrix_action_on_sl(aut).tobytes()
+        assert aut.action.tobytes() == per_matrix_action_on_sl(aut).tobytes()
+
+
+def test_the_action_is_formed_once_and_the_caller_tol_only_checks_it():
+    # a seeded conjugate of inner(3,1): its basis images have traces near 3e-16, which the action's
+    # own DEFAULT_TOL accepts; at tol = 0 the M^2 = Id check, not the construction, refuses it
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    aut = gtlie.Automorphism("inner", q @ auto_inner(3, 1).matrix @ q.T, 2)
+    assert aut.action is aut.action and not aut.action.flags.writeable
+    with pytest.raises(gtlie.VerificationError, match="M\\^2 = Id"):
+        grading_from_automorphism(gtlie.sl_algebra(3), aut, tol=0.0)
+    assert grading_from_automorphism(gtlie.sl_algebra(3), aut).part_dims() == {(0,): 4, (1,): 4}
 
 
 def test_grading_from_inner_and_outer():

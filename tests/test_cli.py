@@ -149,7 +149,8 @@ def test_rep_check_sees_a_scalar_shift_of_the_diagonal_generators(tmp_path, caps
 
 def test_rep_build_refuses_an_oversized_irrep(capsys):
     assert main(["rep", "build", "-n", "3", "-w", "40,20,0"]) == 2
-    assert "budget" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert not out and "refused before it is built or verified: 9 dense generators" in err and "budget" in err
 
 
 def test_grading_from_auto_dims(tmp_path, capsys):

@@ -654,8 +654,17 @@ def test_a_carrier_past_the_dense_budget_is_refused_before_any_check():
     assert peak < 1 << 20
 
 
+def test_a_grading_that_is_not_on_sl_coordinates_is_an_input_error():
+    # the images of the adapted basis are formed before any check, so their coordinates are checked there
+    _, _, rep, vgamma = fresh_sl3_setup()
+    table = [[1, 1], [1, 1]]
+    for parts in ({(0,): np.eye(7)[:, :3], (1,): np.eye(7)[:, 3:]}, {(0,): np.eye(8)[:, :4], (1,): np.eye(7)[:, 3:]}):
+        with pytest.raises(InputError, match="vectors of length"):
+            contract_rep(rep, vgamma, gtlie.Grading(group=Z2, parts=parts), psi(table), eps(table))
+
+
 def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
-    # every dense reader takes the one view: one budget check, one scatter
+    # each dense read is charged at its own count and itemsize before its scatter; gen scatters once
     budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
     hw = HighestWeight(3, (2, 1, 0))
     rep, outer = build_representation(hw), gtlie.auto_outer(3)
@@ -664,8 +673,26 @@ def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
     contract_rep(rep, gtlie.decompose_rep_space(gtlie.J_matrix(hw)), gamma, psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 1]]))
     found = gtlie.find_simulation_matrix(rep, outer)
     assert found.kind == "dense" and gtlie.verify_simulation(rep, outer, found).ok
-    assert budget_checks == [(3, 8, 8)] and not rep.dense.flags.writeable
-    assert all(np.shares_memory(m, rep.dense) for m in rep.gen.values())
+    jsonio.rep_to_json(rep)
+    # the 9 generators; the 8 complex adapted-basis images; the 8 images of the sl basis and of
+    # the (complex) action, for the solver and then for the check
+    assert budget_checks == [(9, 8, 8), (8, 8, 16), (8, 8, 8), (8, 8, 16), (8, 8, 16), (8, 8, 8)]
+    assert len({id(m.base) for m in rep.gen.values()}) == 1 and not any(m.flags.writeable for m in rep.gen.values())
+
+
+def test_the_dense_readers_never_scatter_the_generators(monkeypatch):
+    # contract_rep, the solver and a dense-R check form r(x) for sl(n) coordinates only:
+    # the budget is asked for n^2 - 1 matrices, never for the n^2 generators
+    budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
+    hw = HighestWeight(4, (1, 1, 0, 0))
+    rep, outer = build_representation(hw), gtlie.auto_outer(4)
+    gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(4), outer)
+    table = [[1, 1], [1, 1]]
+    contract_rep(rep, gtlie.decompose_rep_space(gtlie.J_matrix(hw)), gamma, psi(table), eps(table))
+    found = gtlie.find_simulation_matrix(rep, outer)
+    assert found.kind == "dense" and gtlie.verify_simulation(rep, outer, found).ok
+    assert len(budget_checks) == 5 and {count for count, _, _ in budget_checks} == {15}
+    assert "gen" not in vars(rep)
 
 
 def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):

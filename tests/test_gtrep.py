@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtlie import gtrep
-from gtlie.autos import doubled_rep
+from gtlie.autos import auto_outer, doubled_rep, verify_simulation
 from gtlie.errors import InputError
 from gtlie.gtrep import (
     GENERATOR_BUDGET_BYTES,
@@ -340,20 +340,36 @@ def test_commutation_fails_closed_on_nan():
 
 
 def test_build_refuses_an_oversized_irrep_up_front():
-    big = HighestWeight(3, (40, 20, 0))  # d = 9261: 9 dense generators need 5.75 GiB
-    doubled_only = HighestWeight(3, (26, 13, 0))  # d = 2744 builds; doubled needs 2.02 GiB
-    assert 72 * weyl_dim(big) ** 2 > GENERATOR_BUDGET_BYTES
-    assert 72 * weyl_dim(doubled_only) ** 2 <= GENERATOR_BUDGET_BYTES < 72 * (2 * weyl_dim(doubled_only)) ** 2
     far = HighestWeight(3, (400, 200, 0))  # d = 8.1 million: patterns and entries need 3.5 GiB
     tracemalloc.start()
     try:
-        for refused in (lambda: build_representation(far), lambda: doubled_rep(big), lambda: doubled_rep(doubled_only)):
-            with pytest.raises(InputError, match="budget"):
-                refused()
+        with pytest.raises(InputError, match="budget"):
+            build_representation(far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m", [(26, 13, 0), (40, 20, 0)], ids=str)
+def test_a_doubled_carrier_past_the_dense_budget_builds_and_verifies_on_entries(m):
+    # d = 2744 and 9261: the 9 doubled generators would need 2.02 and 23 GiB dense
+    hw = HighestWeight(3, m)
+    assert 72 * (2 * weyl_dim(hw)) ** 2 > GENERATOR_BUDGET_BYTES
+    tracemalloc.start()
+    try:
+        rep, swap = doubled_rep(hw)
+        report = verify_simulation(rep, auto_outer(3), swap)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(InputError, match=f"9 dense generators of dimension {2 * weyl_dim(hw)} .* budget"):
+            rep.gen
+        dense_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == 2 * weyl_dim(hw) and report.ok and report.max_residual == 0.0
+    assert peak < 64 << 20 and dense_peak < 1 << 20
+    assert verify_commutation(rep).ok and verify_transpose(rep) <= 1e-12
 
 
 # -- entry storage against the per-pattern builder ----------------------------
@@ -429,7 +445,6 @@ def test_the_images_of_the_sl_basis_are_the_per_label_densifier_byte_for_byte():
         for rep in (build_representation(hw), doubled_rep(hw)[0]):
             want, got = np.array(per_label_sl_matrices(rep)), rep.images(np.eye(rep.n * rep.n - 1))
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), hw
-            assert not rep.dense.flags.writeable and all(np.shares_memory(m, rep.dense) for m in rep.gen.values())
 
 
 def test_every_stored_entry_array_is_read_only():
@@ -445,7 +460,7 @@ def test_every_stored_entry_array_is_read_only():
 
 
 def test_the_carrier_attributes_are_read_only():
-    # sl_entries, dense, gen and patterns are cached from them, so an
+    # sl_entries, gen and patterns are cached from them, so an
     # assigned carrier would leave a verified cache in front of new entries
     hw = HighestWeight(3, (1, 0, 0))
     rep = build_representation(hw)
@@ -463,24 +478,27 @@ def test_the_carrier_attributes_are_read_only():
             setattr(GeneratorRep(3, dict(rep.gen)), name, getattr(rep, name))
 
 
-def test_the_one_dense_view_is_charged_at_its_real_itemsize_before_any_scatter(monkeypatch):
+def test_gen_and_images_are_charged_at_their_real_itemsize_before_any_scatter(monkeypatch):
     # r(6,3,0), d = 64: the 9 generators take 9 * 64 * 64 * 8 = 294912 bytes dense as float64,
-    # twice that as complex128
+    # twice that as complex128; the 8 images of the sl basis take 8/9 of that
     complex_rep = GeneratorRep(3, {label: np.asarray(m, dtype=complex)
                                    for label, m in build_representation(HighestWeight(3, (6, 3, 0))).gen.items()})
     real = build_representation(HighestWeight(3, (6, 3, 0)))
     monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 9 * 64 * 64 * 8)
-    assert real.dense.nbytes == gtrep.GENERATOR_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
+    assert real.gen[(1, 2)].base.nbytes == gtrep.GENERATOR_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
+    assert real.images(np.eye(8)).nbytes == 8 * 64 * 64 * 8
+    refused = ((9, lambda: complex_rep.gen), (8, lambda: complex_rep.images(np.eye(8))),
+               (8, lambda: real.images(np.eye(8, dtype=complex))))
     tracemalloc.start()
     try:
-        for read in (lambda: complex_rep.dense, lambda: complex_rep.gen, lambda: complex_rep.images(np.eye(8))):
-            with pytest.raises(InputError, match="9 dense generators of dimension 64 need 0.00 GiB, over the 0.00 GiB budget"):
+        for count, read in refused:
+            with pytest.raises(InputError, match=f"{count} dense generators of dimension 64 need 0.00 GiB, over the 0.00 GiB budget"):
                 read()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the refusals allocate a few KiB of messages, the complex view would be 576 KiB
-    assert "dense" not in vars(complex_rep) and peak < 32 << 10
+    # the refusals allocate a few KiB of messages, the complex generators would take 576 KiB
+    assert "gen" not in vars(complex_rep) and peak < 32 << 10
     assert verify_commutation(complex_rep).ok
 
 

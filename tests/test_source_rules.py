@@ -160,3 +160,33 @@ def test_dense_matrices_become_entries_only_where_they_enter_the_library(path):
     found = _outside(path, ENTRIES_READERS, _reads_entries)
     assert not found, f"Entries.of called outside the places dense matrices enter: {found}"
     assert "sl_stack" not in path.read_text(), f"a second dense view is named in {path.name}"
+
+
+# The joins of stored entries with index ranges: the row join of the product
+# kernel, the relation kernel, the one kernel that forms r(x) from generator
+# coordinates, and the pair images of the compatibility check.
+RANGES_CALLERS = {
+    ("linalg.py", "row_join"),
+    ("linalg.py", "relation_sums"),
+    ("gtrep.py", "GeneratorRep.combined"),
+    ("autos.py", "_pair_residuals"),
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_entries_are_joined_with_ranges_only_by_the_kernels(path):
+    # any other ranges join forms r(x), or a product, a second way
+    found = _outside(path, RANGES_CALLERS, lambda n: isinstance(n, ast.Call) and _named(n.func, "ranges"))
+    assert not found, f"linalg.ranges called outside its kernels: {found}"
+
+
+def test_a_representation_holds_no_dense_cube():
+    # every r(x) comes from GeneratorRep.combined: no tensordot over densified generators, and no
+    # cached dense array of them beside gen
+    (path,) = [p for p in SOURCES if p.name == "gtrep.py"]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _named(node, "tensordot") or _named(node, "dense") or getattr(node, "name", None) == "dense"
+    ]
+    assert not found, f"a dense cube or its tensordot in gtrep: {found}"
