@@ -319,6 +319,10 @@ class Grading:
     def part_dims(self) -> dict:
         return {lab: self.parts[lab].shape[1] for lab in self.sorted_labels()}
 
+    def labels(self) -> list:
+        """The label of each column of the adapted basis: the parts' columns in sorted label order."""
+        return [lab for lab in self.sorted_labels() for _ in range(self.parts[lab].shape[1])]
+
 
 def trivial_grading(algebra: LieAlgebra) -> Grading:
     """The whole algebra at the identity of the one-element group."""
@@ -420,7 +424,7 @@ def grading_adapted_basis(grading: Grading):
 
     Returns (labels, basis) where labels[i] tags column i of basis.
     """
-    labels = [lab for lab in grading.sorted_labels() for _ in range(grading.parts[lab].shape[1])]
+    labels = grading.labels()
     if not labels:
         raise VerificationError("grading has no vectors")
     lengths = {part.shape[0] for part in grading.parts.values()}

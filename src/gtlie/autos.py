@@ -28,12 +28,11 @@ such an R the checks are index arithmetic on the stored generator
 entries, with no dense d x d matrix: ``verify_simulation`` compares the
 entries (i, j, v) of r(x), moved to (pi(i), pi(j), s_i v / s_j), with those
 of r(g(x)), and R^order = Id follows pi; ``decompose_rep_space`` gives
-coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``check_compatibility``
-forms the images of those columns from the entries and measures each one
-against its coordinate vector or its pair exactly.  A dense R (the
-solver's) and a carrier grading with any other columns take the dense
-path: r(x) from rep.images, one scatter of the entries GeneratorRep.combined
-forms for them, and a thin-SVD basis per part.
+coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``compatibility`` forms
+the images of those columns from the entries, measures each against its
+coordinate vector or pair exactly and reads off its coordinates there.  A
+dense R (the solver's) or other carrier columns take the dense path: r(x)
+from rep.images, and a thin-SVD basis and a pseudo-inverse per part.
 """
 
 from __future__ import annotations
@@ -537,6 +536,13 @@ def check_compatibility(
     tol: float = DEFAULT_TOL,
 ) -> Report:
     """Definition check: r(X_i) V_j inside V_{i+j} for all labels i, j.
+    The report half of ``compatibility``."""
+    return compatibility(rep, gamma, vgamma, tol)[0]
+
+
+def compatibility(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float = DEFAULT_TOL) -> tuple:
+    """Where r(X) sends each V_j: the report of check_compatibility, and the
+    coordinates of every image r(X_a) v_t in its target part V_{i+j}.
 
     For each basis column X of a gamma part and each part j of vgamma, the
     image block W = r(X) V_j is measured by its largest distance from
@@ -554,7 +560,10 @@ def check_compatibility(
 
     The report carries checked = the number of image vectors r(X) v tested,
     worst_at = (i, j) of the largest residual (None when all are zero) and
-    tol.
+    tol.  The coordinates are unsummed terms (keys, values): the terms at key
+    (a d + s) d + t, with a, s, t positions in the adapted bases (parts in
+    sorted label order), sum to the coordinate of r(X_a) v_t on v_s.  An
+    image entry in no kept column of its target part has none.
     """
     if gamma.group.orders != vgamma.group.orders:
         raise InputError(
@@ -566,14 +575,16 @@ def check_compatibility(
     vlengths = {part.shape[0] for part in vgamma.parts.values()}
     if vlengths - {rep.dim}:
         raise InputError(f"carrier grading vectors of length {sorted(vlengths)} do not live in dimension {rep.dim}")
+    first = dict(zip(gamma.sorted_labels(), np.cumsum([0, *gamma.part_dims().values()]).tolist()))
     supports = {lab: _pair_support(part) for lab, part in vgamma.parts.items()}
     if all(s is not None for s in supports.values()):
-        residuals = _pair_residuals(rep, gamma, vgamma, supports, tol)
+        residuals, coords = _pair_residuals(rep, gamma, vgamma, supports, first, tol)
     else:
-        residuals = _span_residuals(rep, gamma, vgamma, tol)
+        residuals, coords = _span_residuals(rep, gamma, vgamma, first, tol)
     pairs = [((i, j), residuals[i, j][col]) for i, xpart in gamma.parts.items()
              for col in range(xpart.shape[1]) for j in vgamma.parts]
-    return Report.of(pairs, tol, checked=gamma.total_dim * vgamma.total_dim)
+    coords = zip((np.zeros(0, dtype=np.int64), np.zeros(0)), *coords)
+    return Report.of(pairs, tol, checked=gamma.total_dim * vgamma.total_dim), tuple(map(np.concatenate, coords))
 
 
 def _pair_support(part: np.ndarray) -> tuple | None:
@@ -588,24 +599,27 @@ def _pair_support(part: np.ndarray) -> tuple | None:
     return rows, cols, part[rows, cols]
 
 
-def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports: dict, tol: float) -> dict:
-    """Residuals {(i, j): one per column of gamma part i} on the entries.
+def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports: dict, first: dict,
+                    tol: float) -> tuple:
+    """Residuals {(i, j): one per column of gamma part i} on the entries, and
+    the coordinate terms (first: the position of each gamma part's X_0).
 
     The columns of all V parts are numbered in one sequence (global
-    columns).  Each nonzero of a V column at basis row c is joined with the
-    entries of every r(x) in column c: summed, they give the image keys
-    (global column, row) and the (K, k) table T with r(x) v = T[:, x] there,
-    for every sl basis label x.  For gamma part i the images of all its X
-    columns are one product T X.
+    columns, in the adapted order).  Each nonzero of a V column at basis
+    row c is joined with the entries of every r(x) in column c: summed,
+    they give the image keys (global column, row) and the (K, k) table T
+    with r(x) v = T[:, x] there, for every sl basis label x.  For gamma
+    part i the images of all its X columns are one product T X.
 
     Against the target part V_{i+j}, an image entry w_r whose row lies in
     no kept column of the target counts whole; a coordinate column e_r
     holds it exactly; for a pair column tau = tau_r e_r + tau_q e_q the
     distance of (w_r, w_q) from the span of tau is max(|tau_r|, |tau_q|)
     |tau_q w_r - tau_r w_q| / |tau|^2, with w_q read at the key (column, q)
-    and zero where there is none.
+    and zero where there is none.  On the kept column blk that holds the
+    row, w_r adds the term conj(tau_r) w_r / |tau|^2 to the coordinate.
     """
-    vlabels = list(vgamma.parts)
+    vlabels = vgamma.sorted_labels()
     k, d = rep.n * rep.n - 1, rep.dim
     widths = [vgamma.parts[lab].shape[1] for lab in vlabels]
     offsets = np.cumsum([0] + widths)
@@ -645,7 +659,7 @@ def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports
     bounds = np.searchsorted(gcol, offsets)  # the keys of part p: bounds[p]:bounds[p + 1]
 
     index = {lab: p for p, lab in enumerate(vlabels)}
-    out = {}
+    out, coords = {}, []
     for i, xpart in gamma.parts.items():
         images = table @ _real_if_real(xpart)  # one row per key, one column per X
         tgt = np.array([index.get(vgamma.group.add(i, j), -1) for j in vlabels])[owner[gcol]]
@@ -658,7 +672,10 @@ def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports
         res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
         for p, j in enumerate(vlabels):
             out[i, j] = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
-    return out
+        held = np.flatnonzero(blk >= 0)
+        at = ((first[i] + np.arange(xpart.shape[1])) * d + blk[held, None]) * d + gcol[held, None]
+        coords.append((at.ravel(), (np.conj(t_row[held]) / norm2[blk[held, None]] * images[held]).ravel()))
+    return out, coords
 
 
 def _real_if_real(a: np.ndarray) -> np.ndarray:
@@ -667,22 +684,29 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float) -> dict:
-    """Residuals {(i, j): one per column of gamma part i} on dense matrices.
+def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, first: dict, tol: float) -> tuple:
+    """Residuals {(i, j): one per column of gamma part i} on dense matrices,
+    and as coordinates the target part's pseudo-inverse times each block W.
     A part with a NaN or infinite entry has no orthonormal basis: it gets
-    one NaN column, so every distance from it is NaN, which Report.of
-    reads as inf."""
-    undefined = np.full((rep.dim, 1), np.nan)
-    bases = {lab: orthonormal_span(part, tol) if np.isfinite(part).all() else undefined
-             for lab, part in vgamma.parts.items()}
-    absent = np.zeros((rep.dim, 0), dtype=complex)
-    out = {}
+    one NaN column, so every distance from it is NaN, which Report.of reads
+    as inf, and no coordinates."""
+    d, undefined = rep.dim, np.full((rep.dim, 1), np.nan)
+    inverses = {lab: np.linalg.pinv(part) for lab, part in vgamma.parts.items() if np.isfinite(part).all()}
+    bases = {lab: orthonormal_span(part, tol) if lab in inverses else undefined for lab, part in vgamma.parts.items()}
+    vfirst = dict(zip(vgamma.sorted_labels(), np.cumsum([0, *vgamma.part_dims().values()]).tolist()))
+    absent = np.zeros((d, 0), dtype=complex)
+    out, coords = {}, []
     for i, xpart in gamma.parts.items():
         mats = rep.images(xpart)
         for j, vpart in vgamma.parts.items():
-            q = bases.get(vgamma.group.add(i, j), absent)
-            out[i, j] = [span_distance(m @ vpart, q) for m in mats]
-    return out
+            target = vgamma.group.add(i, j)
+            blocks = [m @ vpart for m in mats]
+            out[i, j] = [span_distance(w, bases.get(target, absent)) for w in blocks]
+            if target in inverses:
+                c = inverses[target] @ np.array(blocks)  # (X, target column, V_j column)
+                a, s, t = np.indices(c.shape)
+                coords.append(((((first[i] + a) * d + vfirst[target] + s) * d + vfirst[j] + t).ravel(), c.ravel()))
+    return out, coords
 
 
 # Largest predicted footprint of the solver's reduced system and its thin

@@ -21,9 +21,9 @@ arrays.  Every input is read-only and caches its digest, and one record of
 passes (_recorded), keyed by the digests of the objects a check reads, holds
 the inputs that passed a precondition check (_verify_once) and each
 contracted algebra that passed every check; failures are never recorded.  A
-contracted representation, formed from rep.images, is stored as the
-linalg.Entries table of its matrices, the form its check reads:
-verify_rep_homomorphism hands it to linalg.relation_sums on every call.
+contracted representation is read off the coordinates recorded with its
+carrier's compatibility pass, as the linalg.Entries table of its matrices,
+the form verify_rep_homomorphism hands to linalg.relation_sums on every call.
 """
 
 from __future__ import annotations
@@ -48,18 +48,18 @@ from .algebra import (
     grading_adapted_basis,
     verify_grading,
 )
-from .autos import check_compatibility
+from .autos import compatibility
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import GeneratorRep
-from .linalg import DEFAULT_TOL, Entries, digest, relation_sums
+from .linalg import DEFAULT_TOL, Entries, digest, relation_sums, stable_order, summed
 
 MAX_FREE_CELLS = 10
-# The one record of what passed, by digest, oldest first: each entry is
-# (value, bytes of its arrays), the value None for an input that passed a
-# precondition check and the outputs of a contracted algebra that passed
-# every check.  Past PASSED_CAPACITY entries the oldest entry is dropped, and
-# past PASSED_RESULT_BYTES bytes the oldest result; a larger one is not recorded.
+# The one record of what passed, by digest, oldest first: each entry is (value, bytes
+# of its arrays), the value None for an input that passed a precondition check (for a
+# compatibility pass, its summed coordinates) and the outputs of a contracted algebra
+# that passed every check.  Past PASSED_CAPACITY entries the oldest entry is dropped,
+# and past PASSED_RESULT_BYTES bytes the oldest result; a larger one is not recorded.
 PASSED_CAPACITY = 1024
 PASSED_RESULT_BYTES = 1 << 25
 _passed: dict[bytes, tuple] = {}
@@ -85,17 +85,20 @@ def _recorded(key: bytes, compute, nbytes=lambda value: 0):
     return value
 
 
-def _verify_once(name: str, check, tol: float, inputs: tuple, error: type, prefix: str) -> None:
-    """Run check(*inputs, tol) -> Report unless inputs of the same digests
-    passed it at tol before (key: the digest of name, tol and their digests);
-    raise error with prefix and the first three violations when it fails."""
+def _verify_once(name: str, check, tol: float, inputs: tuple, error: type, prefix: str, keep=None):
+    """Run check(*inputs, tol) unless inputs of the same digests passed it
+    at tol before (key: the digest of name, tol and their digests); raise
+    error with prefix and the first three violations when it fails.  check
+    returns a Report, or with keep a (Report, out) pair: keep(out), a tuple
+    of arrays, is then recorded with the pass and returned."""
 
     def verified():
-        report = check(*inputs, tol)
+        report, out = check(*inputs, tol) if keep else (check(*inputs, tol), None)
         if not report.ok:
             raise error(f"{prefix}: {list(report.violations[:3])}")
+        return keep(out) if keep else None
 
-    _recorded(digest(name, tol, *(x.digest for x in inputs)), verified)
+    return _recorded(digest(name, tol, *(x.digest for x in inputs)), verified, lambda v: sum(a.nbytes for a in v or ()))
 
 
 def _inf_on_overflow(op) -> np.ufunc:
@@ -364,10 +367,10 @@ def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float
 
 @dataclass(frozen=True, eq=False)
 class ContractedRep:
-    """Blockwise-rescaled operators r^eps(X_i) in the adapted V basis,
-    stored as one read-only linalg.Entries table ``entries``: its matrix a
-    represents the a-th adapted algebra basis vector (same order as
-    ContractedAlgebra over the same grading).
+    """Blockwise-rescaled operators r^eps(X_i) on the adapted V basis (the V
+    columns, labelled ``vlabels``), stored as one read-only linalg.Entries
+    table ``entries``: its matrix a represents the a-th adapted algebra basis
+    vector (same order as ContractedAlgebra over the same grading).
     """
 
     rep: GeneratorRep
@@ -377,7 +380,6 @@ class ContractedRep:
     psi: PsiTable
     labels: tuple
     vlabels: tuple
-    vbasis: np.ndarray
     entries: Entries
 
 
@@ -389,43 +391,33 @@ def contract_rep(
     eps: EpsilonTable,
     tol: float = DEFAULT_TOL,
 ) -> ContractedRep:
-    """Build r^eps(X_i) v_j = psi_{i,j} r(X_i) v_j in the adapted V basis:
-    the (k, d, d) stack r(X_a) is rep.images, the change of basis one solve
-    for all k d columns of r(X_a) V, psi one (k, d) scale array, and the
-    result one Entries.of.
+    """Build r^eps(X_i) v_j = psi_{i,j} r(X_i) v_j on the adapted V basis:
+    the matrices act on the direct sum of the V_j, so a V grading whose
+    total_dim is not rep.dim is an InputError before any check.  The
+    coordinates of r(X_a) v_t in its target part are autos.compatibility's,
+    summed once and recorded with its pass; each call scales them by psi,
+    drops zeros and puts them in row order by one stable_order.
 
-    The stack is formed first, so a carrier whose k images pass
-    GENERATOR_BUDGET_BYTES is an InputError before any check.  A psi or
-    eps cell outside the float range is an InputError.  The inputs are
-    verified once per content: check_compatibility runs only for a
-    (carrier, grading, V grading), and verify_psi only for a (psi, eps),
-    whose digests have not passed at this tol before.  The output is
-    checked by verify_rep_homomorphism, on every call of it."""
-    alabels, abasis = grading_adapted_basis(gamma)
-    stack = rep.images(abasis)  # formed first: past the budget, InputError before any check
+    A psi or eps cell outside the float range is an InputError.  The inputs
+    are verified once per content: compatibility runs only for a (carrier,
+    grading, V grading), and verify_psi only for a (psi, eps), whose digests
+    have not passed at this tol before.  The output is checked by
+    verify_rep_homomorphism, on every call of it."""
+    d = rep.dim
+    if vgamma.total_dim != d:
+        raise InputError(f"the carrier grading has {vgamma.total_dim} vectors, not a basis of dimension {d}")
     cells = psi.floats()
     eps.floats()  # eps is only checked here, but contract_algebra applies it in floats
-    _verify_once("compatibility", check_compatibility, tol, (rep, gamma, vgamma), IncompatibleError,
-                 "representation is not compatible with the grading")
+    keys, vals = _verify_once("compatibility", compatibility, tol, (rep, gamma, vgamma), IncompatibleError,
+                              "representation is not compatible with the grading", lambda terms: summed(*terms))
     _verify_once("psi", verify_psi, tol, (psi, eps), VerificationError, "psi table fails its system")
-    vlabels, vbasis = grading_adapted_basis(vgamma)
-    k, d = abasis.shape[1], vbasis.shape[0]
-    images = stack @ vbasis  # r(X_a) V
-    del stack  # released before the copy below
-    images = images.transpose(1, 0, 2).reshape(d, k * d)
-    out = np.linalg.solve(vbasis, images).reshape(d, k, d)
-    out *= psi.on_labels(cells, alabels, vlabels)  # out[i, a, j] *= psi(label a, vlabel j)
-    return ContractedRep(
-        rep=rep,
-        gamma=gamma,
-        vgamma=vgamma,
-        eps=eps,
-        psi=psi,
-        labels=tuple(alabels),
-        vlabels=tuple(vlabels),
-        vbasis=vbasis,
-        entries=Entries.of(out.transpose(1, 0, 2)),
-    )
+    labels, vlabels = gamma.labels(), vgamma.labels()
+    mats, at = np.divmod(keys, d * d)
+    vals = vals * psi.on_labels(cells, labels, vlabels)[mats, at % d]
+    rows, order = stable_order(at[vals != 0] // d)
+    t = np.flatnonzero(vals)[order]
+    entries = Entries(rows, at[t] % d, vals[t], mats[t], np.searchsorted(rows, np.arange(d + 1)))
+    return ContractedRep(rep, gamma, vgamma, eps, psi, tuple(labels), tuple(vlabels), entries)
 
 
 @np.errstate(invalid="ignore")  # a NaN sum is kept, and Report.of reads it as inf

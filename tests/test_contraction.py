@@ -391,7 +391,7 @@ def test_homomorphism_check_catches_invalid_psi(rep_setup):
         scaled.append(m)
     tampered = ContractedRep(
         rep=rep, gamma=gamma1, vgamma=vgamma, eps=table, psi=bad_psi,
-        labels=good.labels, vlabels=good.vlabels, vbasis=good.vbasis,
+        labels=good.labels, vlabels=good.vlabels,
         entries=Entries.of(scaled),
     )
     assert not verify_rep_homomorphism(tampered, calg).ok
@@ -546,7 +546,7 @@ def test_homomorphism_check_of_a_d175_rep_stays_in_bounded_memory():
     table = eps([[1, 1], [1, 0]])
     crep = contract_rep(build_representation(hw), vgamma, gamma, psi([[1, 1], [1, 0]]), table)
     calg = contract_algebra(alg, gamma, table)
-    assert crep.vbasis.shape == (175, 175) and crep.entries.dim == 175 and crep.entries.gids.max() == 14
+    assert len(crep.vlabels) == 175 and crep.entries.dim == 175 and crep.entries.gids.max() == 14
     tracemalloc.start()
     try:
         report = verify_rep_homomorphism(crep, calg)
@@ -556,6 +556,61 @@ def test_homomorphism_check_of_a_d175_rep_stays_in_bounded_memory():
     # the whole k^2 d^2 block of relations would be 110 MiB
     assert report.ok and report.checked == 225
     assert peak < 32 * 2**20
+
+
+def test_a_d1331_carrier_contracts_and_verifies_in_bounded_memory():
+    # the dense (k, d, d) stack, its product with the carrier basis and the solve peaked at 487 MiB
+    hw = HighestWeight(3, (20, 10, 0))
+    alg = gtlie.sl_algebra(3)
+    gamma = gtlie.grading_from_automorphism(alg, gtlie.auto_inner(3, 1))
+    rep = build_representation(hw)
+    vgamma = gtlie.decompose_rep_space(gtlie.simulation_inner(hw, 3, 1))
+    table = eps([[1, 1], [1, 0]])
+    calg = contract_algebra(alg, gamma, table)
+    tracemalloc.start()
+    try:
+        crep = contract_rep(rep, vgamma, gamma, psi([[1, 1], [1, 0]]), table)
+        report = verify_rep_homomorphism(crep, calg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 64 and crep.entries.dim == 1331 and crep.entries.vals.size == 9580
+    assert peak < 50 * 2**20
+
+
+# Weights whose plain (self-contragredient) or doubled carrier of d <= 15 gets a dense R from the solver.
+DENSE_R_WEIGHTS = [(1, 0), (2, 0), (3, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0), (1, 1, 0, 0), (2, 1, 1, 0)]
+
+
+@functools.cache
+def dense_r_carriers() -> list:
+    """(sl(n), outer grading, carrier, grading by the solver's R) for every
+    carrier of DENSE_R_WEIGHTS with d <= 15."""
+    out = []
+    for m in DENSE_R_WEIGHTS:
+        n, hw = len(m), HighestWeight(len(m), m)
+        alg, aut = gtlie.sl_algebra(n), gtlie.auto_outer(n)
+        gamma = gtlie.grading_from_automorphism(alg, aut)
+        plain = [build_representation(hw)] if gtlie.is_self_contragredient(hw) else []
+        for rep in [*plain, gtlie.doubled_rep(hw)[0]]:
+            if rep.dim <= 15:
+                sim = gtlie.find_simulation_matrix(rep, aut)
+                assert sim.kind == "dense"
+                out.append((alg, gamma, rep, gtlie.decompose_rep_space(sim)))
+    return out
+
+
+def test_a_carrier_graded_by_a_solver_r_contracts_as_the_oracle_does():
+    carriers = dense_r_carriers()
+    assert len(carriers) == 13
+    # columns with more than two nonzeros: these gradings take the dense path of the compatibility check
+    assert any((np.count_nonzero(part, axis=0) > 2).any() for *_, vgamma in carriers for part in vgamma.parts.values())
+    for alg, gamma, rep, vgamma in carriers:
+        for e, p in table_pairs():
+            crep = contract_rep(rep, vgamma, gamma, p, e)
+            oracle = per_vector_contract_rep(rep, vgamma, gamma, p)
+            assert all(np.abs(x - y).max() <= 1e-12 for x, y in zip(contracted_matrices(crep), oracle, strict=True))
+            assert verify_rep_homomorphism(crep, contract_algebra(alg, gamma, e)).ok
 
 
 def test_an_integral_numpy_table_stays_exact():
@@ -638,11 +693,8 @@ def test_an_edited_copy_of_the_carrier_or_its_grading_is_verified_again():
 def test_a_carrier_past_the_dense_budget_is_refused_before_any_check():
     _, gamma, _, vgamma = fresh_sl3_setup()
     rep = build_representation(HighestWeight(3, (40, 20, 0)))  # d = 9261: 5.75 GiB dense
-    # a psi cell past the float range and a V grading of the wrong dimension would each be refused too
-    refused = (
-        lambda: contract_rep(rep, vgamma, gamma, psi([[HUGE, 1], [1, 1]]), eps([[1, 1], [1, 1]])),
-        lambda: gtlie.find_simulation_matrix(rep, gtlie.auto_outer(3)),
-    )
+    # contract_rep forms no dense generators: it reads the coordinates of its compatibility check
+    refused = (lambda: gtlie.find_simulation_matrix(rep, gtlie.auto_outer(3)),)
     tracemalloc.start()
     try:
         for call in refused:
@@ -663,6 +715,38 @@ def test_a_grading_that_is_not_on_sl_coordinates_is_an_input_error():
             contract_rep(rep, vgamma, gtlie.Grading(group=Z2, parts=parts), psi(table), eps(table))
 
 
+def test_a_carrier_grading_that_is_not_a_basis_is_refused_before_any_check(monkeypatch):
+    # the matrices act on the direct sum of the V_j: a duplicated column passed the compatibility
+    # check and then failed a reshape inside numpy
+    checks = counting(monkeypatch, contraction_module, "compatibility")
+    hw = HighestWeight(3, (2, 1, 0))
+    gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(3), gtlie.auto_inner(3, 1))
+    vgamma = gtlie.decompose_rep_space(gtlie.simulation_inner(hw, 3, 1))
+    v0, v1 = vgamma.parts[(0,)], vgamma.parts[(1,)]
+    table = [[1, 1], [1, 1]]
+    for parts, count in (({(0,): np.column_stack([v0, v0[:, :1]]), (1,): v1}, 9), ({(0,): v0[:, 1:], (1,): v1}, 7)):
+        with pytest.raises(InputError, match=f"has {count} vectors, not a basis of dimension 8"):
+            contract_rep(build_representation(hw), gtlie.Grading(group=Z2, parts=parts), gamma, psi(table), eps(table))
+    assert checks == []
+
+
+def test_five_contractions_of_one_carrier_form_its_coordinates_once(monkeypatch):
+    # contract_rep reads the coordinates its compatibility check records: no dense images, no solve
+    hw = HighestWeight(3, (2, 1, 0))
+    gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(3), gtlie.auto_outer(3))
+    rep, vgamma = build_representation(hw), gtlie.decompose_rep_space(gtlie.J_matrix(hw))
+    tables = [(table, enumerate_binary_psi(table)[-1]) for table in enumerate_binary_epsilon(Z2)]
+    coordinates = counting(monkeypatch, contraction_module, "compatibility")
+    images = counting(monkeypatch, GeneratorRep, "images")
+    solves = counting(monkeypatch, np.linalg, "solve")
+    found = [contract_rep(rep, vgamma, gamma, p, e) for e, p in tables]
+    assert len({(e.digest, p.digest) for e, p in tables}) == 5
+    assert len(coordinates) == 1 and images == [] and solves == []
+    for crep, (e, p) in zip(found, tables):
+        oracle = per_vector_contract_rep(rep, vgamma, gamma, p)
+        assert all(np.array_equal(x, y) for x, y in zip(contracted_matrices(crep), oracle, strict=True))
+
+
 def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
     # each dense read is charged at its own count and itemsize before its scatter; gen scatters once
     budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
@@ -674,14 +758,14 @@ def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
     found = gtlie.find_simulation_matrix(rep, outer)
     assert found.kind == "dense" and gtlie.verify_simulation(rep, outer, found).ok
     jsonio.rep_to_json(rep)
-    # the 9 generators; the 8 complex adapted-basis images; the 8 images of the sl basis and of
-    # the (complex) action, for the solver and then for the check
-    assert budget_checks == [(9, 8, 8), (8, 8, 16), (8, 8, 8), (8, 8, 16), (8, 8, 16), (8, 8, 8)]
+    # the 9 generators; the 8 images of the sl basis and of the (complex) action, for the solver and
+    # then for the check; contract_rep forms no dense images
+    assert budget_checks == [(9, 8, 8), (8, 8, 8), (8, 8, 16), (8, 8, 16), (8, 8, 8)]
     assert len({id(m.base) for m in rep.gen.values()}) == 1 and not any(m.flags.writeable for m in rep.gen.values())
 
 
 def test_the_dense_readers_never_scatter_the_generators(monkeypatch):
-    # contract_rep, the solver and a dense-R check form r(x) for sl(n) coordinates only:
+    # the solver and a dense-R check form r(x) for sl(n) coordinates only, and contract_rep none:
     # the budget is asked for n^2 - 1 matrices, never for the n^2 generators
     budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
     hw = HighestWeight(4, (1, 1, 0, 0))
@@ -691,14 +775,14 @@ def test_the_dense_readers_never_scatter_the_generators(monkeypatch):
     contract_rep(rep, gtlie.decompose_rep_space(gtlie.J_matrix(hw)), gamma, psi(table), eps(table))
     found = gtlie.find_simulation_matrix(rep, outer)
     assert found.kind == "dense" and gtlie.verify_simulation(rep, outer, found).ok
-    assert len(budget_checks) == 5 and {count for count, _, _ in budget_checks} == {15}
+    assert len(budget_checks) == 4 and {count for count, _, _ in budget_checks} == {15}
     assert "gen" not in vars(rep)
 
 
 def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
     sl3, gamma, rep, _ = fresh_sl3_setup()
     checks = {name: counting(monkeypatch, contraction_module, name)
-              for name in ("verify_epsilon", "check_compatibility")}
+              for name in ("verify_epsilon", "compatibility")}
     bad_eps = eps([[0, 1], [1, 0]])
     bad_v = gtlie.Grading(group=Z2, parts={(0,): np.eye(3)[:, :1], (1,): np.eye(3)[:, 1:]})
     for _ in range(3):
@@ -708,12 +792,12 @@ def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
             enumerate_binary_psi(bad_eps)
         with pytest.raises(IncompatibleError):
             contract_rep(rep, bad_v, gamma, psi([[1, 1], [1, 1]]), eps([[1, 1], [1, 1]]))
-    assert len(checks["verify_epsilon"]) == 6 and len(checks["check_compatibility"]) == 3
+    assert len(checks["verify_epsilon"]) == 6 and len(checks["compatibility"]) == 3
 
 
 def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
     checks = {name: counting(monkeypatch, contraction_module, name)
-              for name in ("verify_grading", "verify_epsilon", "check_compatibility", "verify_psi", "check_jacobi")}
+              for name in ("verify_grading", "verify_epsilon", "compatibility", "verify_psi", "check_jacobi")}
     tables = enumerate_binary_epsilon(Z2)
     for _ in range(2):  # the second round rebuilds every input: same content, new objects
         sl3, gamma, rep, vgamma = fresh_sl3_setup()
@@ -723,7 +807,7 @@ def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
     assert len(tables) == 5
     counts = {name: len(calls) for name, calls in checks.items()}
     assert counts == {
-        "verify_grading": 1, "verify_epsilon": 5 + 5, "check_compatibility": 1, "verify_psi": 5, "check_jacobi": 5
+        "verify_grading": 1, "verify_epsilon": 5 + 5, "compatibility": 1, "verify_psi": 5, "check_jacobi": 5
     }
     # at another tol the inputs are verified, and the algebra contracted, again
     contract_algebra(sl3, gamma, tables[0], tol=1e-6)

@@ -141,12 +141,10 @@ def test_content_is_hashed_only_by_the_digest_properties_and_the_record_keys(pat
 
 
 # Where dense matrices enter the library and are read into an Entries table:
-# generators given as dense matrices, the adjoint matrices of an algebra, and
-# the output of a contraction.
+# generators given as dense matrices and the adjoint matrices of an algebra.
 ENTRIES_READERS = {
     ("gtrep.py", "GeneratorRep.__init__"),
     ("algebra.py", "check_jacobi"),
-    ("contraction.py", "contract_rep"),
 }
 
 
@@ -190,3 +188,17 @@ def test_a_representation_holds_no_dense_cube():
         if _named(node, "tensordot") or _named(node, "dense") or getattr(node, "name", None) == "dense"
     ]
     assert not found, f"a dense cube or its tensordot in gtrep: {found}"
+
+
+def test_contract_rep_forms_no_dense_image_and_solves_nothing():
+    # contract_rep reads the coordinates of r(X) V that its compatibility check forms: a dense stack
+    # of images or a change of basis by solve there forms them a second time
+    (path,) = [p for p in SOURCES if p.name == "contraction.py"]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "contract_rep"]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and (_named(node.func, "images") or _named(node.func, "solve"))
+    ]
+    assert not found, f"contract_rep forms dense images or solves: {found}"
