@@ -23,15 +23,17 @@ Two constructions cover the order-2 cases:
     simulation matrix is the way out.
 
 Both constructions are read off the pattern array (gtrep.PatternTable)
-and give an R with one nonzero per column, R e_c = s_c e_{pi(c)}.  For
-such an R the checks are index arithmetic on the stored generator
-entries, with no dense d x d matrix: ``verify_simulation`` compares the
+and give an R with one nonzero per column, R e_c = s_c e_{pi(c)}, as the
+standard automorphisms act on the sl basis.  One kernel, ``_eigenspaces``,
+splits both into eigenspaces along the cycles of pi.  For such an R the
+checks are index arithmetic on the stored generator entries, with no dense
+d x d matrix: ``verify_simulation`` compares the
 entries (i, j, v) of r(x), moved to (pi(i), pi(j), s_i v / s_j), with those
 of r(g(x)), and R^order = Id follows pi; ``decompose_rep_space`` gives
-coordinate vectors e_c and pairs e_c +- s_c e_pi(c); ``compatibility`` forms
-the images of those columns from the entries, measures each against its
-coordinate vector or pair exactly and reads off its coordinates there.  A
-dense R (the solver's) or other carrier columns take the dense path: r(x)
+coordinate vectors e_c and pairs (e_c +- s_c e_pi(c)) / 2; ``compatibility``
+forms the images of those columns from the entries, measures each against
+its coordinate vector or pair exactly and reads off its coordinates there.
+A dense R (the solver's) or other carrier columns take the dense path: r(x)
 from rep.images, and a thin-SVD basis and a pseudo-inverse per part.
 """
 
@@ -155,45 +157,91 @@ def auto_outer(n: int) -> Automorphism:
     return Automorphism(kind="outer", matrix=np.eye(n, dtype=complex), order=2)
 
 
-def _eigenspaces(m: np.ndarray, order: int, tol: float) -> list[np.ndarray]:
-    """Bases of the eigenspaces of m (m^order = Id) for exp(2 pi i l / order),
-    l = 0, ..., order - 1: independent columns of the projectors
-    (1/order) sum_t exp(-2 pi i l t / order) m^t.  Order 2 uses (Id +- m)/2,
-    exact on integer m (cmath.exp(-1j * pi) is not exactly -1)."""
-    powers = [np.eye(m.shape[0], dtype=m.dtype)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] @ m)
-    out = []
+def _projector_term(l: int, t: int, order: int, power):
+    """Term t of the projector onto eigenvalue exp(2 pi i l / order):
+    exp(-2 pi i l t / order) M^t, or +-M^t at order 2, exact on integer M
+    (cmath.exp(-1j * pi) is not exactly -1)."""
+    if order == 2:
+        return -power if l * t else power
+    return cmath.exp(-2j * math.pi * l * t / order) * power
+
+
+def _walk(perm: np.ndarray, scale: np.ndarray, order: int) -> tuple[np.ndarray, list, float]:
+    """M^t e_c = coefs[t][c] e_{at[t, c]}, t = 0, ..., order, for M e_c = scale[c] e_{perm[c]},
+    each coef formed as the dense M^{t-1} M forms it; and max |M^order - Id|."""
+    at, coefs = [np.arange(perm.size)], [np.ones(perm.size, dtype=complex)]
+    for t in range(order):
+        at.append(at[-1][perm])
+        coefs.append(coefs[-1][perm] * scale if t else scale)
+    back = at[-1] == at[0]
+    return np.array(at), coefs, max_abs(np.where(back, np.abs(coefs[-1] - 1), np.maximum(np.abs(coefs[-1]), 1.0)))
+
+
+def _eigenspaces(operator, order: int, tol: float) -> tuple[list[np.ndarray], float]:
+    """Bases of the eigenspaces of M (M^order = Id) for exp(2 pi i l / order),
+    l = 0, ..., order - 1, made of columns of the projectors (1/order) sum_t
+    exp(-2 pi i l t / order) M^t; and max |M^order - Id|.  M is a pair
+    (perm, scale) or a dense matrix, read as its pair when it has one
+    nonzero per row and column.  On a pair, the projector columns of one
+    cycle are multiples of each other, and two cycles have disjoint
+    supports: each part keeps the column of the smallest index of each
+    cycle when it is above tol, summed along the ``_walk`` term by term as
+    the dense projector sums it.  A dense M takes the greedy column basis
+    (independent_columns) of each projector and the matrix power."""
+    if isinstance(operator, np.ndarray):
+        nonzero = operator != 0
+        if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
+            powers = [np.eye(operator.shape[0], dtype=operator.dtype)]
+            for _ in range(order - 1):
+                powers.append(powers[-1] @ operator)
+            projectors = [sum(_projector_term(l, t, order, p) for t, p in enumerate(powers)) / order
+                          for l in range(order)]
+            residual = max_abs(np.linalg.matrix_power(operator, order) - np.eye(operator.shape[0]))
+            return [p[:, independent_columns(p, tol)].astype(complex) for p in projectors], residual
+        perm = nonzero.argmax(axis=0)
+        operator = perm, operator[perm, np.arange(perm.size)]
+    perm, scale = operator
+    at, coefs, residual = _walk(np.asarray(perm), np.asarray(scale, dtype=complex), order)
+    lead = np.flatnonzero(at[:order].min(axis=0) == at[0])  # the smallest index of each cycle
+    back = at[1:, lead] == lead
+    length = np.where(back.any(axis=0), back.argmax(axis=0) + 1, order)  # of each cycle
+    parts = []
     for l in range(order):
-        if order == 2:
-            proj = (powers[0] + powers[1]) / 2 if l == 0 else (powers[0] - powers[1]) / 2
-        else:
-            proj = sum(cmath.exp(-2j * math.pi * l * t / order) * powers[t] for t in range(order)) / order
-        out.append(proj[:, independent_columns(proj, tol)].astype(complex))
-    return out
+        column = np.zeros((lead.size, order), dtype=complex)  # entry u sits at row at[u, lead]
+        for t in range(order):
+            column[np.arange(lead.size), t % length] += _projector_term(l, t, order, coefs[t][lead])
+        column = column / order
+        kept = np.flatnonzero(np.abs(column).max(axis=1, initial=0.0) > tol)
+        j, u = np.nonzero(np.arange(order) < length[kept, None])
+        part = np.zeros((perm.size, kept.size), dtype=complex)
+        part[at[u, lead[kept[j]]], j] = column[kept[j], u]
+        parts.append(part)
+    return parts, residual
 
 
 def grading_from_automorphism(
     algebra: LieAlgebra, aut: Automorphism, tol: float = DEFAULT_TOL
 ) -> Grading:
     """Eigenspace decomposition of the automorphism action, labelled by Z_k
-    via lambda = exp(2 pi i l / k)."""
+    via lambda = exp(2 pi i l / k): ``_eigenspaces`` of aut.action, a
+    monomial matrix for Ad of a diagonal matrix and for X -> -X^T."""
     k = algebra.dim
-    n = aut.n
-    if n * n - 1 != k:
-        raise InputError(f"automorphism on {n}x{n} matrices does not act on dim {k}")
-    act = aut.action
-    order = aut.order
-    power = np.linalg.matrix_power(act, order)
-    if max_abs(power - np.eye(k)) > tol:
-        raise VerificationError(
-            f"action matrix does not satisfy M^{order} = Id (residual {max_abs(power - np.eye(k)):.3g})"
-        )
-    parts = {(l,): basis for l, basis in enumerate(_eigenspaces(act, order, tol)) if basis.shape[1]}
-    total = sum(basis.shape[1] for basis in parts.values())
-    if total != k:
-        raise VerificationError("automorphism action is defective: eigenspaces do not fill the algebra")
-    return Grading(group=AbelianGroup((order,)), parts=parts)
+    if aut.n * aut.n - 1 != k:
+        raise InputError(f"automorphism on {aut.n}x{aut.n} matrices does not act on dim {k}")
+    return _eigen_grading(_eigenspaces(aut.action, aut.order, tol), k, tol, "action matrix")
+
+
+def _eigen_grading(split: tuple, dim: int, tol: float, what: str) -> Grading:
+    """The Z_order grading by the nonempty parts of an ``_eigenspaces`` split.
+    Raises VerificationError when the operator is more than tol from
+    M^order = Id, or the parts do not fill dimension dim."""
+    parts, residual = split
+    if residual > tol:
+        raise VerificationError(f"{what} does not satisfy M^{len(parts)} = Id (residual {residual:.3g})")
+    grading = Grading(group=AbelianGroup((len(parts),)), parts={(l,): b for l, b in enumerate(parts) if b.shape[1]})
+    if grading.total_dim != dim:
+        raise VerificationError(f"the eigenspaces of the {what} do not fill dimension {dim}")
+    return grading
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +359,10 @@ class SimulationMatrix:
             raise VerificationError("singular simulation matrix") from exc
 
     def power_residual(self) -> float:
-        """Sup-norm distance of R^order from the identity.  For the monomial
-        kinds R^order e_c is the product of the scales met following perm
-        order times from c, times e at the end of the walk."""
+        """Sup-norm distance of R^order from the identity (``_walk`` for the monomial kinds)."""
         if self.kind == "dense":
             return max_abs(np.linalg.matrix_power(self.dense, self.order) - np.eye(self.dim))
-        perm, scale = self.monomial()
-        start = np.arange(self.dim)
-        at, product = start, np.ones(self.dim, dtype=complex)
-        for _ in range(self.order):
-            product = product * scale[at]
-            at = perm[at]
-        return max_abs(np.where(at == start, np.abs(product - 1), np.maximum(np.abs(product), 1.0)))
+        return _walk(*self.monomial(), self.order)[2]
 
 
 def _finite_real(x) -> bool:
@@ -468,19 +508,14 @@ def verify_simulation(
 
 def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grading:
     """Eigenspace decomposition of the carrier space, labelled by Z_order
-    via lambda = exp(2 pi i l / order).
-
-    A diagonal R gives coordinate vectors e_c, and an order-2 signed
-    permutation gives e_c for its fixed points and e_c +- s_c e_pi(c) for
-    each 2-cycle c < pi(c), in the order of c; each part is one array
-    filled by fancy indexing.  Any other R is split by its projectors.
+    via lambda = exp(2 pi i l / order): ``_eigenspaces`` of the monomial
+    pair of R, or of a dense R.  An order-2 monomial R gives e_c for a
+    fixed point and (e_c +- s_c e_pi(c)) / 2 for each 2-cycle c < pi(c).
 
     The parts are dense: d columns of d complex entries in all.  Their
     bytes are charged against gtrep.GENERATOR_BUDGET_BYTES first, and
     InputError is raised past it, before any part is formed.
     """
-    k = sim.order
-    group = AbelianGroup((k,))
     d = sim.dim
     nbytes = 16 * d * d
     if nbytes > gtrep.GENERATOR_BUDGET_BYTES:
@@ -488,45 +523,8 @@ def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grad
             f"the carrier parts of dimension {d} need {nbytes / 2**30:.2f} GiB as dense columns, "
             f"over the {gtrep.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
-    if sim.kind == "dense" or (sim.kind == "signed_permutation" and k != 2):
-        out = {(l,): basis for l, basis in enumerate(_eigenspaces(sim.matrix, k, tol)) if basis.shape[1]}
-        return _carrier_grading(group, out, d)
-    perm, signs = sim.monomial()
-    lead = np.flatnonzero(perm >= np.arange(d))  # fixed points and the first index of each 2-cycle
-    mates = perm[lead] != lead
-    if sim.kind == "diagonal":
-        label = {}
-        for rho in set(sim.phases):
-            l = (Fraction(rho) % 2 * k / 2) % k
-            if l.denominator != 1:
-                raise VerificationError(f"phase pi*{rho} is not a {k}-th root of unity")
-            label[rho] = int(l)
-        labels = np.array([label[rho] for rho in sim.phases])
-    else:
-        values = signs[lead]
-        labels = np.rint(np.angle(values) * k / (2 * math.pi)).astype(int) % k
-        off_root = ~mates & (np.abs(values - np.exp(2j * math.pi * labels / k)) > 1e-6)
-        if off_root.any():
-            raise VerificationError(f"eigenvalue {values[np.argmax(off_root)]} is not a {k}-th root of unity")
-    out = {}
-    for (l,) in group.elements():
-        # part l: the fixed points with eigenvalue l, and for l = 0 / 1 the sum / difference of each 2-cycle
-        pick = mates | (labels == l)
-        cols, rows, pair = np.arange(np.count_nonzero(pick)), lead[pick], mates[pick]
-        if not cols.size:
-            continue
-        part = np.zeros((d, cols.size), dtype=complex)
-        part[rows, cols] = np.where(pair, 1.0 - 2 * l, 1.0)
-        part[perm[rows[pair]], cols[pair]] = signs[rows[pair]]
-        out[(l,)] = part
-    return _carrier_grading(group, out, d)
-
-
-def _carrier_grading(group: AbelianGroup, parts: dict, d: int) -> Grading:
-    grading = Grading(group=group, parts=parts)
-    if grading.total_dim != d:
-        raise VerificationError("eigenspaces do not fill the carrier space")
-    return grading
+    split = _eigenspaces(sim.matrix if sim.kind == "dense" else sim.monomial(), sim.order, tol)
+    return _eigen_grading(split, d, tol, "simulation matrix")
 
 
 def check_compatibility(

@@ -64,14 +64,14 @@ def max_abs(a) -> float:
 
 
 def digest(*content) -> bytes:
-    """blake2b digest of content: each array as its dtype, shape and bytes
-    (an object array as the repr of its values), anything else as its repr,
-    each piece length-prefixed.  The one content hash: each read-only input
-    of a contraction caches its own as ``digest``."""
+    """blake2b digest of content: each array as its dtype, shape and C-order
+    bytes (read in place when contiguous; an object array as the repr of its
+    values), anything else as its repr, each piece length-prefixed.  The one
+    content hash: each read-only input of a contraction caches its own as ``digest``."""
     h = hashlib.blake2b(digest_size=16)
     for x in content:
         if isinstance(x, np.ndarray):
-            data = repr(x.tolist()).encode() if x.dtype.hasobject else x.tobytes()
+            data = repr(x.tolist()).encode() if x.dtype.hasobject else np.ascontiguousarray(x).reshape(-1).view(np.uint8)
             pieces = (f"{x.dtype.str}{x.shape}".encode(), data)
         else:
             pieces = (repr(x).encode(),)

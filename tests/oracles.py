@@ -13,8 +13,13 @@ conjugation and inner phases one pattern at a time, the generators built
 one pattern and one move at a time with exact Fraction radicands, the
 commutation check summing every product term in both orientations of its
 relation pair, the equal-key sums ordered by a stable argsort, and the
-action of an automorphism on sl(n) one basis matrix at a time."""
+action of an automorphism on sl(n) one basis matrix at a time, the
+eigenspaces of an operator from its dense projectors and the greedy
+column basis of each, with the dense power check, and the content digest
+over a tobytes() copy of each array."""
 
+import cmath
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,7 +40,7 @@ from gtlie.autos import eta
 from gtlie.contraction import EpsilonTable, PsiTable
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
-from gtlie.linalg import Entries, max_abs, orthonormal_span, product_terms, rank, row_blocks, span_distance, summed
+from gtlie.linalg import Entries, independent_columns, max_abs, orthonormal_span, product_terms, rank, row_blocks, span_distance, summed
 
 
 def span_residual(vec, basis) -> float:
@@ -683,3 +688,41 @@ def two_orientation_commutation(rep: GeneratorRep, tol: float = 1e-9) -> Report:
             rel = int(keys[np.argmax(np.abs(sums))]) // size
             worst, worst_at = res, (labels[rel // nn], labels[rel % nn])
     return Report(ok=worst <= tol, max_residual=worst, checked=n**4, worst_at=worst_at, tol=tol)
+
+
+def dense_eigenspaces(m: np.ndarray, order: int, tol: float) -> list[np.ndarray]:
+    """Bases of the eigenspaces of m (m^order = Id) for exp(2 pi i l / order),
+    l = 0, ..., order - 1: independent columns of the projectors
+    (1/order) sum_t exp(-2 pi i l t / order) m^t.  Order 2 uses (Id +- m)/2,
+    exact on integer m (cmath.exp(-1j * pi) is not exactly -1)."""
+    powers = [np.eye(m.shape[0], dtype=m.dtype)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] @ m)
+    out = []
+    for l in range(order):
+        if order == 2:
+            proj = (powers[0] + powers[1]) / 2 if l == 0 else (powers[0] - powers[1]) / 2
+        else:
+            proj = sum(cmath.exp(-2j * math.pi * l * t / order) * powers[t] for t in range(order)) / order
+        out.append(proj[:, independent_columns(proj, tol)].astype(complex))
+    return out
+
+
+def dense_power_residual(m: np.ndarray, order: int) -> float:
+    """max |m^order - Id| from the dense matrix power."""
+    return max_abs(np.linalg.matrix_power(m, order) - np.eye(m.shape[0]))
+
+
+def copied_digest(*content) -> bytes:
+    """linalg.digest with each array's bytes taken as a tobytes() copy."""
+    h = hashlib.blake2b(digest_size=16)
+    for x in content:
+        if isinstance(x, np.ndarray):
+            data = repr(x.tolist()).encode() if x.dtype.hasobject else x.tobytes()
+            pieces = (f"{x.dtype.str}{x.shape}".encode(), data)
+        else:
+            pieces = (repr(x).encode(),)
+        for piece in pieces:
+            h.update(len(piece).to_bytes(8, "little"))
+            h.update(piece)
+    return h.digest()

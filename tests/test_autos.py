@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
-from gtlie import gtrep
+from gtlie import autos, gtrep
 from gtlie.algebra import matrix_to_coords, sl_basis_matrices
 from gtlie.autos import (
     SOLVER_BUDGET_BYTES,
@@ -35,6 +36,8 @@ from gtlie.linalg import Entries
 from oracles import (
     GTPattern,
     dense_doubled_generators,
+    dense_eigenspaces,
+    dense_power_residual,
     enumerate_patterns,
     pattern_conjugate,
     per_column_compatibility,
@@ -377,6 +380,94 @@ def test_decompose_rep_space_charges_its_dense_parts_against_the_budget(monkeypa
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="signed_permutation", perm=(1, 0, 2), signs=(1, -1, 1)),  # R^2 e_0 = -e_0
+    dict(kind="diagonal", phases=(Fraction(0), Fraction(1, 2))),  # R^2 e_1 = -e_1
+], ids=["signed_permutation", "diagonal"])
+def test_decompose_rep_space_refuses_an_r_off_its_order(fields):
+    sim = SimulationMatrix(order=2, **fields)
+    assert sim.power_residual() == 2.0
+    for r in (sim, SimulationMatrix(order=2, kind="dense", dense=sim.matrix)):
+        with pytest.raises(gtlie.VerificationError, match="M\\^2 = Id \\(residual 2\\)"):
+            decompose_rep_space(r)
+
+
+def test_decompose_rep_space_of_r20_10_0_forms_little_beside_its_parts():
+    # the parts of d = 1331 are 27.0 MiB of complex columns; one d x d array per label would add 27 MiB
+    hw = HighestWeight(3, (20, 10, 0))
+    for sim in (simulation_inner(hw, 3, 1), J_matrix(hw)):
+        vgamma, peak = _peak_bytes(lambda: decompose_rep_space(sim))
+        assert vgamma.part_dims() == {(0,): 671, (1,): 660}
+        assert peak < 28.1 * 2**20
+
+
+def test_the_standard_gradings_of_sl24_form_no_column_basis(monkeypatch):
+    # the structure constants of sl(24) would take 2.8 GiB: the split reads only the algebra's dimension
+    calls = []
+    monkeypatch.setattr(autos, "independent_columns", lambda *args: calls.append(args))
+    sl24 = types.SimpleNamespace(dim=24 * 24 - 1)
+    for aut in (auto_inner(24, 1), auto_inner(24, 12), auto_outer(24)):
+        assert grading_from_automorphism(sl24, aut).total_dim == 575
+    assert calls == []
+
+
+def _unit_root(j: int, order: int) -> complex:
+    """exp(2 pi i j / order), exact at the quarter turns."""
+    quarter = Fraction(4 * j, order)
+    return (1, 1j, -1, -1j)[int(quarter) % 4] if quarter.denominator == 1 else cmath.exp(2j * math.pi * j / order)
+
+
+@st.composite
+def monomial_operators(draw):
+    """(perm, scale, order): M e_c = scale[c] e_{perm[c]} of order 1-6 with
+    cycle lengths dividing the order; scales are order-th roots of unity,
+    times powers of two that multiply to 1 along each cycle at order <= 2.
+    About half are drawn with M^order = Id, and the rest mostly without."""
+    order = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.sampled_from([L for L in range(1, order + 1) if order % L == 0]), min_size=1, max_size=5))
+    at = draw(st.permutations(range(sum(lengths))))
+    valid = draw(st.booleans())
+    perm, scale = np.zeros(len(at), dtype=np.int64), np.zeros(len(at), dtype=complex)
+    for start, length in zip(np.cumsum([0] + lengths), lengths):
+        cycle = at[start : start + length]
+        turns = draw(st.lists(st.integers(0, order - 1), min_size=length, max_size=length))
+        if valid:  # the turns sum to a multiple of the length: (cycle product)^(order / length) = 1
+            turns[-1] = (turns[-1] - sum(turns) + length * draw(st.integers(0, order))) % order
+        bits = draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length)) if order <= 2 else [0] * length
+        bits[-1] -= sum(bits)
+        for i, c in enumerate(cycle):
+            perm[c], scale[c] = cycle[(i + 1) % length], _unit_root(turns[i], order) * 2.0 ** bits[i]
+    return perm, scale, order
+
+
+def _assert_same_parts(got, want, exact):
+    assert [p.shape for p in got] == [p.shape for p in want]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes() if exact else np.abs(a - b).max(initial=0.0) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_operators())
+def test_the_cycle_split_is_the_dense_split(operator):
+    perm, scale, order = operator
+    m = np.zeros((perm.size, perm.size), dtype=complex)
+    m[perm, np.arange(perm.size)] = scale
+    parts, residual = autos._eigenspaces((perm, scale), order, 1e-9)
+    assert (residual <= 1e-9) == (dense_power_residual(m, order) <= 1e-9)
+    again, same = autos._eigenspaces(m, order, 1e-9)  # a dense monomial matrix is read as its pair
+    assert same == residual
+    _assert_same_parts(again, parts, exact=True)
+    if residual <= 1e-9:
+        _assert_same_parts(parts, dense_eigenspaces(m, order, 1e-9), exact=order <= 2)
+    # conjugated by the unipotent upper-triangular Q, with Q^-1 = Id - (superdiagonal): not monomial
+    q = np.triu(np.ones_like(m))
+    conj = q @ m @ (np.eye(perm.size) - np.eye(perm.size, k=1))
+    if np.count_nonzero(conj) > perm.size:
+        dense, power = autos._eigenspaces(conj, order, 1e-9)
+        assert power == dense_power_residual(conj, order)
+        _assert_same_parts(dense, dense_eigenspaces(conj, order, 1e-9), exact=True)
+
+
 def test_verify_simulation_rejects_wrong_scale():
     hw = HighestWeight(3, (1, 0, 0))
     rep = build_representation(hw)
@@ -513,7 +604,7 @@ def test_compatibility_on_r4310_inner_is_exact_and_outer_passes():
     assert inner.checked == 15 * 175
     outer = check_compatibility(rep, grading_from_automorphism(sl4, auto_outer(4)),
                                 decompose_rep_space(J_matrix(hw)))
-    # the pair blocks e_c +- s e_q are projected exactly: no thin-SVD round-off is left
+    # the pair blocks (e_c +- s e_q) / 2 are projected exactly: no thin-SVD round-off is left
     assert outer.ok and outer.max_residual == 0.0 and outer.worst_at is None
 
 
@@ -707,9 +798,12 @@ def test_a_flipped_sign_of_the_outer_simulation_is_flagged(m, c):
     signs = list(good.signs)
     signs[c] = -signs[c]
     bad = SimulationMatrix(order=2, kind="signed_permutation", perm=good.perm, signs=tuple(signs))
-    simcheck, compat = _check_like_the_oracles(rep, auto_outer(hw.n), bad, decompose_rep_space(bad))
-    # the V split reads the sign at the first index of each 2-cycle and at fixed points only
-    assert not simcheck.ok and compat.ok == (good.perm[c] < c)
+    simcheck, _ = _check_like_the_oracles(rep, auto_outer(hw.n), bad)
+    assert not simcheck.ok and good.perm[c] != c
+    # the flipped sign leaves R^2 e_c = -e_c on its 2-cycle: the V split refuses it rather than return
+    # columns that are not eigenvectors
+    with pytest.raises(gtlie.VerificationError, match="M\\^2 = Id \\(residual 2\\)"):
+        decompose_rep_space(bad)
 
 
 @pytest.mark.parametrize("m, s, c", [((2, 1, 0), 1, 3), ((3, 1, 0), 1, 0), ((2, 1, 1, 0), 2, 5)], ids=str)

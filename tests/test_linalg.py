@@ -4,6 +4,7 @@ verifier that sums keys, run on the benchmark workloads' inputs with the
 kernel and with the stable argsort put in its place."""
 
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from gtlie import algebra, autos, gtrep, linalg
 from gtlie.gtrep import GeneratorRep, HighestWeight
 from gtlie.linalg import PACKED_SORT_MIN_KEYS, Entries, stable_order, summed
-from oracles import lexsorted_doubled_entries, stable_argsort_order, stable_summed
+from oracles import copied_digest, lexsorted_doubled_entries, stable_argsort_order, stable_summed
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 # Sizes on both sides of the cut between the stable argsort and the packed sort.
@@ -197,3 +198,24 @@ def test_doubled_entries_are_those_the_lexsort_orders(m):
     got, want = autos.doubled_rep(hw)[0].entries, lexsorted_doubled_entries(gtrep.build_representation(hw))
     for field in ("rows", "cols", "vals", "gids", "starts"):
         assert same(getattr(got, field), getattr(want, field)), field
+
+
+def test_digest_hashes_the_bytes_a_copy_would_give():
+    a = np.arange(24, dtype=complex).reshape(4, 6) * (1 + 2j)
+    assert a[:, ::2].flags.c_contiguous is False
+    for x in (a, a[:, ::2], a.T, np.array([1, "x", None], dtype=object), np.zeros((0, 3)), np.array(2.5)):
+        assert linalg.digest(x) == copied_digest(x)
+    assert linalg.digest(a, "s", (2, 3), a[1:3]) == copied_digest(a, "s", (2, 3), a[1:3])
+
+
+def test_digesting_a_carrier_grading_copies_no_part():
+    # the two parts of d = 1331 hold 27 MiB of complex columns; a tobytes() copy of each peaked at 27 MiB
+    vgamma = autos.decompose_rep_space(autos.simulation_inner(HighestWeight(3, (20, 10, 0)), 3, 1))
+    tracemalloc.start()
+    try:
+        got = vgamma.digest
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == copied_digest(vgamma.group.orders, *(x for item in vgamma.parts.items() for x in item))

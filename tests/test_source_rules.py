@@ -202,3 +202,33 @@ def test_contract_rep_forms_no_dense_image_and_solves_nothing():
         if isinstance(node, ast.Call) and (_named(node.func, "images") or _named(node.func, "solve"))
     ]
     assert not found, f"contract_rep forms dense images or solves: {found}"
+
+
+
+# The callers of the one eigenspace kernel, autos._eigenspaces: the two grading constructors.
+EIGENSPACE_CALLERS = {("autos.py", "grading_from_automorphism"), ("autos.py", "decompose_rep_space")}
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and _named(node.func, name)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_eigenspace_split_goes_through_the_one_kernel(path):
+    # autos._eigenspaces splits a monomial operator along its cycles and only a dense one by the
+    # column bases of its projectors: any other caller of independent_columns, or of the kernel, is a
+    # second split
+    found = _outside(path, {("autos.py", "_eigenspaces")}, _calls("independent_columns"))
+    found += _outside(path, EIGENSPACE_CALLERS, _calls("_eigenspaces"))
+    assert not found, f"an eigenspace split outside autos._eigenspaces: {found}"
+
+
+def test_the_grading_constructors_split_by_the_kernel_alone():
+    # a constructor that forms a power or a column basis itself checks or splits a second way
+    (path,) = [p for p in SOURCES if p.name == "autos.py"]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for _, name in EIGENSPACE_CALLERS:
+        (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None)) for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)}
+        assert "_eigenspaces" in called and not called & {"matrix_power", "independent_columns", "eig", "eigh"}, name
