@@ -8,7 +8,10 @@ of constructed algebras is exactly zero.
 
 A grading is a decomposition of the algebra (or of any vector space)
 into subspaces labelled by elements of a finite abelian group, with the
-bracket-closure condition ``[L_j, L_k] subset of L_{j+k}``.
+bracket-closure condition ``[L_j, L_k] subset of L_{j+k}``: the
+compatibility r(L_i) V_j subset of V_{i+j} of the adjoint representation,
+with V = L graded by itself.  One kernel, ``containment``, checks both on
+the entries of r(x) (for the algebra ``LieAlgebra.ad``, read once).
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from .linalg import (
     digest,
     max_abs,
     orthonormal_span,
+    ranges,
     rank,
     read_only,
     relation_sums,
     span_distance,
+    stable_order,
+    summed,
 )
 
 
@@ -81,7 +87,7 @@ class Report:
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Finite-dimensional complex Lie algebra over a named basis, read-only:
-    ``structure`` is linalg.read_only; ``digest`` (cached) covers it."""
+    ``structure`` is linalg.read_only; ``digest`` and ``ad`` are cached."""
 
     basis_names: tuple[str, ...]
     structure: np.ndarray  # shape (k, k, k), [e_i, e_j] = sum_l structure[i,j,l] e_l
@@ -108,6 +114,11 @@ class LieAlgebra:
     @cached_property
     def digest(self) -> bytes:
         return digest(self.structure)
+
+    @cached_property
+    def ad(self) -> Entries:
+        """ad_i[p, j] = c[i, j, p] as one read-only linalg.Entries table, read once."""
+        return Entries.of(self.structure.transpose(0, 2, 1))
 
 
 def brackets(p: np.ndarray, q: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
@@ -140,9 +151,9 @@ def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
     With ad_i[p, j] = c[i, j, p], entry (p, l) of [ad_i, ad_j] -
     sum_m c[i, j, m] ad_m is minus the residual of (e_i, e_j, e_l) at e_p:
     Jacobi says that ad is a homomorphism.  One call of
-    linalg.relation_sums checks it, on the entries of the ad_i and the
-    algebra's own triples (i, j, p, c[i, j, p]), i < j, read off those
-    entries; the residual of (e_j, e_i, e_l) is that of (e_i, e_j, e_l).
+    linalg.relation_sums checks it, on the entries algebra.ad and the
+    algebra's own triples (i, j, p, c[i, j, p]), i < j, read off them;
+    the residual of (e_j, e_i, e_l) is that of (e_i, e_j, e_l).
     The heaviest output row is predicted first at 3 k^4 terms for a dense
     algebra, what the check formed when it summed both orders of each
     pair (the kernel now forms about half as many), and refused over
@@ -153,7 +164,7 @@ def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
     k = algebra.dim
     if not k:
         return Report.of([], tol)
-    ad = Entries.of(algebra.structure.transpose(0, 2, 1))
+    ad = algebra.ad
     runs = np.diff(ad.starts)
     terms = 2 * runs[ad.cols] + runs[ad.gids]
     row_bytes = JACOBI_TERM_BYTES * int(np.bincount(ad.rows, terms, minlength=k).max())
@@ -330,35 +341,187 @@ def trivial_grading(algebra: LieAlgebra) -> Grading:
     return Grading(group=group, parts={(0,): np.eye(algebra.dim, dtype=complex)})
 
 
-def verify_grading(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> Report:
-    """Check direct-sum and bracket-closure conditions of a grading.
+def containment(entries: tuple, images, k: int, d: int, gamma: Grading, vgamma: Grading, tol: float) -> tuple:
+    """Where r(X) sends each part V_j, X a basis column of gamma part i: the
+    residuals {(i, j): the distance of r(X) V_j from V_{i+j}, one per X},
+    and the unsummed coordinate terms (keys, values) of every image.  r is
+    given on the k basis elements e_x twice: as the entries (x, row, col,
+    val) of the d x d matrices r(e_x), and as images(coords), the dense
+    r(x) for each column x of coordinates.
 
-    Each block [L_j, L_l] is formed at once and measured against an
-    orthonormal basis of L_{j+l}, taken once per part.  Parts that are not
-    a direct sum of the algebra come first, as the violation
-    ("direct_sum", total dim, rank, inf): no residual bounds them.  A part
-    with a NaN or infinite entry has neither a rank nor a span: each is
-    the violation ("non_finite", label, inf), and nothing else is checked.
-    The report carries checked = the number of bracket images, worst_at =
-    (j, l) (None when all residuals are zero) and tol.
+    When every part of vgamma is finite and made of coordinate vectors and
+    pairs with pairwise disjoint supports (autos._eigenspaces of a monomial
+    operator), the images come from the entries and are measured exactly
+    (_pair_residuals); otherwise on dense matrices, against a thin-SVD
+    basis of each part (_span_residuals).  The terms at key (a d + s) d + t,
+    a, s, t positions in the adapted bases (parts in sorted label order),
+    sum to the coordinate of r(X_a) v_t on v_s; an image entry in no kept
+    column of its target part has none."""
+    first = dict(zip(gamma.sorted_labels(), np.cumsum([0, *gamma.part_dims().values()]).tolist()))
+    supports = {lab: _pair_support(part) for lab, part in vgamma.parts.items()}
+    if all(s is not None for s in supports.values()):
+        residuals, coords = _pair_residuals(entries, k, d, gamma, vgamma, supports, first, tol)
+    else:
+        residuals, coords = _span_residuals(images, d, gamma, vgamma, first, tol)
+    coords = zip((np.zeros(0, dtype=np.int64), np.zeros(0)), *coords)
+    return residuals, tuple(map(np.concatenate, coords))
+
+
+def _pair_support(part: np.ndarray) -> tuple | None:
+    """(rows, cols, vals) of the nonzeros of part, in row order, when part
+    is finite and its columns are coordinate vectors or pairs with
+    pairwise disjoint supports; otherwise None."""
+    if not np.isfinite(part).all():
+        return None
+    rows, cols = np.nonzero(part)
+    if np.any(rows[1:] == rows[:-1]) or np.bincount(cols).max(initial=0) > 2:
+        return None
+    return rows, cols, part[rows, cols]
+
+
+def _pair_residuals(entries: tuple, k: int, d: int, gamma: Grading, vgamma: Grading, supports: dict, first: dict,
+                    tol: float) -> tuple:
+    """Residuals {(i, j): one per column of gamma part i} on the entries, and
+    the coordinate terms (first: the position of each gamma part's X_0).
+
+    The columns of all V parts are numbered in one sequence (global
+    columns, in the adapted order).  Each nonzero of a V column at basis
+    row c is joined with the entries of every r(x) in column c: summed,
+    they give the image keys (global column, row) and the (K, k) table T
+    with r(x) v = T[:, x] there, for every basis element x.  For gamma
+    part i the images of all its X columns are one product T X.
+
+    Against the target part V_{i+j}, an image entry w_r whose row lies in
+    no kept column of the target counts whole; a coordinate column e_r
+    holds it exactly; for a pair column tau = tau_r e_r + tau_q e_q the
+    distance of (w_r, w_q) from the span of tau is max(|tau_r|, |tau_q|)
+    |tau_q w_r - tau_r w_q| / |tau|^2, with w_q read at the key (column, q)
+    and zero where there is none.  On the kept column blk that holds the
+    row, w_r adds the term conj(tau_r) w_r / |tau|^2 to the coordinate.
     """
+    vlabels = vgamma.sorted_labels()
+    widths = [vgamma.parts[lab].shape[1] for lab in vlabels]
+    offsets = np.cumsum([0] + widths)
+    owner = np.repeat(np.arange(len(vlabels)), widths)  # part of each global column
+    vrows = np.concatenate([supports[lab][0] for lab in vlabels])
+    vcols = np.concatenate([supports[lab][1] + off for lab, off in zip(vlabels, offsets)])
+    vvals = np.concatenate([supports[lab][2] for lab in vlabels])
+    norm2 = np.bincount(vcols, np.abs(vvals) ** 2, minlength=offsets[-1])
+    kept = np.zeros(offsets[-1], dtype=bool)
+    for off, width in zip(offsets, widths):
+        norms = np.sqrt(norm2[off : off + width])
+        kept[off : off + width] = norms > tol * max(1.0, norms.max(initial=0.0))  # as orthonormal_span keeps
+    # per part and row: the kept global column holding the row, its value there and the column's other row
+    block, tau = np.full((len(vlabels), d), -1), np.zeros((len(vlabels), d), dtype=vvals.dtype)
+    mate = np.tile(np.arange(d), (len(vlabels), 1))
+    block[owner[vcols], vrows] = np.where(kept[vcols], vcols, -1)
+    tau[owner[vcols], vrows] = vvals
+    sorted_cols, order = stable_order(vcols)
+    same = np.flatnonzero(sorted_cols[1:] == sorted_cols[:-1])
+    a, b = order[same], order[same + 1]
+    mate[owner[vcols[a]], vrows[a]], mate[owner[vcols[b]], vrows[b]] = vrows[b], vrows[a]
+    tau = _real_if_real(tau)
+
+    elabels, rows, cols, vals = entries
+    sorted_cols, by_col = stable_order(cols)
+    starts = np.searchsorted(sorted_cols, np.arange(d + 1))
+    t, u = ranges(starts[vrows], np.diff(starts)[vrows])
+    at = by_col[u]
+    keys, sums = summed((vcols[t] * d + rows[at]) * k + elabels[at], vals[at] * vvals[t])
+    image, label = np.divmod(keys, k)  # image key: global column * d + row
+    new = np.diff(image, prepend=-1) != 0
+    keys = image[new]
+    table = np.zeros((keys.size, k), dtype=sums.dtype)
+    table[np.cumsum(new) - 1, label] = sums
+    table = _real_if_real(table)
+    gcol, row = np.divmod(keys, d)
+    bounds = np.searchsorted(gcol, offsets)  # the keys of part p: bounds[p]:bounds[p + 1]
+
+    index = {lab: p for p, lab in enumerate(vlabels)}
+    out, coords = {}, []
+    for i, xpart in gamma.parts.items():
+        images = table @ _real_if_real(xpart)  # one row per key, one column per X
+        tgt = np.array([index.get(vgamma.group.add(i, j), -1) for j in vlabels])[owner[gcol]]
+        blk = np.where(tgt >= 0, block[tgt, row], -1)
+        other = gcol * d + mate[tgt, row]
+        pos = np.minimum(np.searchsorted(keys, other), keys.size - 1)
+        w_other = np.where((keys[pos] == other)[:, None], images[pos], 0)
+        t_row, t_other = tau[tgt, row][:, None], tau[tgt, other % d][:, None]
+        scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)[:, None]
+        res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
+        for p, j in enumerate(vlabels):
+            out[i, j] = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
+        held, x = np.nonzero((blk >= 0)[:, None] & (images != 0))
+        at = ((first[i] + x) * d + blk[held]) * d + gcol[held]
+        coords.append((at, np.conj(t_row[held, 0]) / norm2[blk[held]] * images[held, x]))
+    return out, coords
+
+
+def _real_if_real(a: np.ndarray) -> np.ndarray:
+    """a.real when no entry has an imaginary part: real arithmetic then
+    gives the same values at half the work."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _span_residuals(images, d: int, gamma: Grading, vgamma: Grading, first: dict, tol: float) -> tuple:
+    """Residuals {(i, j): one per column of gamma part i} on dense matrices,
+    and as coordinates the target part's pseudo-inverse times each block W.
+    A part with a NaN or infinite entry has no orthonormal basis: it gets
+    one NaN column, so every distance from it is NaN, which Report.of reads
+    as inf, and no coordinates."""
+    undefined = np.full((d, 1), np.nan)
+    inverses = {lab: np.linalg.pinv(part) for lab, part in vgamma.parts.items() if np.isfinite(part).all()}
+    bases = {lab: orthonormal_span(part, tol) if lab in inverses else undefined for lab, part in vgamma.parts.items()}
+    vfirst = dict(zip(vgamma.sorted_labels(), np.cumsum([0, *vgamma.part_dims().values()]).tolist()))
+    absent = np.zeros((d, 0), dtype=complex)
+    out, coords = {}, []
+    for i, xpart in gamma.parts.items():
+        mats = images(xpart)
+        for j, vpart in vgamma.parts.items():
+            target = vgamma.group.add(i, j)
+            blocks = [m @ vpart for m in mats]
+            out[i, j] = [span_distance(w, bases.get(target, absent)) for w in blocks]
+            if target in inverses:
+                c = inverses[target] @ np.array(blocks)  # (X, target column, V_j column)
+                a, s, t = np.indices(c.shape)
+                coords.append(((((first[i] + a) * d + vfirst[target] + s) * d + vfirst[j] + t).ravel(), c.ravel()))
+    return out, coords
+
+
+def closure(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> tuple:
+    """verify_grading's report and the coordinate terms of every [X_a, X_t] of
+    the adapted basis on X_s: ``containment`` for the adjoint representation
+    algebra.ad, with V = L graded by grading itself."""
     k = algebra.dim
     for lab, basis in grading.parts.items():
         if basis.shape[0] != k:
             raise InputError(f"part {lab} lives in dimension {basis.shape[0]}, expected {k}")
     pairs = [(("non_finite", lab), math.inf) for lab, part in grading.parts.items() if not np.isfinite(part).all()]
     if pairs:
-        return Report.of(pairs, tol, checked=grading.total_dim**2)
+        return Report.of(pairs, tol, checked=grading.total_dim**2), (np.zeros(0, dtype=np.int64), np.zeros(0))
     stacked = np.column_stack([p for p in grading.parts.values() if p.shape[1]] or [np.zeros((k, 0))])
     dims = (grading.total_dim, rank(stacked, tol))
     pairs = [] if dims == (k, k) else [(("direct_sum", *dims), math.inf)]
-    bases = {lab: orthonormal_span(part, tol) for lab, part in grading.parts.items()}
-    absent = np.zeros((k, 0), dtype=complex)
-    for j, pj in grading.parts.items():
-        for l, pl in grading.parts.items():
-            images = brackets(pj, pl, algebra)
-            pairs.append(((j, l), span_distance(images, bases.get(grading.group.add(j, l), absent))))
-    return Report.of(pairs, tol, checked=grading.total_dim**2)
+    ad = algebra.ad
+    residuals, coords = containment((ad.gids, ad.rows, ad.cols, ad.vals),
+                                    lambda x: np.tensordot(x.T, algebra.structure, 1).swapaxes(1, 2),
+                                    k, k, grading, grading, tol)
+    pairs += [((j, l), np.max(residuals[j, l], initial=0.0)) for j in grading.parts for l in grading.parts]
+    return Report.of(pairs, tol, checked=grading.total_dim**2), coords
+
+
+def verify_grading(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> Report:
+    """Check direct-sum and bracket-closure conditions of a grading: the
+    report half of ``closure``, exact on coordinate and pair parts.  The
+    residual of (j, l) is the largest distance of [X, L_l] from L_{j+l}
+    over the columns X of L_j.  Parts that are not a direct sum of the
+    algebra come first, as the violation ("direct_sum", total dim, rank,
+    inf): no residual bounds them.  A part with a NaN or infinite entry has
+    neither a rank nor a span: each is the violation ("non_finite", label,
+    inf), and nothing else is checked.  The report carries checked = the
+    number of bracket images, worst_at = (j, l) (None when all residuals
+    are zero) and tol."""
+    return closure(algebra, grading, tol)[0]
 
 
 class TwoPartCase(enum.Enum):

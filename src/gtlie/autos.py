@@ -31,10 +31,11 @@ d x d matrix: ``verify_simulation`` compares the
 entries (i, j, v) of r(x), moved to (pi(i), pi(j), s_i v / s_j), with those
 of r(g(x)), and R^order = Id follows pi; ``decompose_rep_space`` gives
 coordinate vectors e_c and pairs (e_c +- s_c e_pi(c)) / 2; ``compatibility``
-forms the images of those columns from the entries, measures each against
-its coordinate vector or pair exactly and reads off its coordinates there.
-A dense R (the solver's) or other carrier columns take the dense path: r(x)
-from rep.images, and a thin-SVD basis and a pseudo-inverse per part.
+(algebra.containment, as for the algebra's own grading) forms the images of
+those columns from the entries, measures each against its coordinate vector
+or pair exactly and reads off its coordinates there.  A dense R (the
+solver's) or other carrier columns take the dense path: r(x) from
+rep.images, and a thin-SVD basis and a pseudo-inverse per part.
 """
 
 from __future__ import annotations
@@ -49,14 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gtrep
-from .algebra import (
-    Grading,
-    LieAlgebra,
-    Report,
-    matrix_to_coords,
-    sl_basis_labels,
-    sl_basis_matrices,
-)
+from .algebra import Grading, LieAlgebra, Report, containment, matrix_to_coords, sl_basis_labels, sl_basis_matrices
 from .errors import InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import (
@@ -65,18 +59,7 @@ from .gtrep import (
     PatternTable,
     build_representation,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Entries,
-    independent_columns,
-    max_abs,
-    orthonormal_span,
-    ranges,
-    read_only,
-    span_distance,
-    stable_order,
-    summed,
-)
+from .linalg import DEFAULT_TOL, Entries, independent_columns, max_abs, read_only, stable_order, summed
 
 
 # ---------------------------------------------------------------------------
@@ -540,171 +523,26 @@ def check_compatibility(
 
 def compatibility(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float = DEFAULT_TOL) -> tuple:
     """Where r(X) sends each V_j: the report of check_compatibility, and the
-    coordinates of every image r(X_a) v_t in its target part V_{i+j}.
-
-    For each basis column X of a gamma part and each part j of vgamma, the
-    image block W = r(X) V_j is measured by its largest distance from
-    V_{i+j}; a violation (i, j, res) is recorded per X column and part j
-    whose residual exceeds tol.
-
-    When every part of vgamma is finite and made of coordinate vectors and
-    pairs with pairwise disjoint supports (as decompose_rep_space gives them
-    for the diagonal and signed-permutation kinds), the images come from
-    the stored entries, for all X of a gamma part at once, and each is
-    measured exactly against its coordinate vector or pair
-    (_pair_residuals).  Otherwise each part gets one orthonormal basis Q
-    (thin SVD, ``orthonormal_span``), r(X) comes from rep.images and the
-    distance is max |W - Q (Q^H W)|.
-
-    The report carries checked = the number of image vectors r(X) v tested,
-    worst_at = (i, j) of the largest residual (None when all are zero) and
-    tol.  The coordinates are unsummed terms (keys, values): the terms at key
-    (a d + s) d + t, with a, s, t positions in the adapted bases (parts in
-    sorted label order), sum to the coordinate of r(X_a) v_t on v_s.  An
-    image entry in no kept column of its target part has none.
-    """
+    coordinate terms of every image r(X_a) v_t in its target part V_{i+j}
+    (algebra.containment on rep.sl_entries and rep.images; exact on the
+    parts decompose_rep_space gives a monomial R).  A violation (i, j, res)
+    is recorded per X column of gamma part i and part j of vgamma whose
+    residual exceeds tol; the report carries checked = the number of image
+    vectors r(X) v tested, worst_at = (i, j) of the largest residual (None
+    when all are zero) and tol."""
     if gamma.group.orders != vgamma.group.orders:
-        raise InputError(
-            f"gradings live over different groups: {gamma.group} vs {vgamma.group}"
-        )
+        raise InputError(f"gradings live over different groups: {gamma.group} vs {vgamma.group}")
+    k = rep.n * rep.n - 1
     lengths = {part.shape[0] for part in gamma.parts.values()}
-    if lengths != {rep.n * rep.n - 1}:
+    if lengths != {k}:
         raise InputError(f"grading vectors of length {sorted(lengths)} are not coordinates on sl({rep.n})")
     vlengths = {part.shape[0] for part in vgamma.parts.values()}
     if vlengths - {rep.dim}:
         raise InputError(f"carrier grading vectors of length {sorted(vlengths)} do not live in dimension {rep.dim}")
-    first = dict(zip(gamma.sorted_labels(), np.cumsum([0, *gamma.part_dims().values()]).tolist()))
-    supports = {lab: _pair_support(part) for lab, part in vgamma.parts.items()}
-    if all(s is not None for s in supports.values()):
-        residuals, coords = _pair_residuals(rep, gamma, vgamma, supports, first, tol)
-    else:
-        residuals, coords = _span_residuals(rep, gamma, vgamma, first, tol)
+    residuals, coords = containment(rep.sl_entries, rep.images, k, rep.dim, gamma, vgamma, tol)
     pairs = [((i, j), residuals[i, j][col]) for i, xpart in gamma.parts.items()
              for col in range(xpart.shape[1]) for j in vgamma.parts]
-    coords = zip((np.zeros(0, dtype=np.int64), np.zeros(0)), *coords)
-    return Report.of(pairs, tol, checked=gamma.total_dim * vgamma.total_dim), tuple(map(np.concatenate, coords))
-
-
-def _pair_support(part: np.ndarray) -> tuple | None:
-    """(rows, cols, vals) of the nonzeros of part, in row order, when part
-    is finite and its columns are coordinate vectors or pairs with
-    pairwise disjoint supports; otherwise None."""
-    if not np.isfinite(part).all():
-        return None
-    rows, cols = np.nonzero(part)
-    if np.any(rows[1:] == rows[:-1]) or np.bincount(cols).max(initial=0) > 2:
-        return None
-    return rows, cols, part[rows, cols]
-
-
-def _pair_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, supports: dict, first: dict,
-                    tol: float) -> tuple:
-    """Residuals {(i, j): one per column of gamma part i} on the entries, and
-    the coordinate terms (first: the position of each gamma part's X_0).
-
-    The columns of all V parts are numbered in one sequence (global
-    columns, in the adapted order).  Each nonzero of a V column at basis
-    row c is joined with the entries of every r(x) in column c: summed,
-    they give the image keys (global column, row) and the (K, k) table T
-    with r(x) v = T[:, x] there, for every sl basis label x.  For gamma
-    part i the images of all its X columns are one product T X.
-
-    Against the target part V_{i+j}, an image entry w_r whose row lies in
-    no kept column of the target counts whole; a coordinate column e_r
-    holds it exactly; for a pair column tau = tau_r e_r + tau_q e_q the
-    distance of (w_r, w_q) from the span of tau is max(|tau_r|, |tau_q|)
-    |tau_q w_r - tau_r w_q| / |tau|^2, with w_q read at the key (column, q)
-    and zero where there is none.  On the kept column blk that holds the
-    row, w_r adds the term conj(tau_r) w_r / |tau|^2 to the coordinate.
-    """
-    vlabels = vgamma.sorted_labels()
-    k, d = rep.n * rep.n - 1, rep.dim
-    widths = [vgamma.parts[lab].shape[1] for lab in vlabels]
-    offsets = np.cumsum([0] + widths)
-    owner = np.repeat(np.arange(len(vlabels)), widths)  # part of each global column
-    vrows = np.concatenate([supports[lab][0] for lab in vlabels])
-    vcols = np.concatenate([supports[lab][1] + off for lab, off in zip(vlabels, offsets)])
-    vvals = np.concatenate([supports[lab][2] for lab in vlabels])
-    norm2 = np.bincount(vcols, np.abs(vvals) ** 2, minlength=offsets[-1])
-    kept = np.zeros(offsets[-1], dtype=bool)
-    for off, width in zip(offsets, widths):
-        norms = np.sqrt(norm2[off : off + width])
-        kept[off : off + width] = norms > tol * max(1.0, norms.max(initial=0.0))  # as orthonormal_span keeps
-    # per part and row: the kept global column holding the row, its value there and the column's other row
-    block, tau = np.full((len(vlabels), d), -1), np.zeros((len(vlabels), d), dtype=vvals.dtype)
-    mate = np.tile(np.arange(d), (len(vlabels), 1))
-    block[owner[vcols], vrows] = np.where(kept[vcols], vcols, -1)
-    tau[owner[vcols], vrows] = vvals
-    sorted_cols, order = stable_order(vcols)
-    same = np.flatnonzero(sorted_cols[1:] == sorted_cols[:-1])
-    a, b = order[same], order[same + 1]
-    mate[owner[vcols[a]], vrows[a]], mate[owner[vcols[b]], vrows[b]] = vrows[b], vrows[a]
-    tau = _real_if_real(tau)
-
-    elabels, rows, cols, vals = rep.sl_entries
-    sorted_cols, by_col = stable_order(cols)
-    starts = np.searchsorted(sorted_cols, np.arange(d + 1))
-    t, u = ranges(starts[vrows], np.diff(starts)[vrows])
-    at = by_col[u]
-    keys, sums = summed((vcols[t] * d + rows[at]) * k + elabels[at], vals[at] * vvals[t])
-    image, label = np.divmod(keys, k)  # image key: global column * d + row
-    new = np.diff(image, prepend=-1) != 0
-    keys = image[new]
-    table = np.zeros((keys.size, k), dtype=sums.dtype)
-    table[np.cumsum(new) - 1, label] = sums
-    table = _real_if_real(table)
-    gcol, row = np.divmod(keys, d)
-    bounds = np.searchsorted(gcol, offsets)  # the keys of part p: bounds[p]:bounds[p + 1]
-
-    index = {lab: p for p, lab in enumerate(vlabels)}
-    out, coords = {}, []
-    for i, xpart in gamma.parts.items():
-        images = table @ _real_if_real(xpart)  # one row per key, one column per X
-        tgt = np.array([index.get(vgamma.group.add(i, j), -1) for j in vlabels])[owner[gcol]]
-        blk = np.where(tgt >= 0, block[tgt, row], -1)
-        other = gcol * d + mate[tgt, row]
-        pos = np.minimum(np.searchsorted(keys, other), keys.size - 1)
-        w_other = np.where((keys[pos] == other)[:, None], images[pos], 0)
-        t_row, t_other = tau[tgt, row][:, None], tau[tgt, other % d][:, None]
-        scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)[:, None]
-        res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
-        for p, j in enumerate(vlabels):
-            out[i, j] = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
-        held = np.flatnonzero(blk >= 0)
-        at = ((first[i] + np.arange(xpart.shape[1])) * d + blk[held, None]) * d + gcol[held, None]
-        coords.append((at.ravel(), (np.conj(t_row[held]) / norm2[blk[held, None]] * images[held]).ravel()))
-    return out, coords
-
-
-def _real_if_real(a: np.ndarray) -> np.ndarray:
-    """a.real when no entry has an imaginary part: real arithmetic then
-    gives the same values at half the work."""
-    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
-
-
-def _span_residuals(rep: GeneratorRep, gamma: Grading, vgamma: Grading, first: dict, tol: float) -> tuple:
-    """Residuals {(i, j): one per column of gamma part i} on dense matrices,
-    and as coordinates the target part's pseudo-inverse times each block W.
-    A part with a NaN or infinite entry has no orthonormal basis: it gets
-    one NaN column, so every distance from it is NaN, which Report.of reads
-    as inf, and no coordinates."""
-    d, undefined = rep.dim, np.full((rep.dim, 1), np.nan)
-    inverses = {lab: np.linalg.pinv(part) for lab, part in vgamma.parts.items() if np.isfinite(part).all()}
-    bases = {lab: orthonormal_span(part, tol) if lab in inverses else undefined for lab, part in vgamma.parts.items()}
-    vfirst = dict(zip(vgamma.sorted_labels(), np.cumsum([0, *vgamma.part_dims().values()]).tolist()))
-    absent = np.zeros((d, 0), dtype=complex)
-    out, coords = {}, []
-    for i, xpart in gamma.parts.items():
-        mats = rep.images(xpart)
-        for j, vpart in vgamma.parts.items():
-            target = vgamma.group.add(i, j)
-            blocks = [m @ vpart for m in mats]
-            out[i, j] = [span_distance(w, bases.get(target, absent)) for w in blocks]
-            if target in inverses:
-                c = inverses[target] @ np.array(blocks)  # (X, target column, V_j column)
-                a, s, t = np.indices(c.shape)
-                coords.append(((((first[i] + a) * d + vfirst[target] + s) * d + vfirst[j] + t).ravel(), c.ravel()))
-    return out, coords
+    return Report.of(pairs, tol, checked=gamma.total_dim * vgamma.total_dim), coords
 
 
 # Largest predicted footprint of the solver's reduced system and its thin

@@ -20,10 +20,11 @@ kernels apply a contraction, with eps and psi read once per call as label
 arrays.  Every input is read-only and caches its digest, and one record of
 passes (_recorded), keyed by the digests of the objects a check reads, holds
 the inputs that passed a precondition check (_verify_once) and each
-contracted algebra that passed every check; failures are never recorded.  A
-contracted representation is read off the coordinates recorded with its
-carrier's compatibility pass, as the linalg.Entries table of its matrices,
-the form verify_rep_homomorphism hands to linalg.relation_sums on every call.
+contracted algebra that passed every check; failures are never recorded.
+Both contractions are read off the coordinates recorded with a pass: the
+algebra off its grading pass, and a representation off its carrier's
+compatibility pass, as the linalg.Entries table of its matrices, the form
+verify_rep_homomorphism hands to linalg.relation_sums on every call.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import (
-    Grading,
-    LieAlgebra,
-    Report,
-    brackets,
-    check_jacobi,
-    grading_adapted_basis,
-    verify_grading,
-)
+from .algebra import Grading, LieAlgebra, Report, check_jacobi, closure, grading_adapted_basis
 from .autos import compatibility
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
@@ -57,9 +50,9 @@ from .linalg import DEFAULT_TOL, Entries, digest, relation_sums, stable_order, s
 MAX_FREE_CELLS = 10
 # The one record of what passed, by digest, oldest first: each entry is (value, bytes
 # of its arrays), the value None for an input that passed a precondition check (for a
-# compatibility pass, its summed coordinates) and the outputs of a contracted algebra
-# that passed every check.  Past PASSED_CAPACITY entries the oldest entry is dropped,
-# and past PASSED_RESULT_BYTES bytes the oldest result; a larger one is not recorded.
+# grading or compatibility pass, its summed coordinates) and the outputs of a contracted
+# algebra that passed every check.  Past PASSED_CAPACITY entries the oldest entry is dropped,
+# and past PASSED_RESULT_BYTES bytes the oldest one with bytes; a larger one is not recorded.
 PASSED_CAPACITY = 1024
 PASSED_RESULT_BYTES = 1 << 25
 _passed: dict[bytes, tuple] = {}
@@ -319,18 +312,19 @@ def contract_algebra(
 ) -> ContractedAlgebra:
     """Rescale brackets by eps over the grading and rebuild structure constants.
 
-    The result lives in the adapted basis (part bases concatenated in label
-    order): all brackets of pairs a < b are scaled by eps and expanded by
-    one solve; the pairs b > a are their exact negatives.
+    The result lives in the adapted basis X (part bases concatenated in label
+    order): c[a, t, s], a < t, is eps times the coordinate of [X_a, X_t] on
+    X_s that the grading pass (algebra.closure) records, c[t, a, s] its exact
+    negative, and every other constant +0.0; nothing is bracketed or solved.
 
     An eps cell outside the float range is an InputError.  The inputs are
-    verified once per content: verify_grading and verify_epsilon run only
-    for an (algebra, grading) or eps whose digests have not passed them at
-    this tol.  The output must pass the Jacobi check.  A contraction that
-    passed every check is recorded under tol and the digests of algebra,
-    grading and eps; a hit gets the recorded, read-only labels, adapted
-    basis, contracted algebra and Jacobi report next to the caller's own
-    inputs, with no check run.
+    verified once per content: closure and verify_epsilon run only for an
+    (algebra, grading) or eps whose digests have not passed them at this
+    tol.  The output must pass the Jacobi check.  A contraction that passed
+    every check is recorded under tol and the digests of algebra, grading
+    and eps; a hit gets the recorded, read-only labels, adapted basis,
+    contracted algebra and Jacobi report next to the caller's own inputs,
+    with no check run.
     """
     if gamma.group.orders != eps.group.orders:
         raise InputError("grading and epsilon table live over different groups")
@@ -343,18 +337,18 @@ def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float
     """The recorded fields of contract_algebra's result, every check run:
     labels, adapted basis (made read-only), contracted algebra and its Jacobi report."""
     cells = eps.floats()
-    _verify_once("grading", verify_grading, tol, (algebra, gamma), VerificationError,
-                 "input grading fails verification")
+    keys, vals = _verify_once("grading", closure, tol, (algebra, gamma), VerificationError,
+                              "input grading fails verification", lambda terms: summed(*terms))
     _verify_once("epsilon", verify_epsilon, tol, (eps,), VerificationError,
                  "epsilon table fails the contraction system")
     labels, basis = grading_adapted_basis(gamma)
     k = algebra.dim
-    a, b = np.triu_indices(k, 1)
-    scale = eps.on_labels(cells, labels, labels)[a, b]
-    coeffs = np.linalg.solve(basis, brackets(basis, basis, algebra)[:, a * k + b] * scale)
+    a, s, t = np.unravel_index(keys, (k, k, k))
+    vals = vals * eps.on_labels(cells, labels, labels)[a, t]
+    live = (a < t) & (vals != 0)
+    a, s, t, vals = a[live], s[live], t[live], vals[live]
     structure = np.zeros((k, k, k), dtype=complex)
-    structure[a, b] = coeffs.T
-    structure[b, a] = -coeffs.T
+    structure[a, t, s], structure[t, a, s] = vals, -vals
     # labels come grouped, so a - labels.index(lab) counts within the part
     names = ["g" + ",".join(str(r) for r in lab) + f"_{a - labels.index(lab)}" for a, lab in enumerate(labels)]
     result = LieAlgebra(basis_names=tuple(names), structure=structure)
@@ -446,12 +440,10 @@ def verify_rep_homomorphism(
     outside = e.gids[(e.gids < 0) | (e.gids >= k)]
     if outside.size:
         raise InputError(f"contracted matrix {outside[0]} is not one of the {k} adapted basis vectors")
-    structure = calg.result.structure
-    a, b, l = np.nonzero(structure)
-    upper = a < b
-    a, b, l = a[upper], b[upper], l[upper]
+    ad = calg.result.ad  # c_abl at (l, a, b)
+    upper = ad.gids < ad.cols
     res = np.zeros((k, k))
-    for keys, sums in relation_sums(e, k, a, b, l, structure[a, b, l]):
+    for keys, sums in relation_sums(e, k, ad.gids[upper], ad.cols[upper], ad.rows[upper], ad.vals[upper]):
         np.maximum.at(res.reshape(-1), keys // e.dim**2, np.abs(sums))
     bad = e.gids[~np.isfinite(e.vals)]
     res[bad] = res[:, bad] = math.inf

@@ -20,6 +20,7 @@ from .contraction import ContractedAlgebra, EpsilonTable, PsiTable, ScalarTable
 from .errors import InputError
 from .groups import AbelianGroup, label_str, parse_label
 from .gtrep import HighestWeight, Representation
+from .linalg import stable_order
 
 
 def canonical_dumps(payload) -> str:
@@ -50,15 +51,12 @@ def _json_int(v) -> int:
 
 
 def algebra_to_json(algebra: LieAlgebra) -> dict:
-    k = algebra.dim
-    constants = []
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                v = algebra.structure[i, j, l]
-                if v != 0:
-                    constants.append([i, j, l, v.real, v.imag])
-    return {"dim": k, "basis": list(algebra.basis_names), "constants": constants}
+    """The nonzero constants [i, j, l, re, im], c[i, j, l] = ad_i[l, j], in (i, j, l) order."""
+    ad, k = algebra.ad, algebra.dim
+    _, order = stable_order((ad.gids * k + ad.cols) * k + ad.rows)
+    vals = ad.vals[order]
+    constants = zip(*(a.tolist() for a in (ad.gids[order], ad.cols[order], ad.rows[order], vals.real, vals.imag)))
+    return {"dim": k, "basis": list(algebra.basis_names), "constants": [list(c) for c in constants]}
 
 
 def algebra_from_json(payload: dict) -> LieAlgebra:
@@ -66,9 +64,13 @@ def algebra_from_json(payload: dict) -> LieAlgebra:
         k = _json_int(payload["dim"])
         names = tuple(str(x) for x in payload["basis"])
         structure = np.zeros((k, k, k), dtype=complex)
+        given = set()
         for i, j, l, re, im in payload["constants"]:
             if not all(0 <= _json_int(x) < k for x in (i, j, l)):
                 raise InputError(f"structure constant index {(i, j, l)} is outside 0..{k - 1}")
+            if (i, j, l) in given:
+                raise InputError(f"structure constant index {(i, j, l)} is given twice")
+            given.add((i, j, l))
             structure[i, j, l] = complex(re, im)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra JSON: {exc}") from exc

@@ -9,8 +9,8 @@ Mostly-zero matrices are multiplied by one sparse-product kernel.
 ``Entries`` is the one read-only table of their nonzero entries, ordered
 by row: it is either read from dense matrices (``Entries.of``) or stacked
 from per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is
-how gtrep stores representation generators and contraction a contracted
-representation.  ``ranges`` lays index ranges end to end, ``row_join``
+how gtrep stores generators, algebra the adjoint matrices (LieAlgebra.ad)
+and contraction a contracted representation.  ``ranges`` lays index ranges end to end, ``row_join``
 pairs entries with rows by it, ``product_terms`` forms every term of
 every pairwise product, ``summed`` adds equal keys, and ``row_blocks``
 splits the output rows so that a check forms about TERMS_PER_BLOCK terms

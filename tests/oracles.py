@@ -4,7 +4,8 @@ lstsq per candidate column, the dense k^4 Jacobi tensor, one commutator
 per pair of sl(n) basis matrices, one Python sum per represented algebra
 element, the sl(n) basis matrices one label at a time from the dense
 generators, one solve per contracted operator, one generator sum per
-homomorphism relation, the contraction tables checked one cell and one
+homomorphism relation, the contracted algebra by one solve on the adapted
+basis, the contraction tables checked one cell and one
 triple at a time in Fraction arithmetic (and enumerated one candidate
 table at a time), the doubled representation built from dense blocks
 or ordered by np.lexsort, the Gel'fand-Tseitlin patterns enumerated by
@@ -28,16 +29,20 @@ from fractions import Fraction
 import numpy as np
 
 from gtlie.algebra import (
+    LieAlgebra,
     Report,
     TwoPartCase,
     bracket,
+    brackets,
+    check_jacobi,
     grading_adapted_basis,
     matrix_to_coords,
     sl_basis_labels,
     sl_basis_matrices,
+    verify_grading,
 )
 from gtlie.autos import eta
-from gtlie.contraction import EpsilonTable, PsiTable
+from gtlie.contraction import EpsilonTable, PsiTable, verify_epsilon
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
 from gtlie.linalg import Entries, independent_columns, max_abs, orthonormal_span, product_terms, rank, row_blocks, span_distance, summed
@@ -154,6 +159,32 @@ def entrywise_coords(n, mat) -> np.ndarray:
         acc = acc + mat[r, r]
         coords.append(acc)
     return np.array(coords, dtype=complex)
+
+
+def solve_contract(algebra, gamma, eps, tol: float = 1e-9) -> tuple:
+    """contract_algebra's labels, adapted basis, contracted algebra and Jacobi report by one solve on
+    the adapted basis: every bracket of pairs a < b of its vectors in one brackets block, scaled by eps
+    and expanded by np.linalg.solve; the pairs b > a are their exact negatives."""
+    cells = eps.floats()
+    if not verify_grading(algebra, gamma, tol).ok:
+        raise VerificationError("input grading fails verification")
+    if not verify_epsilon(eps, tol).ok:
+        raise VerificationError("epsilon table fails the contraction system")
+    labels, basis = grading_adapted_basis(gamma)
+    k = algebra.dim
+    a, b = np.triu_indices(k, 1)
+    scale = eps.on_labels(cells, labels, labels)[a, b]
+    coeffs = np.linalg.solve(basis, brackets(basis, basis, algebra)[:, a * k + b] * scale)
+    structure = np.zeros((k, k, k), dtype=complex)
+    structure[a, b] = coeffs.T
+    structure[b, a] = -coeffs.T
+    # labels come grouped, so a - labels.index(lab) counts within the part
+    names = ["g" + ",".join(str(r) for r in lab) + f"_{a - labels.index(lab)}" for a, lab in enumerate(labels)]
+    result = LieAlgebra(basis_names=tuple(names), structure=structure)
+    jac = check_jacobi(result, tol)
+    if not jac.ok:
+        raise VerificationError(f"contracted algebra violates Jacobi (residual {jac.max_residual:.3g})")
+    return tuple(labels), basis, result, jac
 
 
 def per_vector_contract_rep(rep, vgamma, gamma, psi) -> list:

@@ -258,6 +258,21 @@ def test_verify_grading_report_on_an_exact_grading():
     assert report.checked == 15**2 and report.tol == 1e-10
 
 
+@pytest.mark.parametrize("aut", [gtlie.auto_inner(12, 6), gtlie.auto_outer(12)], ids=["inner", "outer"])
+def test_verify_grading_of_sl12_stays_in_bounded_memory(aut):
+    # the bracket blocks of every pair of parts and a thin SVD basis per part peaked at 68 and 73 MiB
+    sl12 = gtlie.sl_algebra(12)
+    gamma = gtlie.grading_from_automorphism(sl12, aut)
+    tracemalloc.start()
+    try:
+        report = gtlie.verify_grading(sl12, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert report.ok and report.max_residual == 0.0 and report.checked == 143**2
+
+
 def test_verify_grading_accepts_empty_part():
     sl3 = gtlie.sl_algebra(3)
     group = AbelianGroup((2,))

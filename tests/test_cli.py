@@ -259,6 +259,18 @@ def test_grading_verify_refuses_an_algebra_index_outside_the_basis(tmp_path, cap
     assert main(["grading", "verify", str(grading), "--algebra", str(algebra)]) == 2
 
 
+def test_grading_verify_refuses_a_repeated_algebra_constant(tmp_path, capsys):
+    grading = tmp_path / "g1.json"
+    assert main(["grading", "from-auto", "--inner", "2,1", "--out", str(grading)]) == 0
+    payload = jsonio.algebra_to_json(sl_algebra(2))
+    payload["constants"] += [[0, 1, 2, 5.0, 0.0], [1, 0, 2, -5.0, 0.0]]
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["grading", "verify", str(grading), "--algebra", str(algebra)]) == 2
+    assert "(0, 1, 2) is given twice" in capsys.readouterr().err
+
+
 def test_contract_apply_identity_and_heisenberg(tmp_path, capsys):
     g1 = tmp_path / "g1.json"
     assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(g1)]) == 0

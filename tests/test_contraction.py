@@ -19,6 +19,7 @@ from gtlie import contraction as contraction_module
 from gtlie import gtrep as gtrep_module
 from gtlie import jsonio
 from gtlie.contraction import (
+    ContractedAlgebra,
     ContractedRep,
     EpsilonTable,
     PsiTable,
@@ -35,7 +36,7 @@ from gtlie.contraction import (
 from gtlie.errors import IncompatibleError, InputError, VerificationError
 from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation
-from gtlie.linalg import Entries
+from gtlie.linalg import Entries, summed
 from oracles import (
     contracted_matrices,
     per_cell_epsilon,
@@ -44,6 +45,7 @@ from oracles import (
     per_table_binary_epsilon,
     per_table_binary_psi,
     per_vector_contract_rep,
+    solve_contract,
 )
 
 Z2 = AbelianGroup((2,))
@@ -289,6 +291,52 @@ def test_contract_all_binary_epsilons_jacobi_exact(sl3_setup):
         calg = contract_algebra(sl3, gamma1, table)
         assert gtlie.check_jacobi(calg.result).max_residual == 0.0
         assert vars(calg.jacobi) == vars(gtlie.check_jacobi(calg.result))
+
+
+def conjugate_of_inner(n: int, seed: int) -> gtlie.Automorphism:
+    """Ad_{Q A Q^T} with A the inner (n,1) representative and Q a seeded orthogonal matrix: the same
+    class as inner(n,1), with a dense grading basis."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    return gtlie.Automorphism(kind="inner", matrix=q @ gtlie.auto_inner(n, 1).matrix @ q.T, order=2)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_contractions_match_the_solve_on_the_adapted_basis(n):
+    # the constants read off the grading pass's coordinates are those of the solve on the adapted basis:
+    # bit for bit on the monomial gradings, to round-off on the dense ones
+    alg = gtlie.sl_algebra(n)
+    auts = [gtlie.auto_inner(n, s) for s in range(1, n // 2 + 1)] + [gtlie.auto_outer(n)]
+    dense = [conjugate_of_inner(n, seed=n)] if n in (3, 4) else []
+    for aut in auts + dense:
+        gamma = gtlie.grading_from_automorphism(alg, aut)
+        for table in enumerate_binary_epsilon(Z2):
+            calg = contract_algebra(alg, gamma, table)
+            labels, basis, result, jac = solve_contract(alg, gamma, table)
+            assert calg.labels == labels and np.array_equal(calg.adapted, basis)
+            if aut in dense:
+                assert np.abs(calg.result.structure - result.structure).max() <= 1e-10
+                assert calg.jacobi.ok and jac.ok
+                continue
+            assert np.array_equal(calg.result.structure, result.structure)
+            assert vars(calg.jacobi) == vars(jac)
+            solved = ContractedAlgebra(alg, gamma, table, labels, basis, result, jac)
+            assert jsonio.canonical_dumps(jsonio.contracted_algebra_to_json(calg)) == \
+                jsonio.canonical_dumps(jsonio.contracted_algebra_to_json(solved))
+
+
+def test_a_contraction_of_sl12_stays_in_bounded_memory():
+    # the k x k^2/2 bracket block and its solve peaked at 134 MiB; the result's structure is 44.6 MiB
+    alg = gtlie.sl_algebra(12)
+    gamma = gtlie.grading_from_automorphism(alg, gtlie.auto_inner(12, 6))
+    tracemalloc.start()
+    try:
+        calg = contract_algebra(alg, gamma, eps([[1, 1], [1, 0]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calg.jacobi.ok and calg.jacobi.max_residual == 0.0
+    assert peak < 100 * 2**20
 
 
 def test_contract_rejects_bad_inputs(sl3_setup):
@@ -797,7 +845,7 @@ def test_a_failing_input_is_verified_and_refused_on_every_call(monkeypatch):
 
 def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
     checks = {name: counting(monkeypatch, contraction_module, name)
-              for name in ("verify_grading", "verify_epsilon", "compatibility", "verify_psi", "check_jacobi")}
+              for name in ("closure", "verify_epsilon", "compatibility", "verify_psi", "check_jacobi")}
     tables = enumerate_binary_epsilon(Z2)
     for _ in range(2):  # the second round rebuilds every input: same content, new objects
         sl3, gamma, rep, vgamma = fresh_sl3_setup()
@@ -807,11 +855,11 @@ def test_five_contractions_of_one_input_verify_it_once(monkeypatch):
     assert len(tables) == 5
     counts = {name: len(calls) for name, calls in checks.items()}
     assert counts == {
-        "verify_grading": 1, "verify_epsilon": 5 + 5, "compatibility": 1, "verify_psi": 5, "check_jacobi": 5
+        "closure": 1, "verify_epsilon": 5 + 5, "compatibility": 1, "verify_psi": 5, "check_jacobi": 5
     }
     # at another tol the inputs are verified, and the algebra contracted, again
     contract_algebra(sl3, gamma, tables[0], tol=1e-6)
-    assert len(checks["verify_grading"]) == 2 and len(checks["check_jacobi"]) == 6
+    assert len(checks["closure"]) == 2 and len(checks["check_jacobi"]) == 6
 
 
 def test_the_record_of_passed_inputs_drops_the_oldest_past_its_capacity(monkeypatch):
@@ -966,25 +1014,34 @@ def test_a_recorded_contraction_cannot_be_changed_through_what_it_hands_out(sl3_
 def test_the_record_drops_the_oldest_result_past_its_byte_bound(monkeypatch, sl3_setup):
     sl3, gamma1 = sl3_setup
     contracted = counting(monkeypatch, contraction_module, "_contract")
-    checks = {name: counting(monkeypatch, contraction_module, name) for name in ("verify_grading", "verify_epsilon")}
+    checks = {name: counting(monkeypatch, contraction_module, name) for name in ("closure", "verify_epsilon")}
     first, second, third = enumerate_binary_epsilon(Z2)[:3]
     size = 8 * 8 * 16 + 8**3 * 16  # the adapted basis and the structure tensor of a contracted sl(3)
-    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", 2 * size)
+    coords = recorded_coordinate_bytes(sl3, gamma1)  # recorded with the grading pass
+    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", coords + 2 * size)
     for table in (first, second, third, second, first):
         contract_algebra(sl3, gamma1, table)
-    # third drops first; second is still there; first is contracted again and drops second
+    # third drops the grading pass and then first's result, oldest first; second is still there; first is
+    # contracted again, its grading verified again, and drops second
     assert [args[2] for args in contracted] == [first, second, third, first]
-    # the byte bound drops results only: the grading and eps passes in front of first's result stay
+    assert len(checks["closure"]) == 2
+    # the byte bound drops only entries with bytes: the eps passes in front of first's result stay
     assert [args[0] for args in checks["verify_epsilon"]] == [first, second, third]
-    assert len(checks["verify_grading"]) == 1
-    assert sorted(s for _, s in contraction_module._passed.values() if s) == [size, size]
+    assert sorted(s for _, s in contraction_module._passed.values() if s) == sorted([coords, size, size])
     # a result past the bound (a contracted sl(4): 57,600 bytes) is never recorded: it is contracted
-    # on every call, and the results recorded before it stay
+    # on every call, and what was recorded before it stays (the bound grows by sl(4)'s grading pass)
     sl4 = gtlie.sl_algebra(4)
     gamma4 = gtlie.grading_from_automorphism(sl4, gtlie.auto_inner(4, 1))
+    coords4 = recorded_coordinate_bytes(sl4, gamma4)
+    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", coords + 2 * size + coords4)
     for algebra, gamma, table in [(sl4, gamma4, first)] * 3 + [(sl3, gamma1, third), (sl3, gamma1, first)]:
         contract_algebra(algebra, gamma, table)
     assert [args[0] for args in contracted[4:]] == [sl4] * 3
+
+
+def recorded_coordinate_bytes(algebra, gamma) -> int:
+    """Bytes of the summed coordinates that contract_algebra records with the grading pass."""
+    return sum(a.nbytes for a in summed(*algebra_module.closure(algebra, gamma)[1]))
 
 
 # ---------------------------------------------------------------------------

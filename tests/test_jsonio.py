@@ -34,6 +34,22 @@ def test_algebra_json_refuses_an_index_outside_the_basis(index):
         jsonio.algebra_from_json(payload)
 
 
+def test_algebra_json_refuses_a_repeated_constant():
+    # a second [0, 1, 2, 5, 0] with its mirror used to overwrite c[0, 1, 2] = 1 with 5
+    payload = jsonio.algebra_to_json(gtlie.sl_algebra(2))
+    payload["constants"] += [[0, 1, 2, 5.0, 0.0], [1, 0, 2, -5.0, 0.0]]
+    with pytest.raises(InputError, match=r"\(0, 1, 2\) is given twice"):
+        jsonio.algebra_from_json(payload)
+
+
+def test_algebra_json_constants_come_in_index_order():
+    a = gtlie.sl_algebra(3)
+    constants = jsonio.algebra_to_json(a)["constants"]
+    i, j, l = np.nonzero(a.structure)  # row-major: (i, j, l) order
+    assert [c[:3] for c in constants] == np.column_stack([i, j, l]).tolist()
+    assert [complex(*c[3:]) for c in constants] == a.structure[i, j, l].tolist()
+
+
 def test_grading_roundtrip_and_hash_stability():
     sl3 = gtlie.sl_algebra(3)
     gamma = gtlie.grading_from_automorphism(sl3, gtlie.auto_outer(3))

@@ -144,7 +144,7 @@ def test_content_is_hashed_only_by_the_digest_properties_and_the_record_keys(pat
 # generators given as dense matrices and the adjoint matrices of an algebra.
 ENTRIES_READERS = {
     ("gtrep.py", "GeneratorRep.__init__"),
-    ("algebra.py", "check_jacobi"),
+    ("algebra.py", "LieAlgebra.ad"),
 }
 
 
@@ -162,12 +162,12 @@ def test_dense_matrices_become_entries_only_where_they_enter_the_library(path):
 
 # The joins of stored entries with index ranges: the row join of the product
 # kernel, the relation kernel, the one kernel that forms r(x) from generator
-# coordinates, and the pair images of the compatibility check.
+# coordinates, and the pair images of the containment kernel.
 RANGES_CALLERS = {
     ("linalg.py", "row_join"),
     ("linalg.py", "relation_sums"),
     ("gtrep.py", "GeneratorRep.combined"),
-    ("autos.py", "_pair_residuals"),
+    ("algebra.py", "_pair_residuals"),
 }
 
 
@@ -203,6 +203,46 @@ def test_contract_rep_forms_no_dense_image_and_solves_nothing():
     ]
     assert not found, f"contract_rep forms dense images or solves: {found}"
 
+
+# The algebra is graded and contracted as its own adjoint representation: closure measures on the
+# containment kernel and _contract reads the coordinates that the grading pass records, so a span
+# basis, a span distance or a solve there forms them a second way (and brackets has its own rule).
+KERNEL_ONLY = [
+    ("contraction.py", "_contract", {"solve"}),
+    ("algebra.py", "verify_grading", {"orthonormal_span", "span_distance"}),
+    ("algebra.py", "closure", {"orthonormal_span", "span_distance"}),
+]
+
+
+@pytest.mark.parametrize("name, function, forbidden", KERNEL_ONLY, ids=[f"{n}:{f}" for n, f, _ in KERNEL_ONLY])
+def test_the_algebra_is_graded_and_contracted_on_the_containment_kernel(name, function, forbidden):
+    (path,) = [p for p in SOURCES if p.name == name]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and any(_named(node.func, f) for f in forbidden)]
+    assert not found, f"{function} forms spans or solves itself: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_bracket_blocks_are_formed_only_for_one_bracket_and_the_two_part_split(path):
+    # verify_grading and _contract read ad through the containment kernel; classify_two_part drops tiny
+    # images before its span tests, which the kernel does not
+    found = _outside(path, {("algebra.py", "bracket"), ("algebra.py", "classify_two_part")}, _calls("brackets"))
+    assert not found, f"brackets called outside bracket and classify_two_part: {found}"
+
+
+def _searches_structure(node) -> bool:
+    return isinstance(node, ast.Call) and any(_named(node.func, f) for f in ("nonzero", "flatnonzero", "argwhere")) \
+        and any(_named(x, "structure") for arg in node.args for x in ast.walk(arg))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_structure_tensor_is_searched_for_its_constants_only_by_ad(path):
+    # LieAlgebra.ad reads the nonzero constants into entries once: a nonzero search of the structure
+    # anywhere else reads them a second way
+    found = _outside(path, set(), _searches_structure)
+    assert not found, f"nonzero search of a structure tensor: {found}"
 
 
 # The callers of the one eigenspace kernel, autos._eigenspaces: the two grading constructors.
