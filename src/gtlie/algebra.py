@@ -385,19 +385,24 @@ def _pair_residuals(entries: tuple, k: int, d: int, gamma: Grading, vgamma: Grad
     the coordinate terms (first: the position of each gamma part's X_0).
 
     The columns of all V parts are numbered in one sequence (global
-    columns, in the adapted order).  Each nonzero of a V column at basis
-    row c is joined with the entries of every r(x) in column c: summed,
-    they give the image keys (global column, row) and the (K, k) table T
-    with r(x) v = T[:, x] there, for every basis element x.  For gamma
-    part i the images of all its X columns are one product T X.
+    columns, in the adapted order), and so are the X columns of all gamma
+    parts.  Each nonzero of a V column at basis row c is joined with the
+    entries of every r(x) in column c: summed, they give the image sums
+    (image key (global column, row), label x, value), and each of those
+    joined with the nonzeros of the X columns at row x, summed again, gives
+    the image entries w = r(X) v at (image key, X column).  Only nonzeros
+    are joined, so a NaN of r(e_x) reaches only the X columns that have a
+    coefficient at x, never a dense product's NaN * 0.
 
     Against the target part V_{i+j}, an image entry w_r whose row lies in
     no kept column of the target counts whole; a coordinate column e_r
     holds it exactly; for a pair column tau = tau_r e_r + tau_q e_q the
     distance of (w_r, w_q) from the span of tau is max(|tau_r|, |tau_q|)
     |tau_q w_r - tau_r w_q| / |tau|^2, with w_q read at the key (column, q)
-    and zero where there is none.  On the kept column blk that holds the
-    row, w_r adds the term conj(tau_r) w_r / |tau|^2 to the coordinate.
+    and zero where there is none; an image entry no term reaches is not
+    formed, and its mate's entry carries the same residual.  On the kept
+    column blk that holds the row, w_r adds the term conj(tau_r) w_r /
+    |tau|^2 to the coordinate.
     """
     vlabels = vgamma.sorted_labels()
     widths = [vgamma.parts[lab].shape[1] for lab in vlabels]
@@ -426,35 +431,42 @@ def _pair_residuals(entries: tuple, k: int, d: int, gamma: Grading, vgamma: Grad
     sorted_cols, by_col = stable_order(cols)
     starts = np.searchsorted(sorted_cols, np.arange(d + 1))
     t, u = ranges(starts[vrows], np.diff(starts)[vrows])
-    at = by_col[u]
-    keys, sums = summed((vcols[t] * d + rows[at]) * k + elabels[at], vals[at] * vvals[t])
-    image, label = np.divmod(keys, k)  # image key: global column * d + row
-    new = np.diff(image, prepend=-1) != 0
-    keys = image[new]
-    table = np.zeros((keys.size, k), dtype=sums.dtype)
-    table[np.cumsum(new) - 1, label] = sums
-    table = _real_if_real(table)
-    gcol, row = np.divmod(keys, d)
-    bounds = np.searchsorted(gcol, offsets)  # the keys of part p: bounds[p]:bounds[p + 1]
+    u = by_col[u]
+    keys, sums = summed((vcols[t] * d + rows[u]) * k + elabels[u], vals[u] * vvals[t])
+    xrows, xcols, xvals = _columns(gamma, k)
+    xstarts = np.searchsorted(xrows, np.arange(k + 1))
+    t, u = ranges(xstarts[keys % k], np.diff(xstarts)[keys % k])
+    xdim = gamma.total_dim
+    keys, images = summed(keys[t] // k * xdim + xcols[u], _real_if_real(sums)[t] * xvals[u])
+    gcol, row = np.divmod(keys // xdim, d)  # image key: global column * d + row
+    x = keys % xdim  # X column, in the adapted order
 
     index = {lab: p for p, lab in enumerate(vlabels)}
-    out, coords = {}, []
-    for i, xpart in gamma.parts.items():
-        images = table @ _real_if_real(xpart)  # one row per key, one column per X
-        tgt = np.array([index.get(vgamma.group.add(i, j), -1) for j in vlabels])[owner[gcol]]
-        blk = np.where(tgt >= 0, block[tgt, row], -1)
-        other = gcol * d + mate[tgt, row]
-        pos = np.minimum(np.searchsorted(keys, other), keys.size - 1)
-        w_other = np.where((keys[pos] == other)[:, None], images[pos], 0)
-        t_row, t_other = tau[tgt, row][:, None], tau[tgt, other % d][:, None]
-        scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)[:, None]
-        res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
-        for p, j in enumerate(vlabels):
-            out[i, j] = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
-        held, x = np.nonzero((blk >= 0)[:, None] & (images != 0))
-        at = ((first[i] + x) * d + blk[held]) * d + gcol[held]
-        coords.append((at, np.conj(t_row[held, 0]) / norm2[blk[held]] * images[held, x]))
-    return out, coords
+    target = [[index.get(vgamma.group.add(i, j), -1) for j in vlabels] for i in gamma.sorted_labels()]
+    tgt = np.repeat(np.array(target, dtype=int), list(gamma.part_dims().values()), axis=0)[x, owner[gcol]]
+    blk = np.where(tgt >= 0, block[tgt, row], -1)
+    other = (gcol * d + mate[tgt, row]) * xdim + x
+    pos = np.minimum(np.searchsorted(keys, other), keys.size - 1)
+    w_other = np.where(keys[pos] == other, images[pos], 0)
+    t_row, t_other = tau[tgt, row], tau[tgt, mate[tgt, row]]
+    scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)
+    res = np.where(blk >= 0, np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
+    worst = np.zeros((len(vlabels), xdim))
+    np.maximum.at(worst, (owner[gcol], x), res)  # per V part and X column
+    out = {(i, j): worst[p, first[i] : first[i] + xpart.shape[1]]
+           for i, xpart in gamma.parts.items() for p, j in enumerate(vlabels)}
+    held = (blk >= 0) & (images != 0)
+    at = (x[held] * d + blk[held]) * d + gcol[held]
+    return out, [(at, np.conj(t_row[held]) / norm2[blk[held]] * images[held])]
+
+
+def _columns(grading: Grading, k: int) -> tuple:
+    """(rows, cols, vals) of the nonzeros of the adapted basis (the k x m
+    parts side by side, in sorted label order), in row order; vals real
+    when no entry has an imaginary part."""
+    basis = np.concatenate([np.zeros((k, 0)), *(grading.parts[lab] for lab in grading.sorted_labels())], axis=1)
+    rows, cols = np.nonzero(basis)
+    return rows, cols, _real_if_real(basis[rows, cols])
 
 
 def _real_if_real(a: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ commutation check summing every product term in both orientations of its
 relation pair, the equal-key sums ordered by a stable argsort, and the
 action of an automorphism on sl(n) one basis matrix at a time, the
 eigenspaces of an operator from its dense projectors and the greedy
-column basis of each, with the dense power check, and the content digest
-over a tobytes() copy of each array."""
+column basis of each, with the dense power check, the content digest
+over a tobytes() copy of each array, and the pair images of the
+containment kernel as one dense (keys x labels) table times each grading
+part."""
 
 import cmath
 import hashlib
@@ -25,13 +27,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
+from gtlie import algebra as algebra_module
 from gtlie.algebra import (
     LieAlgebra,
     Report,
     TwoPartCase,
+    _real_if_real,
     bracket,
     brackets,
     check_jacobi,
@@ -45,7 +50,8 @@ from gtlie.autos import eta
 from gtlie.contraction import EpsilonTable, PsiTable, verify_epsilon
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
-from gtlie.linalg import Entries, independent_columns, max_abs, orthonormal_span, product_terms, rank, row_blocks, span_distance, summed
+from gtlie.linalg import (Entries, independent_columns, max_abs, orthonormal_span, product_terms, ranges, rank, row_blocks,
+                          span_distance, stable_order, summed)
 
 
 def span_residual(vec, basis) -> float:
@@ -757,3 +763,102 @@ def copied_digest(*content) -> bytes:
             h.update(len(piece).to_bytes(8, "little"))
             h.update(piece)
     return h.digest()
+
+
+def dense_pair_residuals(entries: tuple, k: int, d: int, gamma, vgamma, supports: dict, first: dict, tol: float) -> tuple:
+    """algebra._pair_residuals as it was with a dense image table: residuals
+    {(i, j): one per column of gamma part i} on the entries, and the
+    coordinate terms (first: the position of each gamma part's X_0).
+
+    The columns of all V parts are numbered in one sequence (global
+    columns, in the adapted order).  Each nonzero of a V column at basis
+    row c is joined with the entries of every r(x) in column c: summed,
+    they give the image keys (global column, row) and the (K, k) table T
+    with r(x) v = T[:, x] there, for every basis element x.  For gamma
+    part i the images of all its X columns are one product T X.
+
+    Against the target part V_{i+j}, an image entry w_r whose row lies in
+    no kept column of the target counts whole; a coordinate column e_r
+    holds it exactly; for a pair column tau = tau_r e_r + tau_q e_q the
+    distance of (w_r, w_q) from the span of tau is max(|tau_r|, |tau_q|)
+    |tau_q w_r - tau_r w_q| / |tau|^2, with w_q read at the key (column, q)
+    and zero where there is none.  On the kept column blk that holds the
+    row, w_r adds the term conj(tau_r) w_r / |tau|^2 to the coordinate.
+    """
+    vlabels = vgamma.sorted_labels()
+    widths = [vgamma.parts[lab].shape[1] for lab in vlabels]
+    offsets = np.cumsum([0] + widths)
+    owner = np.repeat(np.arange(len(vlabels)), widths)  # part of each global column
+    vrows = np.concatenate([supports[lab][0] for lab in vlabels])
+    vcols = np.concatenate([supports[lab][1] + off for lab, off in zip(vlabels, offsets)])
+    vvals = np.concatenate([supports[lab][2] for lab in vlabels])
+    norm2 = np.bincount(vcols, np.abs(vvals) ** 2, minlength=offsets[-1])
+    kept = np.zeros(offsets[-1], dtype=bool)
+    for off, width in zip(offsets, widths):
+        norms = np.sqrt(norm2[off : off + width])
+        kept[off : off + width] = norms > tol * max(1.0, norms.max(initial=0.0))  # as orthonormal_span keeps
+    # per part and row: the kept global column holding the row, its value there and the column's other row
+    block, tau = np.full((len(vlabels), d), -1), np.zeros((len(vlabels), d), dtype=vvals.dtype)
+    mate = np.tile(np.arange(d), (len(vlabels), 1))
+    block[owner[vcols], vrows] = np.where(kept[vcols], vcols, -1)
+    tau[owner[vcols], vrows] = vvals
+    sorted_cols, order = stable_order(vcols)
+    same = np.flatnonzero(sorted_cols[1:] == sorted_cols[:-1])
+    a, b = order[same], order[same + 1]
+    mate[owner[vcols[a]], vrows[a]], mate[owner[vcols[b]], vrows[b]] = vrows[b], vrows[a]
+    tau = _real_if_real(tau)
+
+    elabels, rows, cols, vals = entries
+    sorted_cols, by_col = stable_order(cols)
+    starts = np.searchsorted(sorted_cols, np.arange(d + 1))
+    t, u = ranges(starts[vrows], np.diff(starts)[vrows])
+    at = by_col[u]
+    keys, sums = summed((vcols[t] * d + rows[at]) * k + elabels[at], vals[at] * vvals[t])
+    image, label = np.divmod(keys, k)  # image key: global column * d + row
+    new = np.diff(image, prepend=-1) != 0
+    keys = image[new]
+    table = np.zeros((keys.size, k), dtype=sums.dtype)
+    table[np.cumsum(new) - 1, label] = sums
+    table = _real_if_real(table)
+    gcol, row = np.divmod(keys, d)
+    bounds = np.searchsorted(gcol, offsets)  # the keys of part p: bounds[p]:bounds[p + 1]
+
+    index = {lab: p for p, lab in enumerate(vlabels)}
+    out, coords = {}, []
+    for i, xpart in gamma.parts.items():
+        images = table @ _real_if_real(xpart)  # one row per key, one column per X
+        tgt = np.array([index.get(vgamma.group.add(i, j), -1) for j in vlabels])[owner[gcol]]
+        blk = np.where(tgt >= 0, block[tgt, row], -1)
+        other = gcol * d + mate[tgt, row]
+        pos = np.minimum(np.searchsorted(keys, other), keys.size - 1)
+        w_other = np.where((keys[pos] == other)[:, None], images[pos], 0)
+        t_row, t_other = tau[tgt, row][:, None], tau[tgt, other % d][:, None]
+        scale = np.maximum(np.abs(t_row), np.abs(t_other)) / np.where(blk >= 0, norm2[blk], 1.0)[:, None]
+        res = np.where((blk >= 0)[:, None], np.abs(t_other * images - t_row * w_other) * scale, np.abs(images))
+        for p, j in enumerate(vlabels):
+            out[i, j] = res[bounds[p] : bounds[p + 1]].max(axis=0, initial=0.0)
+        held, x = np.nonzero((blk >= 0)[:, None] & (images != 0))
+        at = ((first[i] + x) * d + blk[held]) * d + gcol[held]
+        coords.append((at, np.conj(t_row[held, 0]) / norm2[blk[held]] * images[held, x]))
+    return out, coords
+
+
+def with_dense_pair_residuals(call):
+    """call() with the containment kernel's pair path on dense_pair_residuals;
+    a call that never reaches the pair path is a mistake in the test."""
+    with mock.patch.object(algebra_module, "_pair_residuals", side_effect=dense_pair_residuals) as pair_path:
+        out = call()
+    assert pair_path.called
+    return out
+
+
+def assert_same_as_dense_pair_path(call):
+    """call() returns (report, coordinate terms): the report must equal the
+    one of the dense pair path field for field, and the summed coordinates
+    its summed coordinates byte for byte.  Returns the report."""
+    report, terms = call()
+    want, want_terms = with_dense_pair_residuals(call)
+    assert report == want, (report, want)
+    for got, expected in zip(summed(*terms), summed(*want_terms)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    return report

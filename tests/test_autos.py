@@ -35,6 +35,7 @@ from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation, weyl_
 from gtlie.linalg import Entries
 from oracles import (
     GTPattern,
+    assert_same_as_dense_pair_path,
     dense_doubled_generators,
     dense_eigenspaces,
     dense_power_residual,
@@ -47,6 +48,7 @@ from oracles import (
     per_matrix_action_on_sl,
     per_vector_compatibility,
     rep_of_Xns,
+    with_dense_pair_residuals,
 )
 
 
@@ -845,6 +847,67 @@ def test_a_nan_generator_entry_fails_both_checks_closed():
         assert verify_simulation(bad, aut, sim).max_residual == math.inf
         gamma = grading_from_automorphism(gtlie.sl_algebra(3), aut)
         assert check_compatibility(bad, gamma, decompose_rep_space(sim)).max_residual == math.inf
+
+
+def test_a_nan_on_a_label_that_one_coordinate_column_touches_fails_closed():
+    # r(E_11) enters only H_1 = E_11 - E_22, one coordinate column of the inner grading: the join
+    # carries the NaN to that column's images alone, and its report fails
+    hw = HighestWeight(3, (2, 1, 0))
+    rep = build_representation(hw)
+    gen = {key: m.copy() for key, m in rep.gen.items()}
+    gen[(1, 1)][2, 2] = np.nan
+    gamma = grading_from_automorphism(gtlie.sl_algebra(3), auto_inner(3, 1))
+    report = check_compatibility(GeneratorRep(3, gen), gamma, decompose_rep_space(simulation_inner(hw, 3, 1)))
+    assert not report.ok and report.max_residual == math.inf
+
+
+# The 17 irreps of the paper_sweep benchmark workload, and five more with larger or more parts.
+ORACLE_WEIGHTS = (
+    [(m1, 0) for m1 in range(1, 5)]
+    + [(m1, m2, 0) for m1 in range(1, 4) for m2 in range(m1 + 1)]
+    + [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (2, 1, 1, 0)]
+    + [(4, 3, 1, 0), (3, 2, 1, 0), (2, 2, 0, 0), (1, 0, 0, 0, 0), (2, 1, 0, 0, 0)]
+)
+
+
+@pytest.mark.parametrize("m", ORACLE_WEIGHTS, ids=str)
+def test_compatibility_matches_the_dense_pair_path_on_every_carrier(m):
+    # image sums joined with the nonzeros of the X columns give the reports and coordinates of one
+    # dense table times each part, bit for bit
+    hw = HighestWeight(len(m), m)
+    algebra = gtlie.sl_algebra(hw.n)
+    for rep, aut, sim in _carriers(hw):
+        gamma, vgamma = grading_from_automorphism(algebra, aut), decompose_rep_space(sim)
+        assert assert_same_as_dense_pair_path(lambda: autos.compatibility(rep, gamma, vgamma)).ok
+
+
+def test_a_dense_gamma_against_pair_carrier_parts_agrees_with_the_dense_product():
+    # a conjugated grading has X columns with many nonzeros, whose terms matmul may add in another
+    # order than the join's sums: the residuals agree to round-off and the verdicts exactly
+    hw = HighestWeight(3, (2, 1, 0))
+    rep = build_representation(hw)
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    aut = gtlie.Automorphism(kind="inner", matrix=q @ auto_inner(3, 1).matrix @ q.T, order=2)
+    gamma = grading_from_automorphism(gtlie.sl_algebra(3), aut)
+    assert max(np.count_nonzero(part, axis=0).max() for part in gamma.parts.values()) > 2
+    vgamma = decompose_rep_space(simulation_inner(hw, 3, 1))
+    got = check_compatibility(rep, gamma, vgamma)
+    want = with_dense_pair_residuals(lambda: check_compatibility(rep, gamma, vgamma))
+    assert not got.ok and (got.ok, got.checked, got.worst_at) == (want.ok, want.checked, want.worst_at)
+    assert [v[:-1] for v in got.violations] == [v[:-1] for v in want.violations]
+    assert np.allclose([v[-1] for v in got.violations], [v[-1] for v in want.violations], rtol=0, atol=1e-14)
+    assert abs(got.max_residual - want.max_residual) <= 1e-14
+
+
+def test_check_compatibility_of_r4310_under_j_joins_only_the_nonzeros():
+    # the dense (keys x labels) table of image sums and its products with each part peaked at 4.07 MiB
+    hw = HighestWeight(4, (4, 3, 1, 0))
+    rep = build_representation(hw)
+    gamma = grading_from_automorphism(gtlie.sl_algebra(4), auto_outer(4))
+    vgamma = decompose_rep_space(J_matrix(hw))
+    report, peak = _peak_bytes(lambda: check_compatibility(rep, gamma, vgamma))
+    assert report.ok and report.max_residual == 0.0 and report.checked == 15 * 175
+    assert peak < 2.5 * 2**20
 
 
 def test_dense_r_and_mixed_v_parts_take_the_dense_path_and_match_the_oracles():

@@ -339,6 +339,19 @@ def test_commutation_fails_closed_on_nan():
     assert not report.ok and report.max_residual == float("inf")
 
 
+def test_verify_commutation_of_r6310_keeps_its_blocks_small():
+    # blocks of 2^15 product terms peaked at 3.32 MiB here; 2^13 keep the check near 1 MiB
+    rep = build_representation(HighestWeight(4, (6, 3, 1, 0)))
+    tracemalloc.start()
+    try:
+        report = verify_commutation(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 4**4
+    assert peak < 1.5 * 2**20
+
+
 def test_build_refuses_an_oversized_irrep_up_front():
     far = HighestWeight(3, (400, 200, 0))  # d = 8.1 million: patterns and entries need 3.5 GiB
     tracemalloc.start()

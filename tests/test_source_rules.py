@@ -272,3 +272,18 @@ def test_the_grading_constructors_split_by_the_kernel_alone():
         called = {getattr(node.func, "id", getattr(node.func, "attr", None)) for node in ast.walk(fn)
                   if isinstance(node, ast.Call)}
         assert "_eigenspaces" in called and not called & {"matrix_power", "independent_columns", "eig", "eigh"}, name
+
+
+def _matrix_product(node) -> bool:
+    return (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)) \
+        or (isinstance(node, ast.Call) and any(_named(node.func, f) for f in ("matmul", "dot", "tensordot", "einsum")))
+
+
+def test_the_pair_path_forms_no_matrix_product():
+    # _pair_residuals joins the nonzeros of the image sums with those of the X columns: a matrix product
+    # there is a dense image table again, whose NaN * 0 spreads one NaN of r(e_x) to every X column
+    (path,) = [p for p in SOURCES if p.name == "algebra.py"]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pair_residuals"]
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(fn) if _matrix_product(node)]
+    assert not found, f"a matrix product in the pair path: {found}"
