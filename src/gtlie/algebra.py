@@ -1,17 +1,17 @@
 """Structure-constant Lie algebras and their gradings.
 
-A Lie algebra of dimension k is stored as a dense complex tensor
-``structure[i, j, l]`` holding the coefficient of basis element ``l`` in
-``[e_i, e_j]``.  For sl(n, C) built here the constants are small integers,
-so double-precision arithmetic on them is exact and the Jacobi residual
-of constructed algebras is exactly zero.
+A Lie algebra of dimension k is stored as its nonzero structure constants
+c[i, j, l], the coefficient of basis element ``l`` in ``[e_i, e_j]``, in one
+linalg.Entries table (``LieAlgebra.ad``); the dense tensor is a view formed
+on request.  For sl(n, C) built here the constants are small integers, so
+double-precision arithmetic on them is exact and the Jacobi residual is 0.
 
 A grading is a decomposition of the algebra (or of any vector space)
 into subspaces labelled by elements of a finite abelian group, with the
 bracket-closure condition ``[L_j, L_k] subset of L_{j+k}``: the
 compatibility r(L_i) V_j subset of V_{i+j} of the adjoint representation,
 with V = L graded by itself.  One kernel, ``containment``, checks both on
-the entries of r(x) (for the algebra ``LieAlgebra.ad``, read once).
+the entries of r(x) (for the algebra ``LieAlgebra.ad``).
 """
 
 from __future__ import annotations
@@ -84,28 +84,30 @@ class Report:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Finite-dimensional complex Lie algebra over a named basis, read-only:
-    ``structure`` is linalg.read_only; ``digest`` and ``ad`` are cached."""
+    """Finite-dimensional complex Lie algebra over a named basis, read-only: its nonzero constants
+    c[i, j, p] ([e_i, e_j] = sum_p c[i, j, p] e_p), each once and c[j, i, p] exactly -c[i, j, p], as one
+    linalg.Entries table ``ad``, ad_i[p, j] = c[i, j, p], handed over or read once from the dense tensor
+    c; ``digest`` and the dense view ``structure`` are cached."""
 
-    basis_names: tuple[str, ...]
-    structure: np.ndarray  # shape (k, k, k), [e_i, e_j] = sum_l structure[i,j,l] e_l
+    def __init__(self, basis_names, structure):
+        k = len(basis_names)
+        if not isinstance(structure, Entries) and np.shape(structure) != (k, k, k):
+            raise InputError(f"structure tensor shape {np.shape(structure)} does not match dim {k}")
+        e = structure if isinstance(structure, Entries) else Entries.of(np.asarray(structure).transpose(0, 2, 1))
+        if e.dim != k:
+            raise InputError(f"structure entries of dimension {e.dim} do not match dim {k}")
+        keys, at = stable_order((e.gids * k + e.cols) * k + e.rows)
+        mirrored, mirror = stable_order((e.cols * k + e.gids) * k + e.rows)
+        twice = np.unravel_index(keys[1:][keys[1:] == keys[:-1]], (k, k, k))
+        if twice[0].size:
+            raise InputError(f"structure constant index {tuple(int(x[0]) for x in twice)} is given twice")
+        if not np.array_equal(keys, mirrored) or max_abs(e.vals[at] + e.vals[mirror]) != 0.0:
+            raise InputError("structure constants are not exactly antisymmetric")
+        self._names, self._ad = tuple(basis_names), e
 
-    def __post_init__(self):
-        k = len(self.basis_names)
-        if self.structure.shape != (k, k, k):
-            raise InputError(
-                f"structure tensor shape {self.structure.shape} does not match dim {k}"
-            )
-        # Blocks of first-index slices with temporaries near 1 MiB, not k^3:
-        # one block for small algebras, about k^2 / 65536 blocks for large ones.
-        step = max(1, (1 << 16) // (k * k))
-        for i in range(0, k, step):
-            block = self.structure[i : i + step] + self.structure[:, i : i + step].transpose(1, 0, 2)
-            if max_abs(block) != 0.0:
-                raise InputError("structure constants are not exactly antisymmetric")
-        object.__setattr__(self, "structure", read_only(self.structure))
+    basis_names = property(lambda self: self._names)
+    ad = property(lambda self: self._ad)
 
     @property
     def dim(self) -> int:
@@ -113,12 +115,17 @@ class LieAlgebra:
 
     @cached_property
     def digest(self) -> bytes:
-        return digest(self.structure)
+        return digest(*vars(self.ad).values())
 
     @cached_property
-    def ad(self) -> Entries:
-        """ad_i[p, j] = c[i, j, p] as one read-only linalg.Entries table, read once."""
-        return Entries.of(self.structure.transpose(0, 2, 1))
+    def structure(self) -> np.ndarray:
+        """c as a read-only (k, k, k) array, formed once gtrep.check_generator_budget allows it."""
+        from .gtrep import check_generator_budget  # gtrep imports this module
+        k, e = self.dim, self.ad
+        check_generator_budget(k, k, e.vals.itemsize)
+        c = np.zeros((k, k, k), dtype=e.vals.dtype)
+        c[e.gids, e.cols, e.rows] = e.vals
+        return read_only(c)
 
 
 def brackets(p: np.ndarray, q: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
@@ -237,28 +244,32 @@ def matrix_to_coords(n: int, mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.nd
 
 
 def sl_algebra(n: int) -> LieAlgebra:
-    """sl(n, C) as a structure-constant algebra (dimension n^2 - 1)."""
-    if n < 2:
-        raise InputError("sl(n) requires n >= 2")
+    """sl(n, C) as a structure-constant algebra (dimension n^2 - 1), in closed form: for a, b, c in range(n),
+    [E_ab, E_bc] = E_ac (a, b, c distinct), [E_ab, E_ba] = E_aa - E_bb = +-(sum of H_c, min(a, b) <= c <
+    max(a, b)) and [H_c, E_ab] = (d_ca - d_cb - d_c+1,a + d_c+1,b) E_ab, each with its negative at (j, i)."""
     labels = sl_basis_labels(n)
-    # All k^2 commutators at once, in exact small integers (entries within +-2).
-    mats = np.array(sl_basis_matrices(n)).real.astype(np.int8)
-    comm = np.matmul(mats[:, None], mats)
-    comm -= comm.swapaxes(0, 1)
-    structure = matrix_to_coords(n, comm)
-    names = tuple(
-        f"E{lab[1]}{lab[2]}" if lab[0] == "E" else f"H{lab[1]}" for lab in labels
-    )
-    return LieAlgebra(basis_names=names, structure=structure)
+    e = np.full((n, n), -1)  # basis index of E_ab
+    e[~np.eye(n, dtype=bool)] = np.arange(n * n - n)
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    h = n * n - n + c  # basis index of H_c, c < n - 1
+    weight = (c == a).astype(int) - (c == b) - (c + 1 == a) + (c + 1 == b)
+    chain, cartan = (a != b) & (b != c) & (a != c), (a != b) & (c < n - 1) & (weight != 0)
+    pair = (a != b) & (np.minimum(a, b) <= c) & (c < np.maximum(a, b))
+    t = np.concatenate((np.column_stack((e[a, b], e[b, c], e[a, c], np.ones_like(a)))[chain],
+                        np.column_stack((h, e[a, b], e[a, b], weight))[cartan]))  # rows (i, j, p, c[i, j, p])
+    t = np.concatenate((t, t[:, [1, 0, 2, 3]] * (1, 1, 1, -1),
+                        np.column_stack((e[a, b], e[b, a], h, np.sign(b - a)))[pair]))
+    names = tuple(f"E{lab[1]}{lab[2]}" if lab[0] == "E" else f"H{lab[1]}" for lab in labels)
+    return LieAlgebra(names, Entries.sort(n * n - 1, t[:, 0], t[:, 2], t[:, 1], t[:, 3].astype(complex)))
 
 
 def adjoint_rep(algebra: LieAlgebra) -> np.ndarray:
     """Adjoint matrices M_x with M_x y = [x, y], one per basis element.
 
-    Returns an array of shape (k, k, k); entry [i] is the operator of e_i.
+    Returns a read-only (k, k, k) view of structure; entry [i] is the operator of e_i.
     """
     # column j of M_{e_i} is [e_i, e_j]
-    return algebra.structure.transpose(0, 2, 1).copy()
+    return algebra.structure.transpose(0, 2, 1)
 
 
 def burnside_span_dim(matrices, tol: float = DEFAULT_TOL) -> int:
@@ -363,7 +374,7 @@ def containment(entries: tuple, images, k: int, d: int, gamma: Grading, vgamma: 
         residuals, coords = _pair_residuals(entries, k, d, gamma, vgamma, supports, first, tol)
     else:
         residuals, coords = _span_residuals(images, d, gamma, vgamma, first, tol)
-    coords = zip((np.zeros(0, dtype=np.int64), np.zeros(0)), *coords)
+    coords = zip(NO_TERMS, *coords)
     return residuals, tuple(map(np.concatenate, coords))
 
 
@@ -500,6 +511,25 @@ def _span_residuals(images, d: int, gamma: Grading, vgamma: Grading, first: dict
     return out, coords
 
 
+def basis_violations(grading: Grading, k: int, tol: float) -> list:
+    """The violations of a grading of a k-dimensional space that no residual
+    bounds, each with residual inf: ("non_finite", label) for each part with
+    a NaN or infinite entry, which has neither a rank nor a span; else
+    ("direct_sum", total dim, rank) when the parts are not a direct sum of
+    the space.  Where a part is not finite, or there is no part, nothing
+    else can be checked."""
+    pairs = [(("non_finite", lab), math.inf) for lab, part in grading.parts.items() if not np.isfinite(part).all()]
+    if pairs:
+        return pairs
+    stacked = np.column_stack([p for p in grading.parts.values() if p.shape[1]] or [np.zeros((k, 0))])
+    dims = (grading.total_dim, rank(stacked, tol))
+    return [] if dims == (k, k) else [(("direct_sum", *dims), math.inf)]
+
+
+# The coordinate terms of a check that forms no image.
+NO_TERMS = (read_only(np.zeros(0, dtype=np.int64)), read_only(np.zeros(0)))
+
+
 def closure(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> tuple:
     """verify_grading's report and the coordinate terms of every [X_a, X_t] of
     the adapted basis on X_s: ``containment`` for the adjoint representation
@@ -508,12 +538,9 @@ def closure(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> 
     for lab, basis in grading.parts.items():
         if basis.shape[0] != k:
             raise InputError(f"part {lab} lives in dimension {basis.shape[0]}, expected {k}")
-    pairs = [(("non_finite", lab), math.inf) for lab, part in grading.parts.items() if not np.isfinite(part).all()]
-    if pairs:
-        return Report.of(pairs, tol, checked=grading.total_dim**2), (np.zeros(0, dtype=np.int64), np.zeros(0))
-    stacked = np.column_stack([p for p in grading.parts.values() if p.shape[1]] or [np.zeros((k, 0))])
-    dims = (grading.total_dim, rank(stacked, tol))
-    pairs = [] if dims == (k, k) else [(("direct_sum", *dims), math.inf)]
+    pairs = basis_violations(grading, k, tol)
+    if not grading.parts or any(where[0] == "non_finite" for where, _ in pairs):
+        return Report.of(pairs, tol, checked=grading.total_dim**2), NO_TERMS
     ad = algebra.ad
     residuals, coords = containment((ad.gids, ad.rows, ad.cols, ad.vals),
                                     lambda x: np.tensordot(x.T, algebra.structure, 1).swapaxes(1, 2),
@@ -530,7 +557,8 @@ def verify_grading(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_T
     algebra come first, as the violation ("direct_sum", total dim, rank,
     inf): no residual bounds them.  A part with a NaN or infinite entry has
     neither a rank nor a span: each is the violation ("non_finite", label,
-    inf), and nothing else is checked.  The report carries checked = the
+    inf), and nothing else is checked, nor for a grading with no part
+    (basis_violations).  The report carries checked = the
     number of bracket images, worst_at = (j, l) (None when all residuals
     are zero) and tol."""
     return closure(algebra, grading, tol)[0]

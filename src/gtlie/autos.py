@@ -50,7 +50,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gtrep
-from .algebra import Grading, LieAlgebra, Report, containment, matrix_to_coords, sl_basis_labels, sl_basis_matrices
+from .algebra import (NO_TERMS, Grading, LieAlgebra, Report, basis_violations, containment, matrix_to_coords,
+                      sl_basis_labels, sl_basis_matrices)
 from .errors import InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import (
@@ -59,7 +60,7 @@ from .gtrep import (
     PatternTable,
     build_representation,
 )
-from .linalg import DEFAULT_TOL, Entries, independent_columns, max_abs, read_only, stable_order, summed
+from .linalg import DEFAULT_TOL, Entries, independent_columns, max_abs, read_only, summed
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +438,8 @@ def doubled_rep(hw: HighestWeight):
     d, e = r0.dim, r0.entries
     rows, cols = np.concatenate([e.rows, e.cols + d]), np.concatenate([e.cols, e.rows + d])
     gids, vals = np.tile(e.gids, 2), np.concatenate([e.vals, -e.vals])
-    # entry (i, k, v) of r and (k + d, i + d, -v), by (row, gid, col)
-    _, at = stable_order((rows * (r0.n * r0.n) + gids) * (2 * d) + cols)
-    entries = Entries(rows[at], cols[at], vals[at], gids[at], np.searchsorted(rows[at], np.arange(2 * d + 1)))
+    # entry (i, k, v) of r and (k + d, i + d, -v)
+    entries = Entries.sort(2 * d, gids, rows, cols, vals)
     swap = SimulationMatrix(
         order=2,
         kind="signed_permutation",
@@ -529,20 +529,26 @@ def compatibility(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float
     is recorded per X column of gamma part i and part j of vgamma whose
     residual exceeds tol; the report carries checked = the number of image
     vectors r(X) v tested, worst_at = (i, j) of the largest residual (None
-    when all are zero) and tol."""
+    when all are zero) and tol.  A gamma that is not a grading of sl(n)
+    fails first, as verify_grading fails it (algebra.basis_violations):
+    with ("direct_sum", total dim, rank, inf), or with ("non_finite",
+    label, inf) and nothing else checked, as for a gamma with no part."""
     if gamma.group.orders != vgamma.group.orders:
         raise InputError(f"gradings live over different groups: {gamma.group} vs {vgamma.group}")
     k = rep.n * rep.n - 1
     lengths = {part.shape[0] for part in gamma.parts.values()}
-    if lengths != {k}:
+    if lengths - {k}:
         raise InputError(f"grading vectors of length {sorted(lengths)} are not coordinates on sl({rep.n})")
     vlengths = {part.shape[0] for part in vgamma.parts.values()}
     if vlengths - {rep.dim}:
         raise InputError(f"carrier grading vectors of length {sorted(vlengths)} do not live in dimension {rep.dim}")
+    pairs, checked = basis_violations(gamma, k, tol), gamma.total_dim * vgamma.total_dim
+    if not gamma.parts or any(where[0] == "non_finite" for where, _ in pairs):
+        return Report.of(pairs, tol, checked=checked), NO_TERMS
     residuals, coords = containment(rep.sl_entries, rep.images, k, rep.dim, gamma, vgamma, tol)
-    pairs = [((i, j), residuals[i, j][col]) for i, xpart in gamma.parts.items()
-             for col in range(xpart.shape[1]) for j in vgamma.parts]
-    return Report.of(pairs, tol, checked=gamma.total_dim * vgamma.total_dim), coords
+    pairs += [((i, j), residuals[i, j][col]) for i, xpart in gamma.parts.items()
+              for col in range(xpart.shape[1]) for j in vgamma.parts]
+    return Report.of(pairs, tol, checked=checked), coords
 
 
 # Largest predicted footprint of the solver's reduced system and its thin

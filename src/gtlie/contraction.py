@@ -45,7 +45,7 @@ from .autos import compatibility
 from .errors import IncompatibleError, InputError, VerificationError
 from .groups import AbelianGroup
 from .gtrep import GeneratorRep
-from .linalg import DEFAULT_TOL, Entries, digest, relation_sums, stable_order, summed
+from .linalg import DEFAULT_TOL, Entries, digest, relation_sums, summed
 
 MAX_FREE_CELLS = 10
 # The one record of what passed, by digest, oldest first: each entry is (value, bytes
@@ -329,7 +329,8 @@ def contract_algebra(
     if gamma.group.orders != eps.group.orders:
         raise InputError("grading and epsilon table live over different groups")
     key = digest("contract_algebra", tol, algebra.digest, gamma.digest, eps.digest)
-    out = _recorded(key, lambda: _contract(algebra, gamma, eps, tol), lambda r: r[1].nbytes + r[2].structure.nbytes)
+    out = _recorded(key, lambda: _contract(algebra, gamma, eps, tol),
+                    lambda r: r[1].nbytes + sum(a.nbytes for a in vars(r[2].ad).values()))
     return ContractedAlgebra(algebra, gamma, eps, *out)
 
 
@@ -347,11 +348,11 @@ def _contract(algebra: LieAlgebra, gamma: Grading, eps: EpsilonTable, tol: float
     vals = vals * eps.on_labels(cells, labels, labels)[a, t]
     live = (a < t) & (vals != 0)
     a, s, t, vals = a[live], s[live], t[live], vals[live]
-    structure = np.zeros((k, k, k), dtype=complex)
-    structure[a, t, s], structure[t, a, s] = vals, -vals
+    vals = np.concatenate((vals, -vals)).astype(complex)  # c[a, t, s] and c[t, a, s]
+    entries = Entries.sort(k, *map(np.concatenate, ((a, t), (s, s), (t, a))), vals)
     # labels come grouped, so a - labels.index(lab) counts within the part
     names = ["g" + ",".join(str(r) for r in lab) + f"_{a - labels.index(lab)}" for a, lab in enumerate(labels)]
-    result = LieAlgebra(basis_names=tuple(names), structure=structure)
+    result = LieAlgebra(basis_names=tuple(names), structure=entries)
     jac = check_jacobi(result, tol)
     if not jac.ok:
         raise VerificationError(f"contracted algebra violates Jacobi (residual {jac.max_residual:.3g})")
@@ -390,7 +391,7 @@ def contract_rep(
     total_dim is not rep.dim is an InputError before any check.  The
     coordinates of r(X_a) v_t in its target part are autos.compatibility's,
     summed once and recorded with its pass; each call scales them by psi,
-    drops zeros and puts them in row order by one stable_order.
+    drops zeros and hands the rest to linalg.Entries.sort.
 
     A psi or eps cell outside the float range is an InputError.  The inputs
     are verified once per content: compatibility runs only for a (carrier,
@@ -408,9 +409,8 @@ def contract_rep(
     labels, vlabels = gamma.labels(), vgamma.labels()
     mats, at = np.divmod(keys, d * d)
     vals = vals * psi.on_labels(cells, labels, vlabels)[mats, at % d]
-    rows, order = stable_order(at[vals != 0] // d)
-    t = np.flatnonzero(vals)[order]
-    entries = Entries(rows, at[t] % d, vals[t], mats[t], np.searchsorted(rows, np.arange(d + 1)))
+    live = vals != 0
+    entries = Entries.sort(d, mats[live], at[live] // d, at[live] % d, vals[live])
     return ContractedRep(rep, gamma, vgamma, eps, psi, tuple(labels), tuple(vlabels), entries)
 
 

@@ -20,7 +20,7 @@ from .contraction import ContractedAlgebra, EpsilonTable, PsiTable, ScalarTable
 from .errors import InputError
 from .groups import AbelianGroup, label_str, parse_label
 from .gtrep import HighestWeight, Representation
-from .linalg import stable_order
+from .linalg import Entries, stable_order
 
 
 def canonical_dumps(payload) -> str:
@@ -63,20 +63,21 @@ def algebra_from_json(payload: dict) -> LieAlgebra:
     try:
         k = _json_int(payload["dim"])
         names = tuple(str(x) for x in payload["basis"])
-        structure = np.zeros((k, k, k), dtype=complex)
+        constants = [(i, j, l, complex(re, im)) for i, j, l, re, im in payload["constants"]]
         given = set()
-        for i, j, l, re, im in payload["constants"]:
+        for i, j, l, _ in constants:
             if not all(0 <= _json_int(x) < k for x in (i, j, l)):
                 raise InputError(f"structure constant index {(i, j, l)} is outside 0..{k - 1}")
             if (i, j, l) in given:
                 raise InputError(f"structure constant index {(i, j, l)} is given twice")
             given.add((i, j, l))
-            structure[i, j, l] = complex(re, im)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra JSON: {exc}") from exc
     if len(names) != k:
         raise InputError("basis name count does not match dim")
-    return LieAlgebra(basis_names=names, structure=structure)
+    live = [c for c in constants if c[3] != 0]  # a zero constant, given or not, is no entry
+    i, j, l = np.array([c[:3] for c in live], dtype=np.int64).reshape(-1, 3).T
+    return LieAlgebra(names, Entries.sort(k, i, l, j, np.array([c[3] for c in live], dtype=complex)))
 
 
 # -- grading ----------------------------------------------------------------

@@ -6,11 +6,11 @@ span, taken once (``orthonormal_span``), then ``span_distance`` =
 max |W - Q (Q^H W)|.  ``independent_columns`` grows such a basis.
 
 Mostly-zero matrices are multiplied by one sparse-product kernel.
-``Entries`` is the one read-only table of their nonzero entries, ordered
-by row: it is either read from dense matrices (``Entries.of``) or stacked
-from per-matrix (rows, cols, vals) lists (``Entries.stack``), and it is
-how gtrep stores generators, algebra the adjoint matrices (LieAlgebra.ad)
-and contraction a contracted representation.  ``ranges`` lays index ranges end to end, ``row_join``
+``Entries`` is the one read-only table of their nonzero entries, put in
+row order by its one constructor ``Entries.sort``, whether read from dense
+matrices (``Entries.of``), stacked (``Entries.stack``) or written by a
+caller: it is how gtrep stores generators, algebra an algebra
+(LieAlgebra.ad) and contraction a contracted representation.  ``ranges`` lays index ranges end to end, ``row_join``
 pairs entries with rows by it, ``product_terms`` forms every term of
 every pairwise product, ``summed`` adds equal keys, and ``row_blocks``
 splits the output rows so that a check forms about TERMS_PER_BLOCK terms
@@ -137,8 +137,8 @@ class Entries:
     """Nonzero entries (NaN included) of one or more d x d matrices, ordered
     by (row, matrix, col): matrix gids[t] holds vals[t] at (rows[t],
     cols[t]), and the entries in row k are those at positions
-    starts[k]:starts[k + 1].  The table owns its arrays and makes them
-    read-only when it is built, so nothing derived from it can go stale."""
+    starts[k]:starts[k + 1].  It is built only by Entries.sort, and owns its
+    arrays and makes them read-only, so nothing derived from it can go stale."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -151,33 +151,32 @@ class Entries:
             a.flags.writeable = False
 
     @staticmethod
+    def sort(d: int, gids: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "Entries":
+        """The one constructor: the entries vals[t] of matrix gids[t] at
+        (rows[t], cols[t]), each place given once and in any order, put in
+        (row, matrix, col) order by one stable_order of that key."""
+        _, order = stable_order((rows * (int(gids.max(initial=-1)) + 1) + gids) * d + cols)
+        rows = rows[order]
+        return Entries(rows, cols[order], vals[order], gids[order], np.searchsorted(rows, np.arange(d + 1)))
+
+    @staticmethod
     def stack(d: int, triples: list) -> "Entries":
         """The table of matrices g = 0, 1, ... given as triples (rows, cols,
-        vals) of their nonzero entries in row-major order, put in row order
-        by one stable_order of the rows: stable, so the entries of a row
-        stay in (matrix, col) order."""
-        rows, order = stable_order(np.concatenate([r for r, _, _ in triples]))
-        return Entries(
-            rows,
-            np.concatenate([c for _, c, _ in triples])[order],
-            np.concatenate([v for _, _, v in triples])[order],
-            np.repeat(np.arange(len(triples)), [r.size for r, _, _ in triples])[order],
-            np.searchsorted(rows, np.arange(d + 1)),
-        )
+        vals) of their nonzero entries."""
+        gids = np.repeat(np.arange(len(triples)), [r.size for r, _, _ in triples])
+        return Entries.sort(d, gids, *map(np.concatenate, zip(*triples)))
 
     @staticmethod
     def of(mats) -> "Entries":
         """Read from the dense matrices themselves, a (count, d, d) array
         of any strides (or a list of d x d matrices, stacked): one
-        flatnonzero of mats != 0 lists the entries by (matrix, row, col),
-        and one stable_order of the rows puts them in row order.  (On a
-        3-d array np.nonzero takes several times as long.)"""
+        flatnonzero of mats != 0 lists the entries.  (On a 3-d array
+        np.nonzero takes several times as long.)"""
         mats = np.asarray(mats)
         d = mats.shape[1]
         g, at = np.divmod(np.flatnonzero(mats != 0), d * d)
         r, c = np.divmod(at, d)
-        rows, order = stable_order(r)
-        return Entries(rows, c[order], mats[g, r, c][order], g[order], np.searchsorted(rows, np.arange(d + 1)))
+        return Entries.sort(d, g, r, c, mats[g, r, c])
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ from gtlie import TwoPartCase
 from gtlie.algebra import closure, sl_basis_matrices, matrix_to_coords
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
-from gtlie.linalg import independent_columns
+from gtlie.linalg import Entries, independent_columns
 from oracles import (
     assert_same_as_dense_pair_path,
     dense_jacobi_residual,
@@ -440,3 +440,62 @@ def test_antisymmetry_is_checked_a_slice_at_a_time_and_still_exactly():
         bad[cell] += delta
         with pytest.raises(InputError, match="antisymmetric"):
             gtlie.LieAlgebra(basis_names=sl12.basis_names, structure=bad)
+
+
+# ---------------------------------------------------------------------------
+# One store: the algebra is its entries, the dense tensor a view on request
+# ---------------------------------------------------------------------------
+
+
+def test_the_sl16_chain_stays_in_a_small_memory_bound():
+    # the dense (k, k, k) tensor of sl(16) alone is 265 MiB; sl_algebra formed it at a 285 MiB peak
+    from gtlie.contraction import contract_algebra, enumerate_binary_epsilon
+
+    tracemalloc.start()
+    try:
+        sl16 = gtlie.sl_algebra(16)
+        gamma = gtlie.grading_from_automorphism(sl16, gtlie.auto_inner(16, 8))
+        report = gtlie.verify_grading(sl16, gamma)
+        calg = contract_algebra(sl16, gamma, enumerate_binary_epsilon(AbelianGroup((2,)))[3])
+        jacobi = gtlie.check_jacobi(calg.result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and calg.jacobi.ok and jacobi.ok and jacobi.max_residual == 0.0
+    assert peak < 16 << 20
+    assert "structure" not in vars(sl16) and "structure" not in vars(calg.result)
+
+
+def test_a_repeated_constant_is_refused_though_its_mirror_is_repeated_too():
+    # [E_12, E_21] = H_1 written from both orders of the pair: each place twice, with its exact negative
+    # at the mirror each time, so the two copies pass an antisymmetry check and double the constant
+    sl2 = gtlie.sl_algebra(2)
+    e = sl2.ad
+    pair = e.rows == 2  # c[0, 1, 2] = 1 and c[1, 0, 2] = -1
+    twice = Entries.sort(3, *(np.concatenate((x, x[pair])) for x in (e.gids, e.rows, e.cols, e.vals)))
+    with pytest.raises(InputError, match=r"\(0, 1, 2\) is given twice"):
+        gtlie.LieAlgebra(basis_names=sl2.basis_names, structure=twice)
+
+
+def test_the_dense_view_past_the_budget_is_refused_before_it_is_formed(monkeypatch):
+    from gtlie import gtrep
+
+    sl6 = gtlie.sl_algebra(6)
+    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 35**3 * 16 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="budget"):
+            sl6.structure
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35**3 * 16 // 4 and "structure" not in vars(sl6)
+    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 35**3 * 16)
+    assert sl6.structure.shape == (35, 35, 35) and not sl6.structure.flags.writeable
+    assert gtlie.bracket(np.eye(35)[0], np.eye(35)[17], sl6).tolist() == sl6.structure[0, 17].tolist()
+
+
+def test_a_grading_with_no_part_fails_its_direct_sum_check():
+    sl3 = gtlie.sl_algebra(3)
+    report = gtlie.verify_grading(sl3, gtlie.Grading(group=AbelianGroup((2,)), parts={}))
+    assert (report.ok, report.violations, report.checked) == (False, (("direct_sum", 0, 0, np.inf),), 0)

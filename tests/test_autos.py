@@ -942,6 +942,37 @@ def test_a_nan_carrier_part_fails_the_dense_path_with_an_infinite_residual():
         assert not report.ok and report.max_residual == math.inf and report.checked == 8 * 3
 
 
+@pytest.mark.parametrize("keep", [0, 2])
+def test_compatibility_fails_a_gamma_that_is_not_a_direct_sum(keep):
+    # part 0 of inner(3,1) emptied or cut to 2 of its 4 columns is no grading of sl(3), as verify_grading
+    # says; the images of the columns left still land in their targets, so the residuals alone passed it
+    hw = HighestWeight(3, (2, 1, 0))
+    rep, sl3 = build_representation(hw), gtlie.sl_algebra(3)
+    gamma = grading_from_automorphism(sl3, auto_inner(3, 1))
+    half = gtlie.Grading(group=gamma.group, parts={(0,): gamma.parts[(0,)][:, :keep], (1,): gamma.parts[(1,)]})
+    report = check_compatibility(rep, half, decompose_rep_space(simulation_inner(hw, 3, 1)))
+    assert not report.ok and report.violations[0] == ("direct_sum", 4 + keep, 4 + keep, math.inf)
+    assert report.violations[0] == gtlie.verify_grading(sl3, half).violations[0]
+
+
+def test_compatibility_fails_a_nan_gamma_on_the_trivial_carrier():
+    # the trivial carrier's r(x) are all zero, so no image meets the NaN: the check passed at residual 0.0
+    gamma = grading_from_automorphism(gtlie.sl_algebra(3), auto_inner(3, 1))
+    part = gamma.parts[(0,)].copy()
+    part[0, 0] = np.nan
+    nan = gtlie.Grading(group=gamma.group, parts={(0,): part, (1,): gamma.parts[(1,)]})
+    trivial = build_representation(HighestWeight(3, (0, 0, 0)))
+    report = check_compatibility(trivial, nan, gtlie.Grading(group=gamma.group, parts={(0,): np.eye(1)}))
+    assert (report.ok, report.violations, report.checked) == (False, (("non_finite", (0,), math.inf),), 8)
+
+
+def test_compatibility_fails_a_gamma_with_no_part():
+    hw = HighestWeight(3, (2, 1, 0))
+    vgamma = decompose_rep_space(simulation_inner(hw, 3, 1))
+    report = check_compatibility(build_representation(hw), gtlie.Grading(group=vgamma.group, parts={}), vgamma)
+    assert (report.ok, report.violations, report.checked) == (False, (("direct_sum", 0, 0, math.inf),), 0)
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:

@@ -351,3 +351,26 @@ def test_an_eps_cell_past_the_float_range_is_exit_2(tmp_path, capsys):
     assert code == 2 and "float range" in captured.err
     code, text = run(capsys, "contract", "solve-psi", "--group", "2", "--eps", huge)
     assert code == 0 and "binary psi solutions" in text and ": 1" in text
+
+
+def test_grading_from_auto_on_sl32_reads_no_dense_structure(capsys):
+    # the dense structure tensor of sl(32) is 16 GiB: the command asked numpy for it and died
+    code, text = run(capsys, "grading", "from-auto", "--inner", "32,16")
+    assert code == 0 and text.splitlines()[1:] == ["part dims: L_0=511, L_1=512", "OK"]
+
+
+@pytest.mark.parametrize("keep", [0, 2])
+def test_compat_check_fails_a_grading_that_is_not_a_direct_sum(tmp_path, capsys, keep):
+    # part 0 of inner(3,1) emptied or cut to 2 of its 4 columns: grading verify failed the file, and compat
+    # check printed compatible / OK
+    rep, path = tmp_path / "rep.json", tmp_path / "g1.json"
+    assert main(["rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(rep)]) == 0
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["parts"]["0"] = payload["parts"]["0"][:keep]
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(capsys, "grading", "verify", str(half), "--sl", "3")[0] == 1
+    code, text = run(capsys, "compat", "check", str(rep), str(half), "--inner", "3,1")
+    assert code == 1 and text.splitlines()[-2:] == ["incompatible", "FAIL"]

@@ -1013,12 +1013,16 @@ def test_a_recorded_contraction_cannot_be_changed_through_what_it_hands_out(sl3_
 
 def test_the_record_drops_the_oldest_result_past_its_byte_bound(monkeypatch, sl3_setup):
     sl3, gamma1 = sl3_setup
+    # a result is recorded at the bytes of its adapted basis and its entries, whose count varies with
+    # eps: 2,856, 2,456 and 1,496 bytes for these three tables
+    first, second, third = (enumerate_binary_epsilon(Z2)[i] for i in (4, 3, 1))
+    sizes = [result_bytes(contract_algebra(sl3, gamma1, table)) for table in (first, second, third)]
+    contraction_module._passed.clear()
     contracted = counting(monkeypatch, contraction_module, "_contract")
     checks = {name: counting(monkeypatch, contraction_module, name) for name in ("closure", "verify_epsilon")}
-    first, second, third = enumerate_binary_epsilon(Z2)[:3]
-    size = 8 * 8 * 16 + 8**3 * 16  # the adapted basis and the structure tensor of a contracted sl(3)
     coords = recorded_coordinate_bytes(sl3, gamma1)  # recorded with the grading pass
-    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", coords + 2 * size)
+    assert coords < sizes[2] <= min(sizes[:2])  # so that each step below drops what it says
+    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", coords + sizes[0] + sizes[1])
     for table in (first, second, third, second, first):
         contract_algebra(sl3, gamma1, table)
     # third drops the grading pass and then first's result, oldest first; second is still there; first is
@@ -1027,16 +1031,21 @@ def test_the_record_drops_the_oldest_result_past_its_byte_bound(monkeypatch, sl3
     assert len(checks["closure"]) == 2
     # the byte bound drops only entries with bytes: the eps passes in front of first's result stay
     assert [args[0] for args in checks["verify_epsilon"]] == [first, second, third]
-    assert sorted(s for _, s in contraction_module._passed.values() if s) == sorted([coords, size, size])
-    # a result past the bound (a contracted sl(4): 57,600 bytes) is never recorded: it is contracted
+    assert sorted(s for _, s in contraction_module._passed.values() if s) == sorted([coords, sizes[2], sizes[0]])
+    # a result past the bound (a contracted sl(4): 8,848 bytes) is never recorded: it is contracted
     # on every call, and what was recorded before it stays (the bound grows by sl(4)'s grading pass)
     sl4 = gtlie.sl_algebra(4)
     gamma4 = gtlie.grading_from_automorphism(sl4, gtlie.auto_inner(4, 1))
     coords4 = recorded_coordinate_bytes(sl4, gamma4)
-    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", coords + 2 * size + coords4)
+    monkeypatch.setattr(contraction_module, "PASSED_RESULT_BYTES", coords + sizes[0] + sizes[1] + coords4)
     for algebra, gamma, table in [(sl4, gamma4, first)] * 3 + [(sl3, gamma1, third), (sl3, gamma1, first)]:
         contract_algebra(algebra, gamma, table)
     assert [args[0] for args in contracted[4:]] == [sl4] * 3
+
+
+def result_bytes(calg) -> int:
+    """Bytes that the record charges for a contracted algebra: its adapted basis and its entries."""
+    return calg.adapted.nbytes + sum(a.nbytes for a in vars(calg.result.ad).values())
 
 
 def recorded_coordinate_bytes(algebra, gamma) -> int:

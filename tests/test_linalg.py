@@ -187,7 +187,7 @@ def test_every_summing_verifier_reports_what_the_stable_argsort_gives(monkeypatc
     got = results()
     with monkeypatch.context() as patch:
         use_stable_argsort(patch)
-        assert gtrep.summed is stable_summed and autos.stable_order is stable_argsort_order
+        assert gtrep.summed is stable_summed and linalg.stable_order is stable_argsort_order
         want = results()
     assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
 

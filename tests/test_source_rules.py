@@ -141,10 +141,10 @@ def test_content_is_hashed_only_by_the_digest_properties_and_the_record_keys(pat
 
 
 # Where dense matrices enter the library and are read into an Entries table:
-# generators given as dense matrices and the adjoint matrices of an algebra.
+# generators given as dense matrices and the structure tensor of an algebra.
 ENTRIES_READERS = {
     ("gtrep.py", "GeneratorRep.__init__"),
-    ("algebra.py", "LieAlgebra.ad"),
+    ("algebra.py", "LieAlgebra.__init__"),
 }
 
 
@@ -158,6 +158,32 @@ def test_dense_matrices_become_entries_only_where_they_enter_the_library(path):
     found = _outside(path, ENTRIES_READERS, _reads_entries)
     assert not found, f"Entries.of called outside the places dense matrices enter: {found}"
     assert "sl_stack" not in path.read_text(), f"a second dense view is named in {path.name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_entries_table_is_built_by_the_one_constructor(path):
+    # linalg.Entries.sort orders any entries by (row, matrix, col): an Entries(...) built anywhere else
+    # orders its entries by hand, and a table out of order gives wrong row joins
+    found = _outside(path, {("linalg.py", "Entries.sort")}, _calls("Entries"))
+    assert not found, f"Entries built outside Entries.sort: {found}"
+
+
+def _allocates_a_cube(node) -> bool:
+    """An array made with a shape of three equal sides, or a copy of a structure tensor."""
+    if not isinstance(node, ast.Call):
+        return False
+    shape = node.args[0] if node.args else None
+    if any(_named(node.func, f) for f in ("zeros", "empty", "ones", "full")) and isinstance(shape, ast.Tuple):
+        return len(shape.elts) == 3 and len({ast.dump(side) for side in shape.elts}) == 1
+    return _named(node.func, "copy") and any(_named(x, "structure") for x in ast.walk(node.func))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_dense_structure_tensor_is_formed_only_as_the_view(path):
+    # an algebra is its nonzero constants: a (k, k, k) array anywhere but the budgeted view
+    # LieAlgebra.structure is a second store, and sl(32) needs 16 GiB for one
+    found = _outside(path, {("algebra.py", "LieAlgebra.structure")}, _allocates_a_cube)
+    assert not found, f"a k^3 array outside LieAlgebra.structure: {found}"
 
 
 # The joins of stored entries with index ranges: the row join of the product
@@ -239,7 +265,8 @@ def _searches_structure(node) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_structure_tensor_is_searched_for_its_constants_only_by_ad(path):
-    # LieAlgebra.ad reads the nonzero constants into entries once: a nonzero search of the structure
+    # LieAlgebra reads the nonzero constants of a dense tensor into entries once, by Entries.of: a nonzero
+    # search of the structure
     # anywhere else reads them a second way
     found = _outside(path, set(), _searches_structure)
     assert not found, f"nonzero search of a structure tensor: {found}"
