@@ -119,31 +119,20 @@ class LieAlgebra:
 
     @cached_property
     def structure(self) -> np.ndarray:
-        """c as a read-only (k, k, k) array, formed once gtrep.check_generator_budget allows it."""
-        from .gtrep import check_generator_budget  # gtrep imports this module
-        k, e = self.dim, self.ad
-        check_generator_budget(k, k, e.vals.itemsize)
-        c = np.zeros((k, k, k), dtype=e.vals.dtype)
-        c[e.gids, e.cols, e.rows] = e.vals
-        return read_only(c)
-
-
-def brackets(p: np.ndarray, q: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
-    """All brackets [p_a, q_b] of the columns of p (k x A) and q (k x B) at
-    once, einsum("ia,jb,ijl->lab") as two tensordots: column a B + b of the
-    k x (A B) result is [p_a, q_b]."""
-    left = np.tensordot(p, algebra.structure, axes=(0, 0))  # (a, j, l)
-    return np.tensordot(left, q, axes=(1, 0)).transpose(1, 0, 2).reshape(algebra.dim, -1)
+        """c as a read-only (k, k, k) view, for callers outside the library:
+        the adjoint matrices transposed."""
+        return adjoint_rep(self).transpose(0, 2, 1)
 
 
 def bracket(x, y, algebra: LieAlgebra) -> np.ndarray:
-    """Lie bracket of two coordinate vectors, expanded in the algebra basis."""
+    """Lie bracket of two coordinate vectors, expanded in the algebra basis:
+    ad(x) y, ad(x) from algebra.ad.images."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     k = algebra.dim
     if x.shape != (k,) or y.shape != (k,):
         raise InputError(f"coordinate vectors must have length {k}")
-    return brackets(x[:, None], y[:, None], algebra)[:, 0]
+    return algebra.ad.images(x[:, None])[0] @ y
 
 
 # Largest predicted footprint of one output row of check_jacobi, at
@@ -266,10 +255,10 @@ def sl_algebra(n: int) -> LieAlgebra:
 def adjoint_rep(algebra: LieAlgebra) -> np.ndarray:
     """Adjoint matrices M_x with M_x y = [x, y], one per basis element.
 
-    Returns a read-only (k, k, k) view of structure; entry [i] is the operator of e_i.
+    Returns a read-only (k, k, k) array, algebra.ad.images of the identity;
+    entry [i] is the operator of e_i.
     """
-    # column j of M_{e_i} is [e_i, e_j]
-    return algebra.structure.transpose(0, 2, 1)
+    return algebra.ad.images(np.eye(algebra.dim, dtype=algebra.ad.vals.dtype))
 
 
 def burnside_span_dim(matrices, tol: float = DEFAULT_TOL) -> int:
@@ -542,9 +531,7 @@ def closure(algebra: LieAlgebra, grading: Grading, tol: float = DEFAULT_TOL) -> 
     if not grading.parts or any(where[0] == "non_finite" for where, _ in pairs):
         return Report.of(pairs, tol, checked=grading.total_dim**2), NO_TERMS
     ad = algebra.ad
-    residuals, coords = containment((ad.gids, ad.rows, ad.cols, ad.vals),
-                                    lambda x: np.tensordot(x.T, algebra.structure, 1).swapaxes(1, 2),
-                                    k, k, grading, grading, tol)
+    residuals, coords = containment((ad.gids, ad.rows, ad.cols, ad.vals), ad.images, k, k, grading, grading, tol)
     pairs += [((j, l), np.max(residuals[j, l], initial=0.0)) for j in grading.parts for l in grading.parts]
     return Report.of(pairs, tol, checked=grading.total_dim**2), coords
 
@@ -604,7 +591,7 @@ def classify_two_part(
     spans = {t: orthonormal_span(part, tol) for t, part in parts.items()}
     targets = {}
     for x, y in ("aa", "ab", "bb"):
-        images = brackets(parts[x], parts[y], algebra)
+        images = np.concatenate(algebra.ad.images(parts[x]) @ parts[y], axis=1)  # column a B + b: [x_a, y_b]
         images = images[:, ~np.all(np.abs(images) <= tol, axis=0)]
         targets[x + y] = {t for t in "ab" if span_distance(images, spans[t]) <= tol}
     t_aa, t_ab, t_bb = targets["aa"], targets["ab"], targets["bb"]

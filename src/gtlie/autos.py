@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gtrep
+from . import gtrep, linalg
 from .algebra import (NO_TERMS, Grading, LieAlgebra, Report, basis_violations, containment, matrix_to_coords,
                       sl_basis_labels, sl_basis_matrices)
 from .errors import InputError, VerificationError
@@ -461,7 +461,7 @@ def verify_simulation(
     g(x) is column x of aut.action.  For an R with one nonzero per column
     (R e_c = s_c e_{pi(c)}, the diagonal and signed-permutation kinds)
     R r(x) R^{-1} has the entries (pi(i), pi(j), s_i v / s_j) of r(x), so
-    both sides are entry lists, r(g(x)) from GeneratorRep.combined and r(x)
+    both sides are entry lists, r(g(x)) from rep.entries.combined and r(x)
     from GeneratorRep.sl_entries: keyed by (x, row, col), they are summed
     once, and the residual of x is the largest sum among its keys.  A dense
     R is checked on the dense matrices rep.images.
@@ -477,7 +477,7 @@ def verify_simulation(
     else:
         d = rep.dim
         perm, scale = sim.monomial()
-        xs, grows, gcols, gvals = rep.combined(gtrep.sl_in_generators(rep.n) @ act)
+        xs, grows, gcols, gvals = rep.entries.combined(gtrep.sl_in_generators(rep.n) @ act)
         labels, rows, cols, vals = rep.sl_entries
         keys = np.concatenate(((xs * d + grows) * d + gcols, (labels * d + perm[rows]) * d + perm[cols]))
         terms = np.concatenate((gvals, -(vals * scale[rows]) * (1.0 / scale)[cols]))
@@ -496,15 +496,15 @@ def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grad
     fixed point and (e_c +- s_c e_pi(c)) / 2 for each 2-cycle c < pi(c).
 
     The parts are dense: d columns of d complex entries in all.  Their
-    bytes are charged against gtrep.GENERATOR_BUDGET_BYTES first, and
+    bytes are charged against linalg.GENERATOR_BUDGET_BYTES first, and
     InputError is raised past it, before any part is formed.
     """
     d = sim.dim
     nbytes = 16 * d * d
-    if nbytes > gtrep.GENERATOR_BUDGET_BYTES:
+    if nbytes > linalg.GENERATOR_BUDGET_BYTES:
         raise InputError(
             f"the carrier parts of dimension {d} need {nbytes / 2**30:.2f} GiB as dense columns, "
-            f"over the {gtrep.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
+            f"over the {linalg.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
     split = _eigenspaces(sim.matrix if sim.kind == "dense" else sim.monomial(), sim.order, tol)
     return _eigen_grading(split, d, tol, "simulation matrix")
@@ -532,7 +532,9 @@ def compatibility(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float
     when all are zero) and tol.  A gamma that is not a grading of sl(n)
     fails first, as verify_grading fails it (algebra.basis_violations):
     with ("direct_sum", total dim, rank, inf), or with ("non_finite",
-    label, inf) and nothing else checked, as for a gamma with no part."""
+    label, inf) and nothing else checked, as for a gamma with no part; a
+    vgamma with no column fails so too, with ("direct_sum", 0, 0, inf) (one
+    with columns gets no rank check)."""
     if gamma.group.orders != vgamma.group.orders:
         raise InputError(f"gradings live over different groups: {gamma.group} vs {vgamma.group}")
     k = rep.n * rep.n - 1
@@ -543,7 +545,9 @@ def compatibility(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float
     if vlengths - {rep.dim}:
         raise InputError(f"carrier grading vectors of length {sorted(vlengths)} do not live in dimension {rep.dim}")
     pairs, checked = basis_violations(gamma, k, tol), gamma.total_dim * vgamma.total_dim
-    if not gamma.parts or any(where[0] == "non_finite" for where, _ in pairs):
+    if not vgamma.total_dim:
+        pairs += basis_violations(vgamma, rep.dim, tol)
+    if not gamma.parts or not vgamma.total_dim or any(where[0] == "non_finite" for where, _ in pairs):
         return Report.of(pairs, tol, checked=checked), NO_TERMS
     residuals, coords = containment(rep.sl_entries, rep.images, k, rep.dim, gamma, vgamma, tol)
     pairs += [((i, j), residuals[i, j][col]) for i, xpart in gamma.parts.items()

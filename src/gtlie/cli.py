@@ -32,13 +32,13 @@ from .groups import AbelianGroup, label_str
 from .gtrep import (
     HighestWeight,
     build_representation,
-    check_generator_budget,
     pattern_array,
     verify_commutation,
     verify_sl_trace,
     verify_transpose,
     weyl_dim,
 )
+from .linalg import check_generator_budget
 
 
 @dataclass

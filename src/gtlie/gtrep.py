@@ -30,10 +30,9 @@ patterns at once in exact integers, and the verifiers read it directly;
 ``verify_commutation`` sums each product term once, into its relation
 pair (g, h) with g < h, since the relation (h, g) is its negation.  The
 table is read-only, so what is derived from it is formed once and
-cached.  One kernel, ``rep.combined``, forms the entries of every r(x):
-``rep.sl_entries`` and the dense ``rep.images`` are read from it, and
-``rep.gen`` from the stored entries.  This module is the only place that
-densifies a representation, each time after one budget check.
+cached.  Every r(x) comes from the table's own kernels: ``rep.sl_entries``
+is ``linalg.Entries.combined`` of the sl(n) basis, and the dense
+``rep.images`` and ``rep.gen`` are ``linalg.Entries.images``.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import linalg
 from .algebra import Report, sl_basis_matrices
 from .errors import InputError
-from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, ranges, read_only, relation_sums, row_blocks,
+from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, read_only, relation_sums, row_blocks,
                      stable_order, summed)
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "PatternTable",
     "weyl_dim",
     "build_representation",
-    "GENERATOR_BUDGET_BYTES",
-    "check_generator_budget",
     "GeneratorRep",
     "Representation",
     "verify_commutation",
@@ -251,24 +249,9 @@ def sl_in_generators(n: int) -> np.ndarray:
     return read_only(np.array(sl_basis_matrices(n)).real.reshape(n * n - 1, n * n).T)
 
 
-# Largest predicted footprint, in bytes, of a representation's storage: at
-# build the pattern array plus the predicted generator entries; before a
-# scatter the dense d x d matrices it forms, at their itemsize.
-GENERATOR_BUDGET_BYTES = 2 << 30
 # Bytes of one stored generator entry: row, col and matrix index (int64) and
 # value (float64).
 ENTRY_BYTES = 32
-
-
-def check_generator_budget(count: int, d: int, itemsize: int) -> None:
-    """Raise InputError when count dense d x d matrices of itemsize bytes
-    per entry exceed GENERATOR_BUDGET_BYTES."""
-    nbytes = count * d * d * itemsize
-    if nbytes > GENERATOR_BUDGET_BYTES:
-        raise InputError(
-            f"{count} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
-            f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
-        )
 
 
 def predicted_entries(hw: HighestWeight, d: int) -> int:
@@ -289,7 +272,7 @@ def build_representation(hw: HighestWeight) -> Representation:
 
     Raises InputError, before enumerating patterns, when the pattern array
     and ENTRY_BYTES per predicted entry (predicted_entries) would exceed
-    GENERATOR_BUDGET_BYTES.
+    linalg.GENERATOR_BUDGET_BYTES.
 
     The patterns come as one PatternTable: the targets of a move are one
     searchsorted of their keys, and a target exists exactly when the moved
@@ -308,10 +291,10 @@ def build_representation(hw: HighestWeight) -> Representation:
     d = weyl_dim(hw)
     entries = predicted_entries(hw, d)
     nbytes = 8 * d * _offset(n, 0) + ENTRY_BYTES * entries
-    if nbytes > GENERATOR_BUDGET_BYTES:
+    if nbytes > linalg.GENERATOR_BUDGET_BYTES:
         raise InputError(
             f"r{hw} (d={d}) needs {nbytes / 2**30:.2f} GiB for its patterns and at most {entries} "
-            f"generator entries, over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
+            f"generator entries, over the {linalg.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
         )
     table = PatternTable.of(hw)
     gen = {}
@@ -367,7 +350,7 @@ class GeneratorRep:
     linalg.Entries table whose matrix g is the label at position g of the
     row-major order (1,1), (1,2), ..., (n,n).  ``n``, ``entries`` and
     ``dim`` are read-only attributes: a changed carrier is a new rep.
-    Every r(x) comes from ``combined``.  ``digest``, the linalg.digest of
+    Every r(x) comes from ``entries.combined``.  ``digest``, the linalg.digest of
     ``n`` and the five entries arrays, ``sl_entries`` and ``gen`` are
     formed once and cached.
     """
@@ -399,49 +382,23 @@ class GeneratorRep:
     @cached_property
     def gen(self) -> Mapping:
         """Read-only mapping from each generator label (k, l) to its dense,
-        read-only d x d matrix, one _scatter of the stored entries."""
-        e, count = self.entries, self.n * self.n
-        check_generator_budget(count, self.dim, e.vals.itemsize)
-        return MappingProxyType(dict(zip(_labels(self.n), _scatter(count, self.dim, e.gids, e.rows, e.cols, e.vals))))
+        read-only d x d matrix: entries.images of the identity."""
+        e = self.entries
+        return MappingProxyType(dict(zip(_labels(self.n), e.images(np.eye(self.n * self.n, dtype=e.vals.dtype)))))
 
     def images(self, coords: np.ndarray) -> np.ndarray:
         """r(x) for each column x of canonical sl(n) coordinates (another
-        length is an InputError), one _scatter of ``combined``."""
+        length is an InputError), from entries.images."""
         if coords.shape[0] != self.n * self.n - 1:
             raise InputError(f"vectors of length {coords.shape[0]} are not coordinates on sl({self.n})")
-        gcoords = sl_in_generators(self.n) @ coords
-        check_generator_budget(coords.shape[1], self.dim, np.result_type(self.entries.vals, gcoords).itemsize)
-        return _scatter(coords.shape[1], self.dim, *self.combined(gcoords))
-
-    def combined(self, gcoords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries of sum_g gcoords[g, c] gen(g) for each column c
-        of generator coordinates (an (n^2, columns) array, g in label order),
-        as read-only arrays (columns, rows, cols, vals) ordered by (column,
-        row, col): each stored entry joined with the nonzero coefficients of
-        its label, and the terms at each place summed once."""
-        e, d = self.entries, self.dim
-        g, c = np.nonzero(gcoords)
-        starts = np.searchsorted(g, np.arange(self.n * self.n + 1))
-        t, u = ranges(starts[e.gids], np.diff(starts)[e.gids])
-        keys, vals = summed((c[u] * d + e.rows[t]) * d + e.cols[t], e.vals[t] * gcoords[g[u], c[u]])
-        live = vals != 0
-        column, at = np.divmod(keys[live], d * d)
-        return tuple(read_only(x) for x in (column, *np.divmod(at, d), vals[live]))
+        return self.entries.images(sl_in_generators(self.n) @ coords)
 
     @cached_property
     def sl_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The entries ``combined`` forms for the canonical sl(n) basis
-        (algebra.sl_basis_labels: E_kl row-major, then H_k = E_kk -
+        """The entries ``entries.combined`` forms for the canonical sl(n)
+        basis (algebra.sl_basis_labels: E_kl row-major, then H_k = E_kk -
         E_k+1,k+1), the column of x its position."""
-        return self.combined(sl_in_generators(self.n))
-
-
-def _scatter(count: int, d: int, at, rows, cols, vals) -> np.ndarray:
-    """One read-only (count, d, d) array holding vals at (at, rows, cols);
-    the caller has passed check_generator_budget for it."""
-    out = np.zeros((count, d, d), dtype=vals.dtype)
-    out[at, rows, cols] = vals
-    return read_only(out)
+        return self.entries.combined(sl_in_generators(self.n))
 
 
 class Representation(GeneratorRep):
@@ -519,6 +476,6 @@ def verify_transpose(rep: GeneratorRep) -> float:
 
 
 def verify_sl_trace(rep: GeneratorRep) -> float:
-    """Sup norm of sum_k gen(k,k), one column of ``combined``; zero for a
-    representation of sl(n)."""
-    return max_abs(rep.combined(np.arange(rep.n * rep.n)[:, None] % (rep.n + 1) == 0)[3])
+    """Sup norm of sum_k gen(k,k), one column of ``entries.combined``; zero
+    for a representation of sl(n)."""
+    return max_abs(rep.entries.combined(np.arange(rep.n * rep.n)[:, None] % (rep.n + 1) == 0)[3])

@@ -10,7 +10,10 @@ Mostly-zero matrices are multiplied by one sparse-product kernel.
 row order by its one constructor ``Entries.sort``, whether read from dense
 matrices (``Entries.of``), stacked (``Entries.stack``) or written by a
 caller: it is how gtrep stores generators, algebra an algebra
-(LieAlgebra.ad) and contraction a contracted representation.  ``ranges`` lays index ranges end to end, ``row_join``
+(LieAlgebra.ad) and contraction a contracted representation.  Its sums
+sum_g x_g X_g come from ``Entries.combined`` as entries, and every dense
+stack of operators in gtlie from ``Entries.images``, one scatter after one
+check_generator_budget.  ``ranges`` lays index ranges end to end, ``row_join``
 pairs entries with rows by it, ``product_terms`` forms every term of
 every pairwise product, ``summed`` adds equal keys, and ``row_blocks``
 splits the output rows so that a check forms about TERMS_PER_BLOCK terms
@@ -43,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 DEFAULT_TOL = 1e-9
 # Most terms a blocked sparse check forms at once: verify_commutation of
 # r(6,3,1,0) peaks at 1.09 MiB under tracemalloc (3.32 MiB at 2^15).
@@ -52,6 +57,20 @@ TERMS_PER_BLOCK = 1 << 13
 # the packed sort at 512 keys, about the same at 768, and 26-32 us against
 # 18-19 us at 1024 (best of 7 x 2000 calls, 2-core x86 VM, one thread).
 PACKED_SORT_MIN_KEYS = 768
+# Largest footprint, in bytes, of the dense matrices one Entries.images forms,
+# and of a representation's storage as predicted at build.
+GENERATOR_BUDGET_BYTES = 2 << 30
+
+
+def check_generator_budget(count: int, d: int, itemsize: int) -> None:
+    """Raise InputError when count dense d x d matrices of itemsize bytes
+    per entry exceed GENERATOR_BUDGET_BYTES."""
+    nbytes = count * d * d * itemsize
+    if nbytes > GENERATOR_BUDGET_BYTES:
+        raise InputError(
+            f"{count} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
+            f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
+        )
 
 
 def max_abs(a) -> float:
@@ -181,6 +200,32 @@ class Entries:
     @property
     def dim(self) -> int:
         return self.starts.size - 1
+
+    def combined(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of sum_g coords[g, c] X_g for each column c of
+        coords (one row per matrix g of the table), as read-only arrays
+        (columns, rows, cols, vals) ordered by (column, row, col): each entry
+        joined with the nonzero coefficients of its matrix, and the terms at
+        each place summed once."""
+        d = self.dim
+        g, c = np.nonzero(coords)
+        starts = np.searchsorted(g, np.arange(coords.shape[0] + 1))
+        t, u = ranges(starts[self.gids], np.diff(starts)[self.gids])
+        keys, vals = summed((c[u] * d + self.rows[t]) * d + self.cols[t], self.vals[t] * coords[g[u], c[u]])
+        live = vals != 0
+        column, at = np.divmod(keys[live], d * d)
+        return tuple(read_only(x) for x in (column, *np.divmod(at, d), vals[live]))
+
+    def images(self, coords: np.ndarray) -> np.ndarray:
+        """The dense sum_g coords[g, c] X_g for each column c of coords, one
+        read-only (columns, d, d) array: one check_generator_budget at the
+        result's itemsize, then one scatter of ``combined``."""
+        count, d, dtype = coords.shape[1], self.dim, np.result_type(self.vals, coords)
+        check_generator_budget(count, d, dtype.itemsize)
+        column, rows, cols, vals = self.combined(coords)
+        out = np.zeros((count, d, d), dtype=dtype)
+        out[column, rows, cols] = vals
+        return read_only(out)
 
 
 def ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,11 @@ relation pair, the equal-key sums ordered by a stable argsort, and the
 action of an automorphism on sl(n) one basis matrix at a time, the
 eigenspaces of an operator from its dense projectors and the greedy
 column basis of each, with the dense power check, the content digest
-over a tobytes() copy of each array, and the pair images of the
+over a tobytes() copy of each array, the pair images of the
 containment kernel as one dense (keys x labels) table times each grading
-part."""
+part, the bracket blocks as two tensordots over the dense structure
+tensor (and the split verdict and the dense grading path on them), and
+the dense matrices of an entries table as one scatter."""
 
 import cmath
 import hashlib
@@ -38,7 +40,6 @@ from gtlie.algebra import (
     TwoPartCase,
     _real_if_real,
     bracket,
-    brackets,
     check_jacobi,
     grading_adapted_basis,
     matrix_to_coords,
@@ -46,7 +47,7 @@ from gtlie.algebra import (
     sl_basis_matrices,
     verify_grading,
 )
-from gtlie.autos import eta
+from gtlie.autos import Automorphism, auto_inner, eta
 from gtlie.contraction import EpsilonTable, PsiTable, verify_epsilon
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
@@ -94,10 +95,28 @@ def per_vector_classify(algebra, pa, pb, tol) -> TwoPartCase:
         return [w for w in images if max_abs(w) > tol]
 
     products = {"aa": bracket_set(pa, pa), "ab": bracket_set(pa, pb), "bb": bracket_set(pb, pb)}
-    t = {
+    return two_part_verdict({
         key: {s for s in "ab" if all(span_residual(w, spans[s]) <= tol for w in vecs)}
         for key, vecs in products.items()
-    }
+    })
+
+
+def dense_classify(algebra, pa, pb, tol) -> TwoPartCase:
+    """classify_two_part with its bracket blocks from dense_brackets: tiny images dropped, then one
+    span distance per block and target."""
+    parts = {"a": np.asarray(pa, dtype=complex), "b": np.asarray(pb, dtype=complex)}
+    spans = {s: orthonormal_span(part, tol) for s, part in parts.items()}
+    t = {}
+    for x, y in ("aa", "ab", "bb"):
+        images = dense_brackets(parts[x], parts[y], algebra)
+        images = images[:, ~np.all(np.abs(images) <= tol, axis=0)]
+        t[x + y] = {s for s in "ab" if span_distance(images, spans[s]) <= tol}
+    return two_part_verdict(t)
+
+
+def two_part_verdict(t: dict) -> TwoPartCase:
+    """The verdict of classify_two_part from the targets t["aa"], t["ab"], t["bb"] that hold each
+    bracket block."""
     if ("a" in t["aa"] and "b" in t["ab"] and "a" in t["bb"]) or (
         "b" in t["aa"] and "a" in t["ab"] and "b" in t["bb"]
     ):
@@ -167,9 +186,47 @@ def entrywise_coords(n, mat) -> np.ndarray:
     return np.array(coords, dtype=complex)
 
 
+def dense_brackets(p: np.ndarray, q: np.ndarray, algebra: LieAlgebra) -> np.ndarray:
+    """All brackets [p_a, q_b] of the columns of p (k x A) and q (k x B) at
+    once, einsum("ia,jb,ijl->lab") as two tensordots: column a B + b of the
+    k x (A B) result is [p_a, q_b]."""
+    left = np.tensordot(p, algebra.structure, axes=(0, 0))  # (a, j, l)
+    return np.tensordot(left, q, axes=(1, 0)).transpose(1, 0, 2).reshape(algebra.dim, -1)
+
+
+def with_tensordot_images(algebra, call):
+    """call() with the dense path of the containment kernel on ad(x) as one tensordot over the dense
+    structure tensor per grading part; a call that never reaches that path is a mistake in the test."""
+    span_path = algebra_module._span_residuals
+
+    def via_tensordot(images, *args):
+        return span_path(lambda x: np.tensordot(x.T, algebra.structure, 1).swapaxes(1, 2), *args)
+
+    with mock.patch.object(algebra_module, "_span_residuals", side_effect=via_tensordot) as patched:
+        out = call()
+    assert patched.called
+    return out
+
+
+def conjugate_of_inner(n: int, seed: int) -> Automorphism:
+    """Ad_{Q A Q^T} with A the inner (n,1) representative and Q a seeded orthogonal matrix: the same
+    class as inner(n,1), with a dense grading basis."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    return Automorphism(kind="inner", matrix=q @ auto_inner(n, 1).matrix @ q.T, order=2)
+
+
+def scattered(e: Entries, count: int) -> np.ndarray:
+    """The count dense matrices of an entries table, one (count, d, d) array at the stored dtype
+    holding vals at (gids, rows, cols): one scatter, with no product."""
+    out = np.zeros((count, e.dim, e.dim), dtype=e.vals.dtype)
+    out[e.gids, e.rows, e.cols] = e.vals
+    return out
+
+
 def solve_contract(algebra, gamma, eps, tol: float = 1e-9) -> tuple:
     """contract_algebra's labels, adapted basis, contracted algebra and Jacobi report by one solve on
-    the adapted basis: every bracket of pairs a < b of its vectors in one brackets block, scaled by eps
+    the adapted basis: every bracket of pairs a < b of its vectors in one dense_brackets block, scaled by eps
     and expanded by np.linalg.solve; the pairs b > a are their exact negatives."""
     cells = eps.floats()
     if not verify_grading(algebra, gamma, tol).ok:
@@ -180,7 +237,7 @@ def solve_contract(algebra, gamma, eps, tol: float = 1e-9) -> tuple:
     k = algebra.dim
     a, b = np.triu_indices(k, 1)
     scale = eps.on_labels(cells, labels, labels)[a, b]
-    coeffs = np.linalg.solve(basis, brackets(basis, basis, algebra)[:, a * k + b] * scale)
+    coeffs = np.linalg.solve(basis, dense_brackets(basis, basis, algebra)[:, a * k + b] * scale)
     structure = np.zeros((k, k, k), dtype=complex)
     structure[a, b] = coeffs.T
     structure[b, a] = -coeffs.T
@@ -210,10 +267,7 @@ def per_vector_contract_rep(rep, vgamma, gamma, psi) -> list:
 def contracted_matrices(crep) -> list:
     """The k dense matrices of a contracted representation, one scatter of
     its entries table."""
-    e = crep.entries
-    out = np.zeros((len(crep.labels), e.dim, e.dim), dtype=e.vals.dtype)
-    out[e.gids, e.rows, e.cols] = e.vals
-    return list(out)
+    return list(scattered(crep.entries, len(crep.labels)))
 
 
 def per_pair_homomorphism(crep, calg, tol):

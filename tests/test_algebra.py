@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,15 +11,20 @@ from gtlie import TwoPartCase
 from gtlie.algebra import closure, sl_basis_matrices, matrix_to_coords
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
-from gtlie.linalg import Entries, independent_columns
+from gtlie.linalg import Entries, independent_columns, max_abs
 from oracles import (
     assert_same_as_dense_pair_path,
+    conjugate_of_inner,
+    dense_brackets,
+    dense_classify,
     dense_jacobi_residual,
     entrywise_coords,
     greedy_columns,
     per_pair_sl_structure,
     per_vector_classify,
     per_vector_grading,
+    scattered,
+    with_tensordot_images,
 )
 
 
@@ -369,6 +375,71 @@ def test_classify_two_part_rejects_non_complementary():
         gtlie.classify_two_part(a, e, e)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_brackets_and_dense_views_equal_the_dense_tensor_on_every_standard_grading(n):
+    # ad(p_a) q_b from the entries gives the bracket blocks of the two tensordots bit for bit, and the
+    # structure view and the adjoint matrices are the scatter of the constants
+    algebra = gtlie.sl_algebra(n)
+    k = algebra.dim
+    assert np.array_equal(algebra.structure, scattered(algebra.ad, k).transpose(0, 2, 1))
+    assert np.array_equal(gtlie.adjoint_rep(algebra), scattered(algebra.ad, k))
+    for aut in [gtlie.auto_inner(n, s) for s in range(1, n // 2 + 1)] + [gtlie.auto_outer(n)]:
+        gamma = gtlie.grading_from_automorphism(algebra, aut)
+        pa, pb = (np.asarray(gamma.parts[lab], dtype=complex) for lab in ((0,), (1,)))
+        for p, q in ((pa, pa), (pa, pb), (pb, pb)):
+            want = dense_brackets(p, q, algebra)
+            assert np.concatenate(algebra.ad.images(p) @ q, axis=1).tobytes() == want.tobytes()
+            for x, y in itertools.product(p.T, q.T) if n <= 4 else ():
+                one = dense_brackets(x[:, None], y[:, None], algebra)
+                assert gtlie.bracket(x, y, algebra).tobytes() == one.tobytes()
+        case = gtlie.classify_two_part(algebra, pa, pb)
+        assert case == dense_classify(algebra, pa, pb, 1e-9) == TwoPartCase.Z2_GRADING
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_conjugates_bracket_grade_and_split_as_on_the_dense_tensor(n):
+    # a conjugated grading has dense columns: its brackets and grading residuals agree with the
+    # tensordots over the dense tensor to round-off, with the same verdicts
+    algebra = gtlie.sl_algebra(n)
+    for seed in range(30):
+        gamma = gtlie.grading_from_automorphism(algebra, conjugate_of_inner(n, seed))
+        pa, pb = gamma.parts[(0,)], gamma.parts[(1,)]
+        for p, q in ((pa, pa), (pa, pb), (pb, pb)):
+            got = np.column_stack([gtlie.bracket(x, y, algebra) for x in p.T for y in q.T])
+            assert max_abs(got - dense_brackets(p, q, algebra)) <= 1e-14
+        report = gtlie.verify_grading(algebra, gamma)
+        want = with_tensordot_images(algebra, lambda: gtlie.verify_grading(algebra, gamma))
+        assert report.ok == want.ok and abs(report.max_residual - want.max_residual) <= 1e-14
+        assert gtlie.classify_two_part(algebra, pa, pb) == dense_classify(algebra, pa, pb, 1e-9)
+
+
+def test_a_bracket_on_sl16_forms_one_adjoint_matrix_not_the_dense_tensor():
+    # the dense tensor of sl(16) is 254 MiB; ad(x) is 1 MiB
+    sl16 = gtlie.sl_algebra(16)
+    x, y = np.random.default_rng(0).standard_normal((2, 255))
+    tracemalloc.start()
+    try:
+        got = gtlie.bracket(x, y, sl16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20 and "structure" not in vars(sl16)
+    assert max_abs(got - dense_brackets(x[:, None], y[:, None], sl16)[:, 0]) <= 1e-12
+
+
+def test_classify_two_part_on_sl12_stays_under_its_memory_pin():
+    # inner(12,6) splits sl(12) into parts of 71 and 72 columns: the images of one part are 22 MiB
+    sl12 = gtlie.sl_algebra(12)
+    gamma = gtlie.grading_from_automorphism(sl12, gtlie.auto_inner(12, 6))
+    tracemalloc.start()
+    try:
+        case = gtlie.classify_two_part(sl12, gamma.parts[(0,)], gamma.parts[(1,)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case == TwoPartCase.Z2_GRADING and peak < 64 << 20
+
+
 def split_of(n, mask, mode, seed):
     """Two-part split of sl(n): basis vectors by mask, or the eigenspaces of
     the inner (n, 1) or outer automorphism; each part optionally mixed by a
@@ -478,10 +549,10 @@ def test_a_repeated_constant_is_refused_though_its_mirror_is_repeated_too():
 
 
 def test_the_dense_view_past_the_budget_is_refused_before_it_is_formed(monkeypatch):
-    from gtlie import gtrep
+    from gtlie import linalg
 
     sl6 = gtlie.sl_algebra(6)
-    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 35**3 * 16 - 1)
+    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 35**3 * 16 - 1)
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="budget"):
@@ -490,7 +561,7 @@ def test_the_dense_view_past_the_budget_is_refused_before_it_is_formed(monkeypat
     finally:
         tracemalloc.stop()
     assert peak < 35**3 * 16 // 4 and "structure" not in vars(sl6)
-    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 35**3 * 16)
+    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 35**3 * 16)
     assert sl6.structure.shape == (35, 35, 35) and not sl6.structure.flags.writeable
     assert gtlie.bracket(np.eye(35)[0], np.eye(35)[17], sl6).tolist() == sl6.structure[0, 17].tolist()
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtlie
-from gtlie import autos, gtrep
+from gtlie import autos, linalg
 from gtlie.algebra import matrix_to_coords, sl_basis_matrices
 from gtlie.autos import (
     SOLVER_BUDGET_BYTES,
@@ -366,9 +366,9 @@ def test_decompose_rep_space_charges_its_dense_parts_against_the_budget(monkeypa
     hw = HighestWeight(3, (2, 1, 0))
     sims = [J_matrix(hw), simulation_inner(hw, 3, 1), SimulationMatrix(order=2, kind="dense", dense=J_matrix(hw).matrix)]
     big = simulation_inner(HighestWeight(3, (20, 10, 0)), 3, 1)  # d = 1331: 27 MiB of parts
-    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 1024)
+    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 1024)
     assert all(decompose_rep_space(sim).total_dim == 8 for sim in sims)
-    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 1023)
+    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 1023)
     for sim in sims:
         with pytest.raises(InputError, match="dimension 8 need 0.00 GiB as dense columns, over the 0.00 GiB budget"):
             decompose_rep_space(sim)
@@ -970,6 +970,15 @@ def test_compatibility_fails_a_gamma_with_no_part():
     hw = HighestWeight(3, (2, 1, 0))
     vgamma = decompose_rep_space(simulation_inner(hw, 3, 1))
     report = check_compatibility(build_representation(hw), gtlie.Grading(group=vgamma.group, parts={}), vgamma)
+    assert (report.ok, report.violations, report.checked) == (False, (("direct_sum", 0, 0, math.inf),), 0)
+
+
+@pytest.mark.parametrize("parts", [{}, {(0,): np.zeros((8, 0))}], ids=["no part", "no column"])
+def test_compatibility_fails_a_carrier_grading_with_no_column(parts):
+    # nothing spans the carrier, so nothing is measured: the failing report an empty gamma gets
+    hw = HighestWeight(3, (2, 1, 0))
+    gamma = grading_from_automorphism(gtlie.sl_algebra(3), auto_inner(3, 1))
+    report = check_compatibility(build_representation(hw), gamma, gtlie.Grading(group=gamma.group, parts=parts))
     assert (report.ok, report.violations, report.checked) == (False, (("direct_sum", 0, 0, math.inf),), 0)
 
 

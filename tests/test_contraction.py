@@ -18,6 +18,7 @@ from gtlie import algebra as algebra_module
 from gtlie import contraction as contraction_module
 from gtlie import gtrep as gtrep_module
 from gtlie import jsonio
+from gtlie import linalg as linalg_module
 from gtlie.contraction import (
     ContractedAlgebra,
     ContractedRep,
@@ -38,6 +39,7 @@ from gtlie.groups import AbelianGroup
 from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation
 from gtlie.linalg import Entries, summed
 from oracles import (
+    conjugate_of_inner,
     contracted_matrices,
     per_cell_epsilon,
     per_cell_psi,
@@ -291,14 +293,6 @@ def test_contract_all_binary_epsilons_jacobi_exact(sl3_setup):
         calg = contract_algebra(sl3, gamma1, table)
         assert gtlie.check_jacobi(calg.result).max_residual == 0.0
         assert vars(calg.jacobi) == vars(gtlie.check_jacobi(calg.result))
-
-
-def conjugate_of_inner(n: int, seed: int) -> gtlie.Automorphism:
-    """Ad_{Q A Q^T} with A the inner (n,1) representative and Q a seeded orthogonal matrix: the same
-    class as inner(n,1), with a dense grading basis."""
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    return gtlie.Automorphism(kind="inner", matrix=q @ gtlie.auto_inner(n, 1).matrix @ q.T, order=2)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -797,7 +791,7 @@ def test_five_contractions_of_one_carrier_form_its_coordinates_once(monkeypatch)
 
 def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
     # each dense read is charged at its own count and itemsize before its scatter; gen scatters once
-    budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
+    budget_checks = counting(monkeypatch, linalg_module, "check_generator_budget")
     hw = HighestWeight(3, (2, 1, 0))
     rep, outer = build_representation(hw), gtlie.auto_outer(3)
     gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(3), outer)
@@ -815,7 +809,7 @@ def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
 def test_the_dense_readers_never_scatter_the_generators(monkeypatch):
     # the solver and a dense-R check form r(x) for sl(n) coordinates only, and contract_rep none:
     # the budget is asked for n^2 - 1 matrices, never for the n^2 generators
-    budget_checks = counting(monkeypatch, gtrep_module, "check_generator_budget")
+    budget_checks = counting(monkeypatch, linalg_module, "check_generator_budget")
     hw = HighestWeight(4, (1, 1, 0, 0))
     rep, outer = build_representation(hw), gtlie.auto_outer(4)
     gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(4), outer)

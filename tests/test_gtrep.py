@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtlie import gtrep
+from gtlie import linalg
 from gtlie.autos import auto_outer, doubled_rep, verify_simulation
 from gtlie.errors import InputError
 from gtlie.gtrep import (
-    GENERATOR_BUDGET_BYTES,
     GeneratorRep,
     HighestWeight,
     build_representation,
@@ -21,7 +20,7 @@ from gtlie.gtrep import (
     verify_transpose,
     weyl_dim,
 )
-from gtlie.linalg import Entries, max_abs
+from gtlie.linalg import GENERATOR_BUDGET_BYTES, Entries, max_abs
 from oracles import (
     GTPattern,
     Radicand,
@@ -33,6 +32,7 @@ from oracles import (
     per_pattern_generators,
     recursive_pattern_array,
     row_sum,
+    scattered,
     two_orientation_commutation,
 )
 
@@ -491,14 +491,30 @@ def test_the_carrier_attributes_are_read_only():
             setattr(GeneratorRep(3, dict(rep.gen)), name, getattr(rep, name))
 
 
+# The 17 irreps of the paper_sweep benchmark workload.
+SWEEP_WEIGHTS = (
+    [(m1, 0) for m1 in range(1, 5)]
+    + [(m1, m2, 0) for m1 in range(1, 4) for m2 in range(m1 + 1)]
+    + [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (2, 1, 1, 0)]
+)
+
+
+@pytest.mark.parametrize("m", SWEEP_WEIGHTS, ids=str)
+def test_gen_is_the_scatter_of_the_stored_entries(m):
+    # gen is Entries.images of the identity: each generator is its stored entries scattered, at their dtype
+    rep = build_representation(HighestWeight(len(m), m))
+    want = scattered(rep.entries, rep.n * rep.n)
+    assert all(got.dtype == w.dtype and np.array_equal(got, w) for got, w in zip(rep.gen.values(), want, strict=True))
+
+
 def test_gen_and_images_are_charged_at_their_real_itemsize_before_any_scatter(monkeypatch):
     # r(6,3,0), d = 64: the 9 generators take 9 * 64 * 64 * 8 = 294912 bytes dense as float64,
     # twice that as complex128; the 8 images of the sl basis take 8/9 of that
     complex_rep = GeneratorRep(3, {label: np.asarray(m, dtype=complex)
                                    for label, m in build_representation(HighestWeight(3, (6, 3, 0))).gen.items()})
     real = build_representation(HighestWeight(3, (6, 3, 0)))
-    monkeypatch.setattr(gtrep, "GENERATOR_BUDGET_BYTES", 9 * 64 * 64 * 8)
-    assert real.gen[(1, 2)].base.nbytes == gtrep.GENERATOR_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
+    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 9 * 64 * 64 * 8)
+    assert real.gen[(1, 2)].base.nbytes == linalg.GENERATOR_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
     assert real.images(np.eye(8)).nbytes == 8 * 64 * 64 * 8
     refused = ((9, lambda: complex_rep.gen), (8, lambda: complex_rep.images(np.eye(8))),
                (8, lambda: real.images(np.eye(8, dtype=complex))))

@@ -187,12 +187,13 @@ def test_the_dense_structure_tensor_is_formed_only_as_the_view(path):
 
 
 # The joins of stored entries with index ranges: the row join of the product
-# kernel, the relation kernel, the one kernel that forms r(x) from generator
-# coordinates, and the pair images of the containment kernel.
+# kernel, the relation kernel, the one kernel that forms linear combinations
+# of an entries table's matrices (every r(x) and ad(x)), and the pair images
+# of the containment kernel.
 RANGES_CALLERS = {
     ("linalg.py", "row_join"),
     ("linalg.py", "relation_sums"),
-    ("gtrep.py", "GeneratorRep.combined"),
+    ("linalg.py", "Entries.combined"),
     ("algebra.py", "_pair_residuals"),
 }
 
@@ -205,15 +206,14 @@ def test_entries_are_joined_with_ranges_only_by_the_kernels(path):
 
 
 def test_a_representation_holds_no_dense_cube():
-    # every r(x) comes from GeneratorRep.combined: no tensordot over densified generators, and no
-    # cached dense array of them beside gen
+    # every r(x) comes from the entries kernels: no cached dense array of the generators beside gen
     (path,) = [p for p in SOURCES if p.name == "gtrep.py"]
     found = [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _named(node, "tensordot") or _named(node, "dense") or getattr(node, "name", None) == "dense"
+        if _named(node, "dense") or getattr(node, "name", None) == "dense"
     ]
-    assert not found, f"a dense cube or its tensordot in gtrep: {found}"
+    assert not found, f"a dense cube in gtrep: {found}"
 
 
 def test_contract_rep_forms_no_dense_image_and_solves_nothing():
@@ -232,7 +232,7 @@ def test_contract_rep_forms_no_dense_image_and_solves_nothing():
 
 # The algebra is graded and contracted as its own adjoint representation: closure measures on the
 # containment kernel and _contract reads the coordinates that the grading pass records, so a span
-# basis, a span distance or a solve there forms them a second way (and brackets has its own rule).
+# basis, a span distance or a solve there forms them a second way.
 KERNEL_ONLY = [
     ("contraction.py", "_contract", {"solve"}),
     ("algebra.py", "verify_grading", {"orthonormal_span", "span_distance"}),
@@ -251,11 +251,35 @@ def test_the_algebra_is_graded_and_contracted_on_the_containment_kernel(name, fu
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_bracket_blocks_are_formed_only_for_one_bracket_and_the_two_part_split(path):
-    # verify_grading and _contract read ad through the containment kernel; classify_two_part drops tiny
-    # images before its span tests, which the kernel does not
-    found = _outside(path, {("algebra.py", "bracket"), ("algebra.py", "classify_two_part")}, _calls("brackets"))
-    assert not found, f"brackets called outside bracket and classify_two_part: {found}"
+def test_no_tensor_contraction_in_the_library(path):
+    # every dense operator comes from linalg.Entries.images and every product of one with a vector is a
+    # matrix product: a tensordot or einsum contracts a dense tensor a second way
+    found = _outside(path, set(), lambda n: _named(n, "tensordot") or _named(n, "einsum"))
+    assert not found, f"tensordot or einsum in the library: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_dense_structure_view_is_read_only_by_callers_outside_the_library(path):
+    # an algebra is its entries ad: a computation on the dense structure view densifies what the library
+    # holds as entries
+    found = _outside(path, {("algebra.py", "LieAlgebra.structure")},
+                     lambda n: isinstance(n, ast.Attribute) and n.attr == "structure")
+    assert not found, f"structure read outside LieAlgebra.structure: {found}"
+
+
+def _scatters_a_stack(node) -> bool:
+    """An assignment into three index arrays: values scattered into a (count, d, d) stack."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Tuple) and len(t.slice.elts) == 3
+               and not any(isinstance(x, ast.Slice) for x in t.slice.elts) for t in targets)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_dense_stack_is_scattered_by_the_one_kernel(path):
+    # linalg.Entries.images forms every dense stack of matrices from entries, after its budget check:
+    # a scatter anywhere else is a second densifying path with a budget of its own, or none
+    found = _outside(path, {("linalg.py", "Entries.images")}, _scatters_a_stack)
+    assert not found, f"a (count, d, d) scatter outside Entries.images: {found}"
 
 
 def _searches_structure(node) -> bool:
