@@ -11,7 +11,8 @@ into subspaces labelled by elements of a finite abelian group, with the
 bracket-closure condition ``[L_j, L_k] subset of L_{j+k}``: the
 compatibility r(L_i) V_j subset of V_{i+j} of the adjoint representation,
 with V = L graded by itself.  One kernel, ``containment``, checks both on
-the entries of r(x) (for the algebra ``LieAlgebra.ad``).
+the entries of r(x) (for the algebra ``LieAlgebra.ad``), and
+``classify_two_part`` reads a two-part split off two verify_grading calls.
 """
 
 from __future__ import annotations
@@ -568,43 +569,37 @@ def classify_two_part(
 ) -> TwoPartCase:
     """Decide how a two-part split of the algebra can be graded.
 
-    All eight target assignments ([P_a,P_a], [P_a,P_b], [P_b,P_b]) -> {a, b}
-    are tested; the strongest consistent reading wins, preferring the
-    Z_2 pattern ([L_0,L_0], [L_1,L_1] into L_0, mixed into L_1).  For a
-    simple algebra any graded split must come out as Z2_GRADING; the
-    residual buckets only occur for non-perfect inputs.  Bracket images
-    with sup norm at most tol are dropped before the span tests.
+    verify_grading decides it on the Z2 grading with P_a even, then with the
+    parts swapped: the first that passes is Z2_GRADING.  Otherwise the two
+    reports' violations give the six tests "[P_x, P_y] inside P_t": both
+    parts closed and [P_a, P_b] inside one of them is BOTH_CLOSED, each
+    bracket block inside a part NEITHER_CLOSED.  For a simple algebra any
+    graded split must come out as Z2_GRADING.  Parts that are not
+    complementary, or one with a NaN or infinite entry, are an InputError.
+    A writable part is copied, so the caller's array stays writable.
     """
-    pa = np.asarray(part_a, dtype=complex)
-    pb = np.asarray(part_b, dtype=complex)
-    if pa.ndim == 1:
-        pa = pa.reshape(-1, 1)
-    if pb.ndim == 1:
-        pb = pb.reshape(-1, 1)
     k = algebra.dim
-    if pa.shape[0] != k or pb.shape[0] != k:
-        raise InputError("subspace vectors must live in the algebra's dimension")
-    if pa.shape[1] + pb.shape[1] != k or rank(np.column_stack([pa, pb]), tol) != k:
-        raise InputError("subspaces are not complementary")
-
-    parts = {"a": pa, "b": pb}
-    spans = {t: orthonormal_span(part, tol) for t, part in parts.items()}
-    targets = {}
-    for x, y in ("aa", "ab", "bb"):
-        images = np.concatenate(algebra.ad.images(parts[x]) @ parts[y], axis=1)  # column a B + b: [x_a, y_b]
-        images = images[:, ~np.all(np.abs(images) <= tol, axis=0)]
-        targets[x + y] = {t for t in "ab" if span_distance(images, spans[t]) <= tol}
-    t_aa, t_ab, t_bb = targets["aa"], targets["ab"], targets["bb"]
-
-    z2 = ("a" in t_aa and "b" in t_ab and "a" in t_bb) or (
-        "b" in t_aa and "a" in t_ab and "b" in t_bb
-    )
-    if z2:
-        return TwoPartCase.Z2_GRADING
-    both_closed = "a" in t_aa and "b" in t_bb and t_ab
-    if both_closed:
+    parts = {}
+    for name, part in (("a", part_a), ("b", part_b)):
+        p = np.asarray(part, dtype=complex)
+        p = p.reshape(-1, 1) if p.ndim == 1 else p
+        parts[name] = p.copy() if p.flags.writeable else p  # Grading flags an array it owns read-only
+        if p.shape[0] != k:
+            raise InputError("subspace vectors must live in the algebra's dimension")
+    held = {"aaa", "aab", "aba", "abb", "bba", "bbb"}  # xyt: [P_x, P_y] inside P_t
+    for names in ("ab", "ba"):  # the even part, then the odd one
+        gamma = Grading(AbelianGroup((2,)), {(0,): parts[names[0]], (1,): parts[names[1]]})
+        report = verify_grading(algebra, gamma, tol)
+        if report.ok:
+            return TwoPartCase.Z2_GRADING
+        if report.violations[0][0] == "non_finite":
+            raise InputError(f"subspace {names[report.violations[0][1][0]]} has a NaN or infinite entry")
+        if report.violations[0][0] == "direct_sum":
+            raise InputError("subspaces are not complementary")
+        held -= {"".join(sorted(names[j] + names[l])) + names[(j + l) % 2] for (j,), (l,), _ in report.violations}
+    if {"aaa", "bbb"} <= held and held & {"aba", "abb"}:
         return TwoPartCase.BOTH_CLOSED
-    if t_aa and t_ab and t_bb:
+    if all(held & {xy + "a", xy + "b"} for xy in ("aa", "ab", "bb")):
         return TwoPartCase.NEITHER_CLOSED
     return TwoPartCase.NOT_A_GRADING
 

@@ -2,8 +2,9 @@
 
 Subspaces are matrices whose *columns* span them.  "Is this block W of
 vectors inside that span?" is one test: an orthonormal basis Q of the
-span, taken once (``orthonormal_span``), then ``span_distance`` =
-max |W - Q (Q^H W)|.  ``independent_columns`` grows such a basis.
+span, taken once (``orthonormal_span``), then ``span_distance`` = the
+largest min(|w - Q (Q^H w)|, |w|) over the columns w of W.
+``independent_columns`` grows such a basis.
 
 Mostly-zero matrices are multiplied by one sparse-product kernel.
 ``Entries`` is the one read-only table of their nonzero entries, put in
@@ -129,9 +130,10 @@ def orthonormal_span(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def span_distance(block: np.ndarray, q: np.ndarray) -> float:
-    """Largest sup-norm distance of a column of block from the span of the
-    orthonormal columns of q: max |W - Q (Q^H W)|."""
-    return max_abs(block - q @ (q.conj().T @ block))
+    """Largest sup-norm distance of a column w of block from the span of the orthonormal
+    columns of q, each the smaller of |w - Q (Q^H w)| and |w| (0 lies in every span)."""
+    residual = np.abs(block - q @ (q.conj().T @ block)).max(axis=0, initial=0.0)
+    return max_abs(np.minimum(residual, np.abs(block).max(axis=0, initial=0.0)))
 
 
 def independent_columns(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

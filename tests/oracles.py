@@ -20,8 +20,9 @@ column basis of each, with the dense power check, the content digest
 over a tobytes() copy of each array, the pair images of the
 containment kernel as one dense (keys x labels) table times each grading
 part, the bracket blocks as two tensordots over the dense structure
-tensor (and the split verdict and the dense grading path on them), and
-the dense matrices of an entries table as one scatter."""
+tensor (and the split verdict and the dense grading path on them), the
+distance of an image block from a span as its projection residual alone,
+and the dense matrices of an entries table as one scatter."""
 
 import cmath
 import hashlib
@@ -52,7 +53,13 @@ from gtlie.contraction import EpsilonTable, PsiTable, verify_epsilon
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
 from gtlie.linalg import (Entries, independent_columns, max_abs, orthonormal_span, product_terms, ranges, rank, row_blocks,
-                          span_distance, stable_order, summed)
+                          stable_order, summed)
+
+
+def span_distance(block: np.ndarray, q: np.ndarray) -> float:
+    """Largest sup-norm distance of a column of block from the span of the
+    orthonormal columns of q: max |W - Q (Q^H W)|."""
+    return max_abs(block - q @ (q.conj().T @ block))
 
 
 def span_residual(vec, basis) -> float:
@@ -206,6 +213,13 @@ def with_tensordot_images(algebra, call):
         out = call()
     assert patched.called
     return out
+
+
+def with_projection_distance(call):
+    """call() with the containment kernel's dense path measuring each image block by span_distance here,
+    its projection residual alone, not capped at each image's sup norm."""
+    with mock.patch.object(algebra_module, "span_distance", side_effect=span_distance):
+        return call()
 
 
 def conjugate_of_inner(n: int, seed: int) -> Automorphism:

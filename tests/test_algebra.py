@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import gtlie
 from gtlie import TwoPartCase
+from gtlie import algebra as algebra_module
 from gtlie.algebra import closure, sl_basis_matrices, matrix_to_coords
 from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
@@ -24,6 +26,7 @@ from oracles import (
     per_vector_classify,
     per_vector_grading,
     scattered,
+    with_projection_distance,
     with_tensordot_images,
 )
 
@@ -373,6 +376,92 @@ def test_classify_two_part_rejects_non_complementary():
     e = np.array([1, 0, 0], dtype=complex).reshape(-1, 1)
     with pytest.raises(InputError):
         gtlie.classify_two_part(a, e, e)
+
+
+def test_the_tiny_bracket_split_passes_verify_grading_as_it_classifies():
+    # 0 lies in every span, so the dense path measures each image by the smaller of its projection
+    # residual 4t/3 and its sup norm t: the grading passes at t, where the projection residual alone fails
+    t = 0.9e-9
+    c = np.zeros((4, 4, 4), dtype=complex)
+    c[3, 0, :3] = t
+    c[0, 3, :3] = -t
+    a = gtlie.LieAlgebra(basis_names=("x0", "x1", "x2", "x3"), structure=c)
+    pa = np.array([[1, -1, -1, 0], [0, 0, 0, 1]], dtype=complex).T
+    pb = np.eye(4, dtype=complex)[:, :2]
+    gamma = gtlie.Grading(group=AbelianGroup((2,)), parts={(0,): pa, (1,): pb})
+    report = gtlie.verify_grading(a, gamma)
+    assert report.ok and report.max_residual == pytest.approx(t, rel=1e-12)
+    assert gtlie.classify_two_part(a, pa, pb) == TwoPartCase.Z2_GRADING
+    before = with_projection_distance(lambda: gtlie.verify_grading(a, gamma))
+    assert not before.ok and before.max_residual == pytest.approx(4 * t / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swapped_parts_are_a_z2_grading_through_the_second_labelling(n):
+    # P_b even fails ([P_b, P_b] is not inside P_b), so the swapped labelling decides the split: two
+    # verify_grading calls where the split in its own order takes one
+    algebra = gtlie.sl_algebra(n)
+    for aut in [gtlie.auto_inner(n, s) for s in range(1, n // 2 + 1)] + [gtlie.auto_outer(n)]:
+        gamma = gtlie.grading_from_automorphism(algebra, aut)
+        pa, pb = gamma.parts[(0,)], gamma.parts[(1,)]
+        for p, q, calls in ((pa, pb, 1), (pb, pa, 2)):
+            with mock.patch.object(algebra_module, "verify_grading", wraps=gtlie.verify_grading) as spy:
+                assert gtlie.classify_two_part(algebra, p, q) == TwoPartCase.Z2_GRADING
+            assert spy.call_count == calls
+        assert dense_classify(algebra, pb, pa, 1e-9) == TwoPartCase.Z2_GRADING
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_path_grading_reports_are_those_of_the_projection_distance(n):
+    # the cap at an image's sup norm is on the dense path only: on every standard grading, and on each
+    # with its labels swapped (which fails), the exact pair path reports field for field as before
+    algebra = gtlie.sl_algebra(n)
+    for aut in [gtlie.auto_inner(n, s) for s in range(1, n // 2 + 1)] + [gtlie.auto_outer(n)]:
+        gamma = gtlie.grading_from_automorphism(algebra, aut)
+        swapped = gtlie.Grading(group=gamma.group, parts={(0,): gamma.parts[(1,)], (1,): gamma.parts[(0,)]})
+        for g, ok in ((gamma, True), (swapped, False)):
+            report = gtlie.verify_grading(algebra, g)
+            assert report.ok == ok and report == with_projection_distance(lambda: gtlie.verify_grading(algebra, g))
+
+
+def test_classify_two_part_refuses_a_non_finite_part():
+    sl3 = gtlie.sl_algebra(3)
+    gamma = gtlie.grading_from_automorphism(sl3, gtlie.auto_inner(3, 1))
+    pa, pb = (np.array(gamma.parts[lab], dtype=complex) for lab in ((0,), (1,)))
+    pb[0, 0] = np.nan
+    with pytest.raises(InputError, match="subspace b has a NaN or infinite entry"):
+        gtlie.classify_two_part(sl3, pa, pb)
+    pa[1, 1] = np.inf
+    with pytest.raises(InputError, match="subspace a has a NaN or infinite entry"):
+        gtlie.classify_two_part(sl3, pa, pb)
+
+
+def test_classify_two_part_leaves_the_callers_arrays_writable():
+    # Grading flags an array it owns read-only in place: the split hands it copies of writable parts
+    sl3 = gtlie.sl_algebra(3)
+    gamma = gtlie.grading_from_automorphism(sl3, gtlie.auto_outer(3))
+    pa, pb = (np.array(gamma.parts[lab], dtype=complex) for lab in ((0,), (1,)))
+    assert gtlie.classify_two_part(sl3, pa, pb) == TwoPartCase.Z2_GRADING
+    assert pa.flags.writeable and pb.flags.writeable
+    a = sl2_ehf()
+    h, ef = np.eye(3, dtype=complex)[:, 1], np.eye(3, dtype=complex)[:, [0, 2]]
+    assert gtlie.classify_two_part(a, h, ef) == TwoPartCase.Z2_GRADING
+    assert h.flags.writeable and ef.flags.writeable
+
+
+@pytest.mark.parametrize("n, pin", [(16, 16 << 20), (24, 32 << 20), (32, 64 << 20)])
+def test_classify_two_part_at_scale_stays_under_its_memory_pin(n, pin):
+    # the split of inner(n, n/2) is one containment check, exact on its pair parts: dense bracket blocks
+    # ad(p) q took 200 MiB on sl(16) and 2.25 GiB on sl(24), and sl(32) was over the generator budget
+    algebra = gtlie.sl_algebra(n)
+    gamma = gtlie.grading_from_automorphism(algebra, gtlie.auto_inner(n, n // 2))
+    tracemalloc.start()
+    try:
+        case = gtlie.classify_two_part(algebra, gamma.parts[(0,)], gamma.parts[(1,)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case == TwoPartCase.Z2_GRADING and peak < pin
 
 
 @pytest.mark.parametrize("n", range(2, 9))

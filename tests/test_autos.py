@@ -49,6 +49,7 @@ from oracles import (
     per_vector_compatibility,
     rep_of_Xns,
     with_dense_pair_residuals,
+    with_projection_distance,
 )
 
 
@@ -879,6 +880,18 @@ def test_compatibility_matches_the_dense_pair_path_on_every_carrier(m):
     for rep, aut, sim in _carriers(hw):
         gamma, vgamma = grading_from_automorphism(algebra, aut), decompose_rep_space(sim)
         assert assert_same_as_dense_pair_path(lambda: autos.compatibility(rep, gamma, vgamma)).ok
+
+
+@pytest.mark.parametrize("m", ORACLE_WEIGHTS[:17], ids=str)
+def test_pair_path_compatibility_reports_are_those_of_the_projection_distance(m):
+    # the cap at an image's sup norm is on the dense path only: on every carrier of the paper_sweep
+    # irreps the exact pair path reports field for field as before
+    hw = HighestWeight(len(m), m)
+    algebra = gtlie.sl_algebra(hw.n)
+    for rep, aut, sim in _carriers(hw):
+        gamma, vgamma = grading_from_automorphism(algebra, aut), decompose_rep_space(sim)
+        report = check_compatibility(rep, gamma, vgamma)
+        assert report == with_projection_distance(lambda: check_compatibility(rep, gamma, vgamma))
 
 
 def test_a_dense_gamma_against_pair_carrier_parts_agrees_with_the_dense_product():

@@ -201,6 +201,19 @@ def test_grading_classify(tmp_path, capsys):
     assert code == 0 and "Z2Grading" in text
 
 
+def test_classify_refuses_a_nan_grading_part(tmp_path, capsys):
+    # a part with a NaN entry has no rank: bad input (exit 2), not a failed verification
+    path, bad = tmp_path / "g1.json", tmp_path / "bad.json"
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["parts"]["1"][0][0] = float("nan")
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["grading", "classify", str(bad), "--sl", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: subspace b has a NaN or infinite entry\n")
+
+
 def test_compat_flow(tmp_path, capsys):
     rep210 = tmp_path / "rep210.json"
     rep100 = tmp_path / "rep100.json"

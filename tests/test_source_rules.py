@@ -230,13 +230,15 @@ def test_contract_rep_forms_no_dense_image_and_solves_nothing():
     assert not found, f"contract_rep forms dense images or solves: {found}"
 
 
-# The algebra is graded and contracted as its own adjoint representation: closure measures on the
-# containment kernel and _contract reads the coordinates that the grading pass records, so a span
-# basis, a span distance or a solve there forms them a second way.
+# The algebra is graded, classified and contracted as its own adjoint representation: closure
+# measures on the containment kernel, classify_two_part reads its split off verify_grading, and
+# _contract reads the coordinates that the grading pass records, so a rank, a span basis, a span
+# distance, a dense image or a solve there forms them a second way.
 KERNEL_ONLY = [
     ("contraction.py", "_contract", {"solve"}),
     ("algebra.py", "verify_grading", {"orthonormal_span", "span_distance"}),
     ("algebra.py", "closure", {"orthonormal_span", "span_distance"}),
+    ("algebra.py", "classify_two_part", {"rank", "orthonormal_span", "span_distance", "images"}),
 ]
 
 
@@ -247,7 +249,7 @@ def test_the_algebra_is_graded_and_contracted_on_the_containment_kernel(name, fu
     (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
              if isinstance(node, ast.Call) and any(_named(node.func, f) for f in forbidden)]
-    assert not found, f"{function} forms spans or solves itself: {found}"
+    assert not found, f"{function} forms a rank, span, dense image or solve itself: {found}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
