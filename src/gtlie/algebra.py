@@ -33,14 +33,13 @@ from .linalg import (
     Entries,
     digest,
     max_abs,
-    orthonormal_span,
     ranges,
     rank,
     read_only,
     relation_sums,
-    span_distance,
     stable_order,
     summed,
+    thin_span,
 )
 
 
@@ -276,12 +275,12 @@ def burnside_span_dim(matrices, tol: float = DEFAULT_TOL) -> int:
     gens = [m for m in mats if max_abs(m) > tol]
     if not gens:
         return 0
-    basis = orthonormal_span(np.column_stack([g.ravel() for g in gens]), tol)
+    basis = thin_span(np.column_stack([g.ravel() for g in gens]), tol)[0]
     dim = basis.shape[1]
     cap = d * d
     while dim < cap:
         words = [(basis[:, j].reshape(d, d) @ g).ravel() for j in range(basis.shape[1]) for g in gens]
-        basis = orthonormal_span(np.column_stack([basis] + words), tol)
+        basis = thin_span(np.column_stack([basis] + words), tol)[0]
         if basis.shape[1] == dim:
             break
         dim = basis.shape[1]
@@ -342,6 +341,7 @@ def trivial_grading(algebra: LieAlgebra) -> Grading:
     return Grading(group=group, parts={(0,): np.eye(algebra.dim, dtype=complex)})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite entries overflow to inf or NaN residuals: they fail closed
 def containment(entries: tuple, images, k: int, d: int, gamma: Grading, vgamma: Grading, tol: float) -> tuple:
     """Where r(X) sends each part V_j, X a basis column of gamma part i: the
     residuals {(i, j): the distance of r(X) V_j from V_{i+j}, one per X},
@@ -353,8 +353,8 @@ def containment(entries: tuple, images, k: int, d: int, gamma: Grading, vgamma: 
     When every part of vgamma is finite and made of coordinate vectors and
     pairs with pairwise disjoint supports (autos._eigenspaces of a monomial
     operator), the images come from the entries and are measured exactly
-    (_pair_residuals); otherwise on dense matrices, against a thin-SVD
-    basis of each part (_span_residuals).  The terms at key (a d + s) d + t,
+    (_pair_residuals); otherwise on dense matrices, against one thin SVD
+    of each part (_span_residuals).  The terms at key (a d + s) d + t,
     a, s, t positions in the adapted bases (parts in sorted label order),
     sum to the coordinate of r(X_a) v_t on v_s; an image entry in no kept
     column of its target part has none."""
@@ -416,7 +416,7 @@ def _pair_residuals(entries: tuple, k: int, d: int, gamma: Grading, vgamma: Grad
     kept = np.zeros(offsets[-1], dtype=bool)
     for off, width in zip(offsets, widths):
         norms = np.sqrt(norm2[off : off + width])
-        kept[off : off + width] = norms > tol * max(1.0, norms.max(initial=0.0))  # as orthonormal_span keeps
+        kept[off : off + width] = norms > tol * max(1.0, norms.max(initial=0.0))  # as thin_span keeps
     # per part and row: the kept global column holding the row, its value there and the column's other row
     block, tau = np.full((len(vlabels), d), -1), np.zeros((len(vlabels), d), dtype=vvals.dtype)
     mate = np.tile(np.arange(d), (len(vlabels), 1))
@@ -478,24 +478,27 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
 
 def _span_residuals(images, d: int, gamma: Grading, vgamma: Grading, first: dict, tol: float) -> tuple:
     """Residuals {(i, j): one per column of gamma part i} on dense matrices,
-    and as coordinates the target part's pseudo-inverse times each block W.
-    A part with a NaN or infinite entry has no orthonormal basis: it gets
-    one NaN column, so every distance from it is NaN, which Report.of reads
-    as inf, and no coordinates."""
-    undefined = np.full((d, 1), np.nan)
-    inverses = {lab: np.linalg.pinv(part) for lab, part in vgamma.parts.items() if np.isfinite(part).all()}
-    bases = {lab: orthonormal_span(part, tol) if lab in inverses else undefined for lab, part in vgamma.parts.items()}
+    and the coordinate terms: for all X columns of gamma part i at once, the
+    blocks W = r(X) V_j and uw = U^H W, with (U, Vh^H S^-1) the one thin_span
+    of the target part; the residual of X is the largest min(|w - U uw|, |w|)
+    over its columns w (0 lies in every span), its coordinates Vh^H S^-1 uw.
+    A part with a NaN or infinite entry gets one NaN column, so every distance
+    from it is NaN, which Report.of reads as inf, and no coordinates."""
+    spans = {lab: thin_span(part, tol) if np.isfinite(part).all() else (np.full((d, 1), np.nan), None)
+             for lab, part in vgamma.parts.items()}
     vfirst = dict(zip(vgamma.sorted_labels(), np.cumsum([0, *vgamma.part_dims().values()]).tolist()))
-    absent = np.zeros((d, 0), dtype=complex)
     out, coords = {}, []
     for i, xpart in gamma.parts.items():
         mats = images(xpart)
         for j, vpart in vgamma.parts.items():
             target = vgamma.group.add(i, j)
-            blocks = [m @ vpart for m in mats]
-            out[i, j] = [span_distance(w, bases.get(target, absent)) for w in blocks]
-            if target in inverses:
-                c = inverses[target] @ np.array(blocks)  # (X, target column, V_j column)
+            u, inverse = spans.get(target, (np.zeros((d, 0)), None))
+            w = mats @ vpart
+            uw = u.conj().T @ w
+            residual = np.minimum(np.abs(w - u @ uw).max(axis=1, initial=0.0), np.abs(w).max(axis=1, initial=0.0))
+            out[i, j] = residual.max(axis=1, initial=0.0)
+            if inverse is not None:
+                c = inverse @ uw  # (X, target column, V_j column)
                 a, s, t = np.indices(c.shape)
                 coords.append(((((first[i] + a) * d + vfirst[target] + s) * d + vfirst[j] + t).ravel(), c.ravel()))
     return out, coords

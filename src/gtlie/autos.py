@@ -35,7 +35,7 @@ coordinate vectors e_c and pairs (e_c +- s_c e_pi(c)) / 2; ``compatibility``
 those columns from the entries, measures each against its coordinate vector
 or pair exactly and reads off its coordinates there.  A dense R (the
 solver's) or other carrier columns take the dense path: r(x) from
-rep.images, and a thin-SVD basis and a pseudo-inverse per part.
+rep.images, and one thin SVD per part (linalg.thin_span).
 """
 
 from __future__ import annotations
@@ -449,6 +449,7 @@ def doubled_rep(hw: HighestWeight):
     return GeneratorRep(r0.n, entries), swap
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite entries overflow to inf or NaN residuals: they fail closed
 def verify_simulation(
     rep: GeneratorRep,
     aut: Automorphism,
@@ -483,8 +484,7 @@ def verify_simulation(
         terms = np.concatenate((gvals, -(vals * scale[rows]) * (1.0 / scale)[cols]))
         keys, sums = summed(keys, terms)
         found = np.zeros(len(act))
-        with np.errstate(invalid="ignore"):  # a NaN sum is kept, and Report.of reads it as inf
-            np.maximum.at(found, keys // (d * d), np.abs(sums))
+        np.maximum.at(found, keys // (d * d), np.abs(sums))  # a NaN sum is kept, and Report.of reads it as inf
     where = [(label,) for label in sl_basis_labels(rep.n)] + [("power",)]
     return Report.of(zip(where, [*found, sim.power_residual()]), tol)
 

@@ -38,12 +38,12 @@ from .gtrep import (
     verify_transpose,
     weyl_dim,
 )
-from .linalg import check_generator_budget
+from .linalg import DEFAULT_TOL, check_generator_budget
 
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     fmt: str = "text"
     out: str | None = None
 
@@ -457,7 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(
-            tolerance=getattr(args, "tol", 1e-9),
+            tolerance=getattr(args, "tol", DEFAULT_TOL),
             fmt=getattr(args, "format", "text"),
             out=getattr(args, "out", None),
         )

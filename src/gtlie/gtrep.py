@@ -422,6 +422,7 @@ class Representation(GeneratorRep):
         return tuple(map(tuple, self.basis.tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite entries overflow to inf or NaN sums: they fail closed
 def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     """Max residual of [gen(a,b), gen(c,e)] = delta_bc gen(a,e) - delta_ea gen(c,b)
     over all n^4 label pairs.
@@ -460,6 +461,7 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     return Report.of([(worst_at, worst)] if worst else [], tol, checked=n**4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite entries overflow to inf or NaN sums: they fail closed
 def verify_transpose(rep: GeneratorRep) -> float:
     """Max residual of gen(a,b)^T = gen(b,a) over the label pairs a <= b,
     one summed over the stored entries: those of gen(a,b) transposed with +
@@ -475,6 +477,7 @@ def verify_transpose(rep: GeneratorRep) -> float:
     return max_abs(summed(keys, np.concatenate((e.vals[upper], -e.vals[lower])))[1])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite entries overflow to inf or NaN sums: they fail closed
 def verify_sl_trace(rep: GeneratorRep) -> float:
     """Sup norm of sum_k gen(k,k), one column of ``entries.combined``; zero
     for a representation of sl(n)."""

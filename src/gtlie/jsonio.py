@@ -35,9 +35,8 @@ def _num(z) -> float | list[float]:
 
 
 def _read_num(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+    re, im = v if isinstance(v, (list, tuple)) else (v, 0)  # a list of another length is a ValueError
+    return complex(re, im)
 
 
 def _json_int(v) -> int:
@@ -100,7 +99,7 @@ def grading_from_json(payload: dict) -> Grading:
             cols = [np.array([_read_num(x) for x in vec], dtype=complex) for vec in vectors]
             if cols:
                 parts[lab] = np.column_stack(cols)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed grading JSON: {exc}") from exc
     if not parts:
         raise InputError("grading JSON has no nonempty parts")
@@ -141,7 +140,7 @@ def rep_from_json(payload: dict) -> Representation:
         for key, rows in payload["generators"].items():
             k, l = (int(x) for x in key.split(","))
             gen[(k, l)] = np.array(rows, dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed representation JSON: {exc}") from exc
     if basis.ndim != 2 or basis.shape[1] != n * (n + 1) // 2:
         raise InputError(f"basis rows must be flattened patterns of {n * (n + 1) // 2} entries for n={n}")

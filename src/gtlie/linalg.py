@@ -1,10 +1,11 @@
 """Linear-algebra kernels with explicit tolerances.
 
-Subspaces are matrices whose *columns* span them.  "Is this block W of
-vectors inside that span?" is one test: an orthonormal basis Q of the
-span, taken once (``orthonormal_span``), then ``span_distance`` = the
-largest min(|w - Q (Q^H w)|, |w|) over the columns w of W.
-``independent_columns`` grows such a basis.
+Subspaces are matrices whose *columns* span them.  One thin SVD of a
+span, kept above the tolerance (``thin_span``), gives its orthonormal
+basis Q and the map Vh^H S^-1 from Q^H w to coordinates on its columns,
+so "is this block W of vectors inside that span, and where?" is one
+product Q^H W (algebra.containment's dense path); ``rank`` counts the same
+kept values.  ``independent_columns`` grows a basis column by column.
 
 Mostly-zero matrices are multiplied by one sparse-product kernel.
 ``Entries`` is the one read-only table of their nonzero entries, put in
@@ -119,21 +120,14 @@ def rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def orthonormal_span(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of mat, by thin SVD;
-    zero-width when mat has no columns above tol * max(1, largest)."""
-    mat = np.asarray(mat, dtype=complex)
-    if not mat.shape[1]:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, s > tol * max(1.0, s[0])]
-
-
-def span_distance(block: np.ndarray, q: np.ndarray) -> float:
-    """Largest sup-norm distance of a column w of block from the span of the orthonormal
-    columns of q, each the smaller of |w - Q (Q^H w)| and |w| (0 lies in every span)."""
-    residual = np.abs(block - q @ (q.conj().T @ block)).max(axis=0, initial=0.0)
-    return max_abs(np.minimum(residual, np.abs(block).max(axis=0, initial=0.0)))
+def thin_span(mat, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The thin SVD mat = U S Vh kept at s > tol * max(1, largest), as (U,
+    Vh^H S^-1): U an orthonormal basis (columns) of the column span of mat,
+    and Vh^H S^-1 the map from U^H w to the coordinates of the projection of
+    w on the columns of mat.  Both are zero-width when mat has no columns."""
+    u, s, vh = np.linalg.svd(np.asarray(mat, dtype=complex), full_matrices=False)
+    kept = s > tol * max(1.0, s.max(initial=0.0))
+    return u[:, kept], vh[kept].conj().T / s[kept]
 
 
 def independent_columns(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -22,9 +22,12 @@ containment kernel as one dense (keys x labels) table times each grading
 part, the bracket blocks as two tensordots over the dense structure
 tensor (and the split verdict and the dense grading path on them), the
 distance of an image block from a span as its projection residual alone,
+the dense path of the containment kernel with each part factored twice
+(pseudo-inverse and orthonormal basis) and one distance per image block,
 and the dense matrices of an entries table as one scatter."""
 
 import cmath
+import functools
 import hashlib
 import itertools
 import math
@@ -52,7 +55,7 @@ from gtlie.autos import Automorphism, auto_inner, eta
 from gtlie.contraction import EpsilonTable, PsiTable, verify_epsilon
 from gtlie.errors import InputError, VerificationError
 from gtlie.gtrep import GeneratorRep, HighestWeight
-from gtlie.linalg import (Entries, independent_columns, max_abs, orthonormal_span, product_terms, ranges, rank, row_blocks,
+from gtlie.linalg import (Entries, independent_columns, max_abs, product_terms, ranges, rank, row_blocks,
                           stable_order, summed)
 
 
@@ -60,6 +63,48 @@ def span_distance(block: np.ndarray, q: np.ndarray) -> float:
     """Largest sup-norm distance of a column of block from the span of the
     orthonormal columns of q: max |W - Q (Q^H W)|."""
     return max_abs(block - q @ (q.conj().T @ block))
+
+
+def orthonormal_span(mat, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis (columns) of the column span of mat, by thin SVD;
+    zero-width when mat has no columns above tol * max(1, largest)."""
+    mat = np.asarray(mat, dtype=complex)
+    if not mat.shape[1]:
+        return np.zeros((mat.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, s > tol * max(1.0, s[0])]
+
+
+def capped_span_distance(block: np.ndarray, q: np.ndarray) -> float:
+    """Largest sup-norm distance of a column w of block from the span of the orthonormal
+    columns of q, each the smaller of |w - Q (Q^H w)| and |w| (0 lies in every span)."""
+    residual = np.abs(block - q @ (q.conj().T @ block)).max(axis=0, initial=0.0)
+    return max_abs(np.minimum(residual, np.abs(block).max(axis=0, initial=0.0)))
+
+
+def span_residuals(images, d: int, gamma, vgamma, first: dict, tol: float, distance=capped_span_distance) -> tuple:
+    """The containment kernel's dense path with every part factored twice, by np.linalg.pinv and by
+    orthonormal_span, and each image block W = r(X) V_j measured by its own distance call: residuals
+    {(i, j): one per column of gamma part i}, and as coordinates the target part's pseudo-inverse times
+    each block W.  A part with a NaN or infinite entry has no orthonormal basis: it gets one NaN column,
+    so every distance from it is NaN, which Report.of reads as inf, and no coordinates."""
+    undefined = np.full((d, 1), np.nan)
+    inverses = {lab: np.linalg.pinv(part) for lab, part in vgamma.parts.items() if np.isfinite(part).all()}
+    bases = {lab: orthonormal_span(part, tol) if lab in inverses else undefined for lab, part in vgamma.parts.items()}
+    vfirst = dict(zip(vgamma.sorted_labels(), np.cumsum([0, *vgamma.part_dims().values()]).tolist()))
+    absent = np.zeros((d, 0), dtype=complex)
+    out, coords = {}, []
+    for i, xpart in gamma.parts.items():
+        mats = images(xpart)
+        for j, vpart in vgamma.parts.items():
+            target = vgamma.group.add(i, j)
+            blocks = [m @ vpart for m in mats]
+            out[i, j] = [distance(w, bases.get(target, absent)) for w in blocks]
+            if target in inverses:
+                c = inverses[target] @ np.array(blocks)  # (X, target column, V_j column)
+                a, s, t = np.indices(c.shape)
+                coords.append(((((first[i] + a) * d + vfirst[target] + s) * d + vfirst[j] + t).ravel(), c.ravel()))
+    return out, coords
 
 
 def span_residual(vec, basis) -> float:
@@ -216,10 +261,39 @@ def with_tensordot_images(algebra, call):
 
 
 def with_projection_distance(call):
-    """call() with the containment kernel's dense path measuring each image block by span_distance here,
-    its projection residual alone, not capped at each image's sup norm."""
-    with mock.patch.object(algebra_module, "span_distance", side_effect=span_distance):
+    """call() with the containment kernel's dense path on the reference span_residuals, each image block
+    measured by span_distance here: its projection residual alone, not capped at each image's sup norm."""
+    uncapped = functools.partial(span_residuals, distance=span_distance)
+    with mock.patch.object(algebra_module, "_span_residuals", side_effect=uncapped):
         return call()
+
+
+def assert_same_as_reference_span_path(call):
+    """call() returns (report, coordinate terms) through the containment kernel's dense path: its
+    residuals must equal those of the reference span_residuals bit for bit, its report the reference's
+    field for field, and its summed coordinates the reference's at the same keys within 1e-12.  Returns
+    the report."""
+    seen = {}
+
+    def recorded(name, path):
+        def run(*args):
+            residuals, coords = path(*args)
+            seen.setdefault(name, []).append(residuals)
+            return residuals, coords
+        return run
+
+    kernel = algebra_module._span_residuals
+    with mock.patch.object(algebra_module, "_span_residuals", side_effect=recorded("got", kernel)):
+        report, terms = call()
+    with mock.patch.object(algebra_module, "_span_residuals", side_effect=recorded("want", span_residuals)):
+        want, want_terms = call()
+    assert len(seen["got"]) == len(seen["want"]) == 1
+    (got,), (expected,) = seen["got"], seen["want"]
+    assert got.keys() == expected.keys() and all(np.array_equal(got[key], expected[key]) for key in got)
+    assert report == want, (report, want)
+    (keys, vals), (want_keys, want_vals) = summed(*terms), summed(*want_terms)
+    assert np.array_equal(keys, want_keys) and max_abs(vals - want_vals) <= 1e-12
+    return report
 
 
 def conjugate_of_inner(n: int, seed: int) -> Automorphism:

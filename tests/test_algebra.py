@@ -16,6 +16,7 @@ from gtlie.groups import AbelianGroup
 from gtlie.linalg import Entries, independent_columns, max_abs
 from oracles import (
     assert_same_as_dense_pair_path,
+    assert_same_as_reference_span_path,
     conjugate_of_inner,
     dense_brackets,
     dense_classify,
@@ -500,6 +501,16 @@ def test_dense_conjugates_bracket_grade_and_split_as_on_the_dense_tensor(n):
         want = with_tensordot_images(algebra, lambda: gtlie.verify_grading(algebra, gamma))
         assert report.ok == want.ok and abs(report.max_residual - want.max_residual) <= 1e-14
         assert gtlie.classify_two_part(algebra, pa, pb) == dense_classify(algebra, pa, pb, 1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dense_conjugates_close_as_on_the_reference_span_path(n):
+    # one thin SVD per part and one U^H W per (X part, V part) give the reference's residuals bit for bit
+    # (the same products on each block), its reports, and its pseudo-inverse coordinates to round-off
+    algebra = gtlie.sl_algebra(n)
+    for seed in range(3):
+        gamma = gtlie.grading_from_automorphism(algebra, conjugate_of_inner(n, seed))
+        assert assert_same_as_reference_span_path(lambda: closure(algebra, gamma)).ok
 
 
 def test_a_bracket_on_sl16_forms_one_adjoint_matrix_not_the_dense_tensor():

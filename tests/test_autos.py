@@ -36,6 +36,7 @@ from gtlie.linalg import Entries
 from oracles import (
     GTPattern,
     assert_same_as_dense_pair_path,
+    assert_same_as_reference_span_path,
     dense_doubled_generators,
     dense_eigenspaces,
     dense_power_residual,
@@ -921,6 +922,25 @@ def test_check_compatibility_of_r4310_under_j_joins_only_the_nonzeros():
     report, peak = _peak_bytes(lambda: check_compatibility(rep, gamma, vgamma))
     assert report.ok and report.max_residual == 0.0 and report.checked == 15 * 175
     assert peak < 2.5 * 2**20
+
+
+def test_solver_carriers_are_measured_as_on_the_reference_span_path():
+    # every carrier of the paper_sweep irreps with d <= 15 on which the solver finds a dense R, under
+    # inner(n,1) and outer: residuals bit for bit, reports field for field, coordinates to round-off
+    dense = []
+    for m in ORACLE_WEIGHTS[:17]:
+        hw = HighestWeight(len(m), m)
+        algebra = gtlie.sl_algebra(hw.n)
+        for carrier in (build_representation(hw), doubled_rep(hw)[0]):
+            for aut in (auto_inner(hw.n, 1), auto_outer(hw.n)):
+                found = find_simulation_matrix(carrier, aut) if carrier.dim <= 15 else None
+                vgamma = None if found is None else decompose_rep_space(found)
+                if vgamma is None or all(gtlie.algebra._pair_support(p) is not None for p in vgamma.parts.values()):
+                    continue  # no R, or one with a single nonzero per column: the exact pair path
+                gamma = grading_from_automorphism(algebra, aut)
+                assert assert_same_as_reference_span_path(lambda: autos.compatibility(carrier, gamma, vgamma)).ok
+                dense.append((m, carrier.dim, aut.kind))
+    assert len(dense) >= 7, dense
 
 
 def test_dense_r_and_mixed_v_parts_take_the_dense_path_and_match_the_oracles():

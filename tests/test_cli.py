@@ -194,6 +194,36 @@ def test_a_nan_grading_part_prints_a_failing_report(tmp_path, capsys):
     assert code == 1 and text.splitlines()[-2:] == ["incompatible", "FAIL"]
 
 
+@pytest.mark.parametrize("cell", [0, 2], ids=["pair path", "dense path"])
+def test_a_huge_finite_grading_cell_fails_closed_without_a_numpy_warning(tmp_path, capsys, cell):
+    # 1e308 on the coordinate vector (exact pair path) or beside it, on a row another column of the part
+    # holds (dense path): its squares and products overflow, the check fails closed, and no numpy
+    # RuntimeWarning reaches stderr (the suite turns each one into an error)
+    path, bad = tmp_path / "g1.json", tmp_path / "bad.json"
+    assert main(["grading", "from-auto", "--inner", "3,1", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["parts"]["0"][0][cell] = 1e308
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["grading", "verify", str(bad), "--sl", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "") and captured.out.splitlines()[-1] == "FAIL"
+
+
+def test_a_huge_finite_generator_fails_rep_check_without_a_numpy_warning(tmp_path, capsys):
+    # a generator scaled by 1e300 overflows the commutator terms to inf and NaN sums: rep check fails
+    # closed, and no numpy RuntimeWarning reaches stderr
+    path, bad = tmp_path / "rep.json", tmp_path / "bad.json"
+    assert main(["rep", "build", "-n", "3", "-w", "2,1,0", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["generators"]["1,2"] = [[x * 1e300 for x in row] for row in payload["generators"]["1,2"]]
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["rep", "check", str(bad)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "") and captured.out.splitlines()[-1] == "FAIL"
+
+
 def test_grading_classify(tmp_path, capsys):
     path = tmp_path / "g2.json"
     assert main(["grading", "from-auto", "--outer", "3", "--out", str(path)]) == 0

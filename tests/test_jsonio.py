@@ -183,3 +183,24 @@ def test_every_json_integer_is_read_strictly(reader, payload, edit):
     edit(bad)
     with pytest.raises(InputError):
         reader(bad)
+
+
+@pytest.mark.parametrize("edit", ["parts not a mapping", "short complex cell", "long complex cell", "string cell"])
+def test_grading_json_refuses_malformed_parts(edit):
+    # parts without .items() and a [re, im] cell of one entry raised AttributeError and IndexError; a cell
+    # of three entries and the string "1" were read as numbers
+    payload = jsonio.grading_to_json(gtlie.grading_from_automorphism(gtlie.sl_algebra(3), gtlie.auto_inner(3, 1)))
+    cells = {"short complex cell": [1.0], "long complex cell": [1.0, 0.0, 0.0], "string cell": "1"}
+    if edit == "parts not a mapping":
+        payload["parts"] = None
+    else:
+        payload["parts"]["0"][0][0] = cells[edit]
+    with pytest.raises(InputError, match="malformed grading JSON"):
+        jsonio.grading_from_json(payload)
+
+
+def test_rep_json_refuses_generators_that_are_not_a_mapping():
+    payload = jsonio.rep_to_json(build_representation(HighestWeight(3, (1, 0, 0))))
+    payload["generators"] = [payload["generators"]["1,1"]]
+    with pytest.raises(InputError, match="malformed representation JSON"):
+        jsonio.rep_from_json(payload)

@@ -1,7 +1,9 @@
 """The one sort kernel, linalg.stable_order, and the equal-key sums formed on
 it, against a stable argsort: property tests on drawn keys, and every
 verifier that sums keys, run on the benchmark workloads' inputs with the
-kernel and with the stable argsort put in its place."""
+kernel and with the stable argsort put in its place; and the one thin SVD
+of a span, linalg.thin_span, against the orthonormal basis and the
+pseudo-inverse it replaces."""
 
 import sys
 import tracemalloc
@@ -16,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from gtlie import algebra, autos, gtrep, linalg
 from gtlie.gtrep import GeneratorRep, HighestWeight
 from gtlie.linalg import PACKED_SORT_MIN_KEYS, Entries, stable_order, summed
-from oracles import copied_digest, lexsorted_doubled_entries, stable_argsort_order, stable_summed
+from oracles import copied_digest, lexsorted_doubled_entries, orthonormal_span, stable_argsort_order, stable_summed
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 # Sizes on both sides of the cut between the stable argsort and the packed sort.
@@ -219,3 +221,18 @@ def test_digesting_a_carrier_grading_copies_no_part():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert got == copied_digest(vgamma.group.orders, *(x for item in vgamma.parts.items() for x in item))
+
+
+@pytest.mark.parametrize("shape, rank", [((6, 0), 0), ((6, 3), 3), ((6, 4), 2), ((5, 5), 5)])
+def test_thin_span_is_the_orthonormal_span_and_the_pseudo_inverse_of_one_svd(shape, rank):
+    # U is the reference's orthonormal basis bit for bit; on a full-rank matrix Vh^H S^-1 U^H is its
+    # pseudo-inverse, and on a rank-deficient one the cut drops the same values as the basis
+    rng = np.random.default_rng(rank)
+    mat = (rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))) \
+        @ rng.standard_normal((rank, shape[1]))
+    u, inverse = linalg.thin_span(mat)
+    assert u.shape == (shape[0], rank) and inverse.shape == (shape[1], rank)
+    assert np.array_equal(u, orthonormal_span(mat))
+    if rank == shape[1]:
+        assert linalg.max_abs(inverse @ u.conj().T - np.linalg.pinv(mat)) <= 1e-12
+    assert linalg.max_abs(mat @ inverse - u) <= 1e-12

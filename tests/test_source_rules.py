@@ -236,9 +236,9 @@ def test_contract_rep_forms_no_dense_image_and_solves_nothing():
 # distance, a dense image or a solve there forms them a second way.
 KERNEL_ONLY = [
     ("contraction.py", "_contract", {"solve"}),
-    ("algebra.py", "verify_grading", {"orthonormal_span", "span_distance"}),
-    ("algebra.py", "closure", {"orthonormal_span", "span_distance"}),
-    ("algebra.py", "classify_two_part", {"rank", "orthonormal_span", "span_distance", "images"}),
+    ("algebra.py", "verify_grading", {"thin_span"}),
+    ("algebra.py", "closure", {"thin_span"}),
+    ("algebra.py", "classify_two_part", {"rank", "thin_span", "images"}),
 ]
 
 
@@ -250,6 +250,18 @@ def test_the_algebra_is_graded_and_contracted_on_the_containment_kernel(name, fu
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
              if isinstance(node, ast.Call) and any(_named(node.func, f) for f in forbidden)]
     assert not found, f"{function} forms a rank, span, dense image or solve itself: {found}"
+
+
+# The factorizations of the library: the one thin SVD of a span, the rank it counts, and the solver's
+# null space and invertibility test.
+SVD_USERS = {("linalg.py", "thin_span"), ("linalg.py", "rank"), ("autos.py", "find_simulation_matrix")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_span_is_factored_by_the_one_thin_svd(path):
+    # an svd, pinv or matrix_rank anywhere else factors a span a second way, with its own cut
+    found = _outside(path, SVD_USERS, lambda n: any(_named(n, f) for f in ("svd", "pinv", "matrix_rank")))
+    assert not found, f"svd, pinv or matrix_rank outside linalg.thin_span, linalg.rank and the solver: {found}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
