@@ -135,12 +135,6 @@ def bracket(x, y, algebra: LieAlgebra) -> np.ndarray:
     return algebra.ad.images(x[:, None])[0] @ y
 
 
-# Largest predicted footprint of one output row of check_jacobi, at
-# JACOBI_TERM_BYTES per product term; a denser algebra gets InputError.
-JACOBI_BUDGET_BYTES = 1 << 30
-JACOBI_TERM_BYTES = 96
-
-
 def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
     """Verify [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 over all basis triples.
 
@@ -149,26 +143,16 @@ def check_jacobi(algebra: LieAlgebra, tol: float = DEFAULT_TOL) -> Report:
     Jacobi says that ad is a homomorphism.  One call of
     linalg.relation_sums checks it, on the entries algebra.ad and the
     algebra's own triples (i, j, p, c[i, j, p]), i < j, read off them;
-    the residual of (e_j, e_i, e_l) is that of (e_i, e_j, e_l).
-    The heaviest output row is predicted first at 3 k^4 terms for a dense
-    algebra, what the check formed when it summed both orders of each
-    pair (the kernel now forms about half as many), and refused over
-    JACOBI_BUDGET_BYTES.  The report carries checked = k^3 triples,
-    worst_at = (i, j, l) with i < j (None when all are zero), that triple
-    as its one violation when it fails, and tol.
+    the residual of (e_j, e_i, e_l) is that of (e_i, e_j, e_l), and the
+    kernel refuses an output row over the memory budget.  The report
+    carries checked = k^3 triples, worst_at = (i, j, l) with i < j (None
+    when all are zero), that triple as its one violation when it fails,
+    and tol.
     """
     k = algebra.dim
     if not k:
         return Report.of([], tol)
     ad = algebra.ad
-    runs = np.diff(ad.starts)
-    terms = 2 * runs[ad.cols] + runs[ad.gids]
-    row_bytes = JACOBI_TERM_BYTES * int(np.bincount(ad.rows, terms, minlength=k).max())
-    if row_bytes > JACOBI_BUDGET_BYTES:
-        raise InputError(
-            f"Jacobi check needs {row_bytes / 2**30:.2f} GiB for one row, "
-            f"over its {JACOBI_BUDGET_BYTES >> 30} GiB budget"
-        )
     worst, worst_at = 0.0, None
     upper = ad.gids < ad.cols  # c[i, j, p] at (i, j, p), i < j
     for keys, sums in relation_sums(ad, k, ad.gids[upper], ad.cols[upper], ad.rows[upper], ad.vals[upper]):

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gtrep, linalg
+from . import gtrep
 from .algebra import (NO_TERMS, Grading, LieAlgebra, Report, basis_violations, containment, matrix_to_coords,
                       sl_basis_labels, sl_basis_matrices)
 from .errors import InputError, VerificationError
@@ -60,7 +60,7 @@ from .gtrep import (
     PatternTable,
     build_representation,
 )
-from .linalg import DEFAULT_TOL, Entries, independent_columns, max_abs, read_only, summed
+from .linalg import DEFAULT_TOL, Entries, check_budget, independent_columns, max_abs, read_only, summed
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,13 @@ class Automorphism:
         """Read-only matrix on sl(n) coordinates, formed once: column x is
         g(x), snapped to integers when within 1e-12 of them, as the standard
         representatives are.  Its tolerances are fixed (the traceless check's
-        at DEFAULT_TOL); a check holds the action to the caller's tol."""
-        act = matrix_to_coords(self.n, self.apply(np.array(sl_basis_matrices(self.n)))).T
+        at DEFAULT_TOL); a check holds the action to the caller's tol.  It is
+        charged at four dense stacks of the n^2 - 1 basis matrices: the
+        basis, its images and their coordinates peak at about 3.5 under
+        tracemalloc."""
+        n = self.n
+        check_budget(4 * 16 * (n * n - 1) * n * n, f"the images of the {n * n - 1} basis matrices of sl({n})")
+        act = matrix_to_coords(n, self.apply(np.array(sl_basis_matrices(n)))).T
         rounded = np.round(act)
         return read_only(rounded if max_abs(act - rounded) <= 1e-12 * max(1.0, max_abs(act)) else act)
 
@@ -495,17 +500,11 @@ def decompose_rep_space(sim: SimulationMatrix, tol: float = DEFAULT_TOL) -> Grad
     pair of R, or of a dense R.  An order-2 monomial R gives e_c for a
     fixed point and (e_c +- s_c e_pi(c)) / 2 for each 2-cycle c < pi(c).
 
-    The parts are dense: d columns of d complex entries in all.  Their
-    bytes are charged against linalg.GENERATOR_BUDGET_BYTES first, and
-    InputError is raised past it, before any part is formed.
+    The parts are dense: d columns of d complex entries in all, charged
+    against the memory budget before any part is formed.
     """
     d = sim.dim
-    nbytes = 16 * d * d
-    if nbytes > linalg.GENERATOR_BUDGET_BYTES:
-        raise InputError(
-            f"the carrier parts of dimension {d} need {nbytes / 2**30:.2f} GiB as dense columns, "
-            f"over the {linalg.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
-        )
+    check_budget(16 * d * d, f"the dense carrier parts of dimension {d}")
     split = _eigenspaces(sim.matrix if sim.kind == "dense" else sim.monomial(), sim.order, tol)
     return _eigen_grading(split, d, tol, "simulation matrix")
 
@@ -555,9 +554,6 @@ def compatibility(rep: GeneratorRep, gamma: Grading, vgamma: Grading, tol: float
     return Report.of(pairs, tol, checked=checked), coords
 
 
-# Largest predicted footprint of the solver's reduced system and its thin
-# SVD; a larger input is refused with InputError before anything is built.
-SOLVER_BUDGET_BYTES = 1 << 30
 # Seed of the fixed random combination of the null basis: any generic
 # combination is invertible whenever some intertwiner is.
 SOLVER_SEED = 20090
@@ -611,8 +607,8 @@ def find_simulation_matrix(
 
     Returns a dense simulation matrix, or None when every solution is
     singular (no simulation matrix exists).  Raises InputError when the
-    predicted bytes of the reduced system and its SVD exceed
-    SOLVER_BUDGET_BYTES, and VerificationError when the found R cannot be
+    predicted bytes of the reduced system and its SVD exceed the memory
+    budget, and VerificationError when the found R cannot be
     normalized to R^order = Id.
     """
     n, d = rep.n, rep.dim
@@ -642,12 +638,8 @@ def find_simulation_matrix(
     # Zero rows pad a short system so that Vh of the thin SVD is square.
     height = max(sum(eq[3] for eq in equations), unknowns)
     rank_bound = min(height, unknowns)
-    nbytes = 16 * (2 * height * unknowns + height * rank_bound + rank_bound * unknowns)
-    if nbytes > SOLVER_BUDGET_BYTES:
-        raise InputError(
-            f"simulation-matrix solver needs {nbytes / 2**30:.2f} GiB for {unknowns} unknowns "
-            f"(d={d}), over the {SOLVER_BUDGET_BYTES / 2**30:.2f} GiB budget"
-        )
+    check_budget(16 * (2 * height * unknowns + height * rank_bound + rank_bound * unknowns),
+                 f"the solver's system and its SVD for {unknowns} unknowns (d={d})")
 
     system = np.zeros((height, unknowns), dtype=complex)
     offset = 0

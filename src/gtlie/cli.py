@@ -38,7 +38,7 @@ from .gtrep import (
     verify_transpose,
     weyl_dim,
 )
-from .linalg import DEFAULT_TOL, check_generator_budget
+from .linalg import DEFAULT_TOL, check_budget
 
 
 @dataclass
@@ -145,12 +145,9 @@ def _rep_checks(cfg: RunConfig, rep, hw: HighestWeight) -> dict:
 
 def cmd_rep_build(cfg: RunConfig, args) -> int:
     hw = _parse_weight(args.n, args.weight)
-    try:
-        check_generator_budget(hw.n * hw.n, weyl_dim(hw), 8)
-    except InputError as exc:
-        raise InputError(
-            f"rep build emits dense generators, so r{hw} is refused before it is built or verified: {exc}"
-        ) from exc
+    d = weyl_dim(hw)
+    check_budget(8 * hw.n * hw.n * d * d, f"rep build emits dense generators, so r{hw} is refused before it is "
+                 f"built or verified: {hw.n * hw.n} dense generators of dimension {d}")
     rep = build_representation(hw)
     checks = _rep_checks(cfg, rep, hw)
     report = {"command": "rep build", "n": args.n, "highest_weight": list(hw.m), **checks}

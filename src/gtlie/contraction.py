@@ -432,7 +432,8 @@ def verify_rep_homomorphism(
     infinite, as the dense check does.  The entry itself enters the sum of
     every (a, b) with c_abt != 0, and Report.of reads a NaN sum as inf.
     Violations (a, b, res) come in row-major order; checked = k^2 pairs.
-    A matrix index outside range(k) is an InputError.
+    A matrix index outside range(k), or an output row over the memory
+    budget, is an InputError.
     """
     if crep.labels != calg.labels:
         raise InputError("contracted rep and algebra use different adapted bases")

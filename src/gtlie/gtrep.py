@@ -47,11 +47,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
-from .algebra import Report, sl_basis_matrices
+from .algebra import Report
 from .errors import InputError
-from .linalg import (DEFAULT_TOL, Entries, digest, max_abs, product_terms, read_only, relation_sums, row_blocks,
-                     stable_order, summed)
+from .linalg import (DEFAULT_TOL, Entries, check_budget, digest, max_abs, product_terms, read_only, relation_sums,
+                     row_blocks, stable_order, summed)
 
 __all__ = [
     "HighestWeight",
@@ -143,7 +142,8 @@ class PatternTable:
     The descending-lex basis order makes a mixed-radix key of the entries
     below the top row descending (``keys``); each digit has room for one
     step past its column's range, so ``find`` looks up the patterns of
-    any rows of such keys with one searchsorted.
+    any rows of such keys with one searchsorted.  ``of`` charges the array
+    against the memory budget before it enumerates a pattern.
     """
 
     n: int
@@ -154,6 +154,8 @@ class PatternTable:
 
     @staticmethod
     def of(hw: HighestWeight) -> "PatternTable":
+        d = weyl_dim(hw)
+        check_budget(8 * d * _offset(hw.n, 0), f"the {d} patterns of r{hw}")
         arr = pattern_array(hw)
         lower = arr[:, hw.n :]
         base = lower.min(axis=0) - 1
@@ -245,8 +247,15 @@ def _labels(n: int) -> list[tuple[int, int]]:
 @cache
 def sl_in_generators(n: int) -> np.ndarray:
     """The read-only (n^2, n^2 - 1) matrix of the canonical sl(n) basis in
-    generator coordinates: column x is algebra.sl_basis_matrices(n)[x]."""
-    return read_only(np.array(sl_basis_matrices(n)).real.reshape(n * n - 1, n * n).T)
+    generator coordinates: column x is algebra.sl_basis_matrices(n)[x],
+    E_kl at generator (k - 1) n + l - 1 and H_k = E_kk - E_k+1,k+1."""
+    k = n * n - 1
+    check_budget(8 * n * n * k, f"the {k} basis elements of sl({n}) in generator coordinates")
+    out, h = np.zeros((n * n, k)), np.arange(n - 1)
+    out[np.flatnonzero(~np.eye(n, dtype=bool)), np.arange(n * n - n)] = 1.0
+    out[h * (n + 1), n * n - n + h] = 1.0
+    out[(h + 1) * (n + 1), n * n - n + h] = -1.0
+    return read_only(out)
 
 
 # Bytes of one stored generator entry: row, col and matrix index (int64) and
@@ -270,9 +279,9 @@ def build_representation(hw: HighestWeight) -> Representation:
     """Assemble the entries of all n^2 generators of the irrep with highest
     weight hw.
 
-    Raises InputError, before enumerating patterns, when the pattern array
-    and ENTRY_BYTES per predicted entry (predicted_entries) would exceed
-    linalg.GENERATOR_BUDGET_BYTES.
+    Raises InputError, before enumerating patterns, when ENTRY_BYTES per
+    predicted entry (predicted_entries), or the pattern array
+    (PatternTable.of), would exceed the memory budget.
 
     The patterns come as one PatternTable: the targets of a move are one
     searchsorted of their keys, and a target exists exactly when the moved
@@ -290,12 +299,7 @@ def build_representation(hw: HighestWeight) -> Representation:
     n = hw.n
     d = weyl_dim(hw)
     entries = predicted_entries(hw, d)
-    nbytes = 8 * d * _offset(n, 0) + ENTRY_BYTES * entries
-    if nbytes > linalg.GENERATOR_BUDGET_BYTES:
-        raise InputError(
-            f"r{hw} (d={d}) needs {nbytes / 2**30:.2f} GiB for its patterns and at most {entries} "
-            f"generator entries, over the {linalg.GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
-        )
+    check_budget(ENTRY_BYTES * entries, f"the at most {entries} generator entries of r{hw} (d={d})")
     table = PatternTable.of(hw)
     gen = {}
     every = np.arange(d)
@@ -437,7 +441,8 @@ def verify_commutation(rep: GeneratorRep, tol: float = DEFAULT_TOL) -> Report:
     pair; the largest sum is the residual.  The work is proportional to
     the number of product terms, not to n^4 d^3, and output rows are
     processed in blocks of about linalg.TERMS_PER_BLOCK terms, so
-    temporaries stay bounded.  A NaN entry enters the expected side of
+    temporaries stay bounded; a row over the memory budget is an
+    InputError.  A NaN entry enters the expected side of
     some pair p != q as itself, so the check fails closed.
 
     The report carries checked = n^4, worst_at = ((a, b), (c, e)) of the

@@ -36,7 +36,14 @@ def _num(z) -> float | list[float]:
 
 def _read_num(v) -> complex:
     re, im = v if isinstance(v, (list, tuple)) else (v, 0)  # a list of another length is a ValueError
-    return complex(re, im)
+    return complex(_json_real(re), _json_real(im))
+
+
+def _json_real(v) -> float:
+    """v itself when it is a JSON number; complex() and float() would read true as 1, and float() "1" too."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{v!r} is not a number")
+    return v
 
 
 def _json_int(v) -> int:
@@ -62,7 +69,7 @@ def algebra_from_json(payload: dict) -> LieAlgebra:
     try:
         k = _json_int(payload["dim"])
         names = tuple(str(x) for x in payload["basis"])
-        constants = [(i, j, l, complex(re, im)) for i, j, l, re, im in payload["constants"]]
+        constants = [(i, j, l, _read_num((re, im))) for i, j, l, re, im in payload["constants"]]
         given = set()
         for i, j, l, _ in constants:
             if not all(0 <= _json_int(x) < k for x in (i, j, l)):
@@ -130,7 +137,8 @@ def rep_from_json(payload: dict) -> Representation:
     """Parse a representation, refusing with InputError unless the generator
     keys are exactly the n^2 labels "k,l", every basis row is a flattened
     pattern of n(n+1)/2 integers and every generator is a finite d x d
-    matrix, with d the declared dimension and the number of basis rows."""
+    matrix of JSON numbers, with d the declared dimension and the number of
+    basis rows."""
     try:
         n = _json_int(payload["n"])
         hw = HighestWeight(n, tuple(_json_int(x) for x in payload["highest_weight"]))
@@ -139,7 +147,7 @@ def rep_from_json(payload: dict) -> Representation:
         gen = {}
         for key, rows in payload["generators"].items():
             k, l = (int(x) for x in key.split(","))
-            gen[(k, l)] = np.array(rows, dtype=float)
+            gen[(k, l)] = np.array([[_json_real(x) for x in row] for row in rows], dtype=float)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed representation JSON: {exc}") from exc
     if basis.ndim != 2 or basis.shape[1] != n * (n + 1) // 2:
@@ -181,11 +189,11 @@ def simulation_from_json(payload: dict) -> SimulationMatrix:
             return SimulationMatrix(order=order, kind=kind, phases=phases)
         if kind == "signed_permutation":
             perm = tuple(_json_int(p) for p in payload["perm"])
-            signs = tuple(complex(re, im) for re, im in payload["signs"])
+            signs = tuple(_read_num((re, im)) for re, im in payload["signs"])
             return SimulationMatrix(order=order, kind=kind, perm=perm, signs=signs)
         if kind == "dense":
             dense = np.array(
-                [[complex(re, im) for re, im in row] for row in payload["matrix"]],
+                [[_read_num((re, im)) for re, im in row] for row in payload["matrix"]],
                 dtype=complex,
             )
             return SimulationMatrix(order=order, kind=kind, dense=dense)

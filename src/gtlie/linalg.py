@@ -15,7 +15,7 @@ caller: it is how gtrep stores generators, algebra an algebra
 (LieAlgebra.ad) and contraction a contracted representation.  Its sums
 sum_g x_g X_g come from ``Entries.combined`` as entries, and every dense
 stack of operators in gtlie from ``Entries.images``, one scatter after one
-check_generator_budget.  ``ranges`` lays index ranges end to end, ``row_join``
+check_budget.  ``ranges`` lays index ranges end to end, ``row_join``
 pairs entries with rows by it, ``product_terms`` forms every term of
 every pairwise product, ``summed`` adds equal keys, and ``row_blocks``
 splits the output rows so that a check forms about TERMS_PER_BLOCK terms
@@ -24,7 +24,8 @@ at a time.
 Every bracket check asks one question, "do the matrices X_a satisfy
 [X_a, X_b] = sum_l f_ab^l X_l?", and ``relation_sums`` answers it for
 structure triples (a, b, l, f) with a < b: it yields, block by block, the
-summed residual of each pair at every (row, col) the terms meet.  The gl(n)
+summed residual of each pair at every (row, col) the terms meet, after
+charging its heaviest output row at TERM_BYTES a term.  The gl(n)
 relations of a GT representation (gtrep.verify_commutation), a contracted
 representation (contraction.verify_rep_homomorphism) and the adjoint
 matrices of an algebra (algebra.check_jacobi) are its three callers; the
@@ -59,20 +60,19 @@ TERMS_PER_BLOCK = 1 << 13
 # the packed sort at 512 keys, about the same at 768, and 26-32 us against
 # 18-19 us at 1024 (best of 7 x 2000 calls, 2-core x86 VM, one thread).
 PACKED_SORT_MIN_KEYS = 768
-# Largest footprint, in bytes, of the dense matrices one Entries.images forms,
-# and of a representation's storage as predicted at build.
-GENERATOR_BUDGET_BYTES = 2 << 30
+# Largest predicted footprint, in bytes, of any one thing gtlie forms.
+MEMORY_BUDGET_BYTES = 2 << 30
+# Bytes of one relation term at its peak in relation_sums: measured at 72 for
+# real values and 89-90 for complex ones.
+TERM_BYTES = 96
 
 
-def check_generator_budget(count: int, d: int, itemsize: int) -> None:
-    """Raise InputError when count dense d x d matrices of itemsize bytes
-    per entry exceed GENERATOR_BUDGET_BYTES."""
-    nbytes = count * d * d * itemsize
-    if nbytes > GENERATOR_BUDGET_BYTES:
-        raise InputError(
-            f"{count} dense generators of dimension {d} need {nbytes / 2**30:.2f} GiB, "
-            f"over the {GENERATOR_BUDGET_BYTES / 2**30:.2f} GiB budget"
-        )
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise InputError when nbytes, the predicted footprint of what (a plural
+    noun phrase), exceed MEMORY_BUDGET_BYTES: the one memory refusal of
+    gtlie, made before anything that size is formed."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise InputError(f"{what} need {nbytes / 2**30:.2f} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:.2f} GiB budget")
 
 
 def max_abs(a) -> float:
@@ -214,10 +214,10 @@ class Entries:
 
     def images(self, coords: np.ndarray) -> np.ndarray:
         """The dense sum_g coords[g, c] X_g for each column c of coords, one
-        read-only (columns, d, d) array: one check_generator_budget at the
-        result's itemsize, then one scatter of ``combined``."""
+        read-only (columns, d, d) array: one check_budget at the result's
+        itemsize, then one scatter of ``combined``."""
         count, d, dtype = coords.shape[1], self.dim, np.result_type(self.vals, coords)
-        check_generator_budget(count, d, dtype.itemsize)
+        check_budget(count * d * d * dtype.itemsize, f"{count} dense generators of dimension {d}")
         column, rows, cols, vals = self.combined(coords)
         out = np.zeros((count, d, d), dtype=dtype)
         out[column, rows, cols] = vals
@@ -269,13 +269,20 @@ def relation_sums(e: Entries, count: int, a: np.ndarray, b: np.ndarray, l: np.nd
     add their values in one fixed order.  Only entries are joined, so the
     work is the number of terms, and a NaN or inf enters only the terms it
     is a factor of, never a dense product's NaN * 0: a caller that needs
-    those relations to fail marks them itself."""
+    those relations to fail marks them itself.
+
+    Each entry in row i joins the entries of its column's row and the
+    triples at its matrix, so one bincount over the entries counts the
+    terms of every output row exactly; a row whose terms, at TERM_BYTES
+    each, exceed the budget is refused before any term is formed."""
     d = e.dim
     l, order = stable_order(l)
     a, b, f = a[order], b[order], f[order]
     first = np.searchsorted(l, np.arange(count + 1))
     per, runs = np.diff(first), np.diff(e.starts)
-    for r0, r1 in row_blocks(d, int(runs[e.cols].sum() + per[e.gids].sum())):
+    terms = np.bincount(e.rows, runs[e.cols] + per[e.gids], minlength=d)
+    check_budget(TERM_BYTES * int(terms.max(initial=0)), "the relation terms of one output row")
+    for r0, r1 in row_blocks(d, int(terms.sum())):
         g, h, at, term = product_terms(e, r0, r1)
         s = slice(e.starts[r0], e.starts[r1])
         t, u = ranges(first[e.gids[s]], per[e.gids[s]])

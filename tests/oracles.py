@@ -22,6 +22,8 @@ containment kernel as one dense (keys x labels) table times each grading
 part, the bracket blocks as two tensordots over the dense structure
 tensor (and the split verdict and the dense grading path on them), the
 distance of an image block from a span as its projection residual alone,
+the exact pair path of the containment kernel against its dense path forced
+on the same parts,
 the dense path of the containment kernel with each part factored twice
 (pseudo-inverse and orthonormal basis) and one distance per image block,
 and the dense matrices of an entries table as one scatter."""
@@ -266,6 +268,36 @@ def with_projection_distance(call):
     uncapped = functools.partial(span_residuals, distance=span_distance)
     with mock.patch.object(algebra_module, "_span_residuals", side_effect=uncapped):
         return call()
+
+
+def assert_pair_path_is_the_dense_path(call):
+    """call() returns a report through the containment kernel's exact pair path alone, never its dense
+    path; with the dense path forced on the same parts (no part read as coordinate vectors and pairs)
+    the verdict is the same, every residual agrees within 1e-12, and so does the largest one at the pair
+    path's worst_at.  Returns the report."""
+    seen = {"pair": [], "dense": []}
+
+    def recorded(name, path):
+        def run(*args):
+            out = path(*args)
+            seen[name].append(out[0])
+            return out
+        return run
+
+    pair_path, dense_path = algebra_module._pair_residuals, algebra_module._span_residuals
+    with mock.patch.object(algebra_module, "_pair_residuals", side_effect=recorded("pair", pair_path)), \
+            mock.patch.object(algebra_module, "_span_residuals", side_effect=recorded("dense", dense_path)):
+        report = call()
+        assert len(seen["pair"]) == 1 and not seen["dense"], "the dense path was entered"
+        with mock.patch.object(algebra_module, "_pair_support", return_value=None):
+            forced = call()
+    (pair,), (dense,) = seen["pair"], seen["dense"]
+    assert pair.keys() == dense.keys() and all(pair[key].shape == dense[key].shape for key in pair)
+    assert all(max_abs(pair[key] - dense[key]) <= 1e-12 for key in pair)
+    assert report.ok == forced.ok and abs(report.max_residual - forced.max_residual) <= 1e-12
+    if report.worst_at is not None:
+        assert abs(np.max(dense[report.worst_at]) - report.max_residual) <= 1e-12
+    return report
 
 
 def assert_same_as_reference_span_path(call):

@@ -15,6 +15,7 @@ from gtlie.errors import InputError
 from gtlie.groups import AbelianGroup
 from gtlie.linalg import Entries, independent_columns, max_abs
 from oracles import (
+    assert_pair_path_is_the_dense_path,
     assert_same_as_dense_pair_path,
     assert_same_as_reference_span_path,
     conjugate_of_inner,
@@ -120,10 +121,23 @@ def test_jacobi_of_sl10_is_exact_in_bounded_memory():
     assert peak < 64 * 2**20
 
 
-def test_jacobi_refuses_a_dense_algebra_over_its_row_budget():
-    # about 3 k^4 product terms per output row: 12e6 at k=45, over 1 GiB
-    with pytest.raises(InputError, match="budget"):
-        gtlie.check_jacobi(random_algebra(45, 0))
+def test_jacobi_refuses_a_dense_algebra_over_its_row_budget(monkeypatch):
+    # relation_sums counts the terms of its heaviest output row exactly: each entry at row p joins the
+    # entries of its column's row and the triples (i, j, l) at its matrix l, and that row at TERM_BYTES
+    # a term is refused one byte under the budget and checked at it
+    from gtlie import linalg
+
+    algebra = random_algebra(7, 0)
+    ad, k = algebra.ad, algebra.dim
+    runs, per = np.diff(ad.starts), np.bincount(ad.rows[ad.gids < ad.cols], minlength=k)
+    heaviest = max(sum(runs[c] + per[g] for c, g in zip(ad.cols[ad.rows == p], ad.gids[ad.rows == p])) for p in range(k))
+    assert heaviest == 3 * (k * (k - 1)) ** 2 // 2  # dense: k(k-1) entries a row, k(k-1)/2 triples a matrix
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", linalg.TERM_BYTES * heaviest - 1)
+    with pytest.raises(InputError, match="the relation terms of one output row need 0.00 GiB, over the 0.00 GiB budget"):
+        gtlie.check_jacobi(algebra)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", linalg.TERM_BYTES * heaviest)
+    report = gtlie.check_jacobi(algebra)
+    assert not report.ok and report.checked == k**3
 
 
 def test_bracket_sl2_hand_values():
@@ -414,15 +428,15 @@ def test_swapped_parts_are_a_z2_grading_through_the_second_labelling(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_path_grading_reports_are_those_of_the_projection_distance(n):
-    # the cap at an image's sup norm is on the dense path only: on every standard grading, and on each
-    # with its labels swapped (which fails), the exact pair path reports field for field as before
+    # every standard grading, and each with its labels swapped (which fails), is measured on the exact
+    # pair path alone, and the projection distance of the dense path forced on the same parts gives its
+    # verdict, residuals and worst_at
     algebra = gtlie.sl_algebra(n)
     for aut in [gtlie.auto_inner(n, s) for s in range(1, n // 2 + 1)] + [gtlie.auto_outer(n)]:
         gamma = gtlie.grading_from_automorphism(algebra, aut)
         swapped = gtlie.Grading(group=gamma.group, parts={(0,): gamma.parts[(1,)], (1,): gamma.parts[(0,)]})
         for g, ok in ((gamma, True), (swapped, False)):
-            report = gtlie.verify_grading(algebra, g)
-            assert report.ok == ok and report == with_projection_distance(lambda: gtlie.verify_grading(algebra, g))
+            assert assert_pair_path_is_the_dense_path(lambda: gtlie.verify_grading(algebra, g)).ok == ok
 
 
 def test_classify_two_part_refuses_a_non_finite_part():
@@ -652,7 +666,7 @@ def test_the_dense_view_past_the_budget_is_refused_before_it_is_formed(monkeypat
     from gtlie import linalg
 
     sl6 = gtlie.sl_algebra(6)
-    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 35**3 * 16 - 1)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 35**3 * 16 - 1)
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="budget"):
@@ -661,7 +675,7 @@ def test_the_dense_view_past_the_budget_is_refused_before_it_is_formed(monkeypat
     finally:
         tracemalloc.stop()
     assert peak < 35**3 * 16 // 4 and "structure" not in vars(sl6)
-    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 35**3 * 16)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 35**3 * 16)
     assert sl6.structure.shape == (35, 35, 35) and not sl6.structure.flags.writeable
     assert gtlie.bracket(np.eye(35)[0], np.eye(35)[17], sl6).tolist() == sl6.structure[0, 17].tolist()
 

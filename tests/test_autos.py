@@ -14,7 +14,6 @@ import gtlie
 from gtlie import autos, linalg
 from gtlie.algebra import matrix_to_coords, sl_basis_matrices
 from gtlie.autos import (
-    SOLVER_BUDGET_BYTES,
     J_matrix,
     SimulationMatrix,
     auto_inner,
@@ -35,6 +34,7 @@ from gtlie.gtrep import GeneratorRep, HighestWeight, build_representation, weyl_
 from gtlie.linalg import Entries
 from oracles import (
     GTPattern,
+    assert_pair_path_is_the_dense_path,
     assert_same_as_dense_pair_path,
     assert_same_as_reference_span_path,
     dense_doubled_generators,
@@ -50,7 +50,6 @@ from oracles import (
     per_vector_compatibility,
     rep_of_Xns,
     with_dense_pair_residuals,
-    with_projection_distance,
 )
 
 
@@ -368,11 +367,11 @@ def test_decompose_rep_space_charges_its_dense_parts_against_the_budget(monkeypa
     hw = HighestWeight(3, (2, 1, 0))
     sims = [J_matrix(hw), simulation_inner(hw, 3, 1), SimulationMatrix(order=2, kind="dense", dense=J_matrix(hw).matrix)]
     big = simulation_inner(HighestWeight(3, (20, 10, 0)), 3, 1)  # d = 1331: 27 MiB of parts
-    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 1024)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 1024)
     assert all(decompose_rep_space(sim).total_dim == 8 for sim in sims)
-    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 1023)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 1023)
     for sim in sims:
-        with pytest.raises(InputError, match="dimension 8 need 0.00 GiB as dense columns, over the 0.00 GiB budget"):
+        with pytest.raises(InputError, match="dense carrier parts of dimension 8 need 0.00 GiB, over the 0.00 GiB budget"):
             decompose_rep_space(sim)
     tracemalloc.start()
     try:
@@ -746,7 +745,7 @@ def test_solver_refuses_an_oversized_system_before_building_it():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < SOLVER_BUDGET_BYTES / 100
+    assert peak < linalg.MEMORY_BUDGET_BYTES / 200
 
 
 def test_solver_normalizes_an_order_3_automorphism_on_a_reducible_carrier():
@@ -756,6 +755,51 @@ def test_solver_normalizes_an_order_3_automorphism_on_a_reducible_carrier():
     for carrier in (build_representation(hw), doubled_rep(hw)[0]):
         found = _solved(carrier, aut)
         assert found is not None and found.order == 3
+
+
+def test_the_action_is_charged_before_its_dense_stacks_are_formed(monkeypatch, capsys):
+    # charged at four (575, 24, 24) complex stacks of sl(24), 20 MiB: the basis, its images and their
+    # coordinates peak at about 3.5 of them; grading from-auto --inner 96,48 would need about 4.5 GiB
+    from gtlie.cli import main
+
+    charge = 4 * 16 * 575 * 576
+    aut = auto_inner(24, 12)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", charge - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"the images of the 575 basis matrices of sl\(24\) need 0.02 GiB, over"):
+            aut.action
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["grading", "from-auto", "--inner", "24,12"]) == 2 and "budget" in capsys.readouterr().err
+        cli_peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", charge)
+        tracemalloc.reset_peak()
+        assert aut.action.shape == (575, 575)
+        formed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the command builds sl(24) itself (about 5 MiB), and no stack
+    assert peak < charge / 1000 and cli_peak < charge / 3 and 3 * charge / 4 < formed <= charge
+
+
+@pytest.mark.parametrize("make", [J_matrix, lambda hw: simulation_inner(hw, 3, 1)], ids=["J", "inner"])
+def test_a_simulation_matrix_charges_its_pattern_table_before_enumerating_it(monkeypatch, make):
+    # r(40,20,0): 9261 patterns of 6 int64 entries, 0.42 MiB; r(1000,500,0) would need 5.6 GiB of them
+    hw = HighestWeight(3, (40, 20, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"the 125751501 patterns of r\(1000,500,0\) need 5.62 GiB, over the 2.00"):
+            make(HighestWeight(3, (1000, 500, 0)))
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 8 * 6 * 9261 - 1)
+        with pytest.raises(InputError, match=r"the 9261 patterns of r\(40,20,0\) need 0.00 GiB, over the 0.00"):
+            make(hw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 6 * 9261 / 10
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 8 * 6 * 9261)
+    assert make(hw).dim == 9261
 
 
 def _carriers(hw):
@@ -885,14 +929,14 @@ def test_compatibility_matches_the_dense_pair_path_on_every_carrier(m):
 
 @pytest.mark.parametrize("m", ORACLE_WEIGHTS[:17], ids=str)
 def test_pair_path_compatibility_reports_are_those_of_the_projection_distance(m):
-    # the cap at an image's sup norm is on the dense path only: on every carrier of the paper_sweep
-    # irreps the exact pair path reports field for field as before
+    # every carrier of the paper_sweep irreps is measured on the exact pair path alone, and the
+    # projection distance of the dense path forced on the same parts gives its verdict, residuals and
+    # worst_at
     hw = HighestWeight(len(m), m)
     algebra = gtlie.sl_algebra(hw.n)
     for rep, aut, sim in _carriers(hw):
         gamma, vgamma = grading_from_automorphism(algebra, aut), decompose_rep_space(sim)
-        report = check_compatibility(rep, gamma, vgamma)
-        assert report == with_projection_distance(lambda: check_compatibility(rep, gamma, vgamma))
+        assert assert_pair_path_is_the_dense_path(lambda: check_compatibility(rep, gamma, vgamma)).ok
 
 
 def test_a_dense_gamma_against_pair_carrier_parts_agrees_with_the_dense_product():

@@ -684,6 +684,11 @@ def counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def dense_reads(budget_checks: list) -> list:
+    """The (nbytes, what) of each check_budget call that charged a dense stack of generators."""
+    return [args for args in budget_checks if "dense generators" in args[1]]
+
+
 def fresh_sl3_setup():
     """sl(3) with a new inner (3,1) grading and a new r(1,0,0) carrier and
     V grading, owned by the calling test alone."""
@@ -791,7 +796,7 @@ def test_five_contractions_of_one_carrier_form_its_coordinates_once(monkeypatch)
 
 def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
     # each dense read is charged at its own count and itemsize before its scatter; gen scatters once
-    budget_checks = counting(monkeypatch, linalg_module, "check_generator_budget")
+    budget_checks = counting(monkeypatch, linalg_module, "check_budget")
     hw = HighestWeight(3, (2, 1, 0))
     rep, outer = build_representation(hw), gtlie.auto_outer(3)
     gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(3), outer)
@@ -802,14 +807,15 @@ def test_a_carrier_scatters_its_dense_generators_once(monkeypatch):
     jsonio.rep_to_json(rep)
     # the 9 generators; the 8 images of the sl basis and of the (complex) action, for the solver and
     # then for the check; contract_rep forms no dense images
-    assert budget_checks == [(9, 8, 8), (8, 8, 8), (8, 8, 16), (8, 8, 16), (8, 8, 8)]
+    assert dense_reads(budget_checks) == [(count * 8 * 8 * itemsize, f"{count} dense generators of dimension 8")
+                                          for count, itemsize in [(9, 8), (8, 8), (8, 16), (8, 16), (8, 8)]]
     assert len({id(m.base) for m in rep.gen.values()}) == 1 and not any(m.flags.writeable for m in rep.gen.values())
 
 
 def test_the_dense_readers_never_scatter_the_generators(monkeypatch):
     # the solver and a dense-R check form r(x) for sl(n) coordinates only, and contract_rep none:
     # the budget is asked for n^2 - 1 matrices, never for the n^2 generators
-    budget_checks = counting(monkeypatch, linalg_module, "check_generator_budget")
+    budget_checks = counting(monkeypatch, linalg_module, "check_budget")
     hw = HighestWeight(4, (1, 1, 0, 0))
     rep, outer = build_representation(hw), gtlie.auto_outer(4)
     gamma = gtlie.grading_from_automorphism(gtlie.sl_algebra(4), outer)
@@ -817,7 +823,7 @@ def test_the_dense_readers_never_scatter_the_generators(monkeypatch):
     contract_rep(rep, gtlie.decompose_rep_space(gtlie.J_matrix(hw)), gamma, psi(table), eps(table))
     found = gtlie.find_simulation_matrix(rep, outer)
     assert found.kind == "dense" and gtlie.verify_simulation(rep, outer, found).ok
-    assert len(budget_checks) == 4 and {count for count, _, _ in budget_checks} == {15}
+    assert [what for _, what in dense_reads(budget_checks)] == ["15 dense generators of dimension 6"] * 4
     assert "gen" not in vars(rep)
 
 

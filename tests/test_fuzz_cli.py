@@ -3,7 +3,8 @@
 Each example mutates the README's gamma1.json / gamma2.json (gradings of
 sl(3)) or rep210.json / rep100.json (GT irreps of sl(3)) and runs one
 subcommand on them.  Whatever the input, the CLI answers with exit code 0,
-1 or 2 and at most one stderr line, an ``error:`` (bad input, exit 2) or a
+1 or 2 (2 when a generator or grading cell is not a number) and at most
+one stderr line, an ``error:`` (bad input, exit 2) or a
 ``verification failure:`` (exit 1).  An uncaught exception, a traceback or
 a numpy RuntimeWarning fails the test.
 """
@@ -43,6 +44,7 @@ READS = {name: {"rep"} if name == "rep check" else {"grading"} if "compat" not i
 
 SCALES = (1e-12, 1e12, 1e308)
 CELLS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0)
+NOT_NUMBERS = (True, False, "1", "x", None)
 WRONG_TYPES = (None, "x", "1", True, 3, 2.5, [], {}, [1], [[1.0]], [1.0, 2.0, 3.0])
 WRONG_ORDERS = ([3], [1], [0], [-2], [2, 2], [], [2.5], ["2"], 2)
 WRONG_LABELS = ("2", "-1", "0,0", "x", "", "1.5", "01")
@@ -134,6 +136,21 @@ def _mutate_rep(draw, payload: dict) -> dict:
     return payload
 
 
+def _number_cells(payload, kind: str) -> list:
+    """The place of every number in a generator row or a grading vector (a [re, im] cell's two included)."""
+    field = {"grading": "parts", "rep": "generators"}[kind]
+    if not isinstance(payload, dict) or not isinstance(payload.get(field), dict):
+        return []
+    places = [(field, *path) for path in _paths(payload[field]) if len(path) >= 3]
+    return [place for place in places if type(_at(payload, place)) in (int, float)]
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _wrong_type(draw, payload):
     """payload with the value at one place in it (the whole payload included) replaced by one of another type."""
     path = draw(st.sampled_from(list(_paths(payload))))
@@ -155,6 +172,14 @@ def test_the_cli_answers_every_mutated_readme_file_with_an_exit_code(readme_file
     if data.draw(st.integers(0, 3)) == 0:  # last, as it may leave no structure to mutate
         kind = data.draw(st.sampled_from(sorted(READS[command])))
         payloads[kind] = _wrong_type(data.draw, payloads[kind])
+    refused = False
+    if data.draw(st.integers(0, 3)) == 0:  # a cell that is not a number: true and "1" were read as 1
+        kind = data.draw(st.sampled_from(sorted(READS[command])))
+        cells = _number_cells(payloads[kind], kind)
+        if cells:
+            cell, value = data.draw(st.sampled_from(cells)), data.draw(st.sampled_from(NOT_NUMBERS))
+            payloads[kind] = _replace(payloads[kind], cell, value)
+            refused = True
     paths = {kind: folder / f"mutated-{kind}.json" for kind in payloads}
     for kind, payload in payloads.items():
         paths[kind].write_text(json.dumps(payload))
@@ -163,6 +188,6 @@ def test_the_cli_answers_every_mutated_readme_file_with_an_exit_code(readme_file
         warnings.simplefilter("error")
         code = main(COMMANDS[command](str(paths["grading"]), str(paths["rep"])))
     lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2), code
+    assert code in ((2,) if refused else (0, 1, 2)), code
     assert len(lines) <= 1 and all(line.startswith(("error: ", "verification failure: ")) for line in lines), lines
     assert "Traceback" not in err.getvalue()

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from gtlie import linalg
 from gtlie.autos import auto_outer, doubled_rep, verify_simulation
 from gtlie.errors import InputError
+from gtlie.algebra import sl_basis_matrices
 from gtlie.gtrep import (
     GeneratorRep,
     HighestWeight,
     build_representation,
     pattern_array,
+    sl_in_generators,
     verify_commutation,
     verify_sl_trace,
     verify_transpose,
     weyl_dim,
 )
-from gtlie.linalg import GENERATOR_BUDGET_BYTES, Entries, max_abs
+from gtlie.linalg import MEMORY_BUDGET_BYTES, Entries, max_abs
 from oracles import (
     GTPattern,
     Radicand,
@@ -324,6 +326,60 @@ def test_commutation_holds_in_a_dense_orthogonal_basis():
     assert report.max_residual == pytest.approx(dense_commutation_residual(conjugated), abs=1e-12)
 
 
+def test_the_commutation_of_a_dense_carrier_is_refused_past_its_heaviest_row(monkeypatch, tmp_path, capsys):
+    # conjugated by a random orthogonal matrix, every generator of r(6,3,0) is dense: an output row joins
+    # the n^2 d = 576 entries of its row with the 576 of another row, and each of its entries with the 3
+    # relation triples at an off-diagonal label (2 at a diagonal one), 32 MiB at TERM_BYTES a term; a
+    # dense carrier of d = 1000 would need 7.8 GB
+    from gtlie import jsonio
+    from gtlie.cli import main
+    from gtlie.gtrep import Representation
+
+    rep = build_representation(HighestWeight(3, (6, 3, 0)))
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((rep.dim, rep.dim)))
+    conjugated = Representation(rep.hw, rep.basis, {key: q.T @ m @ q for key, m in rep.gen.items()})
+    assert (np.diff(conjugated.entries.starts) == 576).all()
+    row_bytes = linalg.TERM_BYTES * (576**2 + 64 * (6 * 3 + 3 * 2))
+    path = tmp_path / "dense.json"
+    path.write_text(jsonio.canonical_dumps(jsonio.rep_to_json(conjugated)))
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", row_bytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="the relation terms of one output row need 0.03 GiB, over the 0.03 GiB"):
+            verify_commutation(conjugated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < row_bytes / 16  # the row count reads the 36,864 entries, and no term is formed
+    assert main(["rep", "check", str(path)]) == 2 and "relation terms" in capsys.readouterr().err
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", row_bytes)
+    assert verify_commutation(conjugated).ok
+
+
+def test_the_sl_basis_in_generator_coordinates_is_charged_before_it_is_formed(monkeypatch):
+    # 575 columns of 576 float64 entries for sl(24), 2.5 MiB; the former construction from the dense
+    # complex basis matrices peaked at about 4 times that
+    charge = 8 * 576 * 575
+    sl_in_generators.cache_clear()
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", charge - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"the 575 basis elements of sl\(24\) in generator coordinates need 0.00"):
+            sl_in_generators(24)
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", charge)
+        tracemalloc.reset_peak()
+        got = sl_in_generators(24)
+        formed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < charge / 100 and charge <= formed < charge + (64 << 10)
+    want = np.array(sl_basis_matrices(24)).real.reshape(575, 576).T
+    assert got.flags.c_contiguous and not got.flags.writeable and got.dtype == want.dtype and np.array_equal(got, want)
+    for n in range(2, 6):
+        assert np.array_equal(sl_in_generators(n), np.array(sl_basis_matrices(n)).real.reshape(n * n - 1, n * n).T)
+
+
 @pytest.mark.parametrize("label, pos", [((1, 2), (200, 210)), ((2, 1), (210, 200)), ((1, 1), (150, 215))])
 def test_transpose_and_trace_checks_see_every_row_slice(label, pos):
     rep = build_representation(HighestWeight(3, (10, 5, 0)))  # d = 216: four slices of 64 rows
@@ -368,7 +424,7 @@ def test_build_refuses_an_oversized_irrep_up_front():
 def test_a_doubled_carrier_past_the_dense_budget_builds_and_verifies_on_entries(m):
     # d = 2744 and 9261: the 9 doubled generators would need 2.02 and 23 GiB dense
     hw = HighestWeight(3, m)
-    assert 72 * (2 * weyl_dim(hw)) ** 2 > GENERATOR_BUDGET_BYTES
+    assert 72 * (2 * weyl_dim(hw)) ** 2 > MEMORY_BUDGET_BYTES
     tracemalloc.start()
     try:
         rep, swap = doubled_rep(hw)
@@ -430,7 +486,7 @@ def test_python_int_radicands_and_keys_are_bit_identical(m):
 
 def test_the_entry_bound_admits_what_the_dense_budget_admitted():
     hw = HighestWeight(8, (6,) + (0,) * 7)  # d = 1716: 1.4 GiB dense, under the 2 GiB budget
-    assert 8 * 64 * weyl_dim(hw) ** 2 <= GENERATOR_BUDGET_BYTES
+    assert 8 * 64 * weyl_dim(hw) ** 2 <= MEMORY_BUDGET_BYTES
     rep = build_representation(hw)
     assert verify_commutation(rep).ok and verify_transpose(rep) == 0.0 and verify_sl_trace(rep) <= 1e-12
 
@@ -513,8 +569,8 @@ def test_gen_and_images_are_charged_at_their_real_itemsize_before_any_scatter(mo
     complex_rep = GeneratorRep(3, {label: np.asarray(m, dtype=complex)
                                    for label, m in build_representation(HighestWeight(3, (6, 3, 0))).gen.items()})
     real = build_representation(HighestWeight(3, (6, 3, 0)))
-    monkeypatch.setattr(linalg, "GENERATOR_BUDGET_BYTES", 9 * 64 * 64 * 8)
-    assert real.gen[(1, 2)].base.nbytes == linalg.GENERATOR_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET_BYTES", 9 * 64 * 64 * 8)
+    assert real.gen[(1, 2)].base.nbytes == linalg.MEMORY_BUDGET_BYTES and real.gen[(1, 2)][0, 1] != 0
     assert real.images(np.eye(8)).nbytes == 8 * 64 * 64 * 8
     refused = ((9, lambda: complex_rep.gen), (8, lambda: complex_rep.images(np.eye(8))),
                (8, lambda: real.images(np.eye(8, dtype=complex))))

@@ -34,6 +34,15 @@ def test_algebra_json_refuses_an_index_outside_the_basis(index):
         jsonio.algebra_from_json(payload)
 
 
+@pytest.mark.parametrize("cell", [True, "1"], ids=["true", "string"])
+def test_algebra_json_refuses_a_constant_that_is_not_a_number(cell):
+    # complex() read true as 1
+    payload = jsonio.algebra_to_json(gtlie.sl_algebra(2))
+    payload["constants"][0][3] = cell
+    with pytest.raises(InputError, match="is not a number"):
+        jsonio.algebra_from_json(payload)
+
+
 def test_algebra_json_refuses_a_repeated_constant():
     # a second [0, 1, 2, 5, 0] with its mirror used to overwrite c[0, 1, 2] = 1 with 5
     payload = jsonio.algebra_to_json(gtlie.sl_algebra(2))
@@ -136,10 +145,12 @@ def test_canonical_dumps_deterministic():
         {"kind": "diagonal", "phases_pi": [[0, 1], [1, 0]]},
         {"kind": "dense", "matrix": [[[1.0, 0.0], [0.0, 0.0]]]},
         {"kind": "dense", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("inf"), 0.0]]]},
+        {"signs": [[True, 0.0], [1.0, 0.0]]},
+        {"kind": "dense", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["1", 0.0]]]},
     ],
     ids=["repeated", "index d", "fractional perm", "short signs", "zero sign", "nan sign", "order 0", "order 2.5",
          "zero denominator",
-         "not square", "inf entry"],
+         "not square", "inf entry", "bool sign", "string entry"],
 )
 def test_simulation_json_refuses_malformed_fields(change):
     payload = {"dim": 2, "order": 2, "kind": "signed_permutation", "perm": [1, 0], "signs": [[1.0, 0.0], [1.0, 0.0]]}
@@ -185,12 +196,14 @@ def test_every_json_integer_is_read_strictly(reader, payload, edit):
         reader(bad)
 
 
-@pytest.mark.parametrize("edit", ["parts not a mapping", "short complex cell", "long complex cell", "string cell"])
+@pytest.mark.parametrize("edit", ["parts not a mapping", "short complex cell", "long complex cell", "string cell",
+                                  "bool cell", "bool in a complex cell"])
 def test_grading_json_refuses_malformed_parts(edit):
     # parts without .items() and a [re, im] cell of one entry raised AttributeError and IndexError; a cell
-    # of three entries and the string "1" were read as numbers
+    # of three entries, the string "1" and true were read as numbers
     payload = jsonio.grading_to_json(gtlie.grading_from_automorphism(gtlie.sl_algebra(3), gtlie.auto_inner(3, 1)))
-    cells = {"short complex cell": [1.0], "long complex cell": [1.0, 0.0, 0.0], "string cell": "1"}
+    cells = {"short complex cell": [1.0], "long complex cell": [1.0, 0.0, 0.0], "string cell": "1", "bool cell": True,
+             "bool in a complex cell": [1.0, False]}
     if edit == "parts not a mapping":
         payload["parts"] = None
     else:
@@ -204,3 +217,13 @@ def test_rep_json_refuses_generators_that_are_not_a_mapping():
     payload["generators"] = [payload["generators"]["1,1"]]
     with pytest.raises(InputError, match="malformed representation JSON"):
         jsonio.rep_from_json(payload)
+
+
+@pytest.mark.parametrize("cell", [True, False, "1", None, [1.0]], ids=["true", "false", "string", "null", "list"])
+def test_rep_json_refuses_a_generator_cell_that_is_not_a_number(cell):
+    # np.array(rows, dtype=float) read true as 1 and the string "1" as 1
+    payload = jsonio.rep_to_json(build_representation(HighestWeight(3, (2, 1, 0))))
+    jsonio.rep_from_json(json.loads(json.dumps(payload)))
+    payload["generators"]["1,2"][0][1] = cell
+    with pytest.raises(InputError, match="malformed representation JSON: .* is not a number"):
+        jsonio.rep_from_json(json.loads(json.dumps(payload)))

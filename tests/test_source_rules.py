@@ -352,3 +352,35 @@ def test_the_pair_path_forms_no_matrix_product():
     (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pair_residuals"]
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(fn) if _matrix_product(node)]
     assert not found, f"a matrix product in the pair path: {found}"
+
+
+def _budget_names(tree) -> list:
+    """The *_BUDGET_BYTES names a module assigns."""
+    targets = [t for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    return [t.id for t in targets if getattr(t, "id", "").endswith("_BUDGET_BYTES")]
+
+
+def _refuses_over_a_budget(node) -> bool:
+    """A raise of InputError whose message text mentions a budget."""
+    return isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and _named(node.exc.func, "InputError") \
+        and any(isinstance(x, ast.Constant) and "budget" in str(x.value) for arg in node.exc.args for x in ast.walk(arg))
+
+
+def _bounds_rows(node) -> bool:
+    """A bincount over the rows of an entries table: a count of the terms of each output row."""
+    return isinstance(node, ast.Call) and _named(node.func, "bincount") and bool(node.args) \
+        and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "rows"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_memory_budget_one_refusal_and_one_row_bound(path):
+    # linalg.MEMORY_BUDGET_BYTES is the one budget, linalg.check_budget its one refusal, and the relation
+    # kernel counts the rows of every relation check: a budget, a refusal or a row bound anywhere else
+    # is a second policy with its own limit
+    budgets = _budget_names(ast.parse(path.read_text(), filename=str(path)))
+    assert budgets == (["MEMORY_BUDGET_BYTES"] if path.name == "linalg.py" else []), f"budgets in {path.name}: {budgets}"
+    found = _outside(path, {("linalg.py", "check_budget")}, _refuses_over_a_budget)
+    assert not found, f"a budget refusal outside linalg.check_budget: {found}"
+    found = _outside(path, {("linalg.py", "relation_sums")}, _bounds_rows)
+    assert not found, f"a row bound outside linalg.relation_sums: {found}"
